@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 2 on configuration or usage errors, 3 on
-numerical failures (degenerate eigenvector, non-convergence, too many
-bootstrap refit failures).  Every report embeds the fully resolved config,
-the master seed, the package version, and the assumption verdict where one
-applies; all files are written atomically.
+numerical failures (degenerate or ill-conditioned eigenproblem, singular
+covariance, too many bootstrap refit failures).  Every report embeds the
+fully resolved config, the master seed, the package version, and the
+assumption verdict where one applies; all files are written atomically.
 """
 
 from __future__ import annotations
@@ -141,6 +141,8 @@ def _cmd_clt_check(args) -> int:
         seed = args.seed if args.seed is not None else int(d.get("seed", 0))
     except KeyError as exc:
         raise InvalidParams(f"clt-check config is missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InvalidParams(f"malformed clt-check config: {exc}") from None
     report = clt_check(spec, n, reps, seed)
     write_report_json(
         args.out,

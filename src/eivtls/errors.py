@@ -62,10 +62,6 @@ class BlockTooLong(ConfigError):
 
 # -- numerical failures ------------------------------------------------------
 
-class NoConvergence(NumericalError):
-    pass
-
-
 class NotPositiveDefinite(NumericalError):
     pass
 

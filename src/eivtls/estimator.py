@@ -58,12 +58,11 @@ def tls_fit(x, y) -> TlsFit:
     eig = sym_eig(m)
     lam = float(eig.eigenvalues[p])
     norm_m = float(np.sqrt(np.sum(m * m)))
-    if p + 1 >= 2:
-        gap = float(eig.eigenvalues[p - 1] - eig.eigenvalues[p])
-        if gap < EIG_GAP_RTOL * norm_m:
-            raise IllConditioned(
-                f"two smallest eigenvalues within {gap:g}; estimate not identifiable"
-            )
+    gap = float(eig.eigenvalues[p - 1] - eig.eigenvalues[p])
+    if gap < EIG_GAP_RTOL * norm_m:
+        raise IllConditioned(
+            f"two smallest eigenvalues within {gap:g}; estimate not identifiable"
+        )
     v = eig.eigenvectors[:, p]
     if abs(v[p]) <= NONGENERIC_RTOL * np.max(np.abs(v)):
         raise NonGeneric("last entry of the smallest eigenvector is numerically zero")

@@ -2,9 +2,10 @@
 
 Matrices and vectors are plain ``numpy`` float arrays; the ``as_matrix`` /
 ``as_vector`` validators are the public constructors and reject non-finite
-entries.  The only non-trivial kernel is a cyclic Jacobi eigensolver for
-symmetric matrices, which is all the estimator needs (the relevant
-eigenproblem is (p+1) x (p+1)).
+entries.  The kernels are thin wrappers over LAPACK through ``numpy``: a
+Cholesky-based SPD solve and a symmetric eigendecomposition with a fixed
+ordering and sign convention, which is all the estimator needs (the
+relevant eigenproblem is (p+1) x (p+1)).
 """
 
 from __future__ import annotations
@@ -16,12 +17,9 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidParams,
-    NoConvergence,
     NotPositiveDefinite,
     NotSymmetric,
 )
-
-MAX_EIG_DIM = 64
 
 
 def as_matrix(a) -> np.ndarray:
@@ -47,18 +45,6 @@ def as_vector(v) -> np.ndarray:
 def frobenius_norm(a) -> float:
     """Square root of the sum of squared entries."""
     return float(np.sqrt(np.sum(as_matrix(a) ** 2)))
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T.copy()
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def cholesky(a) -> np.ndarray:
@@ -93,7 +79,6 @@ class SymEigResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    sweeps_used: int
 
 
 def _check_symmetric(a: np.ndarray) -> None:
@@ -102,64 +87,18 @@ def _check_symmetric(a: np.ndarray) -> None:
         raise NotSymmetric(f"matrix asymmetry {skew:g} exceeds tolerance")
 
 
-def sym_eig(a, tol: float = 1e-12, max_sweeps: int = 100) -> SymEigResult:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+def sym_eig(a) -> SymEigResult:
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Row-sweep order; iterates until every off-diagonal magnitude is at most
-    ``tol`` times the Frobenius norm of the input, or raises NoConvergence
-    after ``max_sweeps`` sweeps.  Deterministic for identical input.
-    Eigenvector signs are fixed so the entry of largest magnitude (lowest
-    index on ties) is positive.
+    Deterministic for identical input.  Eigenvector signs are fixed so the
+    entry of largest magnitude (lowest index on ties) is positive.
     """
     a = as_matrix(a)
     d = a.shape[0]
     if a.shape[1] != d:
         raise DimensionMismatch("eigendecomposition needs a square matrix")
-    if d > MAX_EIG_DIM:
-        raise InvalidParams(f"dimension {d} exceeds supported maximum {MAX_EIG_DIM}")
     _check_symmetric(a)
-
-    norm_a = float(np.sqrt(np.sum(a * a)))
-    thresh = tol * norm_a
-    w = 0.5 * (a + a.T)
-    v = np.eye(d)
-    sweeps = 0
-
-    def max_offdiag() -> float:
-        if d == 1:
-            return 0.0
-        off = np.abs(w - np.diag(np.diag(w)))
-        return float(off.max())
-
-    while max_offdiag() > thresh:
-        if sweeps >= max_sweeps:
-            raise NoConvergence(
-                f"off-diagonal {max_offdiag():g} above {thresh:g} after {max_sweeps} sweeps"
-            )
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = w[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * w[:, p] - s * w[:, q]
-                rot_q = s * w[:, p] + c * w[:, q]
-                w[:, p], w[:, q] = rot_p, rot_q
-                w[p, :], w[q, :] = c * w[p, :] - s * w[q, :], s * w[p, :] + c * w[q, :]
-                w[p, q] = w[q, p] = 0.0
-                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
-        sweeps += 1
-
-    eigs = np.diag(w).copy()
-    order = np.argsort(-eigs, kind="stable")
-    eigs = eigs[order]
-    vecs = v[:, order]
-    for j in range(d):
-        col = vecs[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            vecs[:, j] = -col
-    return SymEigResult(eigenvalues=eigs, eigenvectors=vecs, sweeps_used=sweeps)
+    eigs, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    eigs, vecs = eigs[::-1], vecs[:, ::-1]
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)]
+    return SymEigResult(eigenvalues=eigs, eigenvectors=vecs * np.where(lead < 0, -1.0, 1.0))

@@ -85,6 +85,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise InvalidParams(f"config is missing required key {exc}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise InvalidParams(f"malformed config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -160,26 +162,26 @@ def _checked_assumptions(
     return report, override
 
 
-def _map_replications(fn, replications: int, threads: int) -> list:
-    """Apply ``fn`` to each replication index; output order is by index."""
+def _replicate(cfg: ExperimentConfig, cell: int, measure, threads: int) -> list:
+    """Synthesize every replication of grid cell ``cell`` and apply ``measure``.
+
+    Returns one entry per replication, in replication order: the value of
+    ``measure(instance)``, or the NonGeneric / IllConditioned it raised.
+    """
+    n = cfg.n_grid[cell]
+
+    def one(rep: int):
+        seed = derive_subseed(cfg.master_seed, rep, cell)
+        inst = synthesize(cfg.design, cfg.beta, cfg.errors, n, seed)
+        try:
+            return measure(inst)
+        except (NonGeneric, IllConditioned) as exc:
+            return exc
+
     if threads <= 1:
-        return [fn(r) for r in range(replications)]
+        return [one(rep) for rep in range(cfg.replications)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(replications)))
-
-
-def _fit_replication(cfg: ExperimentConfig, n: int, cell: int, rep: int):
-    """One synthesize + fit; returns (tls_err, lambda_dev, ols_err) or the failure."""
-    seed = derive_subseed(cfg.master_seed, rep, cell)
-    inst = synthesize(cfg.design, cfg.beta, cfg.errors, n, seed)
-    try:
-        fit = tls_fit(inst.x, inst.y)
-    except (NonGeneric, IllConditioned) as exc:
-        return exc
-    tls_err = float(np.max(np.abs(fit.beta_hat - cfg.beta)))
-    lam_dev = abs(fit.sigma2_hat - cfg.errors.sigma2)
-    ols_err = float(np.max(np.abs(ols_fit(inst.x, inst.y) - cfg.beta)))
-    return tls_err, lam_dev, ols_err
+        return list(pool.map(one, range(cfg.replications)))
 
 
 def run_consistency(
@@ -187,31 +189,30 @@ def run_consistency(
 ) -> McReport:
     """Estimate on every (n, replication) cell and aggregate deviations."""
     assumptions, override = _checked_assumptions(cfg, override_assumptions)
+
+    def measure_errors(inst):
+        """(TLS sup-norm error, |lam/n - sigma2|, OLS sup-norm error)."""
+        fit = tls_fit(inst.x, inst.y)
+        return (
+            float(np.max(np.abs(fit.beta_hat - cfg.beta))),
+            abs(fit.sigma2_hat - cfg.errors.sigma2),
+            float(np.max(np.abs(ols_fit(inst.x, inst.y) - cfg.beta))),
+        )
+
     cells = []
     for ci, n in enumerate(cfg.n_grid):
-        results = _map_replications(
-            lambda rep: _fit_replication(cfg, n, ci, rep), cfg.replications, threads
-        )
-        tls_errs, lam_devs, ols_errs = [], [], []
-        nongeneric = illcond = 0
-        for res in results:
-            if isinstance(res, NonGeneric):
-                nongeneric += 1
-            elif isinstance(res, IllConditioned):
-                illcond += 1
-            else:
-                tls_errs.append(res[0])
-                lam_devs.append(res[1])
-                ols_errs.append(res[2])
-        if not tls_errs:
+        results = _replicate(cfg, ci, measure_errors, threads)
+        ok = [res for res in results if not isinstance(res, Exception)]
+        if not ok:
             raise NumericalError(f"every replication failed at n = {n}")
+        tls_errs, lam_devs, ols_errs = zip(*ok)
         q25, q50, q75 = np.quantile(tls_errs, [0.25, 0.5, 0.75])
         cells.append(
             ConsistencyCell(
                 n=n,
                 successes=len(tls_errs),
-                nongeneric_failures=nongeneric,
-                illconditioned_failures=illcond,
+                nongeneric_failures=sum(isinstance(res, NonGeneric) for res in results),
+                illconditioned_failures=sum(isinstance(res, IllConditioned) for res in results),
                 median_beta_err=float(q50),
                 iqr_beta_err=float(q75 - q25),
                 median_lambda_dev=float(np.median(lam_devs)),
@@ -233,18 +234,12 @@ def run_normality(
     """Collect sqrt(n)(beta_hat - beta) at the largest grid size and test it."""
     assumptions, override = _checked_assumptions(cfg, override_assumptions)
     n = cfg.n_grid[-1]
-    cell = len(cfg.n_grid) - 1
-
-    def one(rep: int):
-        seed = derive_subseed(cfg.master_seed, rep, cell)
-        inst = synthesize(cfg.design, cfg.beta, cfg.errors, n, seed)
-        try:
-            fit = tls_fit(inst.x, inst.y)
-        except (NonGeneric, IllConditioned) as exc:
-            return exc
-        return np.sqrt(n) * (fit.beta_hat - cfg.beta)
-
-    results = _map_replications(one, cfg.replications, threads)
+    results = _replicate(
+        cfg,
+        len(cfg.n_grid) - 1,
+        lambda inst: np.sqrt(n) * (tls_fit(inst.x, inst.y).beta_hat - cfg.beta),
+        threads,
+    )
     devs = np.array([r for r in results if not isinstance(r, Exception)])
     report = normality_battery(devs)
     se = np.sqrt(np.diag(report.sample_cov) / devs.shape[0])
@@ -274,15 +269,14 @@ def run_long_run_check(
     if t.shape[0] != p + 1:
         raise InvalidParams(f"t must have p + 1 = {p + 1} entries")
     b = np.append(cfg.beta, -1.0)
+
+    def score(inst):
+        xy = np.column_stack([inst.x, inst.y])
+        return xy.T @ (xy @ b)
+
     table = []
     for ci, n in enumerate(cfg.n_grid):
-        def one(rep: int, n=n, ci=ci):
-            seed = derive_subseed(cfg.master_seed, rep, ci)
-            inst = synthesize(cfg.design, cfg.beta, cfg.errors, n, seed)
-            xy = np.column_stack([inst.x, inst.y])
-            return xy.T @ (xy @ b)
-
-        scores = np.array(_map_replications(one, cfg.replications, threads))
+        scores = np.array(_replicate(cfg, ci, score, threads))
         cov = np.cov(scores, rowvar=False, ddof=1) / n
         table.append((n, float(t @ cov @ t)))
     return McReport(

@@ -45,24 +45,18 @@ def mardia_tests(samples) -> MardiaResult:
     if r < 20 * d:
         raise TooFewSamples(f"need at least 20*d = {20 * d} samples, have {r}")
     xc = x - x.mean(axis=0)
-    cov = xc.T @ xc / r
     try:
-        cov_inv = np.linalg.inv(cov)
+        whiten = np.linalg.cholesky(np.linalg.inv(xc.T @ xc / r))
     except np.linalg.LinAlgError:
         raise SingularCovariance("sample covariance is singular") from None
-    if not np.all(np.isfinite(cov_inv)):
+    u = xc @ whiten  # u_i . u_j = xc_i' S^-1 xc_j
+    if not np.all(np.isfinite(u)):
         raise SingularCovariance("sample covariance is numerically singular")
 
-    # b1 needs the full R x R Mahalanobis-product matrix; chunk the rows so
-    # memory stays bounded for large R.
-    half = xc @ cov_inv
-    b1_total = 0.0
-    chunk = 2048
-    for i in range(0, r, chunk):
-        g = half[i : i + chunk] @ xc.T
-        b1_total += float(np.sum(g**3))
-    b1 = b1_total / (r * r)
-    b2 = float(np.mean(np.sum(half * xc, axis=1) ** 2))
+    # sum_ij (u_i . u_j)^3 is the squared Frobenius norm of the third-moment
+    # tensor sum_i u_i (x) u_i (x) u_i, which needs no R x R matrix.
+    b1 = float(np.sum(np.einsum("ri,rj,rk->ijk", u, u, u) ** 2)) / (r * r)
+    b2 = float(np.mean(np.sum(u * u, axis=1) ** 2))
 
     skew_stat = r * b1 / 6.0
     skew_df = d * (d + 1) * (d + 2) / 6.0

@@ -70,7 +70,52 @@ class TestGenFit:
         assert a.read_bytes() == b.read_bytes()
 
 
+def alpha_config_dict(**changes):
+    d = default_config("alpha", beta=(1.5,), n_grid=(40, 80), replications=100).to_dict()
+    d.update(changes)
+    return d
+
+
+def ar1_without_a():
+    d = alpha_config_dict()
+    del d["errors"]["columns"][0]["a"]
+    return d
+
+
+CLT_BAD_N = {
+    "process": {"kind": "ma", "coeffs": [1.0, 1.0], "scale": 1.0},
+    "n": "abc", "replications": 500, "seed": 3,
+}
+
+
 class TestErrorExits:
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("mc-consistency", alpha_config_dict(replications="many")),
+            ("mc-consistency", alpha_config_dict(n_grid=[40, "eighty"])),
+            ("mc-consistency", alpha_config_dict(beta=["one"])),
+            ("mc-consistency", ar1_without_a()),
+            ("mc-consistency", alpha_config_dict(design="repeating_block")),
+            ("clt-check", CLT_BAD_N),
+            ("clt-check", {**CLT_BAD_N, "n": 500, "process": "ma"}),
+        ],
+        ids=[
+            "replications-string",
+            "n_grid-string",
+            "beta-string",
+            "ar1-without-a",
+            "design-string",
+            "clt-n-string",
+            "clt-process-string",
+        ],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, command, config):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert run(command, "--config", path, "--out", tmp_path / "r.json") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_underdetermined_dataset_is_config_error(self, tmp_path):
         data = tmp_path / "short.csv"
         write_dataset_csv(

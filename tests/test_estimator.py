@@ -8,7 +8,13 @@ from eivtls.errors import (
     NonGeneric,
     NotPositiveDefinite,
 )
-from eivtls.estimator import ols_fit, orthogonal_residual_norm, tls_fit
+from eivtls.estimator import (
+    EIG_GAP_RTOL,
+    NONGENERIC_RTOL,
+    ols_fit,
+    orthogonal_residual_norm,
+    tls_fit,
+)
 from eivtls.model import repeating_block, synthesize
 from eivtls.processes import ErrorMatrixSpec, iid_gaussian
 
@@ -88,6 +94,56 @@ class TestTlsFit:
         fit = tls_fit(x, y)
         expected = (x.T @ x - fit.lam * np.eye(1)) / fit.n
         assert fit.delta_n == pytest.approx(expected, rel=1e-12)
+
+
+SCALES = [1e-8, 1e-4, 1.0, 1e4, 1e8]
+INSIDE, OUTSIDE = 0.99, 1.01  # multiples of a guard's threshold
+
+
+def gap_dataset(scale, factor):
+    """[x, y] = U diag(sqrt(s)) V' with V = I and s = scale (4, 1 + g, 1).
+
+    The columns of U are unit vectors with disjoint supports, so the Gram
+    matrix is diag(s) to rounding in s and the fit is exact (beta = 0) when
+    the guard lets it through.  The two smallest eigenvalues differ by
+    ``factor * EIG_GAP_RTOL * ||M||_F``.
+    """
+    g = factor * EIG_GAP_RTOL * np.sqrt(16.0 + 1.0 + 1.0)
+    s = scale * np.array([4.0, 1.0 + g, 1.0])
+    xy = np.zeros((6, 3))
+    xy[[0, 2, 4], [0, 1, 2]] = np.sqrt(s)
+    return xy[:, :2], xy[:, 2]
+
+
+def nongeneric_dataset(scale, factor, n=8, p=2):
+    """[x, y] = U diag(sqrt(s)) V' whose smallest Gram eigenvector v has
+    |v_last| = ``factor * NONGENERIC_RTOL * max|v|``."""
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=p)
+    v = np.append(w / np.max(np.abs(w)), factor * NONGENERIC_RTOL)
+    vmat, _ = np.linalg.qr(np.column_stack([v, rng.normal(size=(p + 1, p))]))
+    u, _ = np.linalg.qr(rng.normal(size=(n, p + 1)))
+    xy = u @ np.diag(np.sqrt(scale * np.array([1.0, 2.0, 3.0]))) @ vmat.T
+    return xy[:, :p], xy[:, p]
+
+
+class TestGuardThresholds:
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_eigen_gap(self, scale):
+        with pytest.raises(IllConditioned, match="two smallest eigenvalues"):
+            tls_fit(*gap_dataset(scale, INSIDE))
+        fit = tls_fit(*gap_dataset(scale, OUTSIDE))
+        assert np.array_equal(fit.beta_hat, [0.0, 0.0])
+        assert fit.lam == pytest.approx(scale, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_nongeneric_eigenvector(self, scale):
+        with pytest.raises(NonGeneric):
+            tls_fit(*nongeneric_dataset(scale, INSIDE))
+        # Past the guard x'x - lam I has an eigenvalue near |v_last|^2 times
+        # the eigen-gap, far below rounding, so the closed form refuses.
+        with pytest.raises(IllConditioned):
+            tls_fit(*nongeneric_dataset(scale, OUTSIDE))
 
 
 class TestOls:

@@ -46,6 +46,20 @@ class TestMardia:
         with pytest.raises(SingularCovariance):
             mardia_tests(np.column_stack([col, 2.0 * col]))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_pairwise_definition(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.exponential(size=(200, d)) @ rng.normal(size=(d, d))
+        r = x.shape[0]
+        xc = x - x.mean(axis=0)
+        g = xc @ np.linalg.inv(xc.T @ xc / r) @ xc.T  # g[i, j] = xc_i' S^-1 xc_j
+        b1 = np.sum(g**3) / r**2
+        b2 = np.mean(np.diag(g) ** 2)
+        res = mardia_tests(x)
+        assert res.skewness_stat == pytest.approx(r * b1 / 6.0, rel=1e-10)
+        expected_kurt = (b2 - d * (d + 2)) / np.sqrt(8.0 * d * (d + 2) / r)
+        assert res.kurtosis_stat == pytest.approx(expected_kurt, rel=1e-10)
+
     def test_null_calibration(self):
         # at the 5% level the rejection rate over many gaussian draws should
         # be near 5% for both statistics
