@@ -3,7 +3,7 @@
 the per-n summary table.
 
 Usage:
-    python3 scripts/run_consistency.py [--threads N] [--out-dir DIR]
+    python3 scripts/run_consistency.py [--out-dir DIR] [--replications R]
 """
 
 import argparse
@@ -16,7 +16,6 @@ from eivtls.presets import default_config
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out-dir", default="results")
     ap.add_argument("--replications", type=int, default=500)
     args = ap.parse_args()
@@ -24,7 +23,7 @@ def main():
 
     for path in ("alpha", "phi"):
         cfg = default_config(path, beta=(1.0, -2.0), replications=args.replications)
-        report = run_consistency(cfg, threads=args.threads)
+        report = run_consistency(cfg)
         out = os.path.join(args.out_dir, f"consistency_{path}.json")
         with open(out, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)

@@ -3,7 +3,7 @@
 the normality battery verdicts for both exemplar error paths.
 
 Usage:
-    python3 scripts/run_normality.py [--n N] [--replications R] [--threads T]
+    python3 scripts/run_normality.py [--n N] [--replications R] [--out-dir DIR]
 """
 
 import argparse
@@ -18,7 +18,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=2000)
     ap.add_argument("--replications", type=int, default=2000)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
@@ -27,7 +26,7 @@ def main():
         cfg = default_config(
             path, beta=(1.0, -2.0), n_grid=(args.n,), replications=args.replications
         )
-        report = run_normality(cfg, threads=args.threads)
+        report = run_normality(cfg)
         nb = report.normality
         out = os.path.join(args.out_dir, f"normality_{path}.json")
         with open(out, "w") as fh:

@@ -27,8 +27,11 @@ from .model import (
     synthesize,
 )
 from .montecarlo import (
+    ConsistencyReport,
     ExperimentConfig,
-    McReport,
+    ExperimentReport,
+    LongRunReport,
+    NormalityExperimentReport,
     derive_subseed,
     run_consistency,
     run_long_run_check,

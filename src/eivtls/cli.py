@@ -10,6 +10,7 @@ assumption verdict where one applies; all files are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -43,6 +44,8 @@ EXIT_NUMERICAL = 3
 
 def _load_experiment(path: str, seed_override: int | None) -> ExperimentConfig:
     d = read_json(path)
+    if not isinstance(d, dict):
+        raise InvalidParams("malformed config: the top level must be a JSON object")
     if seed_override is not None:
         d["master_seed"] = seed_override
     return ExperimentConfig.from_dict(d)
@@ -97,38 +100,26 @@ def _cmd_check_assumptions(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mc_consistency(args) -> int:
-    cfg = _load_experiment(args.config, args.seed)
-    report = run_consistency(
-        cfg, threads=args.threads, override_assumptions=args.override_assumptions
-    )
-    write_report_json(args.out, _base_report(report.to_dict()))
-    if args.tables:
-        header = [
-            "n",
-            "successes",
-            "nongeneric_failures",
-            "illconditioned_failures",
-            "median_beta_err",
-            "iqr_beta_err",
-            "median_lambda_dev",
-            "ols_median_beta_err",
-        ]
-        rows = [[getattr(c, h) for h in header] for c in report.cells]
-        write_table_csv(args.tables, header, rows)
-    return EXIT_OK
+def _direction(text: str | None, p: int) -> np.ndarray:
+    """The long-run-check ``--t`` vector; the normalized all-ones one by default."""
+    if text is None:
+        return np.ones(p + 1) / np.sqrt(p + 1)
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise InvalidParams(f"--t must be comma-separated numbers: {exc}") from None
 
 
-def _cmd_mc_normality(args) -> int:
+def _cmd_experiment(args, run) -> int:
+    """mc-consistency, mc-normality and long-run-check: ``run`` the experiment."""
     cfg = _load_experiment(args.config, args.seed)
-    report = run_normality(
-        cfg, threads=args.threads, override_assumptions=args.override_assumptions
+    direction = (_direction(args.t, cfg.design.p),) if "t" in vars(args) else ()
+    report = run(
+        cfg, *direction, threads=args.threads, override_assumptions=args.override_assumptions
     )
     write_report_json(args.out, _base_report(report.to_dict()))
-    if args.tables:
-        p = cfg.design.p
-        header = [f"dev{j + 1}" for j in range(p)]
-        write_table_csv(args.tables, header, [list(map(float, row)) for row in report.deviations])
+    if getattr(args, "tables", None):
+        write_table_csv(args.tables, *report.table())
     return EXIT_OK
 
 
@@ -157,20 +148,6 @@ def _cmd_clt_check(args) -> int:
     )
     if args.tables:
         write_table_csv(args.tables, ["s_over_sigma"], [[float(v)] for v in report.s_over_sigma])
-    return EXIT_OK
-
-
-def _cmd_long_run_check(args) -> int:
-    cfg = _load_experiment(args.config, args.seed)
-    p = cfg.design.p
-    if args.t is not None:
-        t = np.array([float(v) for v in args.t.split(",")])
-    else:
-        t = np.ones(p + 1) / np.sqrt(p + 1)
-    report = run_long_run_check(
-        cfg, t, threads=args.threads, override_assumptions=args.override_assumptions
-    )
-    write_report_json(args.out, _base_report(report.to_dict()))
     return EXIT_OK
 
 
@@ -232,21 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_check_assumptions)
 
-    for name, func, tables in (
-        ("mc-consistency", _cmd_mc_consistency, True),
-        ("mc-normality", _cmd_mc_normality, True),
-        ("long-run-check", _cmd_long_run_check, False),
+    for name, run, tables in (
+        ("mc-consistency", run_consistency, True),
+        ("mc-normality", run_normality, True),
+        ("long-run-check", run_long_run_check, False),
     ):
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument(
+            "--threads", type=int, default=1,
+            help="ignored; replications run in order on one thread",
+        )
         sp.add_argument("--override-assumptions", action="store_true")
         if tables:
             sp.add_argument("--tables", default=None, help="companion CSV table path")
         if name == "long-run-check":
             sp.add_argument("--t", default=None, help="projection direction, comma separated")
         common(sp)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=functools.partial(_cmd_experiment, run=run))
 
     sp = sub.add_parser("clt-check", help="normalized-partial-sum normality check")
     sp.add_argument("--config", required=True)

@@ -2,14 +2,15 @@
 experiments over a grid of sample sizes.
 
 Replications are fully determined by (master seed, replication index, cell
-index), and results are merged in replication order, so reports are
-bit-identical regardless of the thread count.
+index) and run in replication order on the calling thread.  The ``threads``
+argument of the ``run_*`` functions is accepted and ignored, so reports are
+bit-identical for any value of it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +26,10 @@ from .stats import NormalityReport, normality_battery
 __all__ = [
     "ExperimentConfig",
     "ConsistencyCell",
-    "McReport",
+    "ExperimentReport",
+    "ConsistencyReport",
+    "NormalityExperimentReport",
+    "LongRunReport",
     "run_consistency",
     "run_normality",
     "run_long_run_check",
@@ -102,56 +106,76 @@ class ConsistencyCell:
     median_lambda_dev: float  # median |lam/n - sigma2|
     ols_median_beta_err: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "successes": self.successes,
-            "nongeneric_failures": self.nongeneric_failures,
-            "illconditioned_failures": self.illconditioned_failures,
-            "median_beta_err": self.median_beta_err,
-            "iqr_beta_err": self.iqr_beta_err,
-            "median_lambda_dev": self.median_lambda_dev,
-            "ols_median_beta_err": self.ols_median_beta_err,
-        }
-
 
 @dataclass(frozen=True)
-class McReport:
-    kind: str  # "consistency" | "normality" | "long-run"
+class ExperimentReport:
+    """What every experiment report states: the config and the assumption verdict."""
+
+    kind: ClassVar[str]
     config: ExperimentConfig
     assumptions: AssumptionReport
     assumption_override: bool
-    cells: tuple[ConsistencyCell, ...] = ()
-    normality: NormalityReport | None = None
-    normality_n: int | None = None
-    mean_within_4se: bool | None = None
-    deviations: np.ndarray | None = None  # R x p matrix of sqrt(n)(beta_hat - beta)
-    long_run_table: tuple[tuple[int, float], ...] = ()
-    long_run_direction: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "kind": self.kind,
             "config": self.config.to_dict(),
             "master_seed": self.config.master_seed,
             "assumptions": self.assumptions.to_dict(),
             "assumption_override": self.assumption_override,
         }
-        if self.cells:
-            out["cells"] = [c.to_dict() for c in self.cells]
-        if self.normality is not None:
-            out["normality"] = self.normality.to_dict()
-            out["normality_n"] = self.normality_n
-            out["mean_within_4se"] = self.mean_within_4se
-        if self.long_run_table:
-            out["long_run"] = [{"n": n, "t_beth_t": v} for n, v in self.long_run_table]
-            out["long_run_direction"] = self.long_run_direction.tolist()
-        return out
 
 
-def _checked_assumptions(
-    cfg: ExperimentConfig, override: bool
-) -> tuple[AssumptionReport, bool]:
+@dataclass(frozen=True)
+class ConsistencyReport(ExperimentReport):
+    kind: ClassVar[str] = "consistency"
+    cells: tuple[ConsistencyCell, ...]
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "cells": [asdict(c) for c in self.cells]}
+
+    def table(self) -> tuple[list[str], list[list]]:
+        """Companion CSV: one row of cell aggregates per sample size."""
+        return [f.name for f in fields(ConsistencyCell)], [list(astuple(c)) for c in self.cells]
+
+
+@dataclass(frozen=True)
+class NormalityExperimentReport(ExperimentReport):
+    kind: ClassVar[str] = "normality"
+    normality: NormalityReport
+    normality_n: int
+    mean_within_4se: bool
+    deviations: np.ndarray  # R x p matrix of sqrt(n)(beta_hat - beta)
+
+    def to_dict(self) -> dict:
+        return {
+            **super().to_dict(),
+            "normality": self.normality.to_dict(),
+            "normality_n": self.normality_n,
+            "mean_within_4se": self.mean_within_4se,
+        }
+
+    def table(self) -> tuple[list[str], list[list]]:
+        """Companion CSV: one row of deviations per successful replication."""
+        header = [f"dev{j + 1}" for j in range(self.config.design.p)]
+        return header, [list(map(float, row)) for row in self.deviations]
+
+
+@dataclass(frozen=True)
+class LongRunReport(ExperimentReport):
+    kind: ClassVar[str] = "long-run"
+    long_run_table: tuple[tuple[int, float], ...]
+    long_run_direction: np.ndarray
+
+    def to_dict(self) -> dict:
+        return {
+            **super().to_dict(),
+            "long_run": [{"n": n, "t_beth_t": v} for n, v in self.long_run_table],
+            "long_run_direction": self.long_run_direction.tolist(),
+        }
+
+
+def _checked_assumptions(cfg: ExperimentConfig, override: bool) -> AssumptionReport:
     report = check_assumptions(cfg.theorem, cfg.design, cfg.errors)
     if not report.passed and not override:
         failed = [c.name for c in report.checks if not c.passed]
@@ -159,36 +183,35 @@ def _checked_assumptions(
             f"assumption check failed ({', '.join(failed)}); "
             "pass override_assumptions=True to run anyway"
         )
-    return report, override
+    return report
 
 
-def _replicate(cfg: ExperimentConfig, cell: int, measure, threads: int) -> list:
+def _replicate(cfg: ExperimentConfig, cell: int, measure) -> list:
     """Synthesize every replication of grid cell ``cell`` and apply ``measure``.
 
     Returns one entry per replication, in replication order: the value of
     ``measure(instance)``, or the NonGeneric / IllConditioned it raised.
+    Raises NumericalError when every replication raised.
     """
     n = cfg.n_grid[cell]
-
-    def one(rep: int):
+    out = []
+    for rep in range(cfg.replications):
         seed = derive_subseed(cfg.master_seed, rep, cell)
         inst = synthesize(cfg.design, cfg.beta, cfg.errors, n, seed)
         try:
-            return measure(inst)
+            out.append(measure(inst))
         except (NonGeneric, IllConditioned) as exc:
-            return exc
-
-    if threads <= 1:
-        return [one(rep) for rep in range(cfg.replications)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(cfg.replications)))
+            out.append(exc)
+    if all(isinstance(res, Exception) for res in out):
+        raise NumericalError(f"every replication failed at n = {n}")
+    return out
 
 
 def run_consistency(
     cfg: ExperimentConfig, threads: int = 1, override_assumptions: bool = False
-) -> McReport:
+) -> ConsistencyReport:
     """Estimate on every (n, replication) cell and aggregate deviations."""
-    assumptions, override = _checked_assumptions(cfg, override_assumptions)
+    assumptions = _checked_assumptions(cfg, override_assumptions)
 
     def measure_errors(inst):
         """(TLS sup-norm error, |lam/n - sigma2|, OLS sup-norm error)."""
@@ -201,10 +224,8 @@ def run_consistency(
 
     cells = []
     for ci, n in enumerate(cfg.n_grid):
-        results = _replicate(cfg, ci, measure_errors, threads)
+        results = _replicate(cfg, ci, measure_errors)
         ok = [res for res in results if not isinstance(res, Exception)]
-        if not ok:
-            raise NumericalError(f"every replication failed at n = {n}")
         tls_errs, lam_devs, ols_errs = zip(*ok)
         q25, q50, q75 = np.quantile(tls_errs, [0.25, 0.5, 0.75])
         cells.append(
@@ -219,36 +240,28 @@ def run_consistency(
                 ols_median_beta_err=float(np.median(ols_errs)),
             )
         )
-    return McReport(
-        kind="consistency",
-        config=cfg,
-        assumptions=assumptions,
-        assumption_override=override,
-        cells=tuple(cells),
-    )
+    return ConsistencyReport(cfg, assumptions, override_assumptions, cells=tuple(cells))
 
 
 def run_normality(
     cfg: ExperimentConfig, threads: int = 1, override_assumptions: bool = False
-) -> McReport:
+) -> NormalityExperimentReport:
     """Collect sqrt(n)(beta_hat - beta) at the largest grid size and test it."""
-    assumptions, override = _checked_assumptions(cfg, override_assumptions)
+    assumptions = _checked_assumptions(cfg, override_assumptions)
     n = cfg.n_grid[-1]
     results = _replicate(
         cfg,
         len(cfg.n_grid) - 1,
         lambda inst: np.sqrt(n) * (tls_fit(inst.x, inst.y).beta_hat - cfg.beta),
-        threads,
     )
     devs = np.array([r for r in results if not isinstance(r, Exception)])
     report = normality_battery(devs)
     se = np.sqrt(np.diag(report.sample_cov) / devs.shape[0])
     mean_ok = bool(np.all(np.abs(report.sample_mean) <= 4.0 * se))
-    return McReport(
-        kind="normality",
-        config=cfg,
-        assumptions=assumptions,
-        assumption_override=override,
+    return NormalityExperimentReport(
+        cfg,
+        assumptions,
+        override_assumptions,
         normality=report,
         normality_n=n,
         mean_within_4se=mean_ok,
@@ -261,9 +274,9 @@ def run_long_run_check(
     t,
     threads: int = 1,
     override_assumptions: bool = False,
-) -> McReport:
+) -> LongRunReport:
     """Track t' (Var of the projected Gram score / n) t across the size grid."""
-    assumptions, override = _checked_assumptions(cfg, override_assumptions)
+    assumptions = _checked_assumptions(cfg, override_assumptions)
     t = as_vector(t)
     p = cfg.design.p
     if t.shape[0] != p + 1:
@@ -276,14 +289,9 @@ def run_long_run_check(
 
     table = []
     for ci, n in enumerate(cfg.n_grid):
-        scores = np.array(_replicate(cfg, ci, score, threads))
+        scores = np.array(_replicate(cfg, ci, score))
         cov = np.cov(scores, rowvar=False, ddof=1) / n
         table.append((n, float(t @ cov @ t)))
-    return McReport(
-        kind="long-run",
-        config=cfg,
-        assumptions=assumptions,
-        assumption_override=override,
-        long_run_table=tuple(table),
-        long_run_direction=t,
+    return LongRunReport(
+        cfg, assumptions, override_assumptions, long_run_table=tuple(table), long_run_direction=t
     )

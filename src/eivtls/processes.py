@@ -48,6 +48,13 @@ class ErrorProcessSpec:
     stationary: bool = True
 
     def __post_init__(self):
+        for name in ("delta", "omega"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, float(value))
+                except (TypeError, ValueError):
+                    raise InvalidParams(f"{name} must be a number, got {value!r}") from None
         if self.scale <= 0 or not np.isfinite(self.scale):
             raise InvalidParams("scale must be positive and finite")
         if self.kind == "ma":

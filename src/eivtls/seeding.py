@@ -1,4 +1,4 @@
-"""Deterministic seed derivation for parallel sub-streams.
+"""Deterministic seed derivation for per-replication sub-streams.
 
 Sub-seeds are derived with SplitMix64 (a bijective 64-bit finalizer), so
 distinct (replication, cell) pairs can never collide for a fixed master seed.

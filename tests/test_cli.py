@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import eivtls.montecarlo
 from eivtls.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from eivtls.errors import IllConditioned
 from eivtls.io import read_dataset_csv, write_dataset_csv
 from eivtls.presets import default_config
 
@@ -82,6 +84,13 @@ def ar1_without_a():
     return d
 
 
+def alpha_with_columns(**changes):
+    d = alpha_config_dict()
+    for col in d["errors"]["columns"]:
+        col.update(changes)
+    return d
+
+
 CLT_BAD_N = {
     "process": {"kind": "ma", "coeffs": [1.0, 1.0], "scale": 1.0},
     "n": "abc", "replications": 500, "seed": 3,
@@ -97,6 +106,8 @@ class TestErrorExits:
             ("mc-consistency", alpha_config_dict(beta=["one"])),
             ("mc-consistency", ar1_without_a()),
             ("mc-consistency", alpha_config_dict(design="repeating_block")),
+            ("mc-consistency", alpha_with_columns(omega="x")),
+            ("mc-consistency", alpha_with_columns(delta="x")),
             ("clt-check", CLT_BAD_N),
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": "ma"}),
         ],
@@ -106,6 +117,8 @@ class TestErrorExits:
             "beta-string",
             "ar1-without-a",
             "design-string",
+            "omega-string",
+            "delta-string",
             "clt-n-string",
             "clt-process-string",
         ],
@@ -115,6 +128,30 @@ class TestErrorExits:
         path.write_text(json.dumps(config))
         assert run(command, "--config", path, "--out", tmp_path / "r.json") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_object_config_with_seed_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([alpha_config_dict()]))
+        code = run("mc-consistency", "--config", path, "--seed", 5, "--out", tmp_path / "r.json")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_numeric_direction_is_config_error(self, tmp_path, config_path, capsys):
+        out = tmp_path / "lr.json"
+        code = run("long-run-check", "--config", config_path, "--t", "a,b", "--out", out)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mc-consistency", "mc-normality"])
+    def test_every_fit_failing_is_numerical_error(
+        self, tmp_path, monkeypatch, command, config_path
+    ):
+        def ill_conditioned(x, y):
+            raise IllConditioned("eigen-gap below tolerance")
+
+        monkeypatch.setattr(eivtls.montecarlo, "tls_fit", ill_conditioned)
+        assert run(command, "--config", config_path, "--out", tmp_path / "r.json") == EXIT_NUMERICAL
 
     def test_underdetermined_dataset_is_config_error(self, tmp_path):
         data = tmp_path / "short.csv"
@@ -169,6 +206,17 @@ class TestExperimentCommands:
         rep = json.loads(out.read_text())
         assert rep["normality_n"] == 80
         assert rep["normality"]["n_samples"] == 100
+
+    def test_mc_normality_with_tables(self, tmp_path):
+        cfg = default_config("phi", beta=(1.0, -2.0), n_grid=(40, 80), replications=100)
+        path = tmp_path / "phi2.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        out, tab = tmp_path / "norm.json", tmp_path / "norm.csv"
+        assert run("mc-normality", "--config", path, "--out", out, "--tables", tab) == EXIT_OK
+        lines = tab.read_text().splitlines()
+        assert lines[0] == "dev1,dev2"
+        assert len(lines) == 1 + json.loads(out.read_text())["normality"]["n_samples"] == 101
+        assert all(len(line.split(",")) == 2 for line in lines[1:])
 
     def test_clt_check(self, tmp_path):
         cfg = tmp_path / "clt.json"

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from eivtls.errors import InvalidParams
 from eivtls.model import repeating_block
 from eivtls.montecarlo import (
+    ConsistencyReport,
     ExperimentConfig,
+    LongRunReport,
+    NormalityExperimentReport,
     derive_subseed,
     run_consistency,
     run_long_run_check,
@@ -160,6 +165,42 @@ class TestRunLongRun:
         vals = [v for _, v in report.long_run_table]
         assert all(v > 0 for v in vals)
         assert abs(vals[1] - vals[0]) / vals[0] < 0.5
+
+
+class TestReports:
+    @pytest.mark.parametrize(
+        "cls", [ConsistencyReport, NormalityExperimentReport, LongRunReport]
+    )
+    def test_no_optional_fields(self, cls):
+        for field in dataclasses.fields(cls):
+            assert "None" not in str(field.type), field.name
+
+    def test_report_kinds_and_header_keys(self):
+        cfg = small_config(reps=100, n_grid=(40, 80))
+        reports = [
+            run_consistency(cfg),
+            run_normality(cfg),
+            run_long_run_check(cfg, t=np.ones(2)),
+        ]
+        assert [type(r) for r in reports] == [
+            ConsistencyReport, NormalityExperimentReport, LongRunReport,
+        ]
+        assert [r.kind for r in reports] == ["consistency", "normality", "long-run"]
+        head = ["kind", "config", "master_seed", "assumptions", "assumption_override"]
+        tails = [
+            ["cells"],
+            ["normality", "normality_n", "mean_within_4se"],
+            ["long_run", "long_run_direction"],
+        ]
+        for report, tail in zip(reports, tails):
+            assert list(report.to_dict()) == head + tail
+
+    def test_consistency_table_matches_cells(self):
+        report = run_consistency(small_config(reps=100, n_grid=(40, 80)))
+        header, rows = report.table()
+        cells = report.to_dict()["cells"]
+        assert header == list(cells[0])
+        assert rows == [list(c.values()) for c in cells]
 
 
 class TestPresets:

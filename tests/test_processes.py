@@ -47,6 +47,14 @@ class TestSpecValidation:
         with pytest.raises(InvalidParams):
             ErrorProcessSpec(kind="ma", coeffs=(1.0,), mixing_class="phi", delta=1.0)
 
+    def test_rate_and_moment_metadata_must_be_numbers(self):
+        spec = ar1(0.5, delta=3, omega=1)
+        assert (type(spec.delta), type(spec.omega)) == (float, float)
+        with pytest.raises(InvalidParams):
+            ar1(0.5, delta="x")
+        with pytest.raises(InvalidParams):
+            ma((1.0, 1.0), omega=[1.0])
+
     def test_roundtrip_dict(self):
         for spec in (iid_gaussian(2.0), ma((1.0, 0.6, 0.3), omega=1.0), ar1(0.5, delta=3.0)):
             assert ErrorProcessSpec.from_dict(spec.to_dict()) == spec
