@@ -6,7 +6,15 @@ and block-bootstrap confidence intervals.
 __version__ = "0.1.0"
 
 from .bootstrap import BootstrapCi, BootstrapConfig, block_bootstrap_ci, choose_block_length
-from .estimator import TlsFit, ols_fit, orthogonal_residual_norm, tls_fit
+from .estimator import (
+    GramFits,
+    TlsFit,
+    ols_fit,
+    ols_from_gram,
+    orthogonal_residual_norm,
+    tls_fit,
+    tls_from_gram,
+)
 from .linalg import SymEigResult, frobenius_norm, solve_spd, sym_eig
 from .mixing import (
     AssumptionReport,
@@ -41,6 +49,7 @@ from .processes import (
     ErrorMatrixSpec,
     ErrorProcessSpec,
     ar1,
+    generate_error_blocks,
     generate_error_matrix,
     generate_sequence,
     iid_gaussian,

@@ -3,7 +3,9 @@
 Rows of the joined data ``[x, y]`` are resampled in overlapping blocks so
 the within-row error coupling and the serial dependence across nearby rows
 both survive resampling.  Intervals are percentile intervals from the
-refitted coefficient draws.
+refitted coefficient draws.  Each resample keeps its own index stream; the
+resamples are gathered in chunks, reduced to their Gram matrices and refitted
+together by the batched TLS kernel ``estimator.tls_from_gram``.
 """
 
 from __future__ import annotations
@@ -12,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BlockTooLong,
-    IllConditioned,
-    InvalidParams,
-    NonGeneric,
-    TooManyRefitFailures,
-)
-from .estimator import TlsFit, tls_fit
+from .errors import BlockTooLong, InvalidParams, TooManyRefitFailures
+from .estimator import FIT_OK, TlsFit, gram_stack, tls_fit, tls_from_gram
 from .linalg import as_matrix, as_vector
 from .seeding import derive_subseed, stream
 from .stats import _icbrt
@@ -90,32 +86,27 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
     """
     x = as_matrix(x)
     y = as_vector(y)
-    n, p = x.shape
+    n = x.shape[0]
     fit: TlsFit = tls_fit(x, y)
     length = choose_block_length(n) if cfg.block_length == "auto" else cfg.block_length
     if length > n:
         raise BlockTooLong(f"block length {length} exceeds n = {n}")
 
-    data = np.column_stack([x, y])
-    draws = np.empty((cfg.n_boot, p))
-    failures = 0
-    kept = 0
-    for b in range(cfg.n_boot):
-        rng = stream(derive_subseed(cfg.seed, b, 0))
-        idx = _resample_indices(n, length, rng)
-        sample = data[idx]
-        try:
-            refit = tls_fit(sample[:, :p], sample[:, p])
-        except (NonGeneric, IllConditioned):
-            failures += 1
-            continue
-        draws[kept] = refit.beta_hat
-        kept += 1
+    rows = np.column_stack([x, y])
+
+    def resamples(lo, hi):
+        rngs = [stream(derive_subseed(cfg.seed, b, 0)) for b in range(lo, hi)]
+        idx = np.stack([_resample_indices(n, length, rng) for rng in rngs])
+        return rows[idx].mT  # (hi - lo, p+1, n)
+
+    refits = tls_from_gram(gram_stack(cfg.n_boot, rows.size, resamples))
+    ok = refits.status == FIT_OK
+    failures = int(np.count_nonzero(~ok))
     if failures > MAX_FAILURE_FRACTION * cfg.n_boot:
         raise TooManyRefitFailures(
             f"{failures} of {cfg.n_boot} resamples failed to refit"
         )
-    draws = draws[:kept]
+    draws = refits.beta[ok]
     alpha = 1.0 - cfg.level
     # numpy's default interpolation is the type-7 quantile rule.
     lower = np.quantile(draws, alpha / 2.0, axis=0)
@@ -126,6 +117,6 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
         upper=upper,
         level=cfg.level,
         block_length=length,
-        n_boot_effective=kept,
+        n_boot_effective=len(draws),
         failure_count=failures,
     )

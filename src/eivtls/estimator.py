@@ -5,11 +5,19 @@ the associated eigenvector, normalized so its last entry is -1, stacks the
 coefficient vector on top of -1, and the eigenvalue divided by n estimates
 the common error variance.  The closed form ``(x.T x - lam I)^-1 x.T y`` is
 computed as well and cross-checked against the eigenvector ratio.
+
+The estimate depends on the data only through that (p+1) x (p+1) Gram
+matrix, so every fit in the package runs through one vectorised kernel,
+``tls_from_gram``, over a stack of Gram matrices; ``tls_fit`` is its
+one-dataset case.  ``gram_stack`` builds such a stack for many datasets in
+chunks of about ``CHUNK_ELEMENTS`` floats, so only one chunk of raw data is
+held at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,11 +28,37 @@ from .errors import (
     NonGeneric,
     NotPositiveDefinite,
 )
-from .linalg import as_matrix, as_vector, solve_spd, sym_eig
+from .linalg import as_matrix, as_vector
 
 NONGENERIC_RTOL = 1e-10  # threshold on |v_last| relative to max |v| entry
 EIG_GAP_RTOL = 1e-10  # minimal gap between the two smallest eigenvalues
 CROSS_CHECK_TOL = 1e-7
+
+CHUNK_ELEMENTS = 1 << 16  # floats of raw data per chunk in gram_stack (512 KB)
+
+# Per-row status of tls_from_gram: ok, or the guard that refused the fit.
+FIT_OK = 0
+FIT_EIG_GAP = 1
+FIT_NONGENERIC = 2
+FIT_NOT_SPD = 3
+FIT_CROSS_CHECK = 4
+
+# The error tls_fit raises for each failing status.
+FIT_FAILURES = {
+    FIT_EIG_GAP: (
+        IllConditioned,
+        "two smallest eigenvalues within tolerance; estimate not identifiable",
+    ),
+    FIT_NONGENERIC: (
+        NonGeneric,
+        "last entry of the smallest eigenvector is numerically zero",
+    ),
+    FIT_NOT_SPD: (IllConditioned, "x.T x - lam I is not positive definite"),
+    FIT_CROSS_CHECK: (
+        IllConditioned,
+        "closed-form and eigenvector estimates disagree beyond tolerance",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -39,64 +73,142 @@ class TlsFit:
     n: int
 
 
-def _joint_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xy = np.column_stack([x, y])
-    return xy.T @ xy
+class GramFits(NamedTuple):
+    """Row-wise result of ``tls_from_gram`` on an (R, p+1, p+1) stack."""
+
+    beta: np.ndarray  # (R, p) closed-form estimates; NaN where status != FIT_OK
+    lam: np.ndarray  # (R,) smallest eigenvalue of each Gram matrix
+    v: np.ndarray  # (R, p+1) smallest eigenvectors, scaled so v[:, -1] == -1
+    status: np.ndarray  # (R,) FIT_OK or the FIT_* code of the failing guard
+
+
+def gram_stack(count: int, size: int, block: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """(count, p+1, p+1) Gram matrices of ``count`` datasets of ``size`` floats each.
+
+    ``block(lo, hi)`` returns the (hi - lo, p+1, n) data of datasets
+    ``lo .. hi-1``.  Chunks hold about ``CHUNK_ELEMENTS`` floats and are
+    reduced to their Grams at once; each Gram depends on its own dataset
+    only, so the stack is the same for any chunk size.
+    """
+    step = max(1, CHUNK_ELEMENTS // size)
+    parts = []
+    for lo in range(0, count, step):
+        xy = block(lo, min(lo + step, count))
+        parts.append(xy @ xy.mT)
+        del xy  # free this chunk before the next one is drawn
+    return np.concatenate(parts)
+
+
+def _solve_leading(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``a[:p, :p] beta = a[:p, p]`` for each matrix of an (R, p+1, p+1) stack.
+
+    A Cholesky factorisation of the leading p x p block, row by row: column j
+    of the factor of the whole matrix holds L[:, j] in rows :p and the
+    forward-substituted right-hand side in row p.  Returns ``(beta, spd)``;
+    a row whose block has a pivot that is not positive gets ``spd`` False
+    and a meaningless ``beta``, and leaves every other row untouched.
+    """
+    r, d, _ = a.shape
+    p = d - 1
+    low = np.zeros((r, d, p))
+    spd = np.ones(r, dtype=bool)
+    for j in range(p):
+        pivot = a[:, j, j] - np.einsum("rk,rk->r", low[:, j, :j], low[:, j, :j])
+        spd &= pivot > 0
+        root = np.sqrt(np.where(spd, pivot, 1.0))
+        low[:, j, j] = root
+        below = a[:, j + 1 :, j] - np.einsum("rik,rk->ri", low[:, j + 1 :, :j], low[:, j, :j])
+        low[:, j + 1 :, j] = below / root[:, None]
+    beta = np.empty((r, p))
+    for j in reversed(range(p)):
+        done = np.einsum("rk,rk->r", low[:, j + 1 : p, j], beta[:, j + 1 :])
+        beta[:, j] = (low[:, p, j] - done) / low[:, j, j]
+    return beta, spd
+
+
+def tls_from_gram(m) -> GramFits:
+    """TLS fits of an (R, p+1, p+1) stack of Gram matrices of ``[x, y]``.
+
+    Runs one batched ``eigh`` and then the guards of ``tls_fit``, in order,
+    on every row: the eigen-gap guard, the non-generic eigenvector guard,
+    positive definiteness of ``G[:p, :p] - lam I`` and the closed-form
+    cross-check.  The first guard a row fails is its status; a failing row
+    never changes the result of another.
+    """
+    m = np.asarray(m, dtype=float)
+    p = m.shape[-1] - 1
+    m = 0.5 * (m + m.mT)
+    eigs, vecs = np.linalg.eigh(m)  # ascending
+    lam = eigs[:, 0]
+    status = np.full(m.shape[0], FIT_OK, dtype=np.int8)
+
+    def refuse(failed, code):
+        status[(status == FIT_OK) & failed] = code
+
+    norm_m = np.sqrt(np.sum(m * m, axis=(1, 2)))
+    refuse(eigs[:, 1] - lam < EIG_GAP_RTOL * norm_m, FIT_EIG_GAP)
+    v = vecs[:, :, 0]
+    last = v[:, p]
+    refuse(np.abs(last) <= NONGENERIC_RTOL * np.max(np.abs(v), axis=1), FIT_NONGENERIC)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = v / -last[:, None]  # normalize so the last entry is -1
+        shifted = m.copy()
+        shifted[:, range(p), range(p)] -= lam[:, None]
+        beta, spd = _solve_leading(shifted)
+        refuse(~spd, FIT_NOT_SPD)
+        scale = 1.0 + np.max(np.abs(v[:, :p]), axis=1)
+        agree = np.max(np.abs(beta - v[:, :p]), axis=1) <= CROSS_CHECK_TOL * scale
+    refuse(~agree, FIT_CROSS_CHECK)
+    beta[status != FIT_OK] = np.nan
+    return GramFits(beta=beta, lam=lam, v=v, status=status)
+
+
+def _joint_gram(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Validated x and the (1, p+1, p+1) Gram stack of ``[x, y]``."""
+    x = as_matrix(x)
+    y = as_vector(y)
+    if y.shape[0] != x.shape[0]:
+        raise DimensionMismatch(f"x has {x.shape[0]} rows, y has {y.shape[0]}")
+    xy = np.vstack([x.T, y])
+    return x, (xy @ xy.T)[None]
 
 
 def tls_fit(x, y) -> TlsFit:
     """Fit the TLS estimate; raises NonGeneric or IllConditioned when it fails."""
-    x = as_matrix(x)
-    y = as_vector(y)
+    x, m = _joint_gram(x, y)
     n, p = x.shape
-    if y.shape[0] != n:
-        raise DimensionMismatch(f"x has {n} rows, y has {y.shape[0]}")
     if n < p + 1:
         raise InvalidParams(f"need n >= p + 1 = {p + 1}, got n = {n}")
-
-    m = _joint_gram(x, y)
-    eig = sym_eig(m)
-    lam = float(eig.eigenvalues[p])
-    norm_m = float(np.sqrt(np.sum(m * m)))
-    gap = float(eig.eigenvalues[p - 1] - eig.eigenvalues[p])
-    if gap < EIG_GAP_RTOL * norm_m:
-        raise IllConditioned(
-            f"two smallest eigenvalues within {gap:g}; estimate not identifiable"
-        )
-    v = eig.eigenvectors[:, p]
-    if abs(v[p]) <= NONGENERIC_RTOL * np.max(np.abs(v)):
-        raise NonGeneric("last entry of the smallest eigenvector is numerically zero")
-    v = v / (-v[p])  # normalize so the last entry is -1
-    beta_from_v = v[:p].copy()
-
-    xtx = x.T @ x
-    shifted = xtx - lam * np.eye(p)
-    try:
-        beta_closed = solve_spd(shifted, x.T @ y)
-    except NotPositiveDefinite as exc:
-        raise IllConditioned(f"x.T x - lam I is not positive definite: {exc}") from None
-    scale = 1.0 + float(np.max(np.abs(beta_from_v)))
-    if np.max(np.abs(beta_closed - beta_from_v)) > CROSS_CHECK_TOL * scale:
-        raise IllConditioned(
-            "closed-form and eigenvector estimates disagree beyond tolerance"
-        )
+    fit = tls_from_gram(m)
+    status = int(fit.status[0])
+    if status != FIT_OK:
+        error, message = FIT_FAILURES[status]
+        raise error(message)
+    lam = float(fit.lam[0])
     return TlsFit(
-        beta_hat=beta_closed,
+        beta_hat=fit.beta[0],
         lam=lam,
         sigma2_hat=lam / n,
-        v=v,
-        delta_n=shifted / n,
+        v=fit.v[0],
+        delta_n=(m[0, :p, :p] - lam * np.eye(p)) / n,
         n=n,
     )
 
 
+def ols_from_gram(m) -> np.ndarray:
+    """(R, p) OLS fits ``G[:p, :p]^-1 G[:p, p]`` of a stack of Gram matrices of ``[x, y]``.
+
+    Raises NotPositiveDefinite when some ``x.T x`` is not positive definite.
+    """
+    beta, spd = _solve_leading(np.asarray(m, dtype=float))
+    if not np.all(spd):
+        raise NotPositiveDefinite(f"x.T x is not positive definite in {np.sum(~spd)} fits")
+    return beta
+
+
 def ols_fit(x, y) -> np.ndarray:
     """Ordinary least squares reference fit (attenuated under covariate error)."""
-    x = as_matrix(x)
-    y = as_vector(y)
-    if y.shape[0] != x.shape[0]:
-        raise DimensionMismatch("x and y row counts differ")
-    return solve_spd(x.T @ x, x.T @ y)
+    return ols_from_gram(_joint_gram(x, y)[1])[0]
 
 
 def orthogonal_residual_norm(x, y, beta) -> float:

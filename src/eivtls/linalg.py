@@ -1,11 +1,11 @@
-"""Minimal dense real linear algebra used by the estimator.
+"""Minimal dense real linear algebra for single matrices.
 
 Matrices and vectors are plain ``numpy`` float arrays; the ``as_matrix`` /
 ``as_vector`` validators are the public constructors and reject non-finite
 entries.  The kernels are thin wrappers over LAPACK through ``numpy``: a
 Cholesky-based SPD solve and a symmetric eigendecomposition with a fixed
-ordering and sign convention, which is all the estimator needs (the
-relevant eigenproblem is (p+1) x (p+1)).
+ordering and sign convention (used by the long-run variance estimate).  The
+estimator's batched kernel works on stacks and calls ``numpy`` directly.
 """
 
 from __future__ import annotations
@@ -47,24 +47,21 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(as_matrix(a) ** 2)))
 
 
-def cholesky(a) -> np.ndarray:
-    """Lower Cholesky factor; raises NotPositiveDefinite if a pivot fails."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("Cholesky needs a square matrix")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-
-
 def solve_spd(a, b) -> np.ndarray:
-    """Solve ``a x = b`` for symmetric positive definite ``a``."""
+    """Solve ``a x = b`` for symmetric positive definite ``a`` by Cholesky.
+
+    Raises NotPositiveDefinite if a pivot fails.
+    """
     a = as_matrix(a)
     b = as_vector(b)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatch("Cholesky needs a square matrix")
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"matrix {a.shape} vs rhs {b.shape}")
-    low = cholesky(a)
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from None
     y = np.linalg.solve(low, b)
     return np.linalg.solve(low.T, y)
 

@@ -2,9 +2,17 @@
 experiments over a grid of sample sizes.
 
 Replications are fully determined by (master seed, replication index, cell
-index) and run in replication order on the calling thread.  The ``threads``
-argument of the ``run_*`` functions is accepted and ignored, so reports are
-bit-identical for any value of it.
+index).  ``_replicate`` turns one grid cell into the (R, p+1, p+1) stack of
+Gram matrices of ``[x, y]``: it builds the design part once, draws the
+errors a chunk of replications at a time (``processes.generate_error_blocks``)
+and reduces each chunk to its Grams at once (``estimator.gram_stack``), so
+memory stays at about R (p+1)^2 floats plus one chunk.  Each experiment
+reduces that stack: consistency and normality fit it with the batched TLS
+kernel ``estimator.tls_from_gram`` (consistency also takes OLS from the same
+Grams), and the long-run check takes the scores ``G [beta; -1]``.  The chunk
+size depends only on (p+1) n, so reports are bit-identical for any value of
+the ``threads`` argument of the ``run_*`` functions, which is accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -14,14 +22,21 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import IllConditioned, InvalidParams, NonGeneric, NumericalError
-from .estimator import ols_fit, tls_fit
+from .errors import InvalidParams, NumericalError
+from .estimator import (
+    FIT_NONGENERIC,
+    FIT_OK,
+    GramFits,
+    gram_stack,
+    ols_from_gram,
+    tls_from_gram,
+)
 from .linalg import as_vector
 from .mixing import AssumptionReport, check_assumptions
-from .model import DesignSpec, synthesize
-from .processes import ErrorMatrixSpec
+from .model import DesignSpec, build_design
+from .processes import ErrorMatrixSpec, generate_error_blocks
 from .seeding import derive_subseed
-from .stats import NormalityReport, normality_battery
+from .stats import MIN_SAMPLES_PER_DIM, NormalityReport, normality_battery
 
 __all__ = [
     "ExperimentConfig",
@@ -37,6 +52,13 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """``int(value)``; InvalidParams for a float that is not a whole number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidParams(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     design: DesignSpec
@@ -50,8 +72,10 @@ class ExperimentConfig:
     def __post_init__(self):
         beta = as_vector(self.beta)
         object.__setattr__(self, "beta", beta)
-        grid = tuple(int(n) for n in self.n_grid)
+        grid = tuple(_integer(n, "every n_grid entry") for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
+        if not grid:
+            raise InvalidParams("n_grid must not be empty")
         if list(grid) != sorted(set(grid)):
             raise InvalidParams("n_grid must be strictly ascending")
         if self.replications < 100:
@@ -83,8 +107,8 @@ class ExperimentConfig:
                 beta=np.asarray(d["beta"], dtype=float),
                 errors=ErrorMatrixSpec.from_dict(d["errors"]),
                 n_grid=tuple(d["n_grid"]),
-                replications=int(d["replications"]),
-                master_seed=int(d["master_seed"]),
+                replications=_integer(d["replications"], "replications"),
+                master_seed=_integer(d["master_seed"], "master_seed"),
                 theorem=d.get("theorem", "AN-alpha"),
             )
         except KeyError as exc:
@@ -186,25 +210,33 @@ def _checked_assumptions(cfg: ExperimentConfig, override: bool) -> AssumptionRep
     return report
 
 
-def _replicate(cfg: ExperimentConfig, cell: int, measure) -> list:
-    """Synthesize every replication of grid cell ``cell`` and apply ``measure``.
+def _replicate(cfg: ExperimentConfig, cell: int) -> np.ndarray:
+    """(R, p+1, p+1) Gram matrices of ``[x, y]`` for every replication of grid cell ``cell``.
 
-    Returns one entry per replication, in replication order: the value of
-    ``measure(instance)``, or the NonGeneric / IllConditioned it raised.
-    Raises NumericalError when every replication raised.
+    The design part ``[z, z beta]`` is built once; the errors are drawn a
+    chunk of replications at a time and each chunk is reduced to its Grams
+    at once (``estimator.gram_stack``), in replication order.
     """
     n = cfg.n_grid[cell]
-    out = []
-    for rep in range(cfg.replications):
-        seed = derive_subseed(cfg.master_seed, rep, cell)
-        inst = synthesize(cfg.design, cfg.beta, cfg.errors, n, seed)
-        try:
-            out.append(measure(inst))
-        except (NonGeneric, IllConditioned) as exc:
-            out.append(exc)
-    if all(isinstance(res, Exception) for res in out):
-        raise NumericalError(f"every replication failed at n = {n}")
-    return out
+    z, _ = build_design(cfg.design, n)
+    signal = np.vstack([z.T, z @ cfg.beta])
+    seeds = [derive_subseed(cfg.master_seed, rep, cell) for rep in range(cfg.replications)]
+
+    def data(lo, hi):
+        xy = generate_error_blocks(cfg.errors, n, seeds[lo:hi])
+        xy += signal
+        return xy
+
+    return gram_stack(len(seeds), signal.size, data)
+
+
+def _fit_cell(cfg: ExperimentConfig, cell: int) -> tuple[np.ndarray, GramFits]:
+    """Gram stack and TLS fits of grid cell ``cell``; NumericalError if every fit failed."""
+    grams = _replicate(cfg, cell)
+    fits = tls_from_gram(grams)
+    if not np.any(fits.status == FIT_OK):
+        raise NumericalError(f"every replication failed at n = {cfg.n_grid[cell]}")
+    return grams, fits
 
 
 def run_consistency(
@@ -212,28 +244,22 @@ def run_consistency(
 ) -> ConsistencyReport:
     """Estimate on every (n, replication) cell and aggregate deviations."""
     assumptions = _checked_assumptions(cfg, override_assumptions)
-
-    def measure_errors(inst):
-        """(TLS sup-norm error, |lam/n - sigma2|, OLS sup-norm error)."""
-        fit = tls_fit(inst.x, inst.y)
-        return (
-            float(np.max(np.abs(fit.beta_hat - cfg.beta))),
-            abs(fit.sigma2_hat - cfg.errors.sigma2),
-            float(np.max(np.abs(ols_fit(inst.x, inst.y) - cfg.beta))),
-        )
-
     cells = []
     for ci, n in enumerate(cfg.n_grid):
-        results = _replicate(cfg, ci, measure_errors)
-        ok = [res for res in results if not isinstance(res, Exception)]
-        tls_errs, lam_devs, ols_errs = zip(*ok)
+        grams, fits = _fit_cell(cfg, ci)
+        ok = fits.status == FIT_OK
+        # Sup-norm errors of TLS and OLS, and |lam/n - sigma2|.
+        tls_errs = np.max(np.abs(fits.beta[ok] - cfg.beta), axis=1)
+        ols_errs = np.max(np.abs(ols_from_gram(grams[ok]) - cfg.beta), axis=1)
+        lam_devs = np.abs(fits.lam[ok] / n - cfg.errors.sigma2)
+        nongeneric = int(np.count_nonzero(fits.status == FIT_NONGENERIC))
         q25, q50, q75 = np.quantile(tls_errs, [0.25, 0.5, 0.75])
         cells.append(
             ConsistencyCell(
                 n=n,
                 successes=len(tls_errs),
-                nongeneric_failures=sum(isinstance(res, NonGeneric) for res in results),
-                illconditioned_failures=sum(isinstance(res, IllConditioned) for res in results),
+                nongeneric_failures=nongeneric,
+                illconditioned_failures=int(np.count_nonzero(~ok)) - nongeneric,
                 median_beta_err=float(q50),
                 iqr_beta_err=float(q75 - q25),
                 median_lambda_dev=float(np.median(lam_devs)),
@@ -249,12 +275,16 @@ def run_normality(
     """Collect sqrt(n)(beta_hat - beta) at the largest grid size and test it."""
     assumptions = _checked_assumptions(cfg, override_assumptions)
     n = cfg.n_grid[-1]
-    results = _replicate(
-        cfg,
-        len(cfg.n_grid) - 1,
-        lambda inst: np.sqrt(n) * (tls_fit(inst.x, inst.y).beta_hat - cfg.beta),
-    )
-    devs = np.array([r for r in results if not isinstance(r, Exception)])
+    _, fits = _fit_cell(cfg, len(cfg.n_grid) - 1)
+    ok = fits.status == FIT_OK
+    devs = np.sqrt(n) * (fits.beta[ok] - cfg.beta)
+    failed = cfg.replications - devs.shape[0]
+    need = MIN_SAMPLES_PER_DIM * cfg.design.p
+    if failed and devs.shape[0] < need:
+        raise NumericalError(
+            f"{failed} of {cfg.replications} fits failed at n = {n}; "
+            f"the normality battery needs at least {need} estimates"
+        )
     report = normality_battery(devs)
     se = np.sqrt(np.diag(report.sample_cov) / devs.shape[0])
     mean_ok = bool(np.all(np.abs(report.sample_mean) <= 4.0 * se))
@@ -282,14 +312,9 @@ def run_long_run_check(
     if t.shape[0] != p + 1:
         raise InvalidParams(f"t must have p + 1 = {p + 1} entries")
     b = np.append(cfg.beta, -1.0)
-
-    def score(inst):
-        xy = np.column_stack([inst.x, inst.y])
-        return xy.T @ (xy @ b)
-
     table = []
     for ci, n in enumerate(cfg.n_grid):
-        scores = np.array(_replicate(cfg, ci, score))
+        scores = _replicate(cfg, ci) @ b  # [x, y]' ([x, y] b) of each replication
         cov = np.cov(scores, rowvar=False, ddof=1) / n
         table.append((n, float(t @ cov @ t)))
     return LongRunReport(

@@ -13,11 +13,17 @@ Three generator kinds are provided:
 
 All generators are pure functions of (spec, n, seed) and are scaled so the
 marginal standard deviation equals ``scale`` exactly in population.
+
+``generate_error_blocks`` draws the errors of many replications at once:
+one (p+1) x n block per seed, each row from its own PCG64 stream, filtered
+as one array (AR(1) by one ``lfilter`` along the last axis, MA(q) by one
+shifted-slice sum).  ``generate_error_matrix`` and ``generate_sequence`` are
+its one-seed and one-column cases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -148,28 +154,49 @@ def ar1(a: float, scale: float = 1.0, delta: float | None = None, omega: float |
     )
 
 
+def _fill_column(spec: ErrorProcessSpec, scale: float, rngs, out: np.ndarray) -> None:
+    """Write ``len(rngs)`` draws of the process at marginal sd ``scale`` into the rows of ``out``.
+
+    Row r takes its normals from ``rngs[r]`` alone, drawn into a
+    preallocated buffer with ``standard_normal(out=...)``; the filter then
+    runs over all rows at once.
+    """
+    n = out.shape[-1]
+    if spec.kind == "iid_gaussian":
+        for row, rng in zip(out, rngs):
+            rng.standard_normal(out=row)
+        out *= scale
+        return
+    lead = {"ma": spec.order, "ar1": 1}.get(spec.kind)
+    if lead is None:
+        raise InvalidParams(f"unknown process kind {spec.kind!r}")
+    raw = np.empty((len(rngs), lead + n))
+    for row, rng in zip(raw, rngs):
+        rng.standard_normal(out=row)
+    if spec.kind == "ma":
+        c = np.asarray(spec.coeffs)
+        # x_t = scale * sum_j c_j eta_{t-j} / ||c||_2, so Var x_t = scale^2.
+        np.multiply(raw[:, lead:], c[0], out=out)
+        for j in range(1, lead + 1):
+            out += c[j] * raw[:, lead - j : lead - j + n]
+        out *= scale
+        out /= np.linalg.norm(c)
+        return
+    a = spec.a
+    x0 = scale * raw[:, 0]
+    innov = raw[:, 1:]
+    innov *= scale * np.sqrt(1.0 - a * a)
+    # Stationary start: x_0 ~ N(0, scale^2), then x_t = a x_{t-1} + e_t.
+    out[...], _ = lfilter([1.0], [1.0, -a], innov, axis=-1, zi=a * x0[:, None])
+
+
 def generate_sequence(spec: ErrorProcessSpec, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` values of the process; deterministic given (spec, n, seed)."""
     if n < 1:
         raise InvalidParams("n must be >= 1")
-    rng = stream(seed)
-    if spec.kind == "iid_gaussian":
-        return spec.scale * rng.standard_normal(n)
-    if spec.kind == "ma":
-        c = np.asarray(spec.coeffs)
-        q = len(c) - 1
-        eta = rng.standard_normal(n + q)
-        # x_t = scale * sum_j c_j eta_{t-j} / ||c||_2, so Var x_t = scale^2.
-        x = np.convolve(eta, c, mode="valid")
-        return spec.scale * x / np.linalg.norm(c)
-    if spec.kind == "ar1":
-        a = spec.a
-        x0 = spec.scale * rng.standard_normal()
-        innov = spec.scale * np.sqrt(1.0 - a * a) * rng.standard_normal(n)
-        # Stationary start: x_0 ~ N(0, scale^2), then x_t = a x_{t-1} + e_t.
-        x, _ = lfilter([1.0], [1.0, -a], innov, zi=np.array([a * x0]))
-        return x
-    raise InvalidParams(f"unknown process kind {spec.kind!r}")
+    out = np.empty((1, n))
+    _fill_column(spec, spec.scale, [stream(seed)], out)
+    return out[0]
 
 
 def theoretical_mixing_bound(spec: ErrorProcessSpec, n: int):
@@ -221,17 +248,27 @@ class ErrorMatrixSpec:
         return cls(column_specs=cols, sigma2=d.get("sigma2", 1.0))
 
 
-def generate_error_matrix(spec: ErrorMatrixSpec, n: int, seed: int) -> np.ndarray:
-    """Draw the n x (p+1) error matrix with mutually independent columns.
+def generate_error_blocks(spec: ErrorMatrixSpec, n: int, seeds) -> np.ndarray:
+    """Draw one (p+1) x n error block per seed, stacked to (len(seeds), p+1, n).
 
-    Column j (1-based) gets sub-seed ``splitmix64(seed XOR j*GOLDEN)`` and its
-    scale is overridden so the population variance equals ``sigma2``.
+    Row j (1-based) of the block for ``seed`` comes from its own PCG64 stream
+    with sub-seed ``splitmix64(seed XOR j*GOLDEN)``, and every column is
+    scaled so its population variance equals ``sigma2``.  Each block depends
+    only on its own seed, so any split of ``seeds`` gives the same blocks.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
     sd = float(np.sqrt(spec.sigma2))
-    cols = []
+    out = np.empty((len(seeds), len(spec.column_specs), n))
     for j, col_spec in enumerate(spec.column_specs, start=1):
-        sub = column_subseed(seed, j)
-        cols.append(generate_sequence(replace(col_spec, scale=sd), n, sub))
-    return np.column_stack(cols)
+        rngs = [stream(column_subseed(seed, j)) for seed in seeds]
+        _fill_column(col_spec, sd, rngs, out[:, j - 1])
+    return out
+
+
+def generate_error_matrix(spec: ErrorMatrixSpec, n: int, seed: int) -> np.ndarray:
+    """Draw the n x (p+1) error matrix with mutually independent columns.
+
+    The transposed one-seed case of ``generate_error_blocks``.
+    """
+    return np.ascontiguousarray(generate_error_blocks(spec, n, [seed])[0].T)

@@ -22,6 +22,8 @@ from .linalg import sym_eig
 from .processes import ErrorProcessSpec, generate_sequence
 from .seeding import derive_subseed
 
+MIN_SAMPLES_PER_DIM = 20  # Mardia's tests need at least this many samples per dimension
+
 
 @dataclass(frozen=True)
 class MardiaResult:
@@ -42,8 +44,8 @@ def mardia_tests(samples) -> MardiaResult:
     if x.ndim == 1:
         x = x[:, None]
     r, d = x.shape
-    if r < 20 * d:
-        raise TooFewSamples(f"need at least 20*d = {20 * d} samples, have {r}")
+    if r < MIN_SAMPLES_PER_DIM * d:
+        raise TooFewSamples(f"need at least 20*d = {MIN_SAMPLES_PER_DIM * d} samples, have {r}")
     xc = x - x.mean(axis=0)
     try:
         whiten = np.linalg.cholesky(np.linalg.inv(xc.T @ xc / r))

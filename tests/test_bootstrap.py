@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import eivtls.bootstrap as bootstrap_mod
+import eivtls.estimator
 from eivtls.bootstrap import (
     BootstrapCi,
     BootstrapConfig,
@@ -10,11 +12,23 @@ from eivtls.bootstrap import (
 from eivtls.errors import (
     BlockTooLong,
     InvalidParams,
-    NonGeneric,
     TooManyRefitFailures,
 )
+from eivtls.estimator import FIT_NONGENERIC, tls_from_gram
 from eivtls.model import repeating_block, synthesize
 from eivtls.processes import ErrorMatrixSpec, iid_gaussian, ma
+
+
+def refits_failing(failed):
+    """A tls_from_gram that marks the resamples r with ``failed(r)`` non-generic."""
+
+    def kernel(m):
+        fits = tls_from_gram(m)
+        status = fits.status.copy()
+        status[failed(np.arange(len(status)))] = FIT_NONGENERIC
+        return fits._replace(status=status)
+
+    return kernel
 
 
 def make_dataset(n, seed=0, sigma2=0.25, dependent=False):
@@ -106,18 +120,30 @@ class TestBlockBootstrapCi:
 
     def test_too_many_refit_failures(self, monkeypatch):
         x, y = make_dataset(200, seed=4)
-        real_fit = bootstrap_mod.tls_fit
-        calls = {"count": 0}
-
-        def flaky(xx, yy):
-            calls["count"] += 1
-            if calls["count"] > 1:  # first call fits the observed data
-                raise NonGeneric("forced refit failure")
-            return real_fit(xx, yy)
-
-        monkeypatch.setattr(bootstrap_mod, "tls_fit", flaky)
+        monkeypatch.setattr(bootstrap_mod, "tls_from_gram", refits_failing(lambda r: r >= 0))
         with pytest.raises(TooManyRefitFailures):
             block_bootstrap_ci(x, y, BootstrapConfig(n_boot=199))
+
+    def test_failed_refits_are_counted_and_dropped(self, monkeypatch):
+        x, y = make_dataset(200, seed=4)
+        cfg = BootstrapConfig(n_boot=199, seed=1)
+        full = block_bootstrap_ci(x, y, cfg)
+        # 19 of 199 failures is within MAX_FAILURE_FRACTION, 20 is not.
+        every_tenth = refits_failing(lambda r: (r % 10 == 3) & (r < 190))
+        monkeypatch.setattr(bootstrap_mod, "tls_from_gram", every_tenth)
+        ci = block_bootstrap_ci(x, y, cfg)
+        assert (ci.failure_count, ci.n_boot_effective) == (19, 180)
+        assert ci.point_estimate == full.point_estimate
+        monkeypatch.setattr(bootstrap_mod, "tls_from_gram", refits_failing(lambda r: r < 20))
+        with pytest.raises(TooManyRefitFailures, match="20 of 199"):
+            block_bootstrap_ci(x, y, cfg)
+
+    def test_independent_of_chunking(self, monkeypatch):
+        x, y = make_dataset(300, seed=6, dependent=True)
+        cfg = BootstrapConfig(n_boot=199, seed=4)
+        whole = block_bootstrap_ci(x, y, cfg).to_dict()
+        monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", 7 * 2 * 300)
+        assert block_bootstrap_ci(x, y, cfg).to_dict() == whole
 
     def test_to_dict_serializable(self):
         import json

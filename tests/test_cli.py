@@ -5,7 +5,7 @@ import pytest
 
 import eivtls.montecarlo
 from eivtls.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from eivtls.errors import IllConditioned
+from eivtls.estimator import FIT_EIG_GAP, tls_from_gram
 from eivtls.io import read_dataset_csv, write_dataset_csv
 from eivtls.presets import default_config
 
@@ -97,6 +97,18 @@ CLT_BAD_N = {
 }
 
 
+def fits_failing(failed):
+    """A tls_from_gram whose rows r with ``failed(r)`` fail the eigen-gap guard."""
+
+    def kernel(m):
+        fits = tls_from_gram(m)
+        status = fits.status.copy()
+        status[failed(np.arange(len(status)))] = FIT_EIG_GAP
+        return fits._replace(status=status)
+
+    return kernel
+
+
 class TestErrorExits:
     @pytest.mark.parametrize(
         "command, config",
@@ -108,6 +120,9 @@ class TestErrorExits:
             ("mc-consistency", alpha_config_dict(design="repeating_block")),
             ("mc-consistency", alpha_with_columns(omega="x")),
             ("mc-consistency", alpha_with_columns(delta="x")),
+            ("mc-consistency", alpha_config_dict(n_grid=[])),
+            ("mc-consistency", alpha_config_dict(replications=100.7)),
+            ("mc-consistency", alpha_config_dict(n_grid=[40, 80.5])),
             ("clt-check", CLT_BAD_N),
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": "ma"}),
         ],
@@ -119,6 +134,9 @@ class TestErrorExits:
             "design-string",
             "omega-string",
             "delta-string",
+            "n_grid-empty",
+            "replications-fraction",
+            "n_grid-fraction",
             "clt-n-string",
             "clt-process-string",
         ],
@@ -147,11 +165,17 @@ class TestErrorExits:
     def test_every_fit_failing_is_numerical_error(
         self, tmp_path, monkeypatch, command, config_path
     ):
-        def ill_conditioned(x, y):
-            raise IllConditioned("eigen-gap below tolerance")
-
-        monkeypatch.setattr(eivtls.montecarlo, "tls_fit", ill_conditioned)
+        monkeypatch.setattr(eivtls.montecarlo, "tls_from_gram", fits_failing(lambda r: r >= 0))
         assert run(command, "--config", config_path, "--out", tmp_path / "r.json") == EXIT_NUMERICAL
+
+    def test_too_few_normality_survivors_is_numerical_error(
+        self, tmp_path, monkeypatch, capsys, config_path
+    ):
+        # p = 1 and R = 100: 10 survivors are fewer than the battery's 20 * p.
+        monkeypatch.setattr(eivtls.montecarlo, "tls_from_gram", fits_failing(lambda r: r < 90))
+        code = run("mc-normality", "--config", config_path, "--out", tmp_path / "r.json")
+        assert code == EXIT_NUMERICAL
+        assert "90 of 100 fits failed" in capsys.readouterr().err
 
     def test_underdetermined_dataset_is_config_error(self, tmp_path):
         data = tmp_path / "short.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import eivtls.estimator
 from eivtls.errors import (
     DimensionMismatch,
     IllConditioned,
@@ -10,10 +11,16 @@ from eivtls.errors import (
 )
 from eivtls.estimator import (
     EIG_GAP_RTOL,
+    FIT_FAILURES,
+    FIT_NOT_SPD,
+    FIT_OK,
     NONGENERIC_RTOL,
+    gram_stack,
     ols_fit,
+    ols_from_gram,
     orthogonal_residual_norm,
     tls_fit,
+    tls_from_gram,
 )
 from eivtls.model import repeating_block, synthesize
 from eivtls.processes import ErrorMatrixSpec, iid_gaussian
@@ -144,6 +151,81 @@ class TestGuardThresholds:
         # the eigen-gap, far below rounding, so the closed form refuses.
         with pytest.raises(IllConditioned):
             tls_fit(*nongeneric_dataset(scale, OUTSIDE))
+
+
+def cholesky_dataset(scale):
+    """Passes the eigen-gap and non-generic guards, but x'x - lam I has a zero pivot.
+
+    The Gram matrix is [[1, 0, b], [0, 9, 0], [b, 0, 2]] times ``scale`` with
+    b = 1e-9: its smallest eigenvalue 1 - b^2 rounds to 1, so the first pivot
+    of x'x - lam I is exactly 0, while |v_last| is about b.
+    """
+    x = np.sqrt(scale) * np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 3.0]])
+    y = np.sqrt(scale) * np.array([1e-9, np.sqrt(2.0), 0.0])
+    return x, y
+
+
+def joint_gram(x, y):
+    xy = np.vstack([x.T, y])
+    return xy @ xy.T
+
+
+class TestTlsFromGram:
+    def datasets(self):
+        out = [random_dataset(seed) for seed in range(6)]
+        for scale in SCALES:
+            for factor in (INSIDE, OUTSIDE):
+                out += [gap_dataset(scale, factor), nongeneric_dataset(scale, factor)]
+            out.append(cholesky_dataset(scale))
+        return out
+
+    def test_rows_match_tls_fit(self):
+        data = self.datasets()
+        fits = tls_from_gram(np.stack([joint_gram(x, y) for x, y in data]))
+        assert np.count_nonzero(fits.status == FIT_NOT_SPD) >= len(SCALES)
+        for (x, y), beta, lam, status in zip(data, fits.beta, fits.lam, fits.status):
+            if status == FIT_OK:
+                fit = tls_fit(x, y)
+                np.testing.assert_allclose(beta, fit.beta_hat, rtol=1e-12, atol=0)
+                assert lam == fit.lam
+            else:
+                error, message = FIT_FAILURES[status]
+                with pytest.raises(error) as raised:
+                    tls_fit(x, y)
+                assert type(raised.value) is error
+                assert str(raised.value) == message
+                assert np.all(np.isnan(beta))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_cholesky_failure_does_not_poison_the_chunk(self, scale):
+        good = [random_dataset(seed) for seed in range(3)]
+        stack = [joint_gram(*d) for d in good]
+        stack.insert(1, joint_gram(*cholesky_dataset(scale)))
+        fits = tls_from_gram(np.stack(stack))
+        assert fits.status.tolist() == [FIT_OK, FIT_NOT_SPD, FIT_OK, FIT_OK]
+        with pytest.raises(IllConditioned, match="not positive definite"):
+            tls_fit(*cholesky_dataset(scale))
+        for beta, d in zip(fits.beta[[0, 2, 3]], good):
+            np.testing.assert_allclose(beta, tls_fit(*d).beta_hat, rtol=1e-12, atol=0)
+
+    def test_closed_forms_match_lapack_solves(self):
+        data = [random_dataset(seed) for seed in range(5)]
+        grams = np.stack([joint_gram(x, y) for x, y in data])
+        fits = tls_from_gram(grams)
+        ols = ols_from_gram(grams)
+        for g, beta, lam, beta_ols, (x, y) in zip(grams, fits.beta, fits.lam, ols, data):
+            shifted = g[:2, :2] - lam * np.eye(2)
+            np.testing.assert_allclose(beta, np.linalg.solve(shifted, g[:2, 2]), rtol=1e-12)
+            np.testing.assert_allclose(beta_ols, np.linalg.solve(g[:2, :2], g[:2, 2]), rtol=1e-12)
+            np.testing.assert_allclose(beta_ols, ols_fit(x, y), rtol=1e-12, atol=0)
+
+    def test_gram_stack_independent_of_chunking(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(23, 3, 40))
+        full = gram_stack(23, 120, lambda lo, hi: data[lo:hi])
+        np.testing.assert_allclose(full, data @ data.mT, rtol=1e-14)
+        monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", 7 * 120)
+        assert np.array_equal(gram_stack(23, 120, lambda lo, hi: data[lo:hi].copy()), full)
 
 
 class TestOls:

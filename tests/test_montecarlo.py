@@ -1,8 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import eivtls.estimator
 from eivtls.errors import InvalidParams
 from eivtls.model import repeating_block
 from eivtls.montecarlo import (
@@ -201,6 +203,27 @@ class TestReports:
         cells = report.to_dict()["cells"]
         assert header == list(cells[0])
         assert rows == [list(c.values()) for c in cells]
+
+
+class TestChunking:
+    """Reports must not depend on how replications are split into chunks."""
+
+    def reports(self):
+        cfg = small_config(reps=100, n_grid=(40, 80))
+        normality = run_normality(cfg)
+        return [
+            json.dumps(run_consistency(cfg).to_dict()),
+            json.dumps(run_long_run_check(cfg, t=np.array([1.0, -0.5])).to_dict()),
+            json.dumps(normality.to_dict()),
+            normality.table(),
+        ]
+
+    @pytest.mark.parametrize("reps_per_chunk", [1, 7])
+    def test_reports_byte_identical(self, monkeypatch, reps_per_chunk):
+        whole = self.reports()
+        # (p + 1) n floats per replication at the largest n = 80.
+        monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", reps_per_chunk * 2 * 80)
+        assert self.reports() == whole
 
 
 class TestPresets:

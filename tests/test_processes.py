@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from eivtls.errors import InvalidParams
 from eivtls.processes import (
@@ -7,12 +10,14 @@ from eivtls.processes import (
     ErrorMatrixSpec,
     ErrorProcessSpec,
     ar1,
+    generate_error_blocks,
     generate_error_matrix,
     generate_sequence,
     iid_gaussian,
     ma,
     theoretical_mixing_bound,
 )
+from eivtls.seeding import column_subseed, stream
 
 N = 100_000
 
@@ -154,3 +159,48 @@ class TestErrorMatrix:
         assert np.array_equal(
             generate_error_matrix(spec, 500, 9), generate_error_matrix(spec, 500, 9)
         )
+
+
+class TestErrorBlocks:
+    SEEDS = [9, 2**63 + 11, 0, 77]
+
+    @pytest.mark.parametrize(
+        "col", [iid_gaussian(), ma((1.0, 0.5, -0.3)), ar1(0.6)], ids=["iid", "ma", "ar1"]
+    )
+    def test_rows_match_generate_error_matrix(self, col):
+        spec = ErrorMatrixSpec((col, col, col), sigma2=0.7)
+        blocks = generate_error_blocks(spec, 300, self.SEEDS)
+        assert blocks.shape == (4, 3, 300)
+        scaled = dataclasses.replace(col, scale=np.sqrt(0.7))
+        for block, seed in zip(blocks, self.SEEDS):
+            assert np.array_equal(block, generate_error_matrix(spec, 300, seed).T)
+            for j, row in enumerate(block, start=1):
+                assert np.array_equal(row, generate_sequence(scaled, 300, column_subseed(seed, j)))
+
+    def test_against_one_dimensional_filters(self):
+        # The per-column formulas the block filters replace: np.convolve for
+        # MA (summation order differs, so a tolerance of a few ulps) and a
+        # 1-d lfilter after a scalar start draw for AR(1) (bit-identical).
+        sd, n, seed = np.sqrt(0.7), 300, 9
+        c = np.array([1.0, 0.5, -0.3])
+        spec = ErrorMatrixSpec((ma(tuple(c)), ar1(0.6)), sigma2=0.7)
+        block = generate_error_blocks(spec, n, [seed])[0]
+        eta = stream(column_subseed(seed, 1)).standard_normal(n + 2)
+        ref = sd * np.convolve(eta, c, mode="valid") / np.linalg.norm(c)
+        atol = 8 * np.finfo(float).eps * np.max(np.abs(ref))
+        np.testing.assert_allclose(block[0], ref, rtol=0, atol=atol)
+        rng = stream(column_subseed(seed, 2))
+        x0 = sd * rng.standard_normal()
+        innov = sd * np.sqrt(1.0 - 0.36) * rng.standard_normal(n)
+        ref, _ = lfilter([1.0], [1.0, -0.6], innov, zi=np.array([0.6 * x0]))
+        assert np.array_equal(block[1], ref)
+
+    def test_any_split_of_the_seeds_gives_the_same_blocks(self):
+        spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
+        whole = generate_error_blocks(spec, 200, self.SEEDS)
+        parts = [generate_error_blocks(spec, 200, self.SEEDS[i : i + 3]) for i in (0, 3)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_n_positive(self):
+        with pytest.raises(InvalidParams):
+            generate_error_blocks(ErrorMatrixSpec((iid_gaussian(),) * 2), 0, [1])
