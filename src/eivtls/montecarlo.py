@@ -169,6 +169,8 @@ class NormalityExperimentReport(ExperimentReport):
     normality: NormalityReport
     normality_n: int
     mean_within_4se: bool
+    nongeneric_failures: int
+    illconditioned_failures: int
     deviations: np.ndarray  # R x p matrix of sqrt(n)(beta_hat - beta)
 
     def to_dict(self) -> dict:
@@ -177,6 +179,8 @@ class NormalityExperimentReport(ExperimentReport):
             "normality": self.normality.to_dict(),
             "normality_n": self.normality_n,
             "mean_within_4se": self.mean_within_4se,
+            "nongeneric_failures": self.nongeneric_failures,
+            "illconditioned_failures": self.illconditioned_failures,
         }
 
     def table(self) -> tuple[list[str], list[list]]:
@@ -239,6 +243,12 @@ def _fit_cell(cfg: ExperimentConfig, cell: int) -> tuple[np.ndarray, GramFits]:
     return grams, fits
 
 
+def _failures(fits: GramFits) -> tuple[int, int]:
+    """(non-generic, ill-conditioned) failed fits; every other guard counts as ill-conditioned."""
+    nongeneric = int(np.count_nonzero(fits.status == FIT_NONGENERIC))
+    return nongeneric, int(np.count_nonzero(fits.status != FIT_OK)) - nongeneric
+
+
 def run_consistency(
     cfg: ExperimentConfig, threads: int = 1, override_assumptions: bool = False
 ) -> ConsistencyReport:
@@ -252,14 +262,14 @@ def run_consistency(
         tls_errs = np.max(np.abs(fits.beta[ok] - cfg.beta), axis=1)
         ols_errs = np.max(np.abs(ols_from_gram(grams[ok]) - cfg.beta), axis=1)
         lam_devs = np.abs(fits.lam[ok] / n - cfg.errors.sigma2)
-        nongeneric = int(np.count_nonzero(fits.status == FIT_NONGENERIC))
+        nongeneric, illconditioned = _failures(fits)
         q25, q50, q75 = np.quantile(tls_errs, [0.25, 0.5, 0.75])
         cells.append(
             ConsistencyCell(
                 n=n,
                 successes=len(tls_errs),
                 nongeneric_failures=nongeneric,
-                illconditioned_failures=int(np.count_nonzero(~ok)) - nongeneric,
+                illconditioned_failures=illconditioned,
                 median_beta_err=float(q50),
                 iqr_beta_err=float(q75 - q25),
                 median_lambda_dev=float(np.median(lam_devs)),
@@ -278,7 +288,8 @@ def run_normality(
     _, fits = _fit_cell(cfg, len(cfg.n_grid) - 1)
     ok = fits.status == FIT_OK
     devs = np.sqrt(n) * (fits.beta[ok] - cfg.beta)
-    failed = cfg.replications - devs.shape[0]
+    nongeneric, illconditioned = _failures(fits)
+    failed = nongeneric + illconditioned
     need = MIN_SAMPLES_PER_DIM * cfg.design.p
     if failed and devs.shape[0] < need:
         raise NumericalError(
@@ -295,6 +306,8 @@ def run_normality(
         normality=report,
         normality_n=n,
         mean_within_4se=mean_ok,
+        nongeneric_failures=nongeneric,
+        illconditioned_failures=illconditioned,
         deviations=devs,
     )
 

@@ -18,15 +18,15 @@ marginal standard deviation equals ``scale`` exactly in population.
 one (p+1) x n block per seed, each row from its own PCG64 stream, filtered
 as one array (AR(1) by one ``lfilter`` along the last axis, MA(q) by one
 shifted-slice sum).  ``generate_error_matrix`` and ``generate_sequence`` are
-its one-seed and one-column cases.
+its one-seed and one-column cases.  ``scipy.signal`` is imported only when
+an AR(1) column is drawn; iid and MA(q) columns need numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidParams
 from .seeding import column_subseed, stream
@@ -61,6 +61,10 @@ class ErrorProcessSpec:
                     object.__setattr__(self, name, float(value))
                 except (TypeError, ValueError):
                     raise InvalidParams(f"{name} must be a number, got {value!r}") from None
+        if self.omega is not None and not self.omega > 0:
+            raise InvalidParams(f"omega must be positive, got {self.omega!r}")
+        if self.stationary is not True:
+            raise InvalidParams("every generator is stationary; stationary must be true")
         if self.scale <= 0 or not np.isfinite(self.scale):
             raise InvalidParams("scale must be positive and finite")
         if self.kind == "ma":
@@ -112,21 +116,23 @@ class ErrorProcessSpec:
     def from_dict(cls, d: dict) -> "ErrorProcessSpec":
         kind = d.get("kind")
         if kind == "iid_gaussian":
-            return iid_gaussian(scale=d.get("scale", 1.0), omega=d.get("omega"))
-        if kind == "ma":
-            return ma(
+            spec = iid_gaussian(scale=d.get("scale", 1.0), omega=d.get("omega"))
+        elif kind == "ma":
+            spec = ma(
                 tuple(d.get("coeffs", ())),
                 scale=d.get("scale", 1.0),
                 omega=d.get("omega"),
             )
-        if kind == "ar1":
-            return ar1(
+        elif kind == "ar1":
+            spec = ar1(
                 d.get("a"),
                 scale=d.get("scale", 1.0),
                 delta=d.get("delta"),
                 omega=d.get("omega"),
             )
-        raise InvalidParams(f"unknown process kind {kind!r}")
+        else:
+            raise InvalidParams(f"unknown process kind {kind!r}")
+        return replace(spec, stationary=d.get("stationary", True))
 
 
 def iid_gaussian(scale: float = 1.0, omega: float | None = None) -> ErrorProcessSpec:
@@ -182,6 +188,8 @@ def _fill_column(spec: ErrorProcessSpec, scale: float, rngs, out: np.ndarray) ->
         out *= scale
         out /= np.linalg.norm(c)
         return
+    from scipy.signal import lfilter
+
     a = spec.a
     x0 = scale * raw[:, 0]
     innov = raw[:, 1:]

@@ -1,5 +1,11 @@
 """Distributional checks: multivariate normality, KS distances, CLT
 experiments on normalized sums, and Bartlett-kernel long-run covariance.
+
+P-values and the normal CDF come straight from ``scipy.special``: the
+chi-square upper tail is ``chdtrc``, the standard normal CDF is ``ndtr``
+(two-sided normal p-values are ``2 ndtr(-|z|)``), and the Kolmogorov limit
+is ``kolmogorov``.  ``scipy.special`` is imported inside the functions that
+evaluate them, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -7,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy import stats as sps
 
 from .errors import (
     DegenerateVariance,
@@ -60,11 +64,13 @@ def mardia_tests(samples) -> MardiaResult:
     b1 = float(np.sum(np.einsum("ri,rj,rk->ijk", u, u, u) ** 2)) / (r * r)
     b2 = float(np.mean(np.sum(u * u, axis=1) ** 2))
 
+    from scipy import special
+
     skew_stat = r * b1 / 6.0
     skew_df = d * (d + 1) * (d + 2) / 6.0
-    skew_p = float(sps.chi2.sf(skew_stat, skew_df))
+    skew_p = float(special.chdtrc(skew_df, skew_stat))  # chi-square upper tail
     kurt_stat = (b2 - d * (d + 2)) / np.sqrt(8.0 * d * (d + 2) / r)
-    kurt_p = float(2.0 * sps.norm.sf(abs(kurt_stat)))
+    kurt_p = float(2.0 * special.ndtr(-abs(kurt_stat)))
     return MardiaResult(skew_stat, skew_p, float(kurt_stat), kurt_p)
 
 
@@ -86,6 +92,8 @@ def ks_statistic(sample, cdf) -> tuple[float, float]:
         f = np.asarray([cdf(v) for v in x], dtype=float)
     if np.any(np.diff(f) < -1e-12):
         raise InvalidParams("cdf must be non-decreasing")
+    from scipy import special
+
     i = np.arange(1, n + 1)
     d = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
     p = float(special.kolmogorov(np.sqrt(n) * d))
@@ -132,8 +140,10 @@ def clt_check(
     var = float(np.var(sums, ddof=1))
     if not var > 0:
         raise DegenerateVariance("partial-sum variance estimate is not positive")
+    from scipy import special
+
     normalized = sums / np.sqrt(var)
-    ks = ks_statistic(normalized, sps.norm.cdf)
+    ks = ks_statistic(normalized, special.ndtr)
     return CltCheckReport(
         n=n,
         replications=replications,
@@ -193,10 +203,12 @@ def normality_battery(samples) -> NormalityReport:
     directions = [(f"axis-{j + 1}", np.eye(d)[j]) for j in range(d)]
     if d > 1:
         directions.append(("ones", np.ones(d) / np.sqrt(d)))
+    from scipy import special
+
     projections = []
     for label, u in directions:
         sd = float(np.sqrt(u @ cov @ u))
-        ks_d, ks_p = ks_statistic(xc @ u / sd, sps.norm.cdf)
+        ks_d, ks_p = ks_statistic(xc @ u / sd, special.ndtr)
         projections.append((label, ks_d, ks_p))
     return NormalityReport(
         n_samples=r,

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eivtls
 import eivtls.montecarlo
 from eivtls.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from eivtls.estimator import FIT_EIG_GAP, tls_from_gram
+from eivtls.estimator import FIT_EIG_GAP, FIT_NONGENERIC, tls_from_gram
 from eivtls.io import read_dataset_csv, write_dataset_csv
 from eivtls.presets import default_config
 
@@ -95,6 +101,7 @@ CLT_BAD_N = {
     "process": {"kind": "ma", "coeffs": [1.0, 1.0], "scale": 1.0},
     "n": "abc", "replications": 500, "seed": 3,
 }
+CLT_OMEGA_ZERO = {**CLT_BAD_N, "n": 500, "process": {"kind": "iid_gaussian", "omega": 0}}
 
 
 def fits_failing(failed):
@@ -123,6 +130,11 @@ class TestErrorExits:
             ("mc-consistency", alpha_config_dict(n_grid=[])),
             ("mc-consistency", alpha_config_dict(replications=100.7)),
             ("mc-consistency", alpha_config_dict(n_grid=[40, 80.5])),
+            ("mc-consistency", alpha_with_columns(omega=0)),
+            ("mc-consistency", alpha_with_columns(omega=-1)),
+            ("mc-consistency", alpha_with_columns(stationary=False)),
+            ("check-assumptions", alpha_with_columns(omega=0)),
+            ("clt-check", CLT_OMEGA_ZERO),
             ("clt-check", CLT_BAD_N),
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": "ma"}),
         ],
@@ -137,6 +149,11 @@ class TestErrorExits:
             "n_grid-empty",
             "replications-fraction",
             "n_grid-fraction",
+            "omega-zero",
+            "omega-negative",
+            "stationary-false",
+            "check-assumptions-omega-zero",
+            "clt-omega-zero",
             "clt-n-string",
             "clt-process-string",
         ],
@@ -242,6 +259,21 @@ class TestExperimentCommands:
         assert len(lines) == 1 + json.loads(out.read_text())["normality"]["n_samples"] == 101
         assert all(len(line.split(",")) == 2 for line in lines[1:])
 
+    def test_mc_normality_counts_failed_fits(self, tmp_path, monkeypatch, phi_config_path):
+        def kernel(m):
+            fits = tls_from_gram(m)
+            status = fits.status.copy()
+            status[:25] = FIT_NONGENERIC
+            status[25:50] = FIT_EIG_GAP
+            return fits._replace(status=status)
+
+        monkeypatch.setattr(eivtls.montecarlo, "tls_from_gram", kernel)
+        out = tmp_path / "norm.json"
+        assert run("mc-normality", "--config", phi_config_path, "--out", out) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["normality"]["n_samples"] == 50
+        assert (rep["nongeneric_failures"], rep["illconditioned_failures"]) == (25, 25)
+
     def test_clt_check(self, tmp_path):
         cfg = tmp_path / "clt.json"
         cfg.write_text(json.dumps({
@@ -277,3 +309,59 @@ class TestExperimentCommands:
             run("mc-consistency", "--config", config_path, "--threads", threads, "--out", out)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+SCIPY_ON_FIRST_USE = textwrap.dedent(
+    """
+    import json, sys
+    from pathlib import Path
+
+    import numpy as np
+
+    import eivtls, eivtls.cli
+    from eivtls.presets import default_config
+    from eivtls.processes import ErrorMatrixSpec, ar1, generate_error_matrix
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    tmp = Path(sys.argv[1])
+    cfg = default_config("phi", beta=(1.0,), n_grid=(300,), replications=100)
+    (tmp / "phi.json").write_text(json.dumps(cfg.to_dict()))
+    loaded = {"import": scipy_modules()}
+    codes = [
+        eivtls.cli.main(["gen", "--config", str(tmp / "phi.json"), "--out", str(tmp / "d.csv")]),
+        eivtls.cli.main(["fit", "--data", str(tmp / "d.csv"), "--out", str(tmp / "fit.json")]),
+        eivtls.cli.main([
+            "bootstrap-ci", "--data", str(tmp / "d.csv"), "--n-boot", "199",
+            "--seed", "5", "--out", str(tmp / "ci.json"),
+        ]),
+    ]
+    loaded["gen, fit and bootstrap-ci"] = scipy_modules()
+    e = generate_error_matrix(ErrorMatrixSpec((ar1(0.5),) * 2), 50, 3)
+    print(json.dumps({
+        "codes": codes,
+        "loaded": loaded,
+        "ar1_shape": list(e.shape),
+        "ar1_finite": bool(np.all(np.isfinite(e))),
+        "signal_loaded": "scipy.signal" in sys.modules,
+    }))
+    """
+)
+
+
+class TestScipyOnFirstUse:
+    def test_cli_loads_no_scipy_until_ar1(self, tmp_path):
+        # A fresh interpreter: this test process has scipy loaded already.
+        src = str(Path(eivtls.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_ON_FIRST_USE, str(tmp_path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["codes"] == [EXIT_OK] * 3
+        assert out["loaded"] == {"import": [], "gen, fit and bootstrap-ci": []}
+        assert out["ar1_shape"] == [50, 2] and out["ar1_finite"]
+        assert out["signal_loaded"]

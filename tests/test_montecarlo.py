@@ -191,7 +191,10 @@ class TestReports:
         head = ["kind", "config", "master_seed", "assumptions", "assumption_override"]
         tails = [
             ["cells"],
-            ["normality", "normality_n", "mean_within_4se"],
+            [
+                "normality", "normality_n", "mean_within_4se",
+                "nongeneric_failures", "illconditioned_failures",
+            ],
             ["long_run", "long_run_direction"],
         ]
         for report, tail in zip(reports, tails):

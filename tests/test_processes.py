@@ -60,6 +60,20 @@ class TestSpecValidation:
         with pytest.raises(InvalidParams):
             ma((1.0, 1.0), omega=[1.0])
 
+    @pytest.mark.parametrize("omega", [0, -1.0, float("nan")])
+    def test_moment_surplus_must_be_positive(self, omega):
+        with pytest.raises(InvalidParams):
+            ar1(0.5, delta=3.0, omega=omega)
+        with pytest.raises(InvalidParams):
+            ErrorProcessSpec.from_dict({"kind": "ma", "coeffs": [1.0], "omega": omega})
+
+    @pytest.mark.parametrize("stationary", [False, None, 1, "true"])
+    def test_stationary_must_be_true(self, stationary):
+        with pytest.raises(InvalidParams):
+            ErrorProcessSpec.from_dict({"kind": "iid_gaussian", "stationary": stationary})
+        spec = ErrorProcessSpec.from_dict({"kind": "iid_gaussian", "stationary": True})
+        assert spec.to_dict()["stationary"] is True
+
     def test_roundtrip_dict(self):
         for spec in (iid_gaussian(2.0), ma((1.0, 0.6, 0.3), omega=1.0), ar1(0.5, delta=3.0)):
             assert ErrorProcessSpec.from_dict(spec.to_dict()) == spec

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 import eivtls.stats as stats_mod
@@ -60,6 +61,17 @@ class TestMardia:
         expected_kurt = (b2 - d * (d + 2)) / np.sqrt(8.0 * d * (d + 2) / r)
         assert res.kurtosis_stat == pytest.approx(expected_kurt, rel=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pvalues_equal_scipy_stats_bitwise(self, d):
+        # special.chdtrc and special.ndtr are what scipy.stats' chi2.sf and
+        # norm.sf evaluate; the p-values must not move by a single bit.
+        for seed in range(20):
+            x = np.random.default_rng(seed).standard_t(5, size=(100 * d, d))
+            res = mardia_tests(x)
+            df = d * (d + 1) * (d + 2) / 6.0
+            assert res.skewness_pvalue == float(sps.chi2.sf(res.skewness_stat, df))
+            assert res.kurtosis_pvalue == float(2.0 * sps.norm.sf(abs(res.kurtosis_stat)))
+
     def test_null_calibration(self):
         # at the 5% level the rejection rate over many gaussian draws should
         # be near 5% for both statistics
@@ -108,6 +120,13 @@ class TestKs:
             _, p = ks_statistic(x, sps.norm.cdf)
             rejected += p < 0.05
         assert rejected / 200 < 0.10
+
+    def test_ndtr_cdf_equals_scipy_stats_bitwise(self):
+        for seed in range(20):
+            x = np.random.default_rng(seed).standard_t(4, size=500) * 2.0
+            assert ks_statistic(x, special.ndtr) == ks_statistic(x, sps.norm.cdf)
+        z = np.random.default_rng(0).normal(scale=4.0, size=200_000)
+        assert np.array_equal(special.ndtr(z), sps.norm.cdf(z))
 
     def test_matches_scipy(self):
         x = np.random.default_rng(7).normal(size=300)
