@@ -3,8 +3,10 @@
 Rows of the joined data ``[x, y]`` are resampled in overlapping blocks so
 the within-row error coupling and the serial dependence across nearby rows
 both survive resampling.  Intervals are percentile intervals from the
-refitted coefficient draws.  Each resample keeps its own index stream; the
-resamples are gathered in chunks, reduced to their Gram matrices and refitted
+refitted coefficient draws.  Each resample keeps its own index stream: the
+PCG64 seed words of all B streams are derived at once and one generator is
+set to each in turn (``seeding.streams``).  The resamples are gathered in
+chunks on the calling thread, reduced to their Gram matrices and refitted
 together by the batched TLS kernel ``estimator.tls_from_gram``.
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import BlockTooLong, InvalidParams, TooManyRefitFailures
 from .estimator import FIT_OK, TlsFit, gram_stack, tls_fit, tls_from_gram
 from .linalg import as_matrix, as_vector
-from .seeding import derive_subseed, stream
+from .seeding import derive_subseed, pcg64_seed_words, stream, streams
 from .stats import _icbrt
 
 MAX_FAILURE_FRACTION = 0.10
@@ -93,13 +95,18 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
         raise BlockTooLong(f"block length {length} exceeds n = {n}")
 
     rows = np.column_stack([x, y])
+    words = pcg64_seed_words(derive_subseed(cfg.seed, np.arange(cfg.n_boot, dtype=np.uint64), 0))
 
-    def resamples(lo, hi):
-        rngs = [stream(derive_subseed(cfg.seed, b, 0)) for b in range(lo, hi)]
-        idx = np.stack([_resample_indices(n, length, rng) for rng in rngs])
-        return rows[idx].mT  # (hi - lo, p+1, n)
+    def resampler(_rows):
+        rng = stream(0)
 
-    refits = tls_from_gram(gram_stack(cfg.n_boot, rows.size, resamples))
+        def resamples(lo, hi):
+            idx = np.stack([_resample_indices(n, length, r) for r in streams(rng, words[:, lo:hi])])
+            return rows[idx].mT  # (hi - lo, p+1, n)
+
+        return resamples
+
+    refits = tls_from_gram(gram_stack(cfg.n_boot, rows.size, resampler))
     ok = refits.status == FIT_OK
     failures = int(np.count_nonzero(~ok))
     if failures > MAX_FAILURE_FRACTION * cfg.n_boot:

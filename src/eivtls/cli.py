@@ -30,6 +30,7 @@ from .mixing import check_assumptions
 from .model import synthesize
 from .montecarlo import (
     ExperimentConfig,
+    _integer,
     run_consistency,
     run_long_run_check,
     run_normality,
@@ -127,9 +128,13 @@ def _cmd_clt_check(args) -> int:
     d = read_json(args.config)
     try:
         spec = ErrorProcessSpec.from_dict(d["process"])
-        n = args.n if args.n is not None else int(d["n"])
-        reps = args.replications if args.replications is not None else int(d["replications"])
-        seed = args.seed if args.seed is not None else int(d.get("seed", 0))
+        n = args.n if args.n is not None else _integer(d["n"], "n")
+        reps = (
+            args.replications
+            if args.replications is not None
+            else _integer(d["replications"], "replications")
+        )
+        seed = args.seed if args.seed is not None else _integer(d.get("seed", 0), "seed")
     except KeyError as exc:
         raise InvalidParams(f"clt-check config is missing key {exc}") from None
     except (TypeError, ValueError, AttributeError) as exc:
@@ -218,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument(
             "--threads", type=int, default=1,
-            help="ignored; replications run in order on one thread",
+            help="ignored; replications are drawn on one thread per usable CPU "
+            "(set by CPU affinity), and reports do not depend on the count",
         )
         sp.add_argument("--override-assumptions", action="store_true")
         if tables:

@@ -10,12 +10,14 @@ The estimate depends on the data only through that (p+1) x (p+1) Gram
 matrix, so every fit in the package runs through one vectorised kernel,
 ``tls_from_gram``, over a stack of Gram matrices; ``tls_fit`` is its
 one-dataset case.  ``gram_stack`` builds such a stack for many datasets in
-chunks of about ``CHUNK_ELEMENTS`` floats, so only one chunk of raw data is
-held at a time.
+chunks, optionally on several threads, so only a fixed budget of raw data
+(``CHUNK_ELEMENTS`` floats unless the caller sets another) is held at once;
+the stack does not depend on the chunk size or the thread count.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -34,7 +36,7 @@ NONGENERIC_RTOL = 1e-10  # threshold on |v_last| relative to max |v| entry
 EIG_GAP_RTOL = 1e-10  # minimal gap between the two smallest eigenvalues
 CROSS_CHECK_TOL = 1e-7
 
-CHUNK_ELEMENTS = 1 << 16  # floats of raw data per chunk in gram_stack (512 KB)
+CHUNK_ELEMENTS = 1 << 16  # default floats of raw data in flight in gram_stack (512 KB)
 
 # Per-row status of tls_from_gram: ok, or the guard that refused the fit.
 FIT_OK = 0
@@ -82,21 +84,70 @@ class GramFits(NamedTuple):
     status: np.ndarray  # (R,) FIT_OK or the FIT_* code of the failing guard
 
 
-def gram_stack(count: int, size: int, block: Callable[[int, int], np.ndarray]) -> np.ndarray:
+def gram_stack(
+    count: int,
+    size: int,
+    worker: Callable[[int], Callable[[int, int], np.ndarray]],
+    workers: int = 1,
+    elements: int | None = None,
+) -> np.ndarray:
     """(count, p+1, p+1) Gram matrices of ``count`` datasets of ``size`` floats each.
 
-    ``block(lo, hi)`` returns the (hi - lo, p+1, n) data of datasets
-    ``lo .. hi-1``.  Chunks hold about ``CHUNK_ELEMENTS`` floats and are
-    reduced to their Grams at once; each Gram depends on its own dataset
-    only, so the stack is the same for any chunk size.
+    The datasets are split into at most ``workers`` contiguous shares, one
+    per thread (the calling thread takes the first), and each share into
+    chunks of ``rows`` datasets, where ``rows * size * workers`` is about
+    ``elements`` floats (``CHUNK_ELEMENTS`` by default): the raw data held
+    at once across all threads.  ``worker(rows)`` runs once per share and
+    returns the share's ``block(lo, hi)``, which returns the (hi - lo, p+1, n)
+    data of datasets ``lo .. hi-1`` (at most ``rows`` of them) and may
+    reuse one buffer from call to call.  Each Gram depends on its own
+    dataset only, so the stack is the same for any chunk size and any
+    number of workers.
     """
-    step = max(1, CHUNK_ELEMENTS // size)
-    parts = []
-    for lo in range(0, count, step):
-        xy = block(lo, min(lo + step, count))
-        parts.append(xy @ xy.mT)
-        del xy  # free this chunk before the next one is drawn
-    return np.concatenate(parts)
+    elements = CHUNK_ELEMENTS if elements is None else elements
+    rows = max(1, elements // (workers * size))
+    workers = max(1, min(workers, -(-count // rows)))
+    bounds = [count * w // workers for w in range(workers + 1)]
+
+    def share(w: int) -> list[np.ndarray]:
+        lo, hi = bounds[w], bounds[w + 1]
+        block = worker(min(rows, hi - lo))
+        parts = []
+        for start in range(lo, hi, rows):
+            xy = block(start, min(start + rows, hi))
+            parts.append(xy @ xy.mT)
+            del xy  # free this chunk before the next one is drawn
+        return parts
+
+    return np.concatenate([g for parts in _in_threads(share, workers) for g in parts])
+
+
+def _in_threads(fn: Callable[[int], list], count: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]``, each on its own thread; ``fn(0)`` on the calling one.
+
+    The first exception raised by any call is raised here, after every
+    thread has finished.
+    """
+    results: list = [None] * count
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            results[i] = fn(i)
+        except BaseException as exc:  # handed to the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, count)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _solve_leading(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -93,9 +93,7 @@ def phi_between(j: FiniteJoint) -> float:
     pos = pa > 0
     cond = pa_joint[pos] / pa[pos, None]
     disc = cond - pv[None, :]
-    phi = float(np.max(np.clip(disc, 0.0, None).sum(axis=1), initial=0.0))
-    assert alpha_between(j) <= phi + 1e-12
-    return phi
+    return float(np.max(np.clip(disc, 0.0, None).sum(axis=1), initial=0.0))
 
 
 def find_phi_asymmetry_witness(seed: int = 7, max_tries: int = 10_000) -> FiniteJoint:
@@ -231,13 +229,15 @@ def check_assumptions(
         # Every phi-mixing or independent column is also alpha-mixing.
         deltas = [_declared_delta(s) for s in specs]
         min_delta = min(deltas)
+        # An envelope n^(-1-delta) with delta <= 0 decays no faster than 1/n.
+        decaying = min_delta > 0
+        listed = ", ".join("inf" if np.isinf(d) else f"{d:g}" for d in deltas)
         if theorem == THEOREM_AN_ALPHA:
             checks.append(
                 AssumptionCheck(
                     "alpha-rate-envelope",
-                    True,
-                    "declared envelopes n^(-1-delta) with delta = "
-                    + ", ".join("inf" if np.isinf(d) else f"{d:g}" for d in deltas),
+                    decaying,
+                    f"declared envelopes n^(-1-delta) with delta = {listed}",
                 )
             )
             omegas = [_declared_omega(s) for s in specs]
@@ -260,8 +260,11 @@ def check_assumptions(
             checks.append(
                 AssumptionCheck(
                     "alpha-rate-envelope-consistency",
-                    True,
-                    "declared envelopes match the q = 2 rate n^(-1-delta)",
+                    decaying,
+                    "declared envelopes match the q = 2 rate n^(-1-delta)"
+                    if decaying
+                    else "requires delta > 0 in the q = 2 rate n^(-1-delta); "
+                    f"declared delta = {listed}",
                 )
             )
             checks.append(

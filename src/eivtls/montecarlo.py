@@ -3,20 +3,26 @@ experiments over a grid of sample sizes.
 
 Replications are fully determined by (master seed, replication index, cell
 index).  ``_replicate`` turns one grid cell into the (R, p+1, p+1) stack of
-Gram matrices of ``[x, y]``: it builds the design part once, draws the
-errors a chunk of replications at a time (``processes.generate_error_blocks``)
-and reduces each chunk to its Grams at once (``estimator.gram_stack``), so
-memory stays at about R (p+1)^2 floats plus one chunk.  Each experiment
-reduces that stack: consistency and normality fit it with the batched TLS
-kernel ``estimator.tls_from_gram`` (consistency also takes OLS from the same
-Grams), and the long-run check takes the scores ``G [beta; -1]``.  The chunk
-size depends only on (p+1) n, so reports are bit-identical for any value of
-the ``threads`` argument of the ``run_*`` functions, which is accepted and
-ignored.
+Gram matrices of ``[x, y]``: it builds the design part once, derives the
+PCG64 seed words of every error stream of the cell once
+(``processes.stream_words``), and has ``estimator.gram_stack`` split the
+replications into one contiguous share per CPU the process may run on (its
+CPU affinity).  Each share's thread draws its errors a chunk at a time with
+one reused generator and buffer (``processes.draw_error_blocks``) and
+reduces each chunk to its Grams at once; the raw data in flight across all
+threads is about ``IN_FLIGHT_ELEMENTS`` floats, so memory stays at about
+R (p+1)^2 floats plus that budget.  Each experiment reduces the stack:
+consistency and normality fit it with the batched TLS kernel
+``estimator.tls_from_gram`` (consistency also takes OLS from the same
+Grams), and the long-run check takes the scores ``G [beta; -1]``.  Every
+Gram depends only on its own replication's streams, so reports are
+bit-identical for any number of CPUs and any value of the ``threads``
+argument of the ``run_*`` functions, which is accepted and ignored.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import ClassVar
 
@@ -34,8 +40,8 @@ from .estimator import (
 from .linalg import as_vector
 from .mixing import AssumptionReport, check_assumptions
 from .model import DesignSpec, build_design
-from .processes import ErrorMatrixSpec, generate_error_blocks
-from .seeding import derive_subseed
+from .processes import ErrorMatrixSpec, draw_error_blocks, stream_words
+from .seeding import derive_subseed, stream
 from .stats import MIN_SAMPLES_PER_DIM, NormalityReport, normality_battery
 
 __all__ = [
@@ -50,6 +56,9 @@ __all__ = [
     "run_long_run_check",
     "derive_subseed",
 ]
+
+
+IN_FLIGHT_ELEMENTS = 1 << 18  # floats of raw error data held at once across all workers (2 MB)
 
 
 def _integer(value, name: str) -> int:
@@ -214,24 +223,42 @@ def _checked_assumptions(cfg: ExperimentConfig, override: bool) -> AssumptionRep
     return report
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _replicate(cfg: ExperimentConfig, cell: int) -> np.ndarray:
     """(R, p+1, p+1) Gram matrices of ``[x, y]`` for every replication of grid cell ``cell``.
 
-    The design part ``[z, z beta]`` is built once; the errors are drawn a
-    chunk of replications at a time and each chunk is reduced to its Grams
-    at once (``estimator.gram_stack``), in replication order.
+    The design part ``[z, z beta]`` is built once and the PCG64 seed words
+    of all R (p+1) error streams are derived once.  ``estimator.gram_stack``
+    then maps contiguous shares of the replications over one thread per
+    usable CPU; each thread draws its chunks with one reused generator and
+    buffer, adds the signal and reduces each chunk to its Grams.
     """
     n = cfg.n_grid[cell]
     z, _ = build_design(cfg.design, n)
     signal = np.vstack([z.T, z @ cfg.beta])
-    seeds = [derive_subseed(cfg.master_seed, rep, cell) for rep in range(cfg.replications)]
+    count = cfg.replications
+    seeds = derive_subseed(cfg.master_seed, np.arange(count, dtype=np.uint64), cell)
+    words = stream_words(cfg.errors, seeds)
 
-    def data(lo, hi):
-        xy = generate_error_blocks(cfg.errors, n, seeds[lo:hi])
-        xy += signal
-        return xy
+    def worker(rows):
+        rng = stream(0)
+        buffer = np.empty((rows, *signal.shape))
 
-    return gram_stack(len(seeds), signal.size, data)
+        def data(lo, hi):
+            xy = draw_error_blocks(cfg.errors, words[:, :, lo:hi], rng, buffer[: hi - lo])
+            xy += signal
+            return xy
+
+        return data
+
+    return gram_stack(count, signal.size, worker, _usable_cpus(), IN_FLIGHT_ELEMENTS)
 
 
 def _fit_cell(cfg: ExperimentConfig, cell: int) -> tuple[np.ndarray, GramFits]:

@@ -18,8 +18,14 @@ marginal standard deviation equals ``scale`` exactly in population.
 one (p+1) x n block per seed, each row from its own PCG64 stream, filtered
 as one array (AR(1) by one ``lfilter`` along the last axis, MA(q) by one
 shifted-slice sum).  ``generate_error_matrix`` and ``generate_sequence`` are
-its one-seed and one-column cases.  ``scipy.signal`` is imported only when
-an AR(1) column is drawn; iid and MA(q) columns need numpy alone.
+its one-seed and one-column cases.  It builds one generator per row, which
+suits a few seeds.  The experiments draw thousands of rows per grid cell:
+they derive the seed words of every row's stream once (``stream_words``)
+and draw any slice of those rows with one reused generator
+(``draw_error_blocks``), per chunk on each worker thread.  Both give the
+same bytes: a row depends only on its seed, never on the chunk or thread
+that draws it.  ``scipy.signal`` is imported only when an AR(1) column is
+drawn; iid and MA(q) columns need numpy alone.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParams
-from .seeding import column_subseed, stream
+from .seeding import column_subseed, pcg64_seed_words, stream, streams
 
 # Marker returned by theoretical_mixing_bound where the finite-range
 # convention gives no usable bound.
@@ -61,6 +67,8 @@ class ErrorProcessSpec:
                     object.__setattr__(self, name, float(value))
                 except (TypeError, ValueError):
                     raise InvalidParams(f"{name} must be a number, got {value!r}") from None
+        if self.delta is not None and np.isnan(self.delta):
+            raise InvalidParams("delta must be a number, got nan")
         if self.omega is not None and not self.omega > 0:
             raise InvalidParams(f"omega must be positive, got {self.omega!r}")
         if self.stationary is not True:
@@ -161,13 +169,15 @@ def ar1(a: float, scale: float = 1.0, delta: float | None = None, omega: float |
 
 
 def _fill_column(spec: ErrorProcessSpec, scale: float, rngs, out: np.ndarray) -> None:
-    """Write ``len(rngs)`` draws of the process at marginal sd ``scale`` into the rows of ``out``.
+    """Write one draw of the process at marginal sd ``scale`` into each row of ``out``.
 
-    Row r takes its normals from ``rngs[r]`` alone, drawn into a
-    preallocated buffer with ``standard_normal(out=...)``; the filter then
-    runs over all rows at once.
+    Row r takes its normals from the r-th generator of the iterable ``rngs``
+    alone, drawn into a preallocated buffer with ``standard_normal(out=...)``
+    before the next generator is taken (so ``rngs`` may yield one generator
+    reseeded per row, as ``seeding.streams`` does); the filter then runs
+    over all rows at once.
     """
-    n = out.shape[-1]
+    rows, n = out.shape
     if spec.kind == "iid_gaussian":
         for row, rng in zip(out, rngs):
             rng.standard_normal(out=row)
@@ -176,7 +186,7 @@ def _fill_column(spec: ErrorProcessSpec, scale: float, rngs, out: np.ndarray) ->
     lead = {"ma": spec.order, "ar1": 1}.get(spec.kind)
     if lead is None:
         raise InvalidParams(f"unknown process kind {spec.kind!r}")
-    raw = np.empty((len(rngs), lead + n))
+    raw = np.empty((rows, lead + n))
     for row, rng in zip(raw, rngs):
         rng.standard_normal(out=row)
     if spec.kind == "ma":
@@ -256,6 +266,31 @@ class ErrorMatrixSpec:
         return cls(column_specs=cols, sigma2=d.get("sigma2", 1.0))
 
 
+def stream_words(spec: ErrorMatrixSpec, seeds: np.ndarray) -> np.ndarray:
+    """(p+1, 4, R) PCG64 seed words of the column streams of R seeds (a uint64 array).
+
+    Entry ``[j - 1, :, r]`` seeds column j of the block for ``seeds[r]``; its
+    stream is ``stream(column_subseed(seeds[r], j))``.
+    """
+    columns = np.arange(1, len(spec.column_specs) + 1, dtype=np.uint64)[:, None]
+    return pcg64_seed_words(column_subseed(seeds, columns)).swapaxes(0, 1)
+
+
+def draw_error_blocks(
+    spec: ErrorMatrixSpec, words: np.ndarray, rng: np.random.Generator, out: np.ndarray
+) -> np.ndarray:
+    """Write the k error blocks of the streams ``words`` (p+1, 4, k) into ``out`` (k, p+1, n).
+
+    ``rng`` is a PCG64 ``Generator`` used as scratch: it is set to each
+    row's stream in turn (``seeding.streams``), so a worker draws every
+    chunk with one generator.  Returns ``out``.
+    """
+    sd = float(np.sqrt(spec.sigma2))
+    for j, col_spec in enumerate(spec.column_specs):
+        _fill_column(col_spec, sd, streams(rng, words[j]), out[:, j])
+    return out
+
+
 def generate_error_blocks(spec: ErrorMatrixSpec, n: int, seeds) -> np.ndarray:
     """Draw one (p+1) x n error block per seed, stacked to (len(seeds), p+1, n).
 
@@ -268,6 +303,8 @@ def generate_error_blocks(spec: ErrorMatrixSpec, n: int, seeds) -> np.ndarray:
         raise InvalidParams("n must be >= 1")
     sd = float(np.sqrt(spec.sigma2))
     out = np.empty((len(seeds), len(spec.column_specs), n))
+    # One generator per row: for a few seeds this is cheaper than deriving
+    # their words in numpy; draw_error_blocks gives the same rows.
     for j, col_spec in enumerate(spec.column_specs, start=1):
         rngs = [stream(column_subseed(seed, j)) for seed in seeds]
         _fill_column(col_spec, sd, rngs, out[:, j - 1])

@@ -23,8 +23,9 @@ from .errors import (
     TooFewSamples,
 )
 from .linalg import sym_eig
-from .processes import ErrorProcessSpec, generate_sequence
-from .seeding import derive_subseed
+from .estimator import CHUNK_ELEMENTS
+from .processes import ErrorProcessSpec, _fill_column
+from .seeding import derive_subseed, pcg64_seed_words, stream, streams
 
 MIN_SAMPLES_PER_DIM = 20  # Mardia's tests need at least this many samples per dimension
 
@@ -127,16 +128,23 @@ def clt_check(
 
     The sum's standard deviation is estimated across replications (matching
     its definition as a variance of the partial sum), not by a within-series
-    kernel estimate.
+    kernel estimate.  Replication r is ``generate_sequence(spec, n,
+    derive_subseed(seed, r, 0))``; the replications are drawn in chunks of
+    about ``CHUNK_ELEMENTS`` floats with one reused generator.
     """
     if replications < 500:
         raise InvalidParams("need at least 500 replications")
     if n < 500:
         raise InvalidParams("need n >= 500")
+    words = pcg64_seed_words(derive_subseed(seed, np.arange(replications, dtype=np.uint64), 0))
+    rng = stream(0)
+    rows = max(1, CHUNK_ELEMENTS // n)
+    chunk = np.empty((rows, n))
     sums = np.empty(replications)
-    for rep in range(replications):
-        x = generate_sequence(spec, n, derive_subseed(seed, rep, 0))
-        sums[rep] = x.sum()
+    for lo in range(0, replications, rows):
+        hi = min(lo + rows, replications)
+        _fill_column(spec, spec.scale, streams(rng, words[:, lo:hi]), chunk[: hi - lo])
+        np.sum(chunk[: hi - lo], axis=1, out=sums[lo:hi])
     var = float(np.var(sums, ddof=1))
     if not var > 0:
         raise DegenerateVariance("partial-sum variance estimate is not positive")

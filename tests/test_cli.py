@@ -127,6 +127,7 @@ class TestErrorExits:
             ("mc-consistency", alpha_config_dict(design="repeating_block")),
             ("mc-consistency", alpha_with_columns(omega="x")),
             ("mc-consistency", alpha_with_columns(delta="x")),
+            ("check-assumptions", alpha_with_columns(delta=float("nan"))),
             ("mc-consistency", alpha_config_dict(n_grid=[])),
             ("mc-consistency", alpha_config_dict(replications=100.7)),
             ("mc-consistency", alpha_config_dict(n_grid=[40, 80.5])),
@@ -137,6 +138,8 @@ class TestErrorExits:
             ("clt-check", CLT_OMEGA_ZERO),
             ("clt-check", CLT_BAD_N),
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": "ma"}),
+            ("clt-check", {**CLT_BAD_N, "n": 500, "replications": 600.5}),
+            ("clt-check", {**CLT_BAD_N, "n": 500.5}),
         ],
         ids=[
             "replications-string",
@@ -146,6 +149,7 @@ class TestErrorExits:
             "design-string",
             "omega-string",
             "delta-string",
+            "check-assumptions-delta-nan",
             "n_grid-empty",
             "replications-fraction",
             "n_grid-fraction",
@@ -156,6 +160,8 @@ class TestErrorExits:
             "clt-omega-zero",
             "clt-n-string",
             "clt-process-string",
+            "clt-replications-fraction",
+            "clt-n-fraction",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, config):
@@ -220,7 +226,26 @@ class TestErrorExits:
         assert run("frobnicate") == EXIT_CONFIG
 
 
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
 class TestExperimentCommands:
+    def test_con_alpha_rejects_a_growing_envelope(self, tmp_path):
+        d = json.loads((SHIPPED_CONFIGS / "alpha_p2.json").read_text())
+        d["theorem"] = "CON-alpha"
+        for col in d["errors"]["columns"]:
+            col["delta"] = -2  # envelope n^1
+        path = tmp_path / "con.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "r.json"
+        assert run("mc-consistency", "--config", path, "--out", out) == EXIT_CONFIG
+        assert not out.exists()
+        assert run("check-assumptions", "--config", path, "--out", out) == EXIT_OK
+        rep = json.loads(out.read_text())["assumptions"]
+        assert rep["passed"] is False
+        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+        assert failed == ["alpha-rate-envelope-consistency"]
+
     def test_check_assumptions(self, tmp_path, config_path):
         out = tmp_path / "assume.json"
         assert run("check-assumptions", "--config", config_path, "--out", out) == EXIT_OK
@@ -365,3 +390,39 @@ class TestScipyOnFirstUse:
         assert out["loaded"] == {"import": [], "gen, fit and bootstrap-ci": []}
         assert out["ar1_shape"] == [50, 2] and out["ar1_finite"]
         assert out["signal_loaded"]
+
+
+ONE_CPU_RUN = textwrap.dedent(
+    """
+    import os, sys
+
+    if sys.argv[1] == "one-cpu":
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        assert len(os.sched_getaffinity(0)) == 1
+    from eivtls.cli import main
+
+    sys.exit(main(sys.argv[2:]))
+    """
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+class TestCpuAffinity:
+    def test_one_cpu_report_bytes_equal_unrestricted(self, tmp_path):
+        # n = 2000 and R = 100 make several chunks, so an unrestricted run on
+        # more than one CPU draws them on more than one thread.
+        cfg = default_config("alpha", beta=(1.0,), n_grid=(500, 2000), replications=100)
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        src = str(Path(eivtls.__file__).resolve().parents[1])
+        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path_var)
+        outputs = []
+        for mode in ("one-cpu", "all-cpus"):
+            out, tables = tmp_path / f"{mode}.json", tmp_path / f"{mode}.csv"
+            argv = ["mc-normality", "--config", path, "--out", out, "--tables", tables]
+            subprocess.run(
+                [sys.executable, "-c", ONE_CPU_RUN, mode, *map(str, argv)], env=env, check=True
+            )
+            outputs.append((out.read_bytes(), tables.read_bytes()))
+        assert outputs[0] == outputs[1]

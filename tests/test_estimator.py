@@ -222,10 +222,18 @@ class TestTlsFromGram:
     def test_gram_stack_independent_of_chunking(self, monkeypatch):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(23, 3, 40))
-        full = gram_stack(23, 120, lambda lo, hi: data[lo:hi])
+        full = gram_stack(23, 120, lambda rows: lambda lo, hi: data[lo:hi])
         np.testing.assert_allclose(full, data @ data.mT, rtol=1e-14)
-        monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", 7 * 120)
-        assert np.array_equal(gram_stack(23, 120, lambda lo, hi: data[lo:hi].copy()), full)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", workers * 7 * 120)
+            seen = []
+
+            def worker(rows):
+                seen.append(rows)
+                return lambda lo, hi: data[lo:hi].copy()
+
+            assert np.array_equal(gram_stack(23, 120, worker, workers), full)
+            assert seen == [7] * workers  # one share per worker, 7 rows per chunk
 
 
 class TestOls:

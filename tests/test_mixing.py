@@ -184,6 +184,18 @@ class TestCheckAssumptions:
         report = check_assumptions("AN-phi", default_design(1), default_errors("alpha", 1))
         assert not report.passed
 
+    @pytest.mark.parametrize("delta", [0.0, -2.0])
+    def test_alpha_envelope_must_decay(self, delta):
+        # delta <= 0: the envelope n^(-1-delta) decays no faster than 1/n.
+        errors = ErrorMatrixSpec((ar1(0.5, delta=3.0), ar1(0.5, delta=delta)), sigma2=1.0)
+        con = check_assumptions("CON-alpha", default_design(1), errors)
+        assert {c.name for c in con.checks if not c.passed} == {"alpha-rate-envelope-consistency"}
+        an = check_assumptions("AN-alpha", default_design(1), errors)
+        assert {c.name for c in an.checks if not c.passed} == {
+            "alpha-rate-envelope",
+            "rate-vs-moment-order",
+        }
+
     def test_con_variants_pass_on_defaults(self):
         assert check_assumptions("CON-alpha", default_design(1), default_errors("alpha", 1)).passed
         assert check_assumptions("CON-phi", default_design(1), default_errors("phi", 1)).passed

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-import eivtls.estimator
+from eivtls import montecarlo
 from eivtls.errors import InvalidParams
 from eivtls.model import repeating_block
 from eivtls.montecarlo import (
@@ -224,9 +224,45 @@ class TestChunking:
     @pytest.mark.parametrize("reps_per_chunk", [1, 7])
     def test_reports_byte_identical(self, monkeypatch, reps_per_chunk):
         whole = self.reports()
-        # (p + 1) n floats per replication at the largest n = 80.
-        monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", reps_per_chunk * 2 * 80)
+        # (p + 1) n floats per replication at the largest n = 80, on one worker.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(montecarlo, "IN_FLIGHT_ELEMENTS", reps_per_chunk * 2 * 80)
         assert self.reports() == whole
+
+
+class TestWorkers:
+    """Gram stacks must not depend on how many threads draw them."""
+
+    @pytest.mark.parametrize("path", ["alpha", "phi"])
+    def test_gram_stacks_bitwise_equal_for_1_2_3_workers(self, monkeypatch, path):
+        cfg = default_config(path, beta=(1.0, -2.0), n_grid=(90,), replications=100)
+        # 6 replications of (p + 1) n = 270 floats in flight: chunks of 6, 3
+        # and 2 replications, so every worker draws many chunks.
+        monkeypatch.setattr(montecarlo, "IN_FLIGHT_ELEMENTS", 6 * 3 * 90)
+        stacks = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+            stacks.append(montecarlo._replicate(cfg, 0))
+        assert stacks[0].shape == (100, 3, 3)
+        assert all(np.array_equal(s, stacks[0]) for s in stacks[1:])
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        cfg = small_config()  # 120 replications, so the second worker starts at 60
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "IN_FLIGHT_ELEMENTS", 2 * 2 * 40 * 10)
+
+        seeds = montecarlo.derive_subseed(7, np.arange(120, dtype=np.uint64), 0)
+        first = montecarlo.stream_words(cfg.errors, seeds)[0, 0, 60]
+        draw = montecarlo.draw_error_blocks
+
+        def failing(spec, words, rng, out):
+            if words[0, 0, 0] == first:
+                raise FloatingPointError("drawn on the second worker")
+            return draw(spec, words, rng, out)
+
+        monkeypatch.setattr(montecarlo, "draw_error_blocks", failing)
+        with pytest.raises(FloatingPointError, match="second worker"):
+            run_consistency(cfg)
 
 
 class TestPresets:

@@ -10,11 +10,13 @@ from eivtls.processes import (
     ErrorMatrixSpec,
     ErrorProcessSpec,
     ar1,
+    draw_error_blocks,
     generate_error_blocks,
     generate_error_matrix,
     generate_sequence,
     iid_gaussian,
     ma,
+    stream_words,
     theoretical_mixing_bound,
 )
 from eivtls.seeding import column_subseed, stream
@@ -57,6 +59,8 @@ class TestSpecValidation:
         assert (type(spec.delta), type(spec.omega)) == (float, float)
         with pytest.raises(InvalidParams):
             ar1(0.5, delta="x")
+        with pytest.raises(InvalidParams):
+            ar1(0.5, delta=float("nan"))
         with pytest.raises(InvalidParams):
             ma((1.0, 1.0), omega=[1.0])
 
@@ -208,6 +212,14 @@ class TestErrorBlocks:
         innov = sd * np.sqrt(1.0 - 0.36) * rng.standard_normal(n)
         ref, _ = lfilter([1.0], [1.0, -0.6], innov, zi=np.array([0.6 * x0]))
         assert np.array_equal(block[1], ref)
+
+    def test_reused_generator_draws_the_same_blocks(self):
+        spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=0.4)
+        words = stream_words(spec, np.array(self.SEEDS, dtype=np.uint64))
+        out = np.empty((len(self.SEEDS), 3, 200))
+        drawn = draw_error_blocks(spec, words, stream(5), out)
+        assert drawn is out
+        assert np.array_equal(out, generate_error_blocks(spec, 200, self.SEEDS))
 
     def test_any_split_of_the_seeds_gives_the_same_blocks(self):
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)

@@ -21,7 +21,7 @@ from eivtls.stats import (
     mardia_tests,
     normality_battery,
 )
-from eivtls.processes import generate_sequence, iid_gaussian, ma
+from eivtls.processes import ar1, generate_sequence, iid_gaussian, ma
 
 
 class TestMardia:
@@ -146,6 +146,15 @@ class TestCltCheck:
         assert abs(rep.varsigma2_estimate - 2.0) < 0.25
         assert rep.ks_vs_standard_normal[1] > 0.01
 
+    @pytest.mark.parametrize("spec", [ma((1.0, 0.5)), ar1(0.4)], ids=["ma", "ar1"])
+    def test_chunked_sums_equal_per_replication_sequences(self, spec):
+        # The one-sequence-per-replication loop the chunked draw replaces.
+        sums = np.array(
+            [generate_sequence(spec, 700, derive_subseed(8, r, 0)).sum() for r in range(500)]
+        )
+        rep = clt_check(spec, n=700, replications=500, seed=8)
+        assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
+
     def test_preconditions(self):
         with pytest.raises(InvalidParams):
             clt_check(iid_gaussian(), n=1000, replications=100, seed=0)
@@ -154,7 +163,7 @@ class TestCltCheck:
 
     def test_degenerate_variance(self, monkeypatch):
         monkeypatch.setattr(
-            stats_mod, "generate_sequence", lambda spec, n, seed: np.zeros(n)
+            stats_mod, "_fill_column", lambda spec, scale, rngs, out: out.fill(0.0)
         )
         with pytest.raises(DegenerateVariance):
             clt_check(iid_gaussian(), n=1000, replications=500, seed=0)
