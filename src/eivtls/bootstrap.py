@@ -3,11 +3,22 @@
 Rows of the joined data ``[x, y]`` are resampled in overlapping blocks so
 the within-row error coupling and the serial dependence across nearby rows
 both survive resampling.  Intervals are percentile intervals from the
-refitted coefficient draws.  Each resample keeps its own index stream: the
-PCG64 seed words of all B streams are derived at once and one generator is
-set to each in turn (``seeding.streams``).  The resamples are gathered in
-chunks on the calling thread, reduced to their Gram matrices and refitted
-together by the batched TLS kernel ``estimator.tls_from_gram``.
+refitted coefficient draws.
+
+The TLS fit needs only a resample's (p+1) x (p+1) Gram matrix, and a
+moving-block resample's Gram is the sum of its blocks' Grams (Kuensch
+1989).  There are only n - L + 1 blocks of L rows, so the Gram of each is
+computed once, by a batched product over the windows of the data, and so
+is the Gram of each truncated last block; no resample is ever gathered.
+Each resample keeps its own stream of block starts.  The resamples are
+taken in chunks of about ``STARTS_IN_FLIGHT`` starts (``estimator.map_chunks``
+on the calling thread): the PCG64 seed words of a chunk's streams are
+derived at once, one generator is set to each in turn (``seeding.streams``)
+to draw its starts, and each resample's Gram is summed from the two tables
+one block position at a time.  So memory stays at about B (p+1)^2 floats
+plus the tables and one chunk of starts whatever n and L are, and all
+resamples are refitted together by the batched TLS kernel
+``estimator.tls_from_gram``.
 """
 
 from __future__ import annotations
@@ -15,14 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlockTooLong, InvalidParams, TooManyRefitFailures
-from .estimator import FIT_OK, TlsFit, gram_stack, tls_fit, tls_from_gram
+from .estimator import FIT_OK, TlsFit, map_chunks, tls_fit, tls_from_gram
 from .linalg import as_matrix, as_vector
 from .seeding import derive_subseed, pcg64_seed_words, stream, streams
 from .stats import _icbrt
 
 MAX_FAILURE_FRACTION = 0.10
+STARTS_IN_FLIGHT = 1 << 21  # block starts drawn at once (16 MB)
 
 
 def choose_block_length(n: int) -> int:
@@ -72,11 +85,51 @@ class BootstrapCi:
         }
 
 
-def _resample_indices(n: int, length: int, rng: np.random.Generator) -> np.ndarray:
+def _block_starts(n: int, length: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, ceil(n / length)) block starts of resamples ``lo .. hi-1``.
+
+    Resample r draws its starts from ``stream(derive_subseed(seed, r, 0))``.
+    """
     n_blocks = -(-n // length)
-    starts = rng.integers(0, n - length + 1, size=n_blocks)
-    idx = (starts[:, None] + np.arange(length)[None, :]).ravel()
-    return idx[:n]
+    words = pcg64_seed_words(derive_subseed(seed, np.arange(lo, hi, dtype=np.uint64), 0))
+    # Stored block position by block position, so each position's starts
+    # over all resamples are contiguous for the sums in _resample_grams.
+    starts = np.empty((n_blocks, hi - lo), dtype=np.int64)
+    for column, rng in zip(starts.T, streams(stream(0), words)):
+        column[:] = rng.integers(0, n - length + 1, size=n_blocks)
+    return starts.T
+
+
+def _block_grams(rows: np.ndarray, length: int, count: int) -> np.ndarray:
+    """(count, p+1, p+1) Grams of the blocks ``rows[s : s + length]``, s = 0 .. count-1.
+
+    Each Gram is summed directly over its window; differences of a running
+    sum would cancel on data with a large mean.
+    """
+    windows = sliding_window_view(rows[: count - 1 + length], length, axis=0)
+    return windows @ windows.mT
+
+
+def _block_tables(rows: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grams of every block of ``length`` rows, and of every truncated last block.
+
+    A resample joins blocks at its starts and drops what runs past n rows,
+    so its last block keeps n - (ceil(n / length) - 1) length rows.
+    """
+    n = rows.shape[0]
+    full = _block_grams(rows, length, n - length + 1)
+    tail = n - (-(-n // length) - 1) * length
+    return full, full if tail == length else _block_grams(rows, tail, n - length + 1)
+
+
+def _resample_grams(full: np.ndarray, last: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(B, p+1, p+1) Grams of the resamples whose blocks start at the rows of ``starts``."""
+    grams = last[starts[:, -1]]
+    block = np.empty_like(grams)
+    for position in starts.T[:-1]:
+        np.take(full, position, axis=0, out=block)
+        grams += block
+    return grams
 
 
 def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
@@ -94,19 +147,14 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
     if length > n:
         raise BlockTooLong(f"block length {length} exceeds n = {n}")
 
-    rows = np.column_stack([x, y])
-    words = pcg64_seed_words(derive_subseed(cfg.seed, np.arange(cfg.n_boot, dtype=np.uint64), 0))
+    full, last = _block_tables(np.column_stack([x, y]), length)
 
-    def resampler(_rows):
-        rng = stream(0)
+    def resamples(_rows):
+        return lambda lo, hi: _resample_grams(full, last, _block_starts(n, length, cfg.seed, lo, hi))
 
-        def resamples(lo, hi):
-            idx = np.stack([_resample_indices(n, length, r) for r in streams(rng, words[:, lo:hi])])
-            return rows[idx].mT  # (hi - lo, p+1, n)
-
-        return resamples
-
-    refits = tls_from_gram(gram_stack(cfg.n_boot, rows.size, resampler))
+    n_blocks = -(-n // length)
+    grams = map_chunks(cfg.n_boot, n_blocks, resamples, elements=STARTS_IN_FLIGHT)
+    refits = tls_from_gram(np.concatenate(grams))
     ok = refits.status == FIT_OK
     failures = int(np.count_nonzero(~ok))
     if failures > MAX_FAILURE_FRACTION * cfg.n_boot:

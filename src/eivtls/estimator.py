@@ -9,14 +9,18 @@ computed as well and cross-checked against the eigenvector ratio.
 The estimate depends on the data only through that (p+1) x (p+1) Gram
 matrix, so every fit in the package runs through one vectorised kernel,
 ``tls_from_gram``, over a stack of Gram matrices; ``tls_fit`` is its
-one-dataset case.  ``gram_stack`` builds such a stack for many datasets in
-chunks, optionally on several threads, so only a fixed budget of raw data
+one-dataset case.  ``map_chunks`` runs work over many datasets in chunks,
+one contiguous share per thread, so only a fixed budget of raw data
 (``CHUNK_ELEMENTS`` floats unless the caller sets another) is held at once;
-the stack does not depend on the chunk size or the thread count.
+the Monte Carlo experiments build their Gram stacks through ``gram_stack``
+on top of it, ``stats.clt_check`` its partial sums, and the bootstrap its
+resample Grams from chunks of block starts.  No result depends on the
+chunk size or the thread count.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -36,7 +40,7 @@ NONGENERIC_RTOL = 1e-10  # threshold on |v_last| relative to max |v| entry
 EIG_GAP_RTOL = 1e-10  # minimal gap between the two smallest eigenvalues
 CROSS_CHECK_TOL = 1e-7
 
-CHUNK_ELEMENTS = 1 << 16  # default floats of raw data in flight in gram_stack (512 KB)
+CHUNK_ELEMENTS = 1 << 16  # default floats of raw data in flight in map_chunks (512 KB)
 
 # Per-row status of tls_from_gram: ok, or the guard that refused the fit.
 FIT_OK = 0
@@ -84,6 +88,39 @@ class GramFits(NamedTuple):
     status: np.ndarray  # (R,) FIT_OK or the FIT_* code of the failing guard
 
 
+def map_chunks(
+    count: int,
+    size: int,
+    worker: Callable[[int], Callable[[int, int], object]],
+    workers: int = 1,
+    elements: int | None = None,
+) -> list:
+    """Results of ``step(lo, hi)`` over consecutive chunks of ``count`` datasets of ``size`` floats.
+
+    The datasets are split into at most ``workers`` contiguous shares, one
+    per thread (the calling thread takes the first), and each share into
+    chunks of ``rows`` datasets, where ``rows * size * workers`` is about
+    ``elements`` floats (``CHUNK_ELEMENTS`` by default): the raw data held
+    at once across all threads.  ``worker(rows)`` runs once per share and
+    returns the share's ``step``, which handles datasets ``lo .. hi-1`` (at
+    most ``rows`` of them) and may reuse one buffer from call to call.  The
+    results come back in dataset order, so when each depends on its own
+    datasets only they are the same for any chunk size and any number of
+    workers.
+    """
+    elements = CHUNK_ELEMENTS if elements is None else elements
+    rows = max(1, elements // (workers * size))
+    workers = max(1, min(workers, -(-count // rows)))
+    bounds = [count * w // workers for w in range(workers + 1)]
+
+    def share(w: int) -> list:
+        lo, hi = bounds[w], bounds[w + 1]
+        step = worker(min(rows, hi - lo))
+        return [step(start, min(start + rows, hi)) for start in range(lo, hi, rows)]
+
+    return [part for parts in _in_threads(share, workers) for part in parts]
+
+
 def gram_stack(
     count: int,
     size: int,
@@ -93,33 +130,22 @@ def gram_stack(
 ) -> np.ndarray:
     """(count, p+1, p+1) Gram matrices of ``count`` datasets of ``size`` floats each.
 
-    The datasets are split into at most ``workers`` contiguous shares, one
-    per thread (the calling thread takes the first), and each share into
-    chunks of ``rows`` datasets, where ``rows * size * workers`` is about
-    ``elements`` floats (``CHUNK_ELEMENTS`` by default): the raw data held
-    at once across all threads.  ``worker(rows)`` runs once per share and
-    returns the share's ``block(lo, hi)``, which returns the (hi - lo, p+1, n)
-    data of datasets ``lo .. hi-1`` (at most ``rows`` of them) and may
-    reuse one buffer from call to call.  Each Gram depends on its own
-    dataset only, so the stack is the same for any chunk size and any
-    number of workers.
+    ``map_chunks`` over the datasets, where the ``block(lo, hi)`` that
+    ``worker(rows)`` returns gives the (hi - lo, p+1, n) data of datasets
+    ``lo .. hi-1`` and each chunk is reduced to its Grams before the next
+    is drawn.
     """
-    elements = CHUNK_ELEMENTS if elements is None else elements
-    rows = max(1, elements // (workers * size))
-    workers = max(1, min(workers, -(-count // rows)))
-    bounds = [count * w // workers for w in range(workers + 1)]
 
-    def share(w: int) -> list[np.ndarray]:
-        lo, hi = bounds[w], bounds[w + 1]
-        block = worker(min(rows, hi - lo))
-        parts = []
-        for start in range(lo, hi, rows):
-            xy = block(start, min(start + rows, hi))
-            parts.append(xy @ xy.mT)
-            del xy  # free this chunk before the next one is drawn
-        return parts
+    def grams(rows: int) -> Callable[[int, int], np.ndarray]:
+        block = worker(rows)
 
-    return np.concatenate([g for parts in _in_threads(share, workers) for g in parts])
+        def gram(lo: int, hi: int) -> np.ndarray:
+            xy = block(lo, hi)
+            return xy @ xy.mT
+
+        return gram
+
+    return np.concatenate(map_chunks(count, size, grams, workers, elements))
 
 
 def _in_threads(fn: Callable[[int], list], count: int) -> list:
@@ -148,6 +174,14 @@ def _in_threads(fn: Callable[[int], list], count: int) -> list:
     if errors:
         raise errors[0]
     return results
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _solve_leading(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,6 @@ argument of the ``run_*`` functions, which is accepted and ignored.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import ClassVar
 
@@ -33,6 +32,7 @@ from .estimator import (
     FIT_NONGENERIC,
     FIT_OK,
     GramFits,
+    _usable_cpus,
     gram_stack,
     ols_from_gram,
     tls_from_gram,
@@ -221,14 +221,6 @@ def _checked_assumptions(cfg: ExperimentConfig, override: bool) -> AssumptionRep
             "pass override_assumptions=True to run anyway"
         )
     return report
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS reports one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _replicate(cfg: ExperimentConfig, cell: int) -> np.ndarray:

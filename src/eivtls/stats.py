@@ -23,7 +23,7 @@ from .errors import (
     TooFewSamples,
 )
 from .linalg import sym_eig
-from .estimator import CHUNK_ELEMENTS
+from .estimator import _usable_cpus, map_chunks
 from .processes import ErrorProcessSpec, _fill_column
 from .seeding import derive_subseed, pcg64_seed_words, stream, streams
 
@@ -129,22 +129,28 @@ def clt_check(
     The sum's standard deviation is estimated across replications (matching
     its definition as a variance of the partial sum), not by a within-series
     kernel estimate.  Replication r is ``generate_sequence(spec, n,
-    derive_subseed(seed, r, 0))``; the replications are drawn in chunks of
-    about ``CHUNK_ELEMENTS`` floats with one reused generator.
+    derive_subseed(seed, r, 0))``.  ``estimator.map_chunks`` splits the
+    replications into one contiguous share per usable CPU; each share's
+    thread draws chunks of them with its own reused generator and buffer
+    and takes their sums, so the sums do not depend on the thread count.
     """
     if replications < 500:
         raise InvalidParams("need at least 500 replications")
     if n < 500:
         raise InvalidParams("need n >= 500")
     words = pcg64_seed_words(derive_subseed(seed, np.arange(replications, dtype=np.uint64), 0))
-    rng = stream(0)
-    rows = max(1, CHUNK_ELEMENTS // n)
-    chunk = np.empty((rows, n))
-    sums = np.empty(replications)
-    for lo in range(0, replications, rows):
-        hi = min(lo + rows, replications)
-        _fill_column(spec, spec.scale, streams(rng, words[:, lo:hi]), chunk[: hi - lo])
-        np.sum(chunk[: hi - lo], axis=1, out=sums[lo:hi])
+
+    def worker(rows):
+        rng = stream(0)
+        chunk = np.empty((rows, n))
+
+        def sums(lo, hi):
+            _fill_column(spec, spec.scale, streams(rng, words[:, lo:hi]), chunk[: hi - lo])
+            return chunk[: hi - lo].sum(axis=1)
+
+        return sums
+
+    sums = np.concatenate(map_chunks(replications, n, worker, _usable_cpus()))
     var = float(np.var(sums, ddof=1))
     if not var > 0:
         raise DegenerateVariance("partial-sum variance estimate is not positive")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import eivtls.bootstrap as bootstrap_mod
-import eivtls.estimator
 from eivtls.bootstrap import (
     BootstrapCi,
     BootstrapConfig,
@@ -17,6 +16,7 @@ from eivtls.errors import (
 from eivtls.estimator import FIT_NONGENERIC, tls_from_gram
 from eivtls.model import repeating_block, synthesize
 from eivtls.processes import ErrorMatrixSpec, iid_gaussian, ma
+from eivtls.seeding import derive_subseed, stream
 
 
 def refits_failing(failed):
@@ -138,11 +138,31 @@ class TestBlockBootstrapCi:
         with pytest.raises(TooManyRefitFailures, match="20 of 199"):
             block_bootstrap_ci(x, y, cfg)
 
+    @pytest.mark.parametrize(
+        "n, length", [(1000, 10), (1003, 7), (100, 1), (100, 100), (16000, 25)]
+    )
+    def test_resamples_match_their_definition(self, n, length):
+        # Resample r joins blocks of `length` rows at starts drawn from
+        # stream(derive_subseed(seed, r, 0)), cut to n rows.
+        x, y = make_dataset(n, seed=6, dependent=True)
+        rows = np.column_stack([x, y])
+        n_boot, seed = 7, 4
+        starts = bootstrap_mod._block_starts(n, length, seed, 0, n_boot)
+        grams = bootstrap_mod._resample_grams(*bootstrap_mod._block_tables(rows, length), starts)
+        n_blocks = -(-n // length)
+        for r in range(n_boot):
+            drawn = stream(derive_subseed(seed, r, 0)).integers(0, n - length + 1, size=n_blocks)
+            assert np.array_equal(starts[r], drawn)
+            idx = (drawn[:, None] + np.arange(length)).ravel()[:n]
+            expected = rows[idx].T @ rows[idx]
+            assert np.max(np.abs(grams[r] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     def test_independent_of_chunking(self, monkeypatch):
         x, y = make_dataset(300, seed=6, dependent=True)
         cfg = BootstrapConfig(n_boot=199, seed=4)
         whole = block_bootstrap_ci(x, y, cfg).to_dict()
-        monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", 7 * 2 * 300)
+        # 300 // 6 = 50 blocks per resample: chunks of 7 resamples.
+        monkeypatch.setattr(bootstrap_mod, "STARTS_IN_FLIGHT", 7 * 50)
         assert block_bootstrap_ci(x, y, cfg).to_dict() == whole
 
     def test_to_dict_serializable(self):

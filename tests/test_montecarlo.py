@@ -125,11 +125,16 @@ class TestRunConsistency:
         assert report.assumption_override
         assert not report.assumptions.passed
 
-    def test_thread_count_does_not_change_report(self):
+    def test_thread_count_does_not_change_report(self, monkeypatch):
         cfg = small_config(reps=100, n_grid=(40,))
-        a = run_consistency(cfg, threads=1).to_dict()
-        b = run_consistency(cfg, threads=4).to_dict()
-        assert a == b
+        # 2 n = 80 floats per replication: chunks of 15 replications on one
+        # worker, 5 on each of three (about 33 replications per worker).
+        monkeypatch.setattr(montecarlo, "IN_FLIGHT_ELEMENTS", 3 * 5 * 80)
+        reports = []
+        for workers in (1, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+            reports.append(json.dumps(run_consistency(cfg).to_dict()))
+        assert reports[0] == reports[1]
 
 
 class TestRunNormality:
@@ -142,12 +147,18 @@ class TestRunNormality:
         assert report.mean_within_4se
         assert report.normality.mardia_skewness_pvalue > 0.001
 
-    def test_thread_invariance(self):
+    def test_thread_invariance(self, monkeypatch):
         cfg = small_config(reps=150, n_grid=(200,))
-        a = run_normality(cfg, threads=1)
-        b = run_normality(cfg, threads=8)
+        # 2 n = 400 floats per replication: chunks of 21 replications on one
+        # worker, 7 on each of three (50 replications per worker).
+        monkeypatch.setattr(montecarlo, "IN_FLIGHT_ELEMENTS", 3 * 7 * 400)
+        reports = []
+        for workers in (1, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+            reports.append(run_normality(cfg))
+        a, b = reports
         assert np.array_equal(a.deviations, b.deviations)
-        assert a.to_dict() == b.to_dict()
+        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
 
 class TestRunLongRun:

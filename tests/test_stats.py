@@ -147,13 +147,15 @@ class TestCltCheck:
         assert rep.ks_vs_standard_normal[1] > 0.01
 
     @pytest.mark.parametrize("spec", [ma((1.0, 0.5)), ar1(0.4)], ids=["ma", "ar1"])
-    def test_chunked_sums_equal_per_replication_sequences(self, spec):
+    def test_chunked_sums_equal_per_replication_sequences(self, spec, monkeypatch):
         # The one-sequence-per-replication loop the chunked draw replaces.
         sums = np.array(
             [generate_sequence(spec, 700, derive_subseed(8, r, 0)).sum() for r in range(500)]
         )
-        rep = clt_check(spec, n=700, replications=500, seed=8)
-        assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
+        for workers in (1, 3):  # chunks of 93 and 31 replications
+            monkeypatch.setattr(stats_mod, "_usable_cpus", lambda: workers)
+            rep = clt_check(spec, n=700, replications=500, seed=8)
+            assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
 
     def test_preconditions(self):
         with pytest.raises(InvalidParams):
