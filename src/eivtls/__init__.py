@@ -15,7 +15,6 @@ from .estimator import (
     tls_fit,
     tls_from_gram,
 )
-from .linalg import SymEigResult, frobenius_norm, solve_spd, sym_eig
 from .mixing import (
     AssumptionReport,
     FiniteJoint,

@@ -52,10 +52,6 @@ class EmptySample(ConfigError):
     pass
 
 
-class NotSymmetric(ConfigError):
-    pass
-
-
 class BlockTooLong(ConfigError):
     pass
 

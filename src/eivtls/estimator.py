@@ -11,11 +11,11 @@ matrix, so every fit in the package runs through one vectorised kernel,
 ``tls_from_gram``, over a stack of Gram matrices; ``tls_fit`` is its
 one-dataset case.  ``map_chunks`` runs work over many datasets in chunks,
 one contiguous share per thread, so only a fixed budget of raw data
-(``CHUNK_ELEMENTS`` floats unless the caller sets another) is held at once;
-the Monte Carlo experiments build their Gram stacks through ``gram_stack``
-on top of it, ``stats.clt_check`` its partial sums, and the bootstrap its
-resample Grams from chunks of block starts.  No result depends on the
-chunk size or the thread count.
+(``CHUNK_ELEMENTS`` floats unless the caller sets another) is held at once:
+the Monte Carlo experiments reduce each chunk of replications to its Gram
+matrices, ``stats.clt_check`` to its partial sums, and the bootstrap draws
+its block starts in chunks.  No result depends on the chunk size or the
+thread count.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ NONGENERIC_RTOL = 1e-10  # threshold on |v_last| relative to max |v| entry
 EIG_GAP_RTOL = 1e-10  # minimal gap between the two smallest eigenvalues
 CROSS_CHECK_TOL = 1e-7
 
-CHUNK_ELEMENTS = 1 << 16  # default floats of raw data in flight in map_chunks (512 KB)
+CHUNK_ELEMENTS = 1 << 18  # default floats of raw data in flight in map_chunks (2 MB)
 
 # Per-row status of tls_from_gram: ok, or the guard that refused the fit.
 FIT_OK = 0
@@ -48,9 +48,11 @@ FIT_EIG_GAP = 1
 FIT_NONGENERIC = 2
 FIT_NOT_SPD = 3
 FIT_CROSS_CHECK = 4
+FIT_NOT_FINITE = 5  # checked before the others: the Gram matrix overflowed or holds NaN
 
 # The error tls_fit raises for each failing status.
 FIT_FAILURES = {
+    FIT_NOT_FINITE: (IllConditioned, "Gram matrix has non-finite entries"),
     FIT_EIG_GAP: (
         IllConditioned,
         "two smallest eigenvalues within tolerance; estimate not identifiable",
@@ -83,8 +85,8 @@ class GramFits(NamedTuple):
     """Row-wise result of ``tls_from_gram`` on an (R, p+1, p+1) stack."""
 
     beta: np.ndarray  # (R, p) closed-form estimates; NaN where status != FIT_OK
-    lam: np.ndarray  # (R,) smallest eigenvalue of each Gram matrix
-    v: np.ndarray  # (R, p+1) smallest eigenvectors, scaled so v[:, -1] == -1
+    lam: np.ndarray  # (R,) smallest eigenvalue of each Gram matrix; NaN if not finite
+    v: np.ndarray  # (R, p+1) smallest eigenvectors, scaled so v[:, -1] == -1; NaN if not finite
     status: np.ndarray  # (R,) FIT_OK or the FIT_* code of the failing guard
 
 
@@ -119,33 +121,6 @@ def map_chunks(
         return [step(start, min(start + rows, hi)) for start in range(lo, hi, rows)]
 
     return [part for parts in _in_threads(share, workers) for part in parts]
-
-
-def gram_stack(
-    count: int,
-    size: int,
-    worker: Callable[[int], Callable[[int, int], np.ndarray]],
-    workers: int = 1,
-    elements: int | None = None,
-) -> np.ndarray:
-    """(count, p+1, p+1) Gram matrices of ``count`` datasets of ``size`` floats each.
-
-    ``map_chunks`` over the datasets, where the ``block(lo, hi)`` that
-    ``worker(rows)`` returns gives the (hi - lo, p+1, n) data of datasets
-    ``lo .. hi-1`` and each chunk is reduced to its Grams before the next
-    is drawn.
-    """
-
-    def grams(rows: int) -> Callable[[int, int], np.ndarray]:
-        block = worker(rows)
-
-        def gram(lo: int, hi: int) -> np.ndarray:
-            xy = block(lo, hi)
-            return xy @ xy.mT
-
-        return gram
-
-    return np.concatenate(map_chunks(count, size, grams, workers, elements))
 
 
 def _in_threads(fn: Callable[[int], list], count: int) -> list:
@@ -214,18 +189,22 @@ def _solve_leading(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def tls_from_gram(m) -> GramFits:
     """TLS fits of an (R, p+1, p+1) stack of Gram matrices of ``[x, y]``.
 
-    Runs one batched ``eigh`` and then the guards of ``tls_fit``, in order,
-    on every row: the eigen-gap guard, the non-generic eigenvector guard,
-    positive definiteness of ``G[:p, :p] - lam I`` and the closed-form
-    cross-check.  The first guard a row fails is its status; a failing row
-    never changes the result of another.
+    Refuses a row with a non-finite entry, then runs one batched ``eigh``
+    and the guards of ``tls_fit``, in order, on every other row: the
+    eigen-gap guard, the non-generic eigenvector guard, positive
+    definiteness of ``G[:p, :p] - lam I`` and the closed-form cross-check.
+    The first guard a row fails is its status; a failing row never changes
+    the result of another.
     """
     m = np.asarray(m, dtype=float)
     p = m.shape[-1] - 1
-    m = 0.5 * (m + m.mT)
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = 0.5 * (m + m.mT)
+    finite = np.all(np.isfinite(m), axis=(1, 2))
+    status = np.where(finite, FIT_OK, FIT_NOT_FINITE).astype(np.int8)
+    m[~finite] = 0.0  # eigh never sees a non-finite row
     eigs, vecs = np.linalg.eigh(m)  # ascending
     lam = eigs[:, 0]
-    status = np.full(m.shape[0], FIT_OK, dtype=np.int8)
 
     def refuse(failed, code):
         status[(status == FIT_OK) & failed] = code
@@ -245,6 +224,8 @@ def tls_from_gram(m) -> GramFits:
         agree = np.max(np.abs(beta - v[:, :p]), axis=1) <= CROSS_CHECK_TOL * scale
     refuse(~agree, FIT_CROSS_CHECK)
     beta[status != FIT_OK] = np.nan
+    lam[~finite] = np.nan
+    v[~finite] = np.nan
     return GramFits(beta=beta, lam=lam, v=v, status=status)
 
 

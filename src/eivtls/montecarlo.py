@@ -5,13 +5,13 @@ Replications are fully determined by (master seed, replication index, cell
 index).  ``_replicate`` turns one grid cell into the (R, p+1, p+1) stack of
 Gram matrices of ``[x, y]``: it builds the design part once, derives the
 PCG64 seed words of every error stream of the cell once
-(``processes.stream_words``), and has ``estimator.gram_stack`` split the
+(``processes.stream_words``), and has ``estimator.map_chunks`` split the
 replications into one contiguous share per CPU the process may run on (its
 CPU affinity).  Each share's thread draws its errors a chunk at a time with
 one reused generator and buffer (``processes.draw_error_blocks``) and
 reduces each chunk to its Grams at once; the raw data in flight across all
-threads is about ``IN_FLIGHT_ELEMENTS`` floats, so memory stays at about
-R (p+1)^2 floats plus that budget.  Each experiment reduces the stack:
+threads is about ``estimator.CHUNK_ELEMENTS`` floats, so memory stays at
+about R (p+1)^2 floats plus that budget.  Each experiment reduces the stack:
 consistency and normality fit it with the batched TLS kernel
 ``estimator.tls_from_gram`` (consistency also takes OLS from the same
 Grams), and the long-run check takes the scores ``G [beta; -1]``.  Every
@@ -33,7 +33,7 @@ from .estimator import (
     FIT_OK,
     GramFits,
     _usable_cpus,
-    gram_stack,
+    map_chunks,
     ols_from_gram,
     tls_from_gram,
 )
@@ -56,9 +56,6 @@ __all__ = [
     "run_long_run_check",
     "derive_subseed",
 ]
-
-
-IN_FLIGHT_ELEMENTS = 1 << 18  # floats of raw error data held at once across all workers (2 MB)
 
 
 def _integer(value, name: str) -> int:
@@ -227,7 +224,7 @@ def _replicate(cfg: ExperimentConfig, cell: int) -> np.ndarray:
     """(R, p+1, p+1) Gram matrices of ``[x, y]`` for every replication of grid cell ``cell``.
 
     The design part ``[z, z beta]`` is built once and the PCG64 seed words
-    of all R (p+1) error streams are derived once.  ``estimator.gram_stack``
+    of all R (p+1) error streams are derived once.  ``estimator.map_chunks``
     then maps contiguous shares of the replications over one thread per
     usable CPU; each thread draws its chunks with one reused generator and
     buffer, adds the signal and reduces each chunk to its Grams.
@@ -243,14 +240,14 @@ def _replicate(cfg: ExperimentConfig, cell: int) -> np.ndarray:
         rng = stream(0)
         buffer = np.empty((rows, *signal.shape))
 
-        def data(lo, hi):
+        def grams(lo, hi):
             xy = draw_error_blocks(cfg.errors, words[:, :, lo:hi], rng, buffer[: hi - lo])
             xy += signal
-            return xy
+            return xy @ xy.mT
 
-        return data
+        return grams
 
-    return gram_stack(count, signal.size, worker, _usable_cpus(), IN_FLIGHT_ELEMENTS)
+    return np.concatenate(map_chunks(count, signal.size, worker, _usable_cpus()))
 
 
 def _fit_cell(cfg: ExperimentConfig, cell: int) -> tuple[np.ndarray, GramFits]:

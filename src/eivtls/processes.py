@@ -18,14 +18,13 @@ marginal standard deviation equals ``scale`` exactly in population.
 one (p+1) x n block per seed, each row from its own PCG64 stream, filtered
 as one array (AR(1) by one ``lfilter`` along the last axis, MA(q) by one
 shifted-slice sum).  ``generate_error_matrix`` and ``generate_sequence`` are
-its one-seed and one-column cases.  It builds one generator per row, which
-suits a few seeds.  The experiments draw thousands of rows per grid cell:
-they derive the seed words of every row's stream once (``stream_words``)
-and draw any slice of those rows with one reused generator
-(``draw_error_blocks``), per chunk on each worker thread.  Both give the
-same bytes: a row depends only on its seed, never on the chunk or thread
-that draws it.  ``scipy.signal`` is imported only when an AR(1) column is
-drawn; iid and MA(q) columns need numpy alone.
+its one-seed and one-column cases.  Every block is drawn the way the
+experiments draw theirs: the seed words of every row's stream are derived
+at once (``stream_words``) and one reused generator draws any slice of
+those rows (``draw_error_blocks``), per chunk on each worker thread.  A row
+depends only on its seed, never on the chunk or thread that draws it.
+``scipy.signal`` is imported only when an AR(1) column is drawn; iid and
+MA(q) columns need numpy alone.
 """
 
 from __future__ import annotations
@@ -297,18 +296,14 @@ def generate_error_blocks(spec: ErrorMatrixSpec, n: int, seeds) -> np.ndarray:
     Row j (1-based) of the block for ``seed`` comes from its own PCG64 stream
     with sub-seed ``splitmix64(seed XOR j*GOLDEN)``, and every column is
     scaled so its population variance equals ``sigma2``.  Each block depends
-    only on its own seed, so any split of ``seeds`` gives the same blocks.
+    only on its own seed (an int, taken modulo 2^64), so any split of
+    ``seeds`` gives the same blocks.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
-    sd = float(np.sqrt(spec.sigma2))
+    words = stream_words(spec, np.array([int(s) % (1 << 64) for s in seeds], dtype=np.uint64))
     out = np.empty((len(seeds), len(spec.column_specs), n))
-    # One generator per row: for a few seeds this is cheaper than deriving
-    # their words in numpy; draw_error_blocks gives the same rows.
-    for j, col_spec in enumerate(spec.column_specs, start=1):
-        rngs = [stream(column_subseed(seed, j)) for seed in seeds]
-        _fill_column(col_spec, sd, rngs, out[:, j - 1])
-    return out
+    return draw_error_blocks(spec, words, stream(0), out)
 
 
 def generate_error_matrix(spec: ErrorMatrixSpec, n: int, seed: int) -> np.ndarray:

@@ -5,7 +5,8 @@ P-values and the normal CDF come straight from ``scipy.special``: the
 chi-square upper tail is ``chdtrc``, the standard normal CDF is ``ndtr``
 (two-sided normal p-values are ``2 ndtr(-|z|)``), and the Kolmogorov limit
 is ``kolmogorov``.  ``scipy.special`` is imported inside the functions that
-evaluate them, so importing this module loads no scipy.
+evaluate them, so importing this module loads no scipy.  The long-run
+covariance is projected onto the PSD cone through ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     SingularCovariance,
     TooFewSamples,
 )
-from .linalg import sym_eig
+from .linalg import as_matrix
 from .estimator import _usable_cpus, map_chunks
 from .processes import ErrorProcessSpec, _fill_column
 from .seeding import derive_subseed, pcg64_seed_words, stream, streams
@@ -253,8 +254,7 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
     eigenvalues (flagged, never silent).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_matrix(x[:, None] if x.ndim == 1 else x)
     n, d = x.shape
     if bandwidth == "auto":
         b = _icbrt(n)
@@ -272,12 +272,11 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
     out = 0.5 * (out + out.T)
     if not np.any(out):
         return LongRunVariance(out, b, psd_clipped=False, positive_definite=False)
-    eig = sym_eig(out)
-    clipped = bool(np.min(eig.eigenvalues) < 0)
-    pd = bool(np.min(eig.eigenvalues) > 0)
+    eigs, vecs = np.linalg.eigh(out)  # ascending
+    clipped = bool(eigs[0] < 0)
+    pd = bool(eigs[0] > 0)
     if clipped:
-        vals = np.clip(eig.eigenvalues, 0.0, None)
-        out = eig.eigenvectors @ np.diag(vals) @ eig.eigenvectors.T
+        out = vecs @ np.diag(np.clip(eigs, 0.0, None)) @ vecs.T
         out = 0.5 * (out + out.T)
     return LongRunVariance(out, b, psd_clipped=clipped, positive_definite=pd)
 

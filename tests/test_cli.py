@@ -200,6 +200,16 @@ class TestErrorExits:
         assert code == EXIT_NUMERICAL
         assert "90 of 100 fits failed" in capsys.readouterr().err
 
+    def test_overflowing_gram_matrices_are_numerical_error(self, tmp_path, capsys):
+        d = json.loads((SHIPPED_CONFIGS / "phi_p2.json").read_text())
+        d["design"]["block"] = (1e200 * np.asarray(d["design"]["block"])).tolist()
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(d))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run("mc-consistency", "--config", path, "--out", tmp_path / "r.json")
+        assert code == EXIT_NUMERICAL
+        assert "every replication failed" in capsys.readouterr().err
+
     def test_underdetermined_dataset_is_config_error(self, tmp_path):
         data = tmp_path / "short.csv"
         write_dataset_csv(
@@ -327,12 +337,18 @@ class TestExperimentCommands:
         rep = json.loads(out.read_text())
         assert rep["lower"][0] <= rep["point_estimate"][0] <= rep["upper"][0]
 
-    def test_threads_do_not_change_report_bytes(self, tmp_path, config_path):
+    def test_threads_do_not_change_report_bytes(self, tmp_path, monkeypatch, config_path):
+        # (p + 1) n = 160 floats per replication at n = 80: chunks of 15
+        # replications on one worker and of 5 on each of three (about 33
+        # replications per worker), so every worker draws several chunks.
+        monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", 3 * 5 * 160)
         outs = []
-        for threads in (1, 8):
-            out = tmp_path / f"mc{threads}.json"
-            run("mc-consistency", "--config", config_path, "--threads", threads, "--out", out)
-            outs.append(out.read_bytes())
+        for workers, threads in ((1, 1), (3, 8)):
+            monkeypatch.setattr(eivtls.montecarlo, "_usable_cpus", lambda: workers)
+            out, tables = tmp_path / f"mc{workers}.json", tmp_path / f"mc{workers}.csv"
+            argv = ["--threads", threads, "--out", out, "--tables", tables]
+            assert run("mc-consistency", "--config", config_path, *argv) == EXIT_OK
+            outs.append((out.read_bytes(), tables.read_bytes()))
         assert outs[0] == outs[1]
 
 

@@ -12,10 +12,11 @@ from eivtls.errors import (
 from eivtls.estimator import (
     EIG_GAP_RTOL,
     FIT_FAILURES,
+    FIT_NOT_FINITE,
     FIT_NOT_SPD,
     FIT_OK,
     NONGENERIC_RTOL,
-    gram_stack,
+    map_chunks,
     ols_fit,
     ols_from_gram,
     orthogonal_residual_norm,
@@ -219,10 +220,29 @@ class TestTlsFromGram:
             np.testing.assert_allclose(beta_ols, np.linalg.solve(g[:2, :2], g[:2, 2]), rtol=1e-12)
             np.testing.assert_allclose(beta_ols, ols_fit(x, y), rtol=1e-12, atol=0)
 
+    def test_non_finite_row_does_not_poison_the_stack(self):
+        finite = joint_gram(*random_dataset(0))
+        alone = tls_from_gram(finite[None])
+        for bad in (np.full((3, 3), np.inf), np.where(np.eye(3) > 0, np.nan, finite)):
+            fits = tls_from_gram(np.stack([bad, finite]))
+            assert fits.status.tolist() == [FIT_NOT_FINITE, FIT_OK]
+            assert np.all(np.isnan(fits.beta[0])) and np.all(np.isnan(fits.v[0]))
+            assert np.isnan(fits.lam[0])
+            assert np.array_equal(fits.beta[1:], alone.beta)
+            assert np.array_equal(fits.lam[1:], alone.lam)
+            assert np.array_equal(fits.v[1:], alone.v)
+        # Finite data whose Gram matrix overflows.
+        with np.errstate(over="ignore"), pytest.raises(IllConditioned, match="non-finite"):
+            tls_fit(1e200 * GOLDEN_X, 1e200 * GOLDEN_Y)
+
     def test_gram_stack_independent_of_chunking(self, monkeypatch):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(23, 3, 40))
-        full = gram_stack(23, 120, lambda rows: lambda lo, hi: data[lo:hi])
+
+        def grams(lo, hi):
+            return data[lo:hi] @ data[lo:hi].mT
+
+        full = np.concatenate(map_chunks(23, 120, lambda rows: grams))
         np.testing.assert_allclose(full, data @ data.mT, rtol=1e-14)
         for workers in (1, 2, 3):
             monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", workers * 7 * 120)
@@ -230,9 +250,9 @@ class TestTlsFromGram:
 
             def worker(rows):
                 seen.append(rows)
-                return lambda lo, hi: data[lo:hi].copy()
+                return grams
 
-            assert np.array_equal(gram_stack(23, 120, worker, workers), full)
+            assert np.array_equal(np.concatenate(map_chunks(23, 120, worker, workers)), full)
             assert seen == [7] * workers  # one share per worker, 7 rows per chunk
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from eivtls import montecarlo
+from eivtls import estimator, montecarlo
 from eivtls.errors import InvalidParams
 from eivtls.model import repeating_block
 from eivtls.montecarlo import (
@@ -129,7 +129,7 @@ class TestRunConsistency:
         cfg = small_config(reps=100, n_grid=(40,))
         # 2 n = 80 floats per replication: chunks of 15 replications on one
         # worker, 5 on each of three (about 33 replications per worker).
-        monkeypatch.setattr(montecarlo, "IN_FLIGHT_ELEMENTS", 3 * 5 * 80)
+        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 3 * 5 * 80)
         reports = []
         for workers in (1, 3):
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
@@ -151,7 +151,7 @@ class TestRunNormality:
         cfg = small_config(reps=150, n_grid=(200,))
         # 2 n = 400 floats per replication: chunks of 21 replications on one
         # worker, 7 on each of three (50 replications per worker).
-        monkeypatch.setattr(montecarlo, "IN_FLIGHT_ELEMENTS", 3 * 7 * 400)
+        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 3 * 7 * 400)
         reports = []
         for workers in (1, 3):
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
@@ -237,7 +237,7 @@ class TestChunking:
         whole = self.reports()
         # (p + 1) n floats per replication at the largest n = 80, on one worker.
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(montecarlo, "IN_FLIGHT_ELEMENTS", reps_per_chunk * 2 * 80)
+        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", reps_per_chunk * 2 * 80)
         assert self.reports() == whole
 
 
@@ -249,7 +249,7 @@ class TestWorkers:
         cfg = default_config(path, beta=(1.0, -2.0), n_grid=(90,), replications=100)
         # 6 replications of (p + 1) n = 270 floats in flight: chunks of 6, 3
         # and 2 replications, so every worker draws many chunks.
-        monkeypatch.setattr(montecarlo, "IN_FLIGHT_ELEMENTS", 6 * 3 * 90)
+        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 6 * 3 * 90)
         stacks = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
@@ -260,7 +260,7 @@ class TestWorkers:
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         cfg = small_config()  # 120 replications, so the second worker starts at 60
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(montecarlo, "IN_FLIGHT_ELEMENTS", 2 * 2 * 40 * 10)
+        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 2 * 2 * 40 * 10)
 
         seeds = montecarlo.derive_subseed(7, np.arange(120, dtype=np.uint64), 0)
         first = montecarlo.stream_words(cfg.errors, seeds)[0, 0, 60]

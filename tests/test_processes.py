@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+import eivtls.processes
 from eivtls.errors import InvalidParams
 from eivtls.processes import (
     UNBOUNDED_BELOW_RANGE,
@@ -178,6 +179,15 @@ class TestErrorMatrix:
             generate_error_matrix(spec, 500, 9), generate_error_matrix(spec, 500, 9)
         )
 
+    @pytest.mark.parametrize("seed", [-5, 2**64 + 3, 2**63 + 11])
+    def test_seeds_are_taken_modulo_2_64(self, seed):
+        # The reference seeds each column through stream(), numpy's SeedSequence.
+        spec = ErrorMatrixSpec((ma((1.0, 0.5)), ar1(0.6), iid_gaussian()), sigma2=0.7)
+        w = generate_error_matrix(spec, 300, seed)
+        for j, (col, row) in enumerate(zip(spec.column_specs, w.T), start=1):
+            scaled = dataclasses.replace(col, scale=np.sqrt(0.7))
+            assert np.array_equal(row, generate_sequence(scaled, 300, column_subseed(seed, j)))
+
 
 class TestErrorBlocks:
     SEEDS = [9, 2**63 + 11, 0, 77]
@@ -226,6 +236,18 @@ class TestErrorBlocks:
         whole = generate_error_blocks(spec, 200, self.SEEDS)
         parts = [generate_error_blocks(spec, 200, self.SEEDS[i : i + 3]) for i in (0, 3)]
         assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_one_generator_draws_every_row(self, monkeypatch):
+        made = []
+
+        def counted(seed):
+            made.append(seed)
+            return stream(seed)
+
+        monkeypatch.setattr(eivtls.processes, "stream", counted)
+        spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
+        generate_error_blocks(spec, 50, self.SEEDS)
+        assert len(made) == 1
 
     def test_n_positive(self):
         with pytest.raises(InvalidParams):

@@ -152,7 +152,7 @@ class TestCltCheck:
         sums = np.array(
             [generate_sequence(spec, 700, derive_subseed(8, r, 0)).sum() for r in range(500)]
         )
-        for workers in (1, 3):  # chunks of 93 and 31 replications
+        for workers in (1, 3):  # chunks of 374 and 124 replications
             monkeypatch.setattr(stats_mod, "_usable_cpus", lambda: workers)
             rep = clt_check(spec, n=700, replications=500, seed=8)
             assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
@@ -227,6 +227,12 @@ class TestLongRunVariance:
     def test_negative_bandwidth(self):
         with pytest.raises(InvalidParams):
             long_run_variance(np.zeros((100, 1)), bandwidth=-1)
+
+    def test_non_finite_rows_rejected(self):
+        x = np.random.default_rng(7).normal(size=(200, 2))
+        x[50, 1] = np.nan
+        with pytest.raises(InvalidParams):
+            long_run_variance(x, bandwidth=2)
 
     def test_alternating_series_clips_to_psd(self):
         # a deterministic alternating sequence drives the Bartlett estimate
