@@ -9,6 +9,7 @@ from .bootstrap import BootstrapCi, BootstrapConfig, block_bootstrap_ci, choose_
 from .estimator import (
     GramFits,
     TlsFit,
+    map_chunks,
     ols_fit,
     ols_from_gram,
     orthogonal_residual_norm,
@@ -53,6 +54,7 @@ from .processes import (
     generate_sequence,
     iid_gaussian,
     ma,
+    map_draws,
     theoretical_mixing_bound,
 )
 from .stats import (

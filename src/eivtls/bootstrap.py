@@ -10,12 +10,14 @@ moving-block resample's Gram is the sum of its blocks' Grams (Kuensch
 1989).  There are only n - L + 1 blocks of L rows, so the Gram of each is
 computed once, by a batched product over the windows of the data, and so
 is the Gram of each truncated last block; no resample is ever gathered.
-Each resample keeps its own stream of block starts.  The resamples are
-taken in chunks of about ``STARTS_IN_FLIGHT`` starts (``estimator.map_chunks``
-on the calling thread): the PCG64 seed words of a chunk's streams are
-derived at once, one generator is set to each in turn (``seeding.streams``)
-to draw its starts, and each resample's Gram is summed from the two tables
-one block position at a time.  So memory stays at about B (p+1)^2 floats
+Each resample keeps its own stream of block starts.  ``estimator.map_chunks``
+hands out the resamples in chunks of about ``STARTS_IN_FLIGHT`` starts in
+all, one contiguous share per usable CPU (at the CLI defaults a single
+share, on the calling thread, holds every resample): the PCG64 seed words
+of a chunk's streams are derived at once, a generator of the chunk's own is
+set to each in turn (``seeding.streams``) to draw its starts, and each
+resample's Gram is summed from the two tables one block position at a
+time.  So memory stays at about B (p+1)^2 floats
 plus the tables and one chunk of starts whatever n and L are, and all
 resamples are refitted together by the batched TLS kernel
 ``estimator.tls_from_gram``.
@@ -149,8 +151,8 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
 
     full, last = _block_tables(np.column_stack([x, y]), length)
 
-    def resamples(_rows):
-        return lambda lo, hi: _resample_grams(full, last, _block_starts(n, length, cfg.seed, lo, hi))
+    def resamples(lo, hi):
+        return _resample_grams(full, last, _block_starts(n, length, cfg.seed, lo, hi))
 
     n_blocks = -(-n // length)
     grams = map_chunks(cfg.n_boot, n_blocks, resamples, elements=STARTS_IN_FLIGHT)

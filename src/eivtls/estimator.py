@@ -9,13 +9,13 @@ computed as well and cross-checked against the eigenvector ratio.
 The estimate depends on the data only through that (p+1) x (p+1) Gram
 matrix, so every fit in the package runs through one vectorised kernel,
 ``tls_from_gram``, over a stack of Gram matrices; ``tls_fit`` is its
-one-dataset case.  ``map_chunks`` runs work over many datasets in chunks,
-one contiguous share per thread, so only a fixed budget of raw data
-(``CHUNK_ELEMENTS`` floats unless the caller sets another) is held at once:
-the Monte Carlo experiments reduce each chunk of replications to its Gram
-matrices, ``stats.clt_check`` to its partial sums, and the bootstrap draws
-its block starts in chunks.  No result depends on the chunk size or the
-thread count.
+one-dataset case.  ``map_chunks`` is the package's one chunk engine: it
+calls a plain ``step(lo, hi)`` over chunks of many datasets, one contiguous
+share per usable CPU (the only place that reads the CPU count), so only a
+fixed budget of raw data (``CHUNK_ELEMENTS`` floats unless the caller sets
+another) is held at once.  Every seeded error draw reaches it through
+``processes.map_draws``, and the bootstrap maps its resamples over it
+directly.  No result depends on the chunk size or the CPU count.
 """
 
 from __future__ import annotations
@@ -91,25 +91,21 @@ class GramFits(NamedTuple):
 
 
 def map_chunks(
-    count: int,
-    size: int,
-    worker: Callable[[int], Callable[[int, int], object]],
-    workers: int = 1,
-    elements: int | None = None,
+    count: int, size: int, step: Callable[[int, int], object], elements: int | None = None
 ) -> list:
     """Results of ``step(lo, hi)`` over consecutive chunks of ``count`` datasets of ``size`` floats.
 
-    The datasets are split into at most ``workers`` contiguous shares, one
-    per thread (the calling thread takes the first), and each share into
-    chunks of ``rows`` datasets, where ``rows * size * workers`` is about
-    ``elements`` floats (``CHUNK_ELEMENTS`` by default): the raw data held
-    at once across all threads.  ``worker(rows)`` runs once per share and
-    returns the share's ``step``, which handles datasets ``lo .. hi-1`` (at
-    most ``rows`` of them) and may reuse one buffer from call to call.  The
+    The datasets are split into one contiguous share per usable CPU (the
+    calling thread takes the first, each other share gets its own thread),
+    and each share into chunks of ``rows`` datasets, where
+    ``rows * size * shares`` is about ``elements`` floats (``CHUNK_ELEMENTS``
+    by default): the raw data held at once across all threads.  ``step``
+    handles datasets ``lo .. hi-1`` (at most ``rows`` of them) and runs on
+    several threads at once, so it keeps its scratch state to itself.  The
     results come back in dataset order, so when each depends on its own
-    datasets only they are the same for any chunk size and any number of
-    workers.
+    datasets only they are the same for any chunk size and any CPU count.
     """
+    workers = _usable_cpus()
     elements = CHUNK_ELEMENTS if elements is None else elements
     rows = max(1, elements // (workers * size))
     workers = max(1, min(workers, -(-count // rows)))
@@ -117,7 +113,6 @@ def map_chunks(
 
     def share(w: int) -> list:
         lo, hi = bounds[w], bounds[w + 1]
-        step = worker(min(rows, hi - lo))
         return [step(start, min(start + rows, hi)) for start in range(lo, hi, rows)]
 
     return [part for parts in _in_threads(share, workers) for part in parts]

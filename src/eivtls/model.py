@@ -39,6 +39,9 @@ class DesignSpec:
                 raise InvalidParams("repeating_block needs a block matrix")
             blk = as_matrix(self.block)
             object.__setattr__(self, "block", blk)
+            with np.errstate(over="ignore"):
+                if not np.all(np.isfinite(blk.T @ blk / blk.shape[0])):
+                    raise InvalidParams("the limit matrix block.T @ block / k overflows")
             if np.linalg.matrix_rank(blk) < blk.shape[1]:
                 raise RankDeficientDesign("block columns are linearly dependent")
         elif self.kind == "sinusoidal":

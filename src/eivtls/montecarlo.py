@@ -3,15 +3,13 @@ experiments over a grid of sample sizes.
 
 Replications are fully determined by (master seed, replication index, cell
 index).  ``_replicate`` turns one grid cell into the (R, p+1, p+1) stack of
-Gram matrices of ``[x, y]``: it builds the design part once, derives the
-PCG64 seed words of every error stream of the cell once
-(``processes.stream_words``), and has ``estimator.map_chunks`` split the
-replications into one contiguous share per CPU the process may run on (its
-CPU affinity).  Each share's thread draws its errors a chunk at a time with
-one reused generator and buffer (``processes.draw_error_blocks``) and
-reduces each chunk to its Grams at once; the raw data in flight across all
-threads is about ``estimator.CHUNK_ELEMENTS`` floats, so memory stays at
-about R (p+1)^2 floats plus that budget.  Each experiment reduces the stack:
+Gram matrices of ``[x, y]``: it builds the design part once and draws the
+errors through ``processes.map_draws``, which maps chunks of replications
+over one thread per CPU the process may run on (its CPU affinity); each
+chunk's errors get the signal added and are reduced to their Grams at
+once.  The raw data in flight across all threads is about
+``estimator.CHUNK_ELEMENTS`` floats, so memory stays at about R (p+1)^2
+floats plus that budget.  Each experiment reduces the stack:
 consistency and normality fit it with the batched TLS kernel
 ``estimator.tls_from_gram`` (consistency also takes OLS from the same
 Grams), and the long-run check takes the scores ``G [beta; -1]``.  Every
@@ -32,16 +30,14 @@ from .estimator import (
     FIT_NONGENERIC,
     FIT_OK,
     GramFits,
-    _usable_cpus,
-    map_chunks,
     ols_from_gram,
     tls_from_gram,
 )
 from .linalg import as_vector
 from .mixing import AssumptionReport, check_assumptions
 from .model import DesignSpec, build_design
-from .processes import ErrorMatrixSpec, draw_error_blocks, stream_words
-from .seeding import derive_subseed, stream
+from .processes import ErrorMatrixSpec, map_draws
+from .seeding import derive_subseed
 from .stats import MIN_SAMPLES_PER_DIM, NormalityReport, normality_battery
 
 __all__ = [
@@ -223,31 +219,21 @@ def _checked_assumptions(cfg: ExperimentConfig, override: bool) -> AssumptionRep
 def _replicate(cfg: ExperimentConfig, cell: int) -> np.ndarray:
     """(R, p+1, p+1) Gram matrices of ``[x, y]`` for every replication of grid cell ``cell``.
 
-    The design part ``[z, z beta]`` is built once and the PCG64 seed words
-    of all R (p+1) error streams are derived once.  ``estimator.map_chunks``
-    then maps contiguous shares of the replications over one thread per
-    usable CPU; each thread draws its chunks with one reused generator and
-    buffer, adds the signal and reduces each chunk to its Grams.
+    The design part ``[z, z beta]`` is built once; ``processes.map_draws``
+    draws the error blocks of replications ``derive_subseed(master_seed, r,
+    cell)`` a chunk at a time, and each chunk gets the signal added and is
+    reduced to its Grams.
     """
     n = cfg.n_grid[cell]
     z, _ = build_design(cfg.design, n)
     signal = np.vstack([z.T, z @ cfg.beta])
-    count = cfg.replications
-    seeds = derive_subseed(cfg.master_seed, np.arange(count, dtype=np.uint64), cell)
-    words = stream_words(cfg.errors, seeds)
+    seeds = derive_subseed(cfg.master_seed, np.arange(cfg.replications, dtype=np.uint64), cell)
 
-    def worker(rows):
-        rng = stream(0)
-        buffer = np.empty((rows, *signal.shape))
+    def grams(xy):
+        xy += signal
+        return xy @ xy.mT
 
-        def grams(lo, hi):
-            xy = draw_error_blocks(cfg.errors, words[:, :, lo:hi], rng, buffer[: hi - lo])
-            xy += signal
-            return xy @ xy.mT
-
-        return grams
-
-    return np.concatenate(map_chunks(count, signal.size, worker, _usable_cpus()))
+    return np.concatenate(map_draws(*cfg.errors.column_draws(seeds), n, grams))
 
 
 def _fit_cell(cfg: ExperimentConfig, cell: int) -> tuple[np.ndarray, GramFits]:

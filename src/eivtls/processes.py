@@ -14,26 +14,28 @@ Three generator kinds are provided:
 All generators are pure functions of (spec, n, seed) and are scaled so the
 marginal standard deviation equals ``scale`` exactly in population.
 
-``generate_error_blocks`` draws the errors of many replications at once:
-one (p+1) x n block per seed, each row from its own PCG64 stream, filtered
-as one array (AR(1) by one ``lfilter`` along the last axis, MA(q) by one
-shifted-slice sum).  ``generate_error_matrix`` and ``generate_sequence`` are
-its one-seed and one-column cases.  Every block is drawn the way the
-experiments draw theirs: the seed words of every row's stream are derived
-at once (``stream_words``) and one reused generator draws any slice of
-those rows (``draw_error_blocks``), per chunk on each worker thread.  A row
-depends only on its seed, never on the chunk or thread that draws it.
-``scipy.signal`` is imported only when an AR(1) column is drawn; iid and
-MA(q) columns need numpy alone.
+Every seeded draw of many rows goes through ``map_draws``: it derives the
+PCG64 seed words of all rows' streams at once and has
+``estimator.map_chunks`` hand out chunks of blocks; each chunk is filled
+with one scratch generator set to each row's stream in turn, filtered as
+one array (AR(1) by one ``lfilter`` along the last axis, MA(q) by one
+shifted-slice sum) and passed to the caller's ``reduce``.  The Monte Carlo
+experiments reduce to Gram matrices, ``stats.clt_check`` to row sums, and
+``generate_error_blocks`` (so ``generate_error_matrix``, ``gen`` and
+``synthesize``) keeps the blocks.  A row depends only on its seed, never on
+the chunk or thread that draws it.  ``scipy.signal`` is imported only when
+an AR(1) column is drawn; iid and MA(q) columns need numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParams
+from .estimator import map_chunks
 from .seeding import column_subseed, pcg64_seed_words, stream, streams
 
 # Marker returned by theoretical_mixing_bound where the finite-range
@@ -53,10 +55,8 @@ class ErrorProcessSpec:
     scale: float = 1.0
     coeffs: tuple[float, ...] | None = None  # MA coefficients c_0..c_q
     a: float | None = None  # AR(1) coefficient
-    mixing_class: str = MIXING_INDEPENDENT
     delta: float | None = None  # polynomial rate exponent in n^(-1-delta)
     omega: float | None = None  # moment surplus in E|xi|^(4+omega)
-    stationary: bool = True
 
     def __post_init__(self):
         for name in ("delta", "omega"):
@@ -70,8 +70,6 @@ class ErrorProcessSpec:
             raise InvalidParams("delta must be a number, got nan")
         if self.omega is not None and not self.omega > 0:
             raise InvalidParams(f"omega must be positive, got {self.omega!r}")
-        if self.stationary is not True:
-            raise InvalidParams("every generator is stationary; stationary must be true")
         if self.scale <= 0 or not np.isfinite(self.scale):
             raise InvalidParams("scale must be positive and finite")
         if self.kind == "ma":
@@ -81,20 +79,18 @@ class ErrorProcessSpec:
                 raise InvalidParams("ma coefficients must be finite")
             if all(c == 0 for c in self.coeffs):
                 raise InvalidParams("ma coefficients cannot all be zero")
-            if self.mixing_class != MIXING_PHI:
-                raise InvalidParams("ma carries mixing_class 'phi' by convention")
             if self.delta is not None:
                 raise InvalidParams("ma is finite-range; delta must be None")
         elif self.kind == "ar1":
             if self.a is None or not np.isfinite(self.a) or abs(self.a) >= 1:
                 raise InvalidParams("ar1 needs |a| < 1")
-            if self.mixing_class != MIXING_ALPHA:
-                raise InvalidParams("ar1 carries mixing_class 'alpha' by convention")
-        elif self.kind == "iid_gaussian":
-            if self.mixing_class != MIXING_INDEPENDENT:
-                raise InvalidParams("iid_gaussian carries mixing_class 'independent'")
-        else:
+        elif self.kind != "iid_gaussian":
             raise InvalidParams(f"unknown process kind {self.kind!r}")
+
+    @property
+    def mixing_class(self) -> str:
+        """Mixing class of the kind: phi for MA(q), alpha for AR(1), independent for iid."""
+        return {"ma": MIXING_PHI, "ar1": MIXING_ALPHA}.get(self.kind, MIXING_INDEPENDENT)
 
     @property
     def order(self) -> int:
@@ -108,7 +104,7 @@ class ErrorProcessSpec:
         return self.kind in ("ma", "iid_gaussian")
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "scale": self.scale, "stationary": self.stationary}
+        out = {"kind": self.kind, "scale": self.scale, "stationary": True}
         if self.coeffs is not None:
             out["coeffs"] = list(self.coeffs)
         if self.a is not None:
@@ -121,31 +117,29 @@ class ErrorProcessSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorProcessSpec":
+        if d.get("stationary", True) is not True:
+            raise InvalidParams("every generator is stationary; stationary must be true")
         kind = d.get("kind")
         if kind == "iid_gaussian":
-            spec = iid_gaussian(scale=d.get("scale", 1.0), omega=d.get("omega"))
-        elif kind == "ma":
-            spec = ma(
+            return iid_gaussian(scale=d.get("scale", 1.0), omega=d.get("omega"))
+        if kind == "ma":
+            return ma(
                 tuple(d.get("coeffs", ())),
                 scale=d.get("scale", 1.0),
                 omega=d.get("omega"),
             )
-        elif kind == "ar1":
-            spec = ar1(
+        if kind == "ar1":
+            return ar1(
                 d.get("a"),
                 scale=d.get("scale", 1.0),
                 delta=d.get("delta"),
                 omega=d.get("omega"),
             )
-        else:
-            raise InvalidParams(f"unknown process kind {kind!r}")
-        return replace(spec, stationary=d.get("stationary", True))
+        raise InvalidParams(f"unknown process kind {kind!r}")
 
 
 def iid_gaussian(scale: float = 1.0, omega: float | None = None) -> ErrorProcessSpec:
-    return ErrorProcessSpec(
-        kind="iid_gaussian", scale=scale, mixing_class=MIXING_INDEPENDENT, omega=omega
-    )
+    return ErrorProcessSpec(kind="iid_gaussian", scale=scale, omega=omega)
 
 
 def ma(coeffs: tuple[float, ...], scale: float = 1.0, omega: float | None = None) -> ErrorProcessSpec:
@@ -154,17 +148,13 @@ def ma(coeffs: tuple[float, ...], scale: float = 1.0, omega: float | None = None
         kind="ma",
         scale=scale,
         coeffs=tuple(float(c) for c in coeffs),
-        mixing_class=MIXING_PHI,
         omega=omega,
     )
 
 
 def ar1(a: float, scale: float = 1.0, delta: float | None = None, omega: float | None = None) -> ErrorProcessSpec:
     """Stationary Gaussian AR(1) with coefficient ``a``."""
-    return ErrorProcessSpec(
-        kind="ar1", scale=scale, a=float(a), mixing_class=MIXING_ALPHA,
-        delta=delta, omega=omega,
-    )
+    return ErrorProcessSpec(kind="ar1", scale=scale, a=float(a), delta=delta, omega=omega)
 
 
 def _fill_column(spec: ErrorProcessSpec, scale: float, rngs, out: np.ndarray) -> None:
@@ -182,9 +172,7 @@ def _fill_column(spec: ErrorProcessSpec, scale: float, rngs, out: np.ndarray) ->
             rng.standard_normal(out=row)
         out *= scale
         return
-    lead = {"ma": spec.order, "ar1": 1}.get(spec.kind)
-    if lead is None:
-        raise InvalidParams(f"unknown process kind {spec.kind!r}")
+    lead = spec.order if spec.kind == "ma" else 1  # AR(1) draws its start first
     raw = np.empty((rows, lead + n))
     for row, rng in zip(raw, rngs):
         rng.standard_normal(out=row)
@@ -205,6 +193,27 @@ def _fill_column(spec: ErrorProcessSpec, scale: float, rngs, out: np.ndarray) ->
     innov *= scale * np.sqrt(1.0 - a * a)
     # Stationary start: x_0 ~ N(0, scale^2), then x_t = a x_{t-1} + e_t.
     out[...], _ = lfilter([1.0], [1.0, -a], innov, axis=-1, zi=a * x0[:, None])
+
+
+def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray], object]) -> list:
+    """``reduce(block)`` over chunks of the error blocks of a (C, R) uint64 array of stream seeds.
+
+    ``columns`` holds C (process, sd) pairs; row j of block r is a draw of
+    ``columns[j]`` from ``stream(seeds[j, r])``.  The PCG64 seed words of
+    all C R streams are derived once; ``estimator.map_chunks`` hands each
+    step a range of blocks, which it draws into its own (k, C, n) array
+    with its own scratch generator.  The results come back in block order.
+    """
+    words = pcg64_seed_words(seeds)
+
+    def step(lo: int, hi: int):
+        rng = stream(0)
+        block = np.empty((hi - lo, len(columns), n))
+        for j, (spec, sd) in enumerate(columns):
+            _fill_column(spec, sd, streams(rng, words[:, j, lo:hi]), block[:, j])
+        return reduce(block)
+
+    return map_chunks(seeds.shape[1], len(columns) * n, step)
 
 
 def generate_sequence(spec: ErrorProcessSpec, n: int, seed: int) -> np.ndarray:
@@ -259,35 +268,23 @@ class ErrorMatrixSpec:
             "columns": [s.to_dict() for s in self.column_specs],
         }
 
+    def column_draws(self, seeds: np.ndarray) -> tuple[list, np.ndarray]:
+        """``map_draws``'s columns and (p+1, R) stream seeds for the matrices of uint64 ``seeds``.
+
+        Column j (1-based) of the matrix for ``seeds[r]`` is drawn at sd
+        sqrt(sigma2), whatever its own ``scale``, from
+        ``stream(column_subseed(seeds[r], j))``.
+        """
+        sd = float(np.sqrt(self.sigma2))
+        j = np.arange(1, len(self.column_specs) + 1, dtype=np.uint64)[:, None]
+        return [(spec, sd) for spec in self.column_specs], column_subseed(seeds, j)
+
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorMatrixSpec":
         cols = tuple(ErrorProcessSpec.from_dict(c) for c in d.get("columns", ()))
+        if any(c.scale != 1.0 for c in cols):
+            raise InvalidParams("column scale must be 1: every column is drawn at sd sqrt(sigma2)")
         return cls(column_specs=cols, sigma2=d.get("sigma2", 1.0))
-
-
-def stream_words(spec: ErrorMatrixSpec, seeds: np.ndarray) -> np.ndarray:
-    """(p+1, 4, R) PCG64 seed words of the column streams of R seeds (a uint64 array).
-
-    Entry ``[j - 1, :, r]`` seeds column j of the block for ``seeds[r]``; its
-    stream is ``stream(column_subseed(seeds[r], j))``.
-    """
-    columns = np.arange(1, len(spec.column_specs) + 1, dtype=np.uint64)[:, None]
-    return pcg64_seed_words(column_subseed(seeds, columns)).swapaxes(0, 1)
-
-
-def draw_error_blocks(
-    spec: ErrorMatrixSpec, words: np.ndarray, rng: np.random.Generator, out: np.ndarray
-) -> np.ndarray:
-    """Write the k error blocks of the streams ``words`` (p+1, 4, k) into ``out`` (k, p+1, n).
-
-    ``rng`` is a PCG64 ``Generator`` used as scratch: it is set to each
-    row's stream in turn (``seeding.streams``), so a worker draws every
-    chunk with one generator.  Returns ``out``.
-    """
-    sd = float(np.sqrt(spec.sigma2))
-    for j, col_spec in enumerate(spec.column_specs):
-        _fill_column(col_spec, sd, streams(rng, words[j]), out[:, j])
-    return out
 
 
 def generate_error_blocks(spec: ErrorMatrixSpec, n: int, seeds) -> np.ndarray:
@@ -301,9 +298,9 @@ def generate_error_blocks(spec: ErrorMatrixSpec, n: int, seeds) -> np.ndarray:
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
-    words = stream_words(spec, np.array([int(s) % (1 << 64) for s in seeds], dtype=np.uint64))
-    out = np.empty((len(seeds), len(spec.column_specs), n))
-    return draw_error_blocks(spec, words, stream(0), out)
+    seeds = np.array([int(s) % (1 << 64) for s in seeds], dtype=np.uint64)
+    blocks = map_draws(*spec.column_draws(seeds), n, lambda block: block)
+    return np.concatenate(blocks) if blocks else np.empty((0, len(spec.column_specs), n))
 
 
 def generate_error_matrix(spec: ErrorMatrixSpec, n: int, seed: int) -> np.ndarray:

@@ -5,8 +5,10 @@ P-values and the normal CDF come straight from ``scipy.special``: the
 chi-square upper tail is ``chdtrc``, the standard normal CDF is ``ndtr``
 (two-sided normal p-values are ``2 ndtr(-|z|)``), and the Kolmogorov limit
 is ``kolmogorov``.  ``scipy.special`` is imported inside the functions that
-evaluate them, so importing this module loads no scipy.  The long-run
-covariance is projected onto the PSD cone through ``np.linalg.eigh``.
+evaluate them, so importing this module loads no scipy.  ``clt_check``
+draws its replications through ``processes.map_draws`` and reduces each
+chunk to its row sums.  The long-run covariance is projected onto the PSD
+cone through ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from .errors import (
     TooFewSamples,
 )
 from .linalg import as_matrix
-from .estimator import _usable_cpus, map_chunks
-from .processes import ErrorProcessSpec, _fill_column
-from .seeding import derive_subseed, pcg64_seed_words, stream, streams
+from .processes import ErrorProcessSpec, map_draws
+from .seeding import derive_subseed
 
 MIN_SAMPLES_PER_DIM = 20  # Mardia's tests need at least this many samples per dimension
 
@@ -130,28 +131,17 @@ def clt_check(
     The sum's standard deviation is estimated across replications (matching
     its definition as a variance of the partial sum), not by a within-series
     kernel estimate.  Replication r is ``generate_sequence(spec, n,
-    derive_subseed(seed, r, 0))``.  ``estimator.map_chunks`` splits the
-    replications into one contiguous share per usable CPU; each share's
-    thread draws chunks of them with its own reused generator and buffer
-    and takes their sums, so the sums do not depend on the thread count.
+    derive_subseed(seed, r, 0))``; ``processes.map_draws`` draws them a
+    chunk at a time, on one thread per usable CPU, and each chunk is reduced
+    to its row sums, so the sums do not depend on the chunking.
     """
     if replications < 500:
         raise InvalidParams("need at least 500 replications")
     if n < 500:
         raise InvalidParams("need n >= 500")
-    words = pcg64_seed_words(derive_subseed(seed, np.arange(replications, dtype=np.uint64), 0))
-
-    def worker(rows):
-        rng = stream(0)
-        chunk = np.empty((rows, n))
-
-        def sums(lo, hi):
-            _fill_column(spec, spec.scale, streams(rng, words[:, lo:hi]), chunk[: hi - lo])
-            return chunk[: hi - lo].sum(axis=1)
-
-        return sums
-
-    sums = np.concatenate(map_chunks(replications, n, worker, _usable_cpus()))
+    seeds = derive_subseed(seed, np.arange(replications, dtype=np.uint64), 0)
+    chunks = map_draws([(spec, spec.scale)], seeds[None], n, lambda b: b[:, 0].sum(axis=1))
+    sums = np.concatenate(chunks)
     var = float(np.var(sums, ddof=1))
     if not var > 0:
         raise DegenerateVariance("partial-sum variance estimate is not positive")

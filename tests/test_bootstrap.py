@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 import eivtls.bootstrap as bootstrap_mod
+import eivtls.estimator
 from eivtls.bootstrap import (
     BootstrapCi,
     BootstrapConfig,
@@ -164,6 +167,25 @@ class TestBlockBootstrapCi:
         # 300 // 6 = 50 blocks per resample: chunks of 7 resamples.
         monkeypatch.setattr(bootstrap_mod, "STARTS_IN_FLIGHT", 7 * 50)
         assert block_bootstrap_ci(x, y, cfg).to_dict() == whole
+
+    def test_independent_of_cpu_count(self, monkeypatch):
+        x, y = make_dataset(300, seed=6, dependent=True)
+        cfg = BootstrapConfig(block_length=1, n_boot=199, seed=4)
+        whole = block_bootstrap_ci(x, y, cfg).to_dict()
+        # 300 one-row blocks per resample: chunks of 30 resamples on one CPU
+        # and of 10 on each of three (about 66 resamples per CPU).
+        monkeypatch.setattr(bootstrap_mod, "STARTS_IN_FLIGHT", 3 * 10 * 300)
+        # Switch threads often and run the three-CPU case several times, so a
+        # generator shared between chunks, reseeded by one thread while
+        # another draws from it, would show.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 3, 3, 3, 3, 3):
+                monkeypatch.setattr(eivtls.estimator, "_usable_cpus", lambda: cpus)
+                assert block_bootstrap_ci(x, y, cfg).to_dict() == whole
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_to_dict_serializable(self):
         import json

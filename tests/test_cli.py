@@ -1,20 +1,29 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eivtls
+import eivtls.estimator
 import eivtls.montecarlo
 from eivtls.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from eivtls.estimator import FIT_EIG_GAP, FIT_NONGENERIC, tls_from_gram
 from eivtls.io import read_dataset_csv, write_dataset_csv
 from eivtls.presets import default_config
 
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 GOLDEN_LAMBDA = 9.0 - 4.0 * np.sqrt(5.0)
 GOLDEN_BETA = (1.0 + np.sqrt(5.0)) / 2.0
@@ -97,6 +106,12 @@ def alpha_with_columns(**changes):
     return d
 
 
+def phi_with_block_scaled(factor):
+    d = json.loads((SHIPPED_CONFIGS / "phi_p2.json").read_text())
+    d["design"]["block"] = (factor * np.asarray(d["design"]["block"])).tolist()
+    return d
+
+
 CLT_BAD_N = {
     "process": {"kind": "ma", "coeffs": [1.0, 1.0], "scale": 1.0},
     "n": "abc", "replications": 500, "seed": 3,
@@ -140,6 +155,8 @@ class TestErrorExits:
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": "ma"}),
             ("clt-check", {**CLT_BAD_N, "n": 500, "replications": 600.5}),
             ("clt-check", {**CLT_BAD_N, "n": 500.5}),
+            ("check-assumptions", alpha_with_columns(scale=5.0)),
+            ("check-assumptions", phi_with_block_scaled(1e200)),
         ],
         ids=[
             "replications-string",
@@ -162,6 +179,8 @@ class TestErrorExits:
             "clt-process-string",
             "clt-replications-fraction",
             "clt-n-fraction",
+            "column-scale",
+            "check-assumptions-design-overflow",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, config):
@@ -201,10 +220,9 @@ class TestErrorExits:
         assert "90 of 100 fits failed" in capsys.readouterr().err
 
     def test_overflowing_gram_matrices_are_numerical_error(self, tmp_path, capsys):
-        d = json.loads((SHIPPED_CONFIGS / "phi_p2.json").read_text())
-        d["design"]["block"] = (1e200 * np.asarray(d["design"]["block"])).tolist()
+        # The limit matrix of the scaled block is finite, but y'y at n = 250 is not.
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(d))
+        path.write_text(json.dumps(phi_with_block_scaled(1e153)))
         with pytest.warns(RuntimeWarning, match="overflow"):
             code = run("mc-consistency", "--config", path, "--out", tmp_path / "r.json")
         assert code == EXIT_NUMERICAL
@@ -236,7 +254,72 @@ class TestErrorExits:
         assert run("frobnicate") == EXIT_CONFIG
 
 
-SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+# No mutation may ask for a large experiment: the configs start at R = 100
+# and n_grid = [40, 80] (clt-check at its floor n = R = 500), and a number
+# put at replications, n or in n_grid never exceeds SIZE_CAP.
+SIZE_KEYS = ("replications", "n_grid", "n")
+SIZE_CAP = 500
+BAD_VALUES = [
+    None, "x", True, [], {}, [1.0, "x"], float("nan"), float("inf"), float("-inf"),
+    -1, -1e300, 0, 0.5, 2.5, 1e300, 10**30,
+]
+COMMANDS = {
+    "alpha_p2": ["check-assumptions", "mc-consistency", "mc-normality", "long-run-check"],
+    "phi_p2": ["check-assumptions", "mc-consistency", "mc-normality", "long-run-check"],
+    "clt_ma1": ["clt-check"],
+}
+
+
+def capped_config(name):
+    d = json.loads((SHIPPED_CONFIGS / f"{name}.json").read_text())
+    if name == "clt_ma1":
+        d.update(n=SIZE_CAP, replications=SIZE_CAP)
+    else:
+        d.update(n_grid=[40, 80], replications=100)
+    return d
+
+
+def paths(node, prefix=()):
+    """Every key or index path into a JSON tree, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from paths(child, prefix + (key,))
+
+
+def within_cap(path, value):
+    """False for a finite number above SIZE_CAP put at a size key."""
+    sized = path[-1] in SIZE_KEYS or path[0] == "n_grid"
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return not (sized and number and SIZE_CAP < value < float("inf"))
+
+
+class TestConfigProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_mutated_config_exits_0_2_or_3(self, data):
+        name = data.draw(st.sampled_from(sorted(COMMANDS)))
+        config = capped_config(name)
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(paths(config))))
+            parent = config
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                values = [v for v in BAD_VALUES if within_cap(path, v)]
+                parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(values)))
+        command = data.draw(st.sampled_from(COMMANDS[name]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(command, "--config", path, "--out", Path(tmp) / "r.json")
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestExperimentCommands:
@@ -344,7 +427,7 @@ class TestExperimentCommands:
         monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", 3 * 5 * 160)
         outs = []
         for workers, threads in ((1, 1), (3, 8)):
-            monkeypatch.setattr(eivtls.montecarlo, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(eivtls.estimator, "_usable_cpus", lambda: workers)
             out, tables = tmp_path / f"mc{workers}.json", tmp_path / f"mc{workers}.csv"
             argv = ["--threads", threads, "--out", out, "--tables", tables]
             assert run("mc-consistency", "--config", config_path, *argv) == EXIT_OK

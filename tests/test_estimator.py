@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -242,18 +244,27 @@ class TestTlsFromGram:
         def grams(lo, hi):
             return data[lo:hi] @ data[lo:hi].mT
 
-        full = np.concatenate(map_chunks(23, 120, lambda rows: grams))
+        full = np.concatenate(map_chunks(23, 120, grams))
         np.testing.assert_allclose(full, data @ data.mT, rtol=1e-14)
         for workers in (1, 2, 3):
+            monkeypatch.setattr(eivtls.estimator, "_usable_cpus", lambda: workers)
             monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", workers * 7 * 120)
             seen = []
 
-            def worker(rows):
-                seen.append(rows)
-                return grams
+            def step(lo, hi):
+                seen.append((threading.current_thread().name, lo, hi))
+                return grams(lo, hi)
 
-            assert np.array_equal(np.concatenate(map_chunks(23, 120, worker, workers)), full)
-            assert seen == [7] * workers  # one share per worker, 7 rows per chunk
+            assert np.array_equal(np.concatenate(map_chunks(23, 120, step)), full)
+            # One contiguous share per worker, each on its own thread, in
+            # chunks of at most 7 rows.
+            shares = {}
+            for name, lo, hi in seen:
+                shares.setdefault(name, []).append((lo, hi))
+            bounds = [23 * w // workers for w in range(workers + 1)]
+            spans = zip(bounds, bounds[1:])
+            chunks = [[(s, min(s + 7, hi)) for s in range(lo, hi, 7)] for lo, hi in spans]
+            assert sorted(shares.values()) == chunks
 
 
 class TestOls:

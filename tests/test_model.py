@@ -44,6 +44,12 @@ class TestBuildDesign:
         with pytest.raises(RankDeficientDesign):
             repeating_block([[1.0, 2.0], [2.0, 4.0]])
 
+    def test_overflowing_limit_matrix(self):
+        with pytest.raises(InvalidParams, match="overflows"):
+            repeating_block([[1e200, 0.0], [0.0, 1.0]])
+        _, delta = build_design(repeating_block([[1e153, 0.0], [0.0, 1e153]]), 4)
+        assert np.all(np.isfinite(delta))
+
     def test_n_too_small(self):
         with pytest.raises(InvalidParams):
             build_design(repeating_block([[1.0]]), 2)

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from eivtls import estimator, montecarlo
+from eivtls import estimator, processes
 from eivtls.errors import InvalidParams
 from eivtls.model import repeating_block
 from eivtls.montecarlo import (
@@ -16,6 +17,7 @@ from eivtls.montecarlo import (
     run_consistency,
     run_long_run_check,
     run_normality,
+    _replicate,
 )
 from eivtls.presets import default_config, default_design, default_errors
 from eivtls.processes import ErrorMatrixSpec, ar1, iid_gaussian
@@ -132,7 +134,7 @@ class TestRunConsistency:
         monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 3 * 5 * 80)
         reports = []
         for workers in (1, 3):
-            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(estimator, "_usable_cpus", lambda: workers)
             reports.append(json.dumps(run_consistency(cfg).to_dict()))
         assert reports[0] == reports[1]
 
@@ -154,7 +156,7 @@ class TestRunNormality:
         monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 3 * 7 * 400)
         reports = []
         for workers in (1, 3):
-            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(estimator, "_usable_cpus", lambda: workers)
             reports.append(run_normality(cfg))
         a, b = reports
         assert np.array_equal(a.deviations, b.deviations)
@@ -236,7 +238,7 @@ class TestChunking:
     def test_reports_byte_identical(self, monkeypatch, reps_per_chunk):
         whole = self.reports()
         # (p + 1) n floats per replication at the largest n = 80, on one worker.
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", reps_per_chunk * 2 * 80)
         assert self.reports() == whole
 
@@ -252,27 +254,27 @@ class TestWorkers:
         monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 6 * 3 * 90)
         stacks = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
-            stacks.append(montecarlo._replicate(cfg, 0))
+            monkeypatch.setattr(estimator, "_usable_cpus", lambda: workers)
+            stacks.append(_replicate(cfg, 0))
         assert stacks[0].shape == (100, 3, 3)
         assert all(np.array_equal(s, stacks[0]) for s in stacks[1:])
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         cfg = small_config()  # 120 replications, so the second worker starts at 60
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 2 * 2 * 40 * 10)
+        map_chunks = estimator.map_chunks
 
-        seeds = montecarlo.derive_subseed(7, np.arange(120, dtype=np.uint64), 0)
-        first = montecarlo.stream_words(cfg.errors, seeds)[0, 0, 60]
-        draw = montecarlo.draw_error_blocks
+        def failing_off_the_calling_thread(count, size, step, elements=None):
+            def checked(lo, hi):
+                if threading.current_thread() is not threading.main_thread():
+                    raise FloatingPointError(f"drawn on the second worker from {lo}")
+                return step(lo, hi)
 
-        def failing(spec, words, rng, out):
-            if words[0, 0, 0] == first:
-                raise FloatingPointError("drawn on the second worker")
-            return draw(spec, words, rng, out)
+            return map_chunks(count, size, checked, elements)
 
-        monkeypatch.setattr(montecarlo, "draw_error_blocks", failing)
-        with pytest.raises(FloatingPointError, match="second worker"):
+        monkeypatch.setattr(processes, "map_chunks", failing_off_the_calling_thread)
+        with pytest.raises(FloatingPointError, match="second worker from 60"):
             run_consistency(cfg)
 
 

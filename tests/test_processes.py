@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+import eivtls.estimator
 import eivtls.processes
 from eivtls.errors import InvalidParams
 from eivtls.processes import (
@@ -11,13 +12,12 @@ from eivtls.processes import (
     ErrorMatrixSpec,
     ErrorProcessSpec,
     ar1,
-    draw_error_blocks,
     generate_error_blocks,
     generate_error_matrix,
     generate_sequence,
     iid_gaussian,
     ma,
-    stream_words,
+    map_draws,
     theoretical_mixing_bound,
 )
 from eivtls.seeding import column_subseed, stream
@@ -51,9 +51,7 @@ class TestSpecValidation:
 
     def test_convention_violations_rejected(self):
         with pytest.raises(InvalidParams):
-            ErrorProcessSpec(kind="ma", coeffs=(1.0, 1.0), mixing_class="alpha")
-        with pytest.raises(InvalidParams):
-            ErrorProcessSpec(kind="ma", coeffs=(1.0,), mixing_class="phi", delta=1.0)
+            ErrorProcessSpec(kind="ma", coeffs=(1.0,), delta=1.0)
 
     def test_rate_and_moment_metadata_must_be_numbers(self):
         spec = ar1(0.5, delta=3, omega=1)
@@ -173,6 +171,13 @@ class TestErrorMatrix:
         for j in range(2):
             assert 3.84 < w[:, j].var() < 4.16
 
+    def test_config_column_scale_must_be_one(self):
+        d = ErrorMatrixSpec((iid_gaussian(), iid_gaussian()), sigma2=4.0).to_dict()
+        assert ErrorMatrixSpec.from_dict(d).sigma2 == 4.0
+        d["columns"][1]["scale"] = 5.0
+        with pytest.raises(InvalidParams, match="sigma2"):
+            ErrorMatrixSpec.from_dict(d)
+
     def test_deterministic(self):
         spec = ErrorMatrixSpec((ar1(0.2), iid_gaussian()), sigma2=1.0)
         assert np.array_equal(
@@ -223,18 +228,29 @@ class TestErrorBlocks:
         ref, _ = lfilter([1.0], [1.0, -0.6], innov, zi=np.array([0.6 * x0]))
         assert np.array_equal(block[1], ref)
 
-    def test_reused_generator_draws_the_same_blocks(self):
+    def test_reused_generator_draws_the_same_blocks(self, monkeypatch):
+        # Each step reuses one generator for every row of its chunk.
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=0.4)
-        words = stream_words(spec, np.array(self.SEEDS, dtype=np.uint64))
-        out = np.empty((len(self.SEEDS), 3, 200))
-        drawn = draw_error_blocks(spec, words, stream(5), out)
-        assert drawn is out
-        assert np.array_equal(out, generate_error_blocks(spec, 200, self.SEEDS))
+        whole = generate_error_blocks(spec, 200, self.SEEDS)
+        seeds = np.array(self.SEEDS, dtype=np.uint64)
+        monkeypatch.setattr(eivtls.estimator, "_usable_cpus", lambda: 1)
+        for per_chunk in (1, 3):
+            monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", per_chunk * 3 * 200)
+            shapes = []
+
+            def reduce(block):
+                shapes.append(block.shape)
+                return block.copy()
+
+            chunks = map_draws(*spec.column_draws(seeds), 200, reduce)
+            assert shapes == [(min(per_chunk, 4 - lo), 3, 200) for lo in range(0, 4, per_chunk)]
+            assert np.array_equal(np.concatenate(chunks), whole)
 
     def test_any_split_of_the_seeds_gives_the_same_blocks(self):
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
         whole = generate_error_blocks(spec, 200, self.SEEDS)
-        parts = [generate_error_blocks(spec, 200, self.SEEDS[i : i + 3]) for i in (0, 3)]
+        parts = [generate_error_blocks(spec, 200, self.SEEDS[i : i + 3]) for i in (0, 3, 6)]
+        assert parts[-1].shape == (0, 3, 200)
         assert np.array_equal(np.concatenate(parts), whole)
 
     def test_one_generator_draws_every_row(self, monkeypatch):

@@ -3,7 +3,8 @@ import pytest
 from scipy import special
 from scipy import stats as sps
 
-import eivtls.stats as stats_mod
+import eivtls.estimator
+import eivtls.processes
 from eivtls.errors import (
     DegenerateVariance,
     EmptySample,
@@ -153,7 +154,7 @@ class TestCltCheck:
             [generate_sequence(spec, 700, derive_subseed(8, r, 0)).sum() for r in range(500)]
         )
         for workers in (1, 3):  # chunks of 374 and 124 replications
-            monkeypatch.setattr(stats_mod, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(eivtls.estimator, "_usable_cpus", lambda: workers)
             rep = clt_check(spec, n=700, replications=500, seed=8)
             assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
 
@@ -165,7 +166,7 @@ class TestCltCheck:
 
     def test_degenerate_variance(self, monkeypatch):
         monkeypatch.setattr(
-            stats_mod, "_fill_column", lambda spec, scale, rngs, out: out.fill(0.0)
+            eivtls.processes, "_fill_column", lambda spec, scale, rngs, out: out.fill(0.0)
         )
         with pytest.raises(DegenerateVariance):
             clt_check(iid_gaussian(), n=1000, replications=500, seed=0)
