@@ -9,7 +9,6 @@ from .bootstrap import BootstrapCi, BootstrapConfig, block_bootstrap_ci, choose_
 from .estimator import (
     GramFits,
     TlsFit,
-    map_chunks,
     ols_fit,
     ols_from_gram,
     orthogonal_residual_norm,

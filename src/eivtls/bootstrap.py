@@ -10,17 +10,14 @@ moving-block resample's Gram is the sum of its blocks' Grams (Kuensch
 1989).  There are only n - L + 1 blocks of L rows, so the Gram of each is
 computed once, by a batched product over the windows of the data, and so
 is the Gram of each truncated last block; no resample is ever gathered.
-Each resample keeps its own stream of block starts.  ``estimator.map_chunks``
-hands out the resamples in chunks of about ``STARTS_IN_FLIGHT`` starts in
-all, one contiguous share per usable CPU (at the CLI defaults a single
-share, on the calling thread, holds every resample): the PCG64 seed words
-of a chunk's streams are derived at once, a generator of the chunk's own is
-set to each in turn (``seeding.streams``) to draw its starts, and each
-resample's Gram is summed from the two tables one block position at a
-time.  So memory stays at about B (p+1)^2 floats
-plus the tables and one chunk of starts whatever n and L are, and all
-resamples are refitted together by the batched TLS kernel
-``estimator.tls_from_gram``.
+Each resample keeps its own stream of block starts.  The resamples are
+handled on the calling thread in chunks of at most ``STARTS_IN_FLIGHT``
+starts: the PCG64 seed words of a chunk's streams are derived at once, one
+generator is set to each in turn (``seeding.streams``) to draw its starts,
+and each resample's Gram is summed from the two tables one block position
+at a time.  So memory stays at about B (p+1)^2 floats plus the tables and
+one chunk of starts whatever n and L are, and all resamples are refitted
+together by the batched TLS kernel ``estimator.tls_from_gram``.
 """
 
 from __future__ import annotations
@@ -31,8 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlockTooLong, InvalidParams, TooManyRefitFailures
-from .estimator import FIT_OK, TlsFit, map_chunks, tls_fit, tls_from_gram
-from .linalg import as_matrix, as_vector
+from .estimator import FIT_OK, TlsFit, tls_fit, tls_from_gram
+from .linalg import as_integer, as_matrix, as_vector
 from .seeding import derive_subseed, pcg64_seed_words, stream, streams
 from .stats import _icbrt
 
@@ -56,11 +53,14 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if self.block_length != "auto":
-            if int(self.block_length) < 1:
+            length = as_integer(self.block_length, "block_length")
+            if length < 1:
                 raise InvalidParams("block_length must be positive")
-            object.__setattr__(self, "block_length", int(self.block_length))
-        if self.n_boot < 199:
+            object.__setattr__(self, "block_length", length)
+        n_boot = as_integer(self.n_boot, "n_boot")
+        if n_boot < 199:
             raise InvalidParams("need at least 199 bootstrap resamples")
+        object.__setattr__(self, "n_boot", n_boot)
         if not 0.0 < self.level < 1.0:
             raise InvalidParams("level must lie in (0, 1)")
 
@@ -150,12 +150,11 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
         raise BlockTooLong(f"block length {length} exceeds n = {n}")
 
     full, last = _block_tables(np.column_stack([x, y]), length)
-
-    def resamples(lo, hi):
-        return _resample_grams(full, last, _block_starts(n, length, cfg.seed, lo, hi))
-
-    n_blocks = -(-n // length)
-    grams = map_chunks(cfg.n_boot, n_blocks, resamples, elements=STARTS_IN_FLIGHT)
+    per_chunk = max(1, STARTS_IN_FLIGHT // -(-n // length))
+    grams = []
+    for lo in range(0, cfg.n_boot, per_chunk):
+        starts = _block_starts(n, length, cfg.seed, lo, min(lo + per_chunk, cfg.n_boot))
+        grams.append(_resample_grams(full, last, starts))
     refits = tls_from_gram(np.concatenate(grams))
     ok = refits.status == FIT_OK
     failures = int(np.count_nonzero(~ok))

@@ -26,11 +26,11 @@ from .io import (
     write_report_json,
     write_table_csv,
 )
+from .linalg import as_integer
 from .mixing import check_assumptions
 from .model import synthesize
 from .montecarlo import (
     ExperimentConfig,
-    _integer,
     run_consistency,
     run_long_run_check,
     run_normality,
@@ -128,13 +128,13 @@ def _cmd_clt_check(args) -> int:
     d = read_json(args.config)
     try:
         spec = ErrorProcessSpec.from_dict(d["process"])
-        n = args.n if args.n is not None else _integer(d["n"], "n")
+        n = args.n if args.n is not None else as_integer(d["n"], "n")
         reps = (
             args.replications
             if args.replications is not None
-            else _integer(d["replications"], "replications")
+            else as_integer(d["replications"], "replications")
         )
-        seed = args.seed if args.seed is not None else _integer(d.get("seed", 0), "seed")
+        seed = args.seed if args.seed is not None else as_integer(d.get("seed", 0), "seed")
     except KeyError as exc:
         raise InvalidParams(f"clt-check config is missing key {exc}") from None
     except (TypeError, ValueError, AttributeError) as exc:

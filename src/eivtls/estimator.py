@@ -9,21 +9,15 @@ computed as well and cross-checked against the eigenvector ratio.
 The estimate depends on the data only through that (p+1) x (p+1) Gram
 matrix, so every fit in the package runs through one vectorised kernel,
 ``tls_from_gram``, over a stack of Gram matrices; ``tls_fit`` is its
-one-dataset case.  ``map_chunks`` is the package's one chunk engine: it
-calls a plain ``step(lo, hi)`` over chunks of many datasets, one contiguous
-share per usable CPU (the only place that reads the CPU count), so only a
-fixed budget of raw data (``CHUNK_ELEMENTS`` floats unless the caller sets
-another) is held at once.  Every seeded error draw reaches it through
-``processes.map_draws``, and the bootstrap maps its resamples over it
-directly.  No result depends on the chunk size or the CPU count.
+one-dataset case.  ``ols_from_gram`` is the OLS reference on the same
+stacks.  The kernels run on the calling thread; which work is spread over
+threads is decided in ``processes.map_draws`` alone.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +33,6 @@ from .linalg import as_matrix, as_vector
 NONGENERIC_RTOL = 1e-10  # threshold on |v_last| relative to max |v| entry
 EIG_GAP_RTOL = 1e-10  # minimal gap between the two smallest eigenvalues
 CROSS_CHECK_TOL = 1e-7
-
-CHUNK_ELEMENTS = 1 << 18  # default floats of raw data in flight in map_chunks (2 MB)
 
 # Per-row status of tls_from_gram: ok, or the guard that refused the fit.
 FIT_OK = 0
@@ -88,70 +80,6 @@ class GramFits(NamedTuple):
     lam: np.ndarray  # (R,) smallest eigenvalue of each Gram matrix; NaN if not finite
     v: np.ndarray  # (R, p+1) smallest eigenvectors, scaled so v[:, -1] == -1; NaN if not finite
     status: np.ndarray  # (R,) FIT_OK or the FIT_* code of the failing guard
-
-
-def map_chunks(
-    count: int, size: int, step: Callable[[int, int], object], elements: int | None = None
-) -> list:
-    """Results of ``step(lo, hi)`` over consecutive chunks of ``count`` datasets of ``size`` floats.
-
-    The datasets are split into one contiguous share per usable CPU (the
-    calling thread takes the first, each other share gets its own thread),
-    and each share into chunks of ``rows`` datasets, where
-    ``rows * size * shares`` is about ``elements`` floats (``CHUNK_ELEMENTS``
-    by default): the raw data held at once across all threads.  ``step``
-    handles datasets ``lo .. hi-1`` (at most ``rows`` of them) and runs on
-    several threads at once, so it keeps its scratch state to itself.  The
-    results come back in dataset order, so when each depends on its own
-    datasets only they are the same for any chunk size and any CPU count.
-    """
-    workers = _usable_cpus()
-    elements = CHUNK_ELEMENTS if elements is None else elements
-    rows = max(1, elements // (workers * size))
-    workers = max(1, min(workers, -(-count // rows)))
-    bounds = [count * w // workers for w in range(workers + 1)]
-
-    def share(w: int) -> list:
-        lo, hi = bounds[w], bounds[w + 1]
-        return [step(start, min(start + rows, hi)) for start in range(lo, hi, rows)]
-
-    return [part for parts in _in_threads(share, workers) for part in parts]
-
-
-def _in_threads(fn: Callable[[int], list], count: int) -> list:
-    """``[fn(0), ..., fn(count - 1)]``, each on its own thread; ``fn(0)`` on the calling one.
-
-    The first exception raised by any call is raised here, after every
-    thread has finished.
-    """
-    results: list = [None] * count
-    errors: list[BaseException] = []
-
-    def run(i: int) -> None:
-        try:
-            results[i] = fn(i)
-        except BaseException as exc:  # handed to the calling thread below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, count)]
-    for t in threads:
-        t.start()
-    try:
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS reports one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _solve_leading(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

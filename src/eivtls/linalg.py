@@ -2,6 +2,8 @@
 
 Matrices and vectors are plain ``numpy`` float arrays; ``as_matrix`` and
 ``as_vector`` are their public constructors and reject non-finite entries.
+``as_integer`` reads a count (a sample size, a replication or resample
+count, a block length, a seed) and refuses a fraction.
 The numerical kernels call ``numpy`` (LAPACK) directly.
 """
 
@@ -30,3 +32,10 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise InvalidParams("vector entries must be finite")
     return w
+
+
+def as_integer(value, name: str) -> int:
+    """``int(value)``; InvalidParams for a float that is not a whole number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidParams(f"{name} must be a whole number, got {value!r}")
+    return int(value)

@@ -7,9 +7,9 @@ Gram matrices of ``[x, y]``: it builds the design part once and draws the
 errors through ``processes.map_draws``, which maps chunks of replications
 over one thread per CPU the process may run on (its CPU affinity); each
 chunk's errors get the signal added and are reduced to their Grams at
-once.  The raw data in flight across all threads is about
-``estimator.CHUNK_ELEMENTS`` floats, so memory stays at about R (p+1)^2
-floats plus that budget.  Each experiment reduces the stack:
+once.  ``map_draws`` holds the raw data in flight across all threads to
+one fixed budget of floats, so memory stays at about R (p+1)^2 floats
+plus that budget.  Each experiment reduces the stack:
 consistency and normality fit it with the batched TLS kernel
 ``estimator.tls_from_gram`` (consistency also takes OLS from the same
 Grams), and the long-run check takes the scores ``G [beta; -1]``.  Every
@@ -33,7 +33,7 @@ from .estimator import (
     ols_from_gram,
     tls_from_gram,
 )
-from .linalg import as_vector
+from .linalg import as_integer, as_vector
 from .mixing import AssumptionReport, check_assumptions
 from .model import DesignSpec, build_design
 from .processes import ErrorMatrixSpec, map_draws
@@ -54,13 +54,6 @@ __all__ = [
 ]
 
 
-def _integer(value, name: str) -> int:
-    """``int(value)``; InvalidParams for a float that is not a whole number."""
-    if isinstance(value, float) and not value.is_integer():
-        raise InvalidParams(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     design: DesignSpec
@@ -74,7 +67,7 @@ class ExperimentConfig:
     def __post_init__(self):
         beta = as_vector(self.beta)
         object.__setattr__(self, "beta", beta)
-        grid = tuple(_integer(n, "every n_grid entry") for n in self.n_grid)
+        grid = tuple(as_integer(n, "every n_grid entry") for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if not grid:
             raise InvalidParams("n_grid must not be empty")
@@ -109,8 +102,8 @@ class ExperimentConfig:
                 beta=np.asarray(d["beta"], dtype=float),
                 errors=ErrorMatrixSpec.from_dict(d["errors"]),
                 n_grid=tuple(d["n_grid"]),
-                replications=_integer(d["replications"], "replications"),
-                master_seed=_integer(d["master_seed"], "master_seed"),
+                replications=as_integer(d["replications"], "replications"),
+                master_seed=as_integer(d["master_seed"], "master_seed"),
                 theorem=d.get("theorem", "AN-alpha"),
             )
         except KeyError as exc:

@@ -15,12 +15,15 @@ All generators are pure functions of (spec, n, seed) and are scaled so the
 marginal standard deviation equals ``scale`` exactly in population.
 
 Every seeded draw of many rows goes through ``map_draws``: it derives the
-PCG64 seed words of all rows' streams at once and has
-``estimator.map_chunks`` hand out chunks of blocks; each chunk is filled
-with one scratch generator set to each row's stream in turn, filtered as
-one array (AR(1) by one ``lfilter`` along the last axis, MA(q) by one
-shifted-slice sum) and passed to the caller's ``reduce``.  The Monte Carlo
-experiments reduce to Gram matrices, ``stats.clt_check`` to row sums, and
+PCG64 seed words of all rows' streams at once and hands out chunks of
+blocks, one contiguous share per usable CPU, within a budget of
+``CHUNK_ELEMENTS`` floats in flight.  This is the only place in the package
+that reads the CPU count or starts a thread: the draws are the work
+measured to run faster on more threads.  Each chunk is filled with one
+scratch generator set to each row's stream in turn, filtered as one array
+(AR(1) by one ``lfilter`` along the last axis, MA(q) by one shifted-slice
+sum) and passed to the caller's ``reduce``.  The Monte Carlo experiments
+reduce to Gram matrices, ``stats.clt_check`` to row sums, and
 ``generate_error_blocks`` (so ``generate_error_matrix``, ``gen`` and
 ``synthesize``) keeps the blocks.  A row depends only on its seed, never on
 the chunk or thread that draws it.  ``scipy.signal`` is imported only when
@@ -29,13 +32,14 @@ an AR(1) column is drawn; iid and MA(q) columns need numpy alone.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParams
-from .estimator import map_chunks
 from .seeding import column_subseed, pcg64_seed_words, stream, streams
 
 # Marker returned by theoretical_mixing_bound where the finite-range
@@ -45,6 +49,8 @@ UNBOUNDED_BELOW_RANGE = "unbounded-below-range"
 MIXING_ALPHA = "alpha"
 MIXING_PHI = "phi"
 MIXING_INDEPENDENT = "independent"
+
+CHUNK_ELEMENTS = 1 << 18  # floats of raw error data in flight in map_draws (2 MB)
 
 
 @dataclass(frozen=True)
@@ -200,9 +206,9 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
 
     ``columns`` holds C (process, sd) pairs; row j of block r is a draw of
     ``columns[j]`` from ``stream(seeds[j, r])``.  The PCG64 seed words of
-    all C R streams are derived once; ``estimator.map_chunks`` hands each
-    step a range of blocks, which it draws into its own (k, C, n) array
-    with its own scratch generator.  The results come back in block order.
+    all C R streams are derived once; ``_map_chunks`` hands each step a
+    range of blocks, which it draws into its own (k, C, n) array with its
+    own scratch generator.  The results come back in block order.
     """
     words = pcg64_seed_words(seeds)
 
@@ -213,7 +219,68 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
             _fill_column(spec, sd, streams(rng, words[:, j, lo:hi]), block[:, j])
         return reduce(block)
 
-    return map_chunks(seeds.shape[1], len(columns) * n, step)
+    return _map_chunks(seeds.shape[1], len(columns) * n, step)
+
+
+def _map_chunks(count: int, size: int, step: Callable[[int, int], object]) -> list:
+    """Results of ``step(lo, hi)`` over consecutive chunks of ``count`` blocks of ``size`` floats.
+
+    The blocks are split into one contiguous share per usable CPU (the
+    calling thread takes the first, each other share gets its own thread),
+    and each share into chunks of ``rows`` blocks, where
+    ``rows * size * shares`` is about ``CHUNK_ELEMENTS`` floats: the raw
+    data held at once across all threads.  ``step`` handles blocks
+    ``lo .. hi-1`` (at most ``rows`` of them) and runs on several threads
+    at once, so it keeps its scratch state to itself.  The results come
+    back in block order, so when each depends on its own blocks only they
+    are the same for any chunk size and any CPU count.
+    """
+    workers = _usable_cpus()
+    rows = max(1, CHUNK_ELEMENTS // (workers * size))
+    workers = max(1, min(workers, -(-count // rows)))
+    bounds = [count * w // workers for w in range(workers + 1)]
+
+    def share(w: int) -> list:
+        lo, hi = bounds[w], bounds[w + 1]
+        return [step(start, min(start + rows, hi)) for start in range(lo, hi, rows)]
+
+    return [part for parts in _in_threads(share, workers) for part in parts]
+
+
+def _in_threads(fn: Callable[[int], list], count: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]``, each on its own thread; ``fn(0)`` on the calling one.
+
+    The first exception raised by any call is raised here, after every
+    thread has finished.
+    """
+    results: list = [None] * count
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            results[i] = fn(i)
+        except BaseException as exc:  # handed to the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, count)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def generate_sequence(spec: ErrorProcessSpec, n: int, seed: int) -> np.ndarray:

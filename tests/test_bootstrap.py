@@ -1,10 +1,10 @@
-import sys
+import threading
 
 import numpy as np
 import pytest
 
 import eivtls.bootstrap as bootstrap_mod
-import eivtls.estimator
+import eivtls.processes
 from eivtls.bootstrap import (
     BootstrapCi,
     BootstrapConfig,
@@ -63,6 +63,16 @@ class TestBootstrapConfig:
             BootstrapConfig(n_boot=100)
         with pytest.raises(InvalidParams):
             BootstrapConfig(level=1.0)
+
+    def test_fractional_resample_count_refused(self):
+        with pytest.raises(InvalidParams, match="n_boot must be a whole number"):
+            BootstrapConfig(n_boot=199.5)
+        assert BootstrapConfig(n_boot=250.0).n_boot == 250
+
+    def test_fractional_block_length_refused(self):
+        with pytest.raises(InvalidParams, match="block_length must be a whole number"):
+            BootstrapConfig(block_length=2.5)
+        assert BootstrapConfig(block_length=3.0).block_length == 3
 
     def test_auto_passthrough(self):
         assert BootstrapConfig().block_length == "auto"
@@ -168,24 +178,21 @@ class TestBlockBootstrapCi:
         monkeypatch.setattr(bootstrap_mod, "STARTS_IN_FLIGHT", 7 * 50)
         assert block_bootstrap_ci(x, y, cfg).to_dict() == whole
 
-    def test_independent_of_cpu_count(self, monkeypatch):
+    def test_starts_no_thread(self, monkeypatch):
         x, y = make_dataset(300, seed=6, dependent=True)
         cfg = BootstrapConfig(block_length=1, n_boot=199, seed=4)
         whole = block_bootstrap_ci(x, y, cfg).to_dict()
-        # 300 one-row blocks per resample: chunks of 30 resamples on one CPU
-        # and of 10 on each of three (about 66 resamples per CPU).
-        monkeypatch.setattr(bootstrap_mod, "STARTS_IN_FLIGHT", 3 * 10 * 300)
-        # Switch threads often and run the three-CPU case several times, so a
-        # generator shared between chunks, reseeded by one thread while
-        # another draws from it, would show.
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for cpus in (1, 3, 3, 3, 3, 3):
-                monkeypatch.setattr(eivtls.estimator, "_usable_cpus", lambda: cpus)
-                assert block_bootstrap_ci(x, y, cfg).to_dict() == whole
-        finally:
-            sys.setswitchinterval(switch)
+        # Three usable CPUs, and 300 one-row blocks per resample in chunks
+        # of 10 resamples: the draws would be spread over threads if the
+        # bootstrap used any.
+        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(bootstrap_mod, "STARTS_IN_FLIGHT", 10 * 300)
+
+        def refuse(thread):
+            raise AssertionError(f"the bootstrap started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert block_bootstrap_ci(x, y, cfg).to_dict() == whole
 
     def test_to_dict_serializable(self):
         import json

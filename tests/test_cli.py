@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eivtls
-import eivtls.estimator
+import eivtls.processes
 import eivtls.montecarlo
 from eivtls.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from eivtls.estimator import FIT_EIG_GAP, FIT_NONGENERIC, tls_from_gram
@@ -424,10 +424,10 @@ class TestExperimentCommands:
         # (p + 1) n = 160 floats per replication at n = 80: chunks of 15
         # replications on one worker and of 5 on each of three (about 33
         # replications per worker), so every worker draws several chunks.
-        monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", 3 * 5 * 160)
+        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 3 * 5 * 160)
         outs = []
         for workers, threads in ((1, 1), (3, 8)):
-            monkeypatch.setattr(eivtls.estimator, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
             out, tables = tmp_path / f"mc{workers}.json", tmp_path / f"mc{workers}.csv"
             argv = ["--threads", threads, "--out", out, "--tables", tables]
             assert run("mc-consistency", "--config", config_path, *argv) == EXIT_OK

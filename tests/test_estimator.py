@@ -1,9 +1,6 @@
-import threading
-
 import numpy as np
 import pytest
 
-import eivtls.estimator
 from eivtls.errors import (
     DimensionMismatch,
     IllConditioned,
@@ -18,7 +15,6 @@ from eivtls.estimator import (
     FIT_NOT_SPD,
     FIT_OK,
     NONGENERIC_RTOL,
-    map_chunks,
     ols_fit,
     ols_from_gram,
     orthogonal_residual_norm,
@@ -236,35 +232,6 @@ class TestTlsFromGram:
         # Finite data whose Gram matrix overflows.
         with np.errstate(over="ignore"), pytest.raises(IllConditioned, match="non-finite"):
             tls_fit(1e200 * GOLDEN_X, 1e200 * GOLDEN_Y)
-
-    def test_gram_stack_independent_of_chunking(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(23, 3, 40))
-
-        def grams(lo, hi):
-            return data[lo:hi] @ data[lo:hi].mT
-
-        full = np.concatenate(map_chunks(23, 120, grams))
-        np.testing.assert_allclose(full, data @ data.mT, rtol=1e-14)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(eivtls.estimator, "_usable_cpus", lambda: workers)
-            monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", workers * 7 * 120)
-            seen = []
-
-            def step(lo, hi):
-                seen.append((threading.current_thread().name, lo, hi))
-                return grams(lo, hi)
-
-            assert np.array_equal(np.concatenate(map_chunks(23, 120, step)), full)
-            # One contiguous share per worker, each on its own thread, in
-            # chunks of at most 7 rows.
-            shares = {}
-            for name, lo, hi in seen:
-                shares.setdefault(name, []).append((lo, hi))
-            bounds = [23 * w // workers for w in range(workers + 1)]
-            spans = zip(bounds, bounds[1:])
-            chunks = [[(s, min(s + 7, hi)) for s in range(lo, hi, 7)] for lo, hi in spans]
-            assert sorted(shares.values()) == chunks
 
 
 class TestOls:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eivtls.errors import InvalidParams
-from eivtls.linalg import as_matrix, as_vector
+from eivtls.linalg import as_integer, as_matrix, as_vector
 
 
 class TestValidators:
@@ -17,3 +17,9 @@ class TestValidators:
             as_matrix([1.0, 2.0])
         with pytest.raises(InvalidParams):
             as_vector([[1.0]])
+
+    def test_integer_refuses_fractions(self):
+        assert as_integer(7.0, "n") == 7 and as_integer(7, "n") == 7
+        for value in (2.5, np.nan, np.inf):
+            with pytest.raises(InvalidParams, match="n must be a whole number"):
+                as_integer(value, "n")

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from eivtls import estimator, processes
+from eivtls import processes
 from eivtls.errors import InvalidParams
 from eivtls.model import repeating_block
 from eivtls.montecarlo import (
@@ -131,10 +131,10 @@ class TestRunConsistency:
         cfg = small_config(reps=100, n_grid=(40,))
         # 2 n = 80 floats per replication: chunks of 15 replications on one
         # worker, 5 on each of three (about 33 replications per worker).
-        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 3 * 5 * 80)
+        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 3 * 5 * 80)
         reports = []
         for workers in (1, 3):
-            monkeypatch.setattr(estimator, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
             reports.append(json.dumps(run_consistency(cfg).to_dict()))
         assert reports[0] == reports[1]
 
@@ -153,10 +153,10 @@ class TestRunNormality:
         cfg = small_config(reps=150, n_grid=(200,))
         # 2 n = 400 floats per replication: chunks of 21 replications on one
         # worker, 7 on each of three (50 replications per worker).
-        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 3 * 7 * 400)
+        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 3 * 7 * 400)
         reports = []
         for workers in (1, 3):
-            monkeypatch.setattr(estimator, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
             reports.append(run_normality(cfg))
         a, b = reports
         assert np.array_equal(a.deviations, b.deviations)
@@ -238,8 +238,8 @@ class TestChunking:
     def test_reports_byte_identical(self, monkeypatch, reps_per_chunk):
         whole = self.reports()
         # (p + 1) n floats per replication at the largest n = 80, on one worker.
-        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", reps_per_chunk * 2 * 80)
+        monkeypatch.setattr(processes, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", reps_per_chunk * 2 * 80)
         assert self.reports() == whole
 
 
@@ -251,29 +251,29 @@ class TestWorkers:
         cfg = default_config(path, beta=(1.0, -2.0), n_grid=(90,), replications=100)
         # 6 replications of (p + 1) n = 270 floats in flight: chunks of 6, 3
         # and 2 replications, so every worker draws many chunks.
-        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 6 * 3 * 90)
+        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 6 * 3 * 90)
         stacks = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(estimator, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
             stacks.append(_replicate(cfg, 0))
         assert stacks[0].shape == (100, 3, 3)
         assert all(np.array_equal(s, stacks[0]) for s in stacks[1:])
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         cfg = small_config()  # 120 replications, so the second worker starts at 60
-        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(estimator, "CHUNK_ELEMENTS", 2 * 2 * 40 * 10)
-        map_chunks = estimator.map_chunks
+        monkeypatch.setattr(processes, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 2 * 2 * 40 * 10)
+        map_chunks = processes._map_chunks
 
-        def failing_off_the_calling_thread(count, size, step, elements=None):
+        def failing_off_the_calling_thread(count, size, step):
             def checked(lo, hi):
                 if threading.current_thread() is not threading.main_thread():
                     raise FloatingPointError(f"drawn on the second worker from {lo}")
                 return step(lo, hi)
 
-            return map_chunks(count, size, checked, elements)
+            return map_chunks(count, size, checked)
 
-        monkeypatch.setattr(processes, "map_chunks", failing_off_the_calling_thread)
+        monkeypatch.setattr(processes, "_map_chunks", failing_off_the_calling_thread)
         with pytest.raises(FloatingPointError, match="second worker from 60"):
             run_consistency(cfg)
 

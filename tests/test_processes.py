@@ -1,10 +1,10 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-import eivtls.estimator
 import eivtls.processes
 from eivtls.errors import InvalidParams
 from eivtls.processes import (
@@ -20,6 +20,7 @@ from eivtls.processes import (
     map_draws,
     theoretical_mixing_bound,
 )
+from eivtls.processes import _map_chunks
 from eivtls.seeding import column_subseed, stream
 
 N = 100_000
@@ -233,9 +234,9 @@ class TestErrorBlocks:
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=0.4)
         whole = generate_error_blocks(spec, 200, self.SEEDS)
         seeds = np.array(self.SEEDS, dtype=np.uint64)
-        monkeypatch.setattr(eivtls.estimator, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
         for per_chunk in (1, 3):
-            monkeypatch.setattr(eivtls.estimator, "CHUNK_ELEMENTS", per_chunk * 3 * 200)
+            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", per_chunk * 3 * 200)
             shapes = []
 
             def reduce(block):
@@ -268,3 +269,34 @@ class TestErrorBlocks:
     def test_n_positive(self):
         with pytest.raises(InvalidParams):
             generate_error_blocks(ErrorMatrixSpec((iid_gaussian(),) * 2), 0, [1])
+
+
+class TestMapChunks:
+    def test_gram_stack_independent_of_chunking(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(23, 3, 40))
+
+        def grams(lo, hi):
+            return data[lo:hi] @ data[lo:hi].mT
+
+        full = np.concatenate(_map_chunks(23, 120, grams))
+        np.testing.assert_allclose(full, data @ data.mT, rtol=1e-14)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", workers * 7 * 120)
+            seen = []
+
+            def step(lo, hi):
+                seen.append((threading.current_thread().name, lo, hi))
+                return grams(lo, hi)
+
+            assert np.array_equal(np.concatenate(_map_chunks(23, 120, step)), full)
+            # One contiguous share per worker, each on its own thread, in
+            # chunks of at most 7 rows.
+            shares = {}
+            for name, lo, hi in seen:
+                shares.setdefault(name, []).append((lo, hi))
+            bounds = [23 * w // workers for w in range(workers + 1)]
+            spans = zip(bounds, bounds[1:])
+            chunks = [[(s, min(s + 7, hi)) for s in range(lo, hi, 7)] for lo, hi in spans]
+            assert sorted(shares.values()) == chunks

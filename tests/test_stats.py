@@ -3,7 +3,7 @@ import pytest
 from scipy import special
 from scipy import stats as sps
 
-import eivtls.estimator
+import eivtls.processes
 import eivtls.processes
 from eivtls.errors import (
     DegenerateVariance,
@@ -154,7 +154,7 @@ class TestCltCheck:
             [generate_sequence(spec, 700, derive_subseed(8, r, 0)).sum() for r in range(500)]
         )
         for workers in (1, 3):  # chunks of 374 and 124 replications
-            monkeypatch.setattr(eivtls.estimator, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
             rep = clt_check(spec, n=700, replications=500, seed=8)
             assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
 
