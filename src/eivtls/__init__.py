@@ -11,7 +11,6 @@ from .estimator import (
     TlsFit,
     ols_fit,
     ols_from_gram,
-    orthogonal_residual_norm,
     tls_fit,
     tls_from_gram,
 )
@@ -20,7 +19,6 @@ from .mixing import (
     FiniteJoint,
     alpha_between,
     check_assumptions,
-    empirical_alpha_lag,
     phi_between,
 )
 from .model import (
@@ -48,13 +46,11 @@ from .processes import (
     ErrorMatrixSpec,
     ErrorProcessSpec,
     ar1,
-    generate_error_blocks,
     generate_error_matrix,
     generate_sequence,
     iid_gaussian,
     ma,
     map_draws,
-    theoretical_mixing_bound,
 )
 from .stats import (
     CltCheckReport,

@@ -199,20 +199,3 @@ def ols_fit(x, y) -> np.ndarray:
     """Ordinary least squares reference fit (attenuated under covariate error)."""
     return ols_from_gram(_joint_gram(x, y)[1])[0]
 
-
-def orthogonal_residual_norm(x, y, beta) -> float:
-    """Frobenius norm of the smallest correction aligning the data with ``beta``.
-
-    Each row's minimal correction is its orthogonal distance to the
-    hyperplane ``{(u, v): u @ beta = v}``; at the TLS estimate this equals
-    the square root of the fitted eigenvalue.
-    """
-    x = as_matrix(x)
-    y = as_vector(y)
-    beta = as_vector(beta)
-    if y.shape[0] != x.shape[0]:
-        raise DimensionMismatch("x and y row counts differ")
-    if beta.shape[0] != x.shape[1]:
-        raise DimensionMismatch("beta length must match x columns")
-    resid = x @ beta - y
-    return float(np.linalg.norm(resid) / np.sqrt(1.0 + beta @ beta))

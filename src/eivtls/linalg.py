@@ -3,7 +3,7 @@
 Matrices and vectors are plain ``numpy`` float arrays; ``as_matrix`` and
 ``as_vector`` are their public constructors and reject non-finite entries.
 ``as_integer`` reads a count (a sample size, a replication or resample
-count, a block length, a seed) and refuses a fraction.
+count, a block length, a seed) and refuses a fraction, a string and a bool.
 The numerical kernels call ``numpy`` (LAPACK) directly.
 """
 
@@ -35,7 +35,12 @@ def as_vector(v) -> np.ndarray:
 
 
 def as_integer(value, name: str) -> int:
-    """``int(value)``; InvalidParams for a float that is not a whole number."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)``; InvalidParams for a string, a bool or a float that is not a whole number.
+
+    Python and numpy integers, and whole-number floats, are accepted.
+    """
+    if isinstance(value, (str, bool, np.bool_)) or (
+        isinstance(value, (float, np.floating)) and not float(value).is_integer()
+    ):
         raise InvalidParams(f"{name} must be a whole number, got {value!r}")
     return int(value)

@@ -6,7 +6,8 @@ phi) coefficient ranges over all pairs of events, i.e. over all subsets of
 the two supports.  We enumerate every subset A of the first support; for a
 fixed A the optimal B consists of exactly those columns with a positive
 discrepancy, so the inner supremum is closed-form and the search stays
-exact while costing 2^k instead of 2^k * 2^l.
+exact while costing 2^k instead of 2^k * 2^l.  Unlike alpha, phi is not
+symmetric in its two variables: ``FiniteJoint.transposed`` swaps them.
 
 The theorem assumption checker evaluates declared process metadata (rate
 exponents, moment surpluses) -- mixing rates are not statistically
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidParams, MissingMetadata, SupportTooLarge
+from .errors import InvalidParams, MissingMetadata, SupportTooLarge
 from .model import DesignSpec
 from .processes import (
     MIXING_ALPHA,
@@ -27,15 +28,8 @@ from .processes import (
     ErrorMatrixSpec,
     ErrorProcessSpec,
 )
-from .seeding import stream
 
 MAX_SUPPORT = 12
-
-EMPIRICAL_ALPHA_CAVEAT = (
-    "lower bound on the single-coordinate dependence at this lag; the "
-    "full-filtration mixing coefficient supremizes over entire past/future "
-    "sigma-fields and is not computable from data"
-)
 
 
 @dataclass(frozen=True)
@@ -43,8 +37,6 @@ class FiniteJoint:
     """Joint pmf of two finite discrete variables (rows: U, columns: V)."""
 
     pmf: np.ndarray
-    support_u: tuple | None = None
-    support_v: tuple | None = None
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
@@ -55,15 +47,9 @@ class FiniteJoint:
         if abs(pmf.sum() - 1.0) > 1e-12:
             raise InvalidParams(f"pmf mass is {pmf.sum()!r}, not 1")
         object.__setattr__(self, "pmf", pmf)
-        if self.support_u is None:
-            object.__setattr__(self, "support_u", tuple(range(pmf.shape[0])))
-        if self.support_v is None:
-            object.__setattr__(self, "support_v", tuple(range(pmf.shape[1])))
-        if len(self.support_u) != pmf.shape[0] or len(self.support_v) != pmf.shape[1]:
-            raise InvalidParams("support labels do not match pmf shape")
 
     def transposed(self) -> "FiniteJoint":
-        return FiniteJoint(self.pmf.T, self.support_v, self.support_u)
+        return FiniteJoint(self.pmf.T)
 
 
 def _subset_row_sums(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,50 +80,6 @@ def phi_between(j: FiniteJoint) -> float:
     cond = pa_joint[pos] / pa[pos, None]
     disc = cond - pv[None, :]
     return float(np.max(np.clip(disc, 0.0, None).sum(axis=1), initial=0.0))
-
-
-def find_phi_asymmetry_witness(seed: int = 7, max_tries: int = 10_000) -> FiniteJoint:
-    """Search for a 2x3 joint with phi(U;V) != phi(V;U).
-
-    Existence of such a joint demonstrates that the uniform-mixing
-    coefficient, unlike the strong-mixing one, is not symmetric in its two
-    sigma-fields.
-    """
-    rng = stream(seed)
-    for _ in range(max_tries):
-        pmf = rng.random((2, 3))
-        pmf /= pmf.sum()
-        j = FiniteJoint(pmf)
-        if abs(phi_between(j) - phi_between(j.transposed())) > 0.05:
-            return j
-    raise RuntimeError("no asymmetric joint found; search budget exhausted")
-
-
-def empirical_alpha_lag(x, lag: int, bins: int) -> float:
-    """Plug-in lower-bound diagnostic for the lag-``lag`` dependence of ``x``.
-
-    Discretizes the (x_i, x_{i+lag}) pairs by marginal quantile binning and
-    returns the exact alpha coefficient of the binned joint.  This is a lower
-    bound on the single-coordinate dependence only; see
-    ``EMPIRICAL_ALPHA_CAVEAT``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidParams("x must be a 1-d sequence")
-    if not 2 <= bins <= 8:
-        raise InvalidParams("bins must be between 2 and 8")
-    if lag < 1:
-        raise InvalidParams("lag must be >= 1")
-    m = x.shape[0] - lag
-    if m < 100:
-        raise InsufficientData(f"need at least 100 pairs, have {m}")
-    u, v = x[:m], x[lag:]
-    qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    iu = np.digitize(u, np.quantile(u, qs))
-    iv = np.digitize(v, np.quantile(v, qs))
-    counts = np.zeros((bins, bins))
-    np.add.at(counts, (iu, iv), 1.0)
-    return alpha_between(FiniteJoint(counts / m))
 
 
 # -- theorem assumption checking ---------------------------------------------

@@ -69,6 +69,8 @@ class ExperimentConfig:
         object.__setattr__(self, "beta", beta)
         grid = tuple(as_integer(n, "every n_grid entry") for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
+        for name in ("replications", "master_seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if not grid:
             raise InvalidParams("n_grid must not be empty")
         if list(grid) != sorted(set(grid)):
@@ -102,8 +104,8 @@ class ExperimentConfig:
                 beta=np.asarray(d["beta"], dtype=float),
                 errors=ErrorMatrixSpec.from_dict(d["errors"]),
                 n_grid=tuple(d["n_grid"]),
-                replications=as_integer(d["replications"], "replications"),
-                master_seed=as_integer(d["master_seed"], "master_seed"),
+                replications=d["replications"],
+                master_seed=d["master_seed"],
                 theorem=d.get("theorem", "AN-alpha"),
             )
         except KeyError as exc:

@@ -2,7 +2,7 @@
 
 Three generator kinds are provided:
 
-* ``iid_gaussian`` -- independent N(0, scale^2) draws.
+* ``iid_gaussian`` -- independent Gaussian draws.
 * ``ma`` -- Gaussian moving average of order q.  The output is q-dependent,
   so its uniform-mixing coefficient vanishes beyond lag q; this is the
   phi-mixing exemplar.
@@ -11,23 +11,28 @@ Three generator kinds are provided:
   (constant 1) is metadata consumed by the assumption checker, not a derived
   bound.
 
-All generators are pure functions of (spec, n, seed) and are scaled so the
-marginal standard deviation equals ``scale`` exactly in population.
+A spec fixes a column's shape, not its amplitude: a draw is scaled so its
+marginal standard deviation is exactly the sd it is drawn at, sqrt(sigma2)
+for every column of an error matrix and 1 for ``generate_sequence``.  All
+draws are pure functions of (spec, n, seed).
 
-Every seeded draw of many rows goes through ``map_draws``: it derives the
-PCG64 seed words of all rows' streams at once and hands out chunks of
-blocks, one contiguous share per usable CPU, within a budget of
-``CHUNK_ELEMENTS`` floats in flight.  This is the only place in the package
-that reads the CPU count or starts a thread: the draws are the work
-measured to run faster on more threads.  Each chunk is filled with one
-scratch generator set to each row's stream in turn, filtered as one array
-(AR(1) by one ``lfilter`` along the last axis, MA(q) by one shifted-slice
-sum) and passed to the caller's ``reduce``.  The Monte Carlo experiments
-reduce to Gram matrices, ``stats.clt_check`` to row sums, and
-``generate_error_blocks`` (so ``generate_error_matrix``, ``gen`` and
-``synthesize``) keeps the blocks.  A row depends only on its seed, never on
-the chunk or thread that draws it.  ``scipy.signal`` is imported only when
-an AR(1) column is drawn; iid and MA(q) columns need numpy alone.
+A single seed is drawn through ``seeding.stream``, one generator per
+column (``generate_sequence``, ``generate_error_matrix``, so ``gen`` and
+``synthesize``).  Every seeded draw of many rows goes through
+``map_draws``: it derives the PCG64 seed words of all rows' streams at
+once and hands out chunks of blocks, one contiguous share per usable CPU,
+within a budget of ``CHUNK_ELEMENTS`` floats in flight.  This is the only
+place in the package that reads the CPU count or starts a thread: the
+draws are the work measured to run faster on more threads.  Each chunk is
+filled with one scratch generator set to each row's stream in turn,
+filtered as one array (AR(1) by one ``lfilter`` along the last axis, MA(q)
+by one shifted-slice sum) and passed to the caller's ``reduce``.  The
+Monte Carlo experiments reduce to Gram matrices and ``stats.clt_check`` to
+row sums.  A row depends only on its seed, never on the chunk or thread
+that draws it, so block r of ``map_draws`` equals the transposed
+``generate_error_matrix`` of seed r bit for bit.  ``scipy.signal`` is
+imported only when an AR(1) column is drawn; iid and MA(q) columns need
+numpy alone.
 """
 
 from __future__ import annotations
@@ -42,10 +47,6 @@ import numpy as np
 from .errors import InvalidParams
 from .seeding import column_subseed, pcg64_seed_words, stream, streams
 
-# Marker returned by theoretical_mixing_bound where the finite-range
-# convention gives no usable bound.
-UNBOUNDED_BELOW_RANGE = "unbounded-below-range"
-
 MIXING_ALPHA = "alpha"
 MIXING_PHI = "phi"
 MIXING_INDEPENDENT = "independent"
@@ -58,7 +59,6 @@ class ErrorProcessSpec:
     """One error column: generator kind plus mixing/moment metadata."""
 
     kind: str  # "iid_gaussian" | "ma" | "ar1"
-    scale: float = 1.0
     coeffs: tuple[float, ...] | None = None  # MA coefficients c_0..c_q
     a: float | None = None  # AR(1) coefficient
     delta: float | None = None  # polynomial rate exponent in n^(-1-delta)
@@ -76,8 +76,6 @@ class ErrorProcessSpec:
             raise InvalidParams("delta must be a number, got nan")
         if self.omega is not None and not self.omega > 0:
             raise InvalidParams(f"omega must be positive, got {self.omega!r}")
-        if self.scale <= 0 or not np.isfinite(self.scale):
-            raise InvalidParams("scale must be positive and finite")
         if self.kind == "ma":
             if not self.coeffs:
                 raise InvalidParams("ma spec needs at least one coefficient")
@@ -110,7 +108,8 @@ class ErrorProcessSpec:
         return self.kind in ("ma", "iid_gaussian")
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "scale": self.scale, "stationary": True}
+        # Fixed keys: every column is stationary, and its sd is set by the draw.
+        out = {"kind": self.kind, "scale": 1.0, "stationary": True}
         if self.coeffs is not None:
             out["coeffs"] = list(self.coeffs)
         if self.a is not None:
@@ -125,46 +124,37 @@ class ErrorProcessSpec:
     def from_dict(cls, d: dict) -> "ErrorProcessSpec":
         if d.get("stationary", True) is not True:
             raise InvalidParams("every generator is stationary; stationary must be true")
+        if d.get("scale", 1.0) != 1.0:
+            raise InvalidParams(
+                f"scale must be 1, got {d['scale']!r}: error-matrix columns are drawn "
+                "at sd sqrt(sigma2), a clt-check process at sd 1"
+            )
         kind = d.get("kind")
         if kind == "iid_gaussian":
-            return iid_gaussian(scale=d.get("scale", 1.0), omega=d.get("omega"))
+            return iid_gaussian(omega=d.get("omega"))
         if kind == "ma":
-            return ma(
-                tuple(d.get("coeffs", ())),
-                scale=d.get("scale", 1.0),
-                omega=d.get("omega"),
-            )
+            return ma(tuple(d.get("coeffs", ())), omega=d.get("omega"))
         if kind == "ar1":
-            return ar1(
-                d.get("a"),
-                scale=d.get("scale", 1.0),
-                delta=d.get("delta"),
-                omega=d.get("omega"),
-            )
+            return ar1(d.get("a"), delta=d.get("delta"), omega=d.get("omega"))
         raise InvalidParams(f"unknown process kind {kind!r}")
 
 
-def iid_gaussian(scale: float = 1.0, omega: float | None = None) -> ErrorProcessSpec:
-    return ErrorProcessSpec(kind="iid_gaussian", scale=scale, omega=omega)
+def iid_gaussian(omega: float | None = None) -> ErrorProcessSpec:
+    return ErrorProcessSpec(kind="iid_gaussian", omega=omega)
 
 
-def ma(coeffs: tuple[float, ...], scale: float = 1.0, omega: float | None = None) -> ErrorProcessSpec:
+def ma(coeffs: tuple[float, ...], omega: float | None = None) -> ErrorProcessSpec:
     """Gaussian MA(q) with coefficients ``coeffs = (c_0, ..., c_q)``."""
-    return ErrorProcessSpec(
-        kind="ma",
-        scale=scale,
-        coeffs=tuple(float(c) for c in coeffs),
-        omega=omega,
-    )
+    return ErrorProcessSpec(kind="ma", coeffs=tuple(float(c) for c in coeffs), omega=omega)
 
 
-def ar1(a: float, scale: float = 1.0, delta: float | None = None, omega: float | None = None) -> ErrorProcessSpec:
+def ar1(a: float, delta: float | None = None, omega: float | None = None) -> ErrorProcessSpec:
     """Stationary Gaussian AR(1) with coefficient ``a``."""
-    return ErrorProcessSpec(kind="ar1", scale=scale, a=float(a), delta=delta, omega=omega)
+    return ErrorProcessSpec(kind="ar1", a=float(a), delta=delta, omega=omega)
 
 
-def _fill_column(spec: ErrorProcessSpec, scale: float, rngs, out: np.ndarray) -> None:
-    """Write one draw of the process at marginal sd ``scale`` into each row of ``out``.
+def _fill_column(spec: ErrorProcessSpec, sd: float, rngs, out: np.ndarray) -> None:
+    """Write one draw of the process at marginal sd ``sd`` into each row of ``out``.
 
     Row r takes its normals from the r-th generator of the iterable ``rngs``
     alone, drawn into a preallocated buffer with ``standard_normal(out=...)``
@@ -176,7 +166,7 @@ def _fill_column(spec: ErrorProcessSpec, scale: float, rngs, out: np.ndarray) ->
     if spec.kind == "iid_gaussian":
         for row, rng in zip(out, rngs):
             rng.standard_normal(out=row)
-        out *= scale
+        out *= sd
         return
     lead = spec.order if spec.kind == "ma" else 1  # AR(1) draws its start first
     raw = np.empty((rows, lead + n))
@@ -184,20 +174,20 @@ def _fill_column(spec: ErrorProcessSpec, scale: float, rngs, out: np.ndarray) ->
         rng.standard_normal(out=row)
     if spec.kind == "ma":
         c = np.asarray(spec.coeffs)
-        # x_t = scale * sum_j c_j eta_{t-j} / ||c||_2, so Var x_t = scale^2.
+        # x_t = sd * sum_j c_j eta_{t-j} / ||c||_2, so Var x_t = sd^2.
         np.multiply(raw[:, lead:], c[0], out=out)
         for j in range(1, lead + 1):
             out += c[j] * raw[:, lead - j : lead - j + n]
-        out *= scale
+        out *= sd
         out /= np.linalg.norm(c)
         return
     from scipy.signal import lfilter
 
     a = spec.a
-    x0 = scale * raw[:, 0]
+    x0 = sd * raw[:, 0]
     innov = raw[:, 1:]
-    innov *= scale * np.sqrt(1.0 - a * a)
-    # Stationary start: x_0 ~ N(0, scale^2), then x_t = a x_{t-1} + e_t.
+    innov *= sd * np.sqrt(1.0 - a * a)
+    # Stationary start: x_0 ~ N(0, sd^2), then x_t = a x_{t-1} + e_t.
     out[...], _ = lfilter([1.0], [1.0, -a], innov, axis=-1, zi=a * x0[:, None])
 
 
@@ -284,32 +274,12 @@ def _usable_cpus() -> int:
 
 
 def generate_sequence(spec: ErrorProcessSpec, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` values of the process; deterministic given (spec, n, seed)."""
+    """Draw ``n`` values of the process at unit sd; deterministic given (spec, n, seed)."""
     if n < 1:
         raise InvalidParams("n must be >= 1")
     out = np.empty((1, n))
-    _fill_column(spec, spec.scale, [stream(seed)], out)
+    _fill_column(spec, 1.0, [stream(seed)], out)
     return out[0]
-
-
-def theoretical_mixing_bound(spec: ErrorProcessSpec, n: int):
-    """Declared mixing-coefficient envelope at gap ``n``.
-
-    Finite-range kinds return exactly 0 beyond their range and the
-    ``UNBOUNDED_BELOW_RANGE`` marker inside it; AR(1) evaluates its declared
-    polynomial envelope ``n^(-1-delta)``.
-    """
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    if spec.kind == "iid_gaussian":
-        return 0.0
-    if spec.kind == "ma":
-        return 0.0 if n > spec.order else UNBOUNDED_BELOW_RANGE
-    if spec.kind == "ar1":
-        if spec.delta is None:
-            return UNBOUNDED_BELOW_RANGE
-        return float(n) ** (-1.0 - spec.delta)
-    raise InvalidParams(f"unknown process kind {spec.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -339,8 +309,7 @@ class ErrorMatrixSpec:
         """``map_draws``'s columns and (p+1, R) stream seeds for the matrices of uint64 ``seeds``.
 
         Column j (1-based) of the matrix for ``seeds[r]`` is drawn at sd
-        sqrt(sigma2), whatever its own ``scale``, from
-        ``stream(column_subseed(seeds[r], j))``.
+        sqrt(sigma2) from ``stream(column_subseed(seeds[r], j))``.
         """
         sd = float(np.sqrt(self.sigma2))
         j = np.arange(1, len(self.column_specs) + 1, dtype=np.uint64)[:, None]
@@ -349,30 +318,22 @@ class ErrorMatrixSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorMatrixSpec":
         cols = tuple(ErrorProcessSpec.from_dict(c) for c in d.get("columns", ()))
-        if any(c.scale != 1.0 for c in cols):
-            raise InvalidParams("column scale must be 1: every column is drawn at sd sqrt(sigma2)")
         return cls(column_specs=cols, sigma2=d.get("sigma2", 1.0))
-
-
-def generate_error_blocks(spec: ErrorMatrixSpec, n: int, seeds) -> np.ndarray:
-    """Draw one (p+1) x n error block per seed, stacked to (len(seeds), p+1, n).
-
-    Row j (1-based) of the block for ``seed`` comes from its own PCG64 stream
-    with sub-seed ``splitmix64(seed XOR j*GOLDEN)``, and every column is
-    scaled so its population variance equals ``sigma2``.  Each block depends
-    only on its own seed (an int, taken modulo 2^64), so any split of
-    ``seeds`` gives the same blocks.
-    """
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    seeds = np.array([int(s) % (1 << 64) for s in seeds], dtype=np.uint64)
-    blocks = map_draws(*spec.column_draws(seeds), n, lambda block: block)
-    return np.concatenate(blocks) if blocks else np.empty((0, len(spec.column_specs), n))
 
 
 def generate_error_matrix(spec: ErrorMatrixSpec, n: int, seed: int) -> np.ndarray:
     """Draw the n x (p+1) error matrix with mutually independent columns.
 
-    The transposed one-seed case of ``generate_error_blocks``.
+    Column j (1-based) is drawn at sd sqrt(sigma2) from its own PCG64 stream,
+    ``stream(column_subseed(seed, j))``; ``seed`` is an int taken modulo 2^64.
+    ``map_draws`` over ``spec.column_draws`` draws the same matrices,
+    transposed, for many seeds at once.
     """
-    return np.ascontiguousarray(generate_error_blocks(spec, n, [seed])[0].T)
+    if n < 1:
+        raise InvalidParams("n must be >= 1")
+    seed = int(seed) % (1 << 64)
+    sd = float(np.sqrt(spec.sigma2))
+    w = np.empty((len(spec.column_specs), n))
+    for j, col in enumerate(spec.column_specs):
+        _fill_column(col, sd, [stream(column_subseed(seed, j + 1))], w[j : j + 1])
+    return np.ascontiguousarray(w.T)

@@ -7,12 +7,14 @@ so results are reproducible across platforms.
 
 The derivations take a Python int or a uint64 array and return the same
 form (the same expressions wrap modulo 2^64 on either), so a whole grid cell
-derives its seeds in a few numpy calls.  Building one ``PCG64`` per seed
-runs numpy's ``SeedSequence`` each time; ``pcg64_seed_words`` runs that hash
-over a seed array at once, and ``streams`` sets one reused ``Generator`` to
-each seed's starting state in turn, so a chunk of rows is drawn without
-constructing a generator per row.  The bytes drawn are those of
-``stream(seed)``.
+derives its seeds in a few numpy calls.  ``stream(seed)`` is the reference
+stream, and a draw from one seed (one error matrix) builds it directly.
+Building one ``PCG64`` per seed runs numpy's ``SeedSequence`` each time, so
+the draws from many seeds (``processes.map_draws``, the bootstrap's block
+starts) do not: ``pcg64_seed_words`` runs that hash over a seed array at
+once, and ``streams`` sets one reused ``Generator`` to each seed's starting
+state in turn, so a chunk of rows is drawn without constructing a
+generator per row.  The bytes drawn are those of ``stream(seed)``.
 """
 
 from __future__ import annotations

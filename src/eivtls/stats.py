@@ -1,13 +1,16 @@
 """Distributional checks: multivariate normality, KS distances, CLT
 experiments on normalized sums, and Bartlett-kernel long-run covariance.
 
+``ks_statistic`` takes a vectorised cdf, one that maps the sorted sample
+to an array of its shape (``special.ndtr`` in every caller).
+
 P-values and the normal CDF come straight from ``scipy.special``: the
 chi-square upper tail is ``chdtrc``, the standard normal CDF is ``ndtr``
 (two-sided normal p-values are ``2 ndtr(-|z|)``), and the Kolmogorov limit
 is ``kolmogorov``.  ``scipy.special`` is imported inside the functions that
 evaluate them, so importing this module loads no scipy.  ``clt_check``
 draws its replications through ``processes.map_draws`` and reduces each
-chunk to its row sums.  The long-run covariance is projected onto the PSD
+chunk to its row sums, drawn at unit sd.  The long-run covariance is projected onto the PSD
 cone through ``np.linalg.eigh``.
 """
 
@@ -80,19 +83,17 @@ def mardia_tests(samples) -> MardiaResult:
 def ks_statistic(sample, cdf) -> tuple[float, float]:
     """One-sample KS distance and its asymptotic p-value.
 
-    The p-value uses the Kolmogorov limiting series; it is an asymptotic
+    ``cdf`` maps an array to an array of the same shape; any other output
+    is InvalidParams.  The p-value uses the Kolmogorov limiting series; it is an asymptotic
     approximation, reasonable for n >= 35.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.shape[0]
     if n == 0:
         raise EmptySample("sample is empty")
-    try:
-        f = np.asarray(cdf(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.asarray([cdf(v) for v in x], dtype=float)
+    f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise InvalidParams(f"cdf must map the sample to shape {x.shape}, got shape {f.shape}")
     if np.any(np.diff(f) < -1e-12):
         raise InvalidParams("cdf must be non-decreasing")
     from scipy import special
@@ -140,7 +141,7 @@ def clt_check(
     if n < 500:
         raise InvalidParams("need n >= 500")
     seeds = derive_subseed(seed, np.arange(replications, dtype=np.uint64), 0)
-    chunks = map_draws([(spec, spec.scale)], seeds[None], n, lambda b: b[:, 0].sum(axis=1))
+    chunks = map_draws([(spec, 1.0)], seeds[None], n, lambda b: b[:, 0].sum(axis=1))
     sums = np.concatenate(chunks)
     var = float(np.var(sums, ddof=1))
     if not var > 0:

@@ -157,6 +157,10 @@ class TestErrorExits:
             ("clt-check", {**CLT_BAD_N, "n": 500.5}),
             ("check-assumptions", alpha_with_columns(scale=5.0)),
             ("check-assumptions", phi_with_block_scaled(1e200)),
+            ("mc-consistency", alpha_config_dict(replications="500")),
+            ("mc-consistency", alpha_config_dict(n_grid=["250", 1000])),
+            ("clt-check", {**CLT_BAD_N, "n": True}),
+            ("clt-check", {**CLT_BAD_N, "n": 500, "process": {**CLT_BAD_N["process"], "scale": 2.0}}),
         ],
         ids=[
             "replications-string",
@@ -181,6 +185,10 @@ class TestErrorExits:
             "clt-n-fraction",
             "column-scale",
             "check-assumptions-design-overflow",
+            "replications-numeric-string",
+            "n_grid-numeric-string",
+            "clt-n-bool",
+            "clt-column-scale",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, config):
@@ -402,6 +410,14 @@ class TestExperimentCommands:
         assert run("clt-check", "--config", cfg, "--out", out) == EXIT_OK
         rep = json.loads(out.read_text())
         assert abs(rep["varsigma2_estimate"] - 2.0) < 0.4
+        # A process without a scale key is drawn, and reported, the same way.
+        cfg.write_text(json.dumps({
+            "process": {"kind": "ma", "coeffs": [1.0, 1.0]},
+            "n": 500, "replications": 500, "seed": 3,
+        }))
+        again = tmp_path / "clt_again.json"
+        assert run("clt-check", "--config", cfg, "--out", again) == EXIT_OK
+        assert again.read_bytes() == out.read_bytes()
 
     def test_long_run_check(self, tmp_path, config_path):
         out = tmp_path / "lr.json"

@@ -20,6 +20,14 @@ class TestValidators:
 
     def test_integer_refuses_fractions(self):
         assert as_integer(7.0, "n") == 7 and as_integer(7, "n") == 7
-        for value in (2.5, np.nan, np.inf):
+        for value in (2.5, np.nan, np.inf, np.float32(2.5)):
             with pytest.raises(InvalidParams, match="n must be a whole number"):
                 as_integer(value, "n")
+
+    def test_integer_refuses_strings_and_bools(self):
+        for value in ("500", "7.0", np.str_("3"), True, False, np.bool_(True)):
+            with pytest.raises(InvalidParams, match="n must be a whole number"):
+                as_integer(value, "n")
+        for value in (np.int64(-7), np.uint64(7), np.int32(7), np.float64(7.0)):
+            result = as_integer(value, "n")
+            assert type(result) is int and abs(result) == 7

@@ -5,22 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eivtls.errors import (
-    InsufficientData,
-    InvalidParams,
-    MissingMetadata,
-    SupportTooLarge,
-)
+from eivtls.errors import InvalidParams, MissingMetadata, SupportTooLarge
 from eivtls.mixing import (
     FiniteJoint,
     alpha_between,
     check_assumptions,
-    empirical_alpha_lag,
-    find_phi_asymmetry_witness,
     phi_between,
 )
 from eivtls.presets import default_design, default_errors
-from eivtls.processes import ErrorMatrixSpec, ar1, generate_sequence, iid_gaussian, ma
+from eivtls.processes import ErrorMatrixSpec, ar1
 
 
 def naive_alpha(pmf):
@@ -124,39 +117,15 @@ class TestPhiBetween:
         assert phi_between(j) <= 1.0 + 1e-12
 
     def test_asymmetry_witness_exists(self):
-        j = find_phi_asymmetry_witness()
+        # Unlike alpha, phi is not symmetric: this 2x3 joint has
+        # phi(U; V) = 1/4 but phi(V; U) = 1/2.
+        j = FiniteJoint(np.array([[0.0, 0.25, 0.25], [0.25, 0.125, 0.125]]))
         fwd, rev = phi_between(j), phi_between(j.transposed())
-        assert abs(fwd - rev) > 0.05
+        assert fwd == pytest.approx(0.25, abs=1e-15)
+        assert rev == pytest.approx(0.5, abs=1e-15)
         # confirm with the literal enumeration in both orientations
         assert fwd == pytest.approx(naive_phi(j.pmf), abs=1e-12)
         assert rev == pytest.approx(naive_phi(j.pmf.T), abs=1e-12)
-
-
-class TestEmpiricalAlphaLag:
-    N = 100_000
-
-    def test_iid_near_zero(self):
-        x = generate_sequence(iid_gaussian(), self.N, 31)
-        for lag in (1, 3):
-            assert empirical_alpha_lag(x, lag, bins=4) <= 0.02
-
-    def test_ma1_dead_beyond_range(self):
-        x = generate_sequence(ma((1.0, 1.0)), self.N, 32)
-        assert empirical_alpha_lag(x, 2, bins=4) <= 0.02
-
-    def test_ma1_alive_at_lag_one(self):
-        x = generate_sequence(ma((1.0, 1.0)), self.N, 33)
-        assert empirical_alpha_lag(x, 1, bins=4) >= 0.05
-
-    def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
-            empirical_alpha_lag(np.zeros(50), 1, bins=2)
-
-    def test_bins_bounds(self):
-        with pytest.raises(InvalidParams):
-            empirical_alpha_lag(np.zeros(500), 1, bins=1)
-        with pytest.raises(InvalidParams):
-            empirical_alpha_lag(np.zeros(500), 1, bins=9)
 
 
 class TestCheckAssumptions:

@@ -82,6 +82,14 @@ class TestExperimentConfig:
         with pytest.raises(InvalidParams):
             small_config(n_grid=(2, 40))
 
+    def test_counts_are_whole_numbers(self):
+        cfg = small_config(reps=120.0, seed=np.int64(7))
+        assert (type(cfg.replications), type(cfg.master_seed)) == (int, int)
+        assert cfg.to_dict()["replications"] == 120
+        for changes in ({"reps": 100.5}, {"reps": "120"}, {"seed": 7.5}, {"seed": True}):
+            with pytest.raises(InvalidParams, match="must be a whole number"):
+                small_config(**changes)
+
     def test_dict_roundtrip(self):
         cfg = default_config("alpha", beta=(1.0, -2.0))
         rt = ExperimentConfig.from_dict(cfg.to_dict())

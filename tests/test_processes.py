@@ -1,4 +1,3 @@
-import dataclasses
 import threading
 
 import numpy as np
@@ -8,19 +7,16 @@ from scipy.signal import lfilter
 import eivtls.processes
 from eivtls.errors import InvalidParams
 from eivtls.processes import (
-    UNBOUNDED_BELOW_RANGE,
     ErrorMatrixSpec,
     ErrorProcessSpec,
     ar1,
-    generate_error_blocks,
     generate_error_matrix,
     generate_sequence,
     iid_gaussian,
     ma,
     map_draws,
-    theoretical_mixing_bound,
 )
-from eivtls.processes import _map_chunks
+from eivtls.processes import _fill_column, _map_chunks
 from eivtls.seeding import column_subseed, stream
 
 N = 100_000
@@ -28,8 +24,10 @@ N = 100_000
 
 class TestSpecValidation:
     def test_scale_positive(self):
-        with pytest.raises(InvalidParams):
-            iid_gaussian(scale=0.0)
+        # No column has a scale of its own; a config may only restate 1.
+        for scale in (0.0, -1.0, float("nan")):
+            with pytest.raises(InvalidParams):
+                ErrorProcessSpec.from_dict({"kind": "iid_gaussian", "scale": scale})
 
     def test_ar1_coefficient_bound(self):
         with pytest.raises(InvalidParams):
@@ -79,8 +77,11 @@ class TestSpecValidation:
         assert spec.to_dict()["stationary"] is True
 
     def test_roundtrip_dict(self):
-        for spec in (iid_gaussian(2.0), ma((1.0, 0.6, 0.3), omega=1.0), ar1(0.5, delta=3.0)):
+        for spec in (iid_gaussian(omega=2.0), ma((1.0, 0.6, 0.3), omega=1.0), ar1(0.5, delta=3.0)):
+            assert spec.to_dict()["scale"] == 1.0
             assert ErrorProcessSpec.from_dict(spec.to_dict()) == spec
+            without = {k: v for k, v in spec.to_dict().items() if k != "scale"}
+            assert ErrorProcessSpec.from_dict(without) == spec
 
 
 class TestGenerateSequence:
@@ -97,18 +98,18 @@ class TestGenerateSequence:
         assert abs(acf2) < 0.02
 
     def test_ar1_degenerate_is_iid(self):
-        x = generate_sequence(ar1(0.0, scale=2.0), N, 13)
-        assert 3.84 < x.var() < 4.16
+        x = generate_sequence(ar1(0.0), N, 13)
+        assert 0.96 < x.var() < 1.04
 
     def test_ar1_autocorrelation(self):
-        x = generate_sequence(ar1(0.5, scale=1.0), N, 14)
+        x = generate_sequence(ar1(0.5), N, 14)
         acf1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(acf1 - 0.5) < 0.02
 
     def test_zero_mean_envelope(self):
         for spec in (iid_gaussian(), ma((1.0, 0.6, 0.3)), ar1(0.7)):
             x = generate_sequence(spec, N, 15)
-            assert abs(x.mean()) < 5.0 * spec.scale / np.sqrt(N)
+            assert abs(x.mean()) < 5.0 / np.sqrt(N)
 
     def test_q_dependence_kills_autocovariance(self):
         q = 2
@@ -134,20 +135,6 @@ class TestGenerateSequence:
             generate_sequence(iid_gaussian(), 0, 1)
 
 
-class TestMixingBound:
-    def test_ma_beyond_range(self):
-        assert theoretical_mixing_bound(ma((1.0, 0.5, 0.2)), 3) == 0.0
-
-    def test_ma_inside_range(self):
-        assert theoretical_mixing_bound(ma((1.0, 0.5, 0.2)), 2) == UNBOUNDED_BELOW_RANGE
-
-    def test_iid_zero(self):
-        assert theoretical_mixing_bound(iid_gaussian(), 1) == 0.0
-
-    def test_ar1_envelope(self):
-        assert theoretical_mixing_bound(ar1(0.5, delta=3.0), 10) == pytest.approx(1e-4)
-
-
 class TestErrorMatrix:
     def test_sigma2_positive_required(self):
         with pytest.raises(InvalidParams):
@@ -167,7 +154,7 @@ class TestErrorMatrix:
                 assert abs(np.corrcoef(w[:, a], w[:, b])[0, 1]) < 4.0 / np.sqrt(N)
 
     def test_columns_rescaled_to_sigma2(self):
-        spec = ErrorMatrixSpec((iid_gaussian(scale=7.0), ar1(0.5, scale=0.1)), sigma2=4.0)
+        spec = ErrorMatrixSpec((iid_gaussian(), ar1(0.5)), sigma2=4.0)
         w = generate_error_matrix(spec, N, 23)
         for j in range(2):
             assert 3.84 < w[:, j].var() < 4.16
@@ -185,31 +172,55 @@ class TestErrorMatrix:
             generate_error_matrix(spec, 500, 9), generate_error_matrix(spec, 500, 9)
         )
 
+    def test_one_stream_per_column(self, monkeypatch):
+        # One seed builds its column streams directly, without the many-seed path.
+        made = []
+
+        def counted(seed):
+            made.append(seed)
+            return stream(seed)
+
+        def refused(seeds):
+            raise AssertionError("one seed needs no vectorised seeding")
+
+        monkeypatch.setattr(eivtls.processes, "stream", counted)
+        monkeypatch.setattr(eivtls.processes, "pcg64_seed_words", refused)
+        spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
+        generate_error_matrix(spec, 50, 7)
+        assert made == [column_subseed(7, j) for j in (1, 2, 3)]
+
     @pytest.mark.parametrize("seed", [-5, 2**64 + 3, 2**63 + 11])
     def test_seeds_are_taken_modulo_2_64(self, seed):
-        # The reference seeds each column through stream(), numpy's SeedSequence.
+        # The reference seeds each column through stream(), numpy's SeedSequence,
+        # from the sub-seed of the seed reduced modulo 2^64.
         spec = ErrorMatrixSpec((ma((1.0, 0.5)), ar1(0.6), iid_gaussian()), sigma2=0.7)
         w = generate_error_matrix(spec, 300, seed)
         for j, (col, row) in enumerate(zip(spec.column_specs, w.T), start=1):
-            scaled = dataclasses.replace(col, scale=np.sqrt(0.7))
-            assert np.array_equal(row, generate_sequence(scaled, 300, column_subseed(seed, j)))
+            ref = np.empty((1, 300))
+            _fill_column(col, np.sqrt(0.7), [stream(column_subseed(seed % 2**64, j))], ref)
+            assert np.array_equal(row, ref[0])
 
 
 class TestErrorBlocks:
+    """``map_draws`` keeping its blocks: the many-seed form of ``generate_error_matrix``."""
+
     SEEDS = [9, 2**63 + 11, 0, 77]
+
+    @staticmethod
+    def blocks(spec, n, seeds):
+        seeds = np.array([s % 2**64 for s in seeds], dtype=np.uint64)
+        return np.concatenate(map_draws(*spec.column_draws(seeds), n, lambda b: b))
 
     @pytest.mark.parametrize(
         "col", [iid_gaussian(), ma((1.0, 0.5, -0.3)), ar1(0.6)], ids=["iid", "ma", "ar1"]
     )
     def test_rows_match_generate_error_matrix(self, col):
         spec = ErrorMatrixSpec((col, col, col), sigma2=0.7)
-        blocks = generate_error_blocks(spec, 300, self.SEEDS)
-        assert blocks.shape == (4, 3, 300)
-        scaled = dataclasses.replace(col, scale=np.sqrt(0.7))
-        for block, seed in zip(blocks, self.SEEDS):
+        seeds = [-5, 2**63 + 11, 2**64 + 3]
+        blocks = self.blocks(spec, 300, seeds)
+        assert blocks.shape == (3, 3, 300)
+        for block, seed in zip(blocks, seeds):
             assert np.array_equal(block, generate_error_matrix(spec, 300, seed).T)
-            for j, row in enumerate(block, start=1):
-                assert np.array_equal(row, generate_sequence(scaled, 300, column_subseed(seed, j)))
 
     def test_against_one_dimensional_filters(self):
         # The per-column formulas the block filters replace: np.convolve for
@@ -218,7 +229,7 @@ class TestErrorBlocks:
         sd, n, seed = np.sqrt(0.7), 300, 9
         c = np.array([1.0, 0.5, -0.3])
         spec = ErrorMatrixSpec((ma(tuple(c)), ar1(0.6)), sigma2=0.7)
-        block = generate_error_blocks(spec, n, [seed])[0]
+        block = self.blocks(spec, n, [seed])[0]
         eta = stream(column_subseed(seed, 1)).standard_normal(n + 2)
         ref = sd * np.convolve(eta, c, mode="valid") / np.linalg.norm(c)
         atol = 8 * np.finfo(float).eps * np.max(np.abs(ref))
@@ -232,7 +243,7 @@ class TestErrorBlocks:
     def test_reused_generator_draws_the_same_blocks(self, monkeypatch):
         # Each step reuses one generator for every row of its chunk.
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=0.4)
-        whole = generate_error_blocks(spec, 200, self.SEEDS)
+        whole = np.stack([generate_error_matrix(spec, 200, s).T for s in self.SEEDS])
         seeds = np.array(self.SEEDS, dtype=np.uint64)
         monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
         for per_chunk in (1, 3):
@@ -249,10 +260,10 @@ class TestErrorBlocks:
 
     def test_any_split_of_the_seeds_gives_the_same_blocks(self):
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
-        whole = generate_error_blocks(spec, 200, self.SEEDS)
-        parts = [generate_error_blocks(spec, 200, self.SEEDS[i : i + 3]) for i in (0, 3, 6)]
-        assert parts[-1].shape == (0, 3, 200)
+        whole = self.blocks(spec, 200, self.SEEDS)
+        parts = [self.blocks(spec, 200, self.SEEDS[i : i + 3]) for i in (0, 3)]
         assert np.array_equal(np.concatenate(parts), whole)
+        assert map_draws(*spec.column_draws(np.array([], dtype=np.uint64)), 200, len) == []
 
     def test_one_generator_draws_every_row(self, monkeypatch):
         made = []
@@ -262,13 +273,17 @@ class TestErrorBlocks:
             return stream(seed)
 
         monkeypatch.setattr(eivtls.processes, "stream", counted)
+        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
-        generate_error_blocks(spec, 50, self.SEEDS)
-        assert len(made) == 1
+        for per_chunk in (4, 3, 1):
+            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", per_chunk * 3 * 50)
+            made.clear()
+            steps = map_draws(*spec.column_draws(np.array(self.SEEDS, dtype=np.uint64)), 50, len)
+            assert len(made) == len(steps) == -(-4 // per_chunk)
 
     def test_n_positive(self):
         with pytest.raises(InvalidParams):
-            generate_error_blocks(ErrorMatrixSpec((iid_gaussian(),) * 2), 0, [1])
+            generate_error_matrix(ErrorMatrixSpec((iid_gaussian(),) * 2), 0, 1)
 
 
 class TestMapChunks:

@@ -109,10 +109,13 @@ class TestKs:
         with pytest.raises(InvalidParams):
             ks_statistic(np.array([0.0, 1.0]), lambda v: -np.asarray(v))
 
-    def test_scalar_cdf_fallback(self):
-        d_vec, _ = ks_statistic(np.linspace(-1, 1, 50), sps.norm.cdf)
-        d_scl, _ = ks_statistic(np.linspace(-1, 1, 50), lambda v: float(sps.norm.cdf(v)))
-        assert d_vec == d_scl
+    @pytest.mark.parametrize(
+        "cdf", [lambda v: 0.5, lambda v: np.full(3, 0.5), lambda v: sps.norm.cdf(v)[:, None]],
+        ids=["scalar", "short", "column"],
+    )
+    def test_cdf_of_the_wrong_shape_rejected(self, cdf):
+        with pytest.raises(InvalidParams, match="cdf must map the sample to shape"):
+            ks_statistic(np.linspace(-1, 1, 50), cdf)
 
     def test_null_calibration(self):
         rejected = 0
@@ -166,7 +169,7 @@ class TestCltCheck:
 
     def test_degenerate_variance(self, monkeypatch):
         monkeypatch.setattr(
-            eivtls.processes, "_fill_column", lambda spec, scale, rngs, out: out.fill(0.0)
+            eivtls.processes, "_fill_column", lambda spec, sd, rngs, out: out.fill(0.0)
         )
         with pytest.raises(DegenerateVariance):
             clt_check(iid_gaussian(), n=1000, replications=500, seed=0)
