@@ -24,7 +24,6 @@ from .errors import InvalidParams, MissingMetadata, SupportTooLarge
 from .model import DesignSpec
 from .processes import (
     MIXING_ALPHA,
-    MIXING_INDEPENDENT,
     ErrorMatrixSpec,
     ErrorProcessSpec,
 )
@@ -120,7 +119,7 @@ class AssumptionReport:
 
 def _declared_delta(spec: ErrorProcessSpec) -> float:
     """Effective rate exponent: infinite for zero-beyond-range classes."""
-    if spec.mixing_class == MIXING_INDEPENDENT or spec.finite_range:
+    if spec.mixing_class != MIXING_ALPHA:
         return np.inf
     if spec.delta is None:
         raise MissingMetadata(

@@ -4,13 +4,13 @@ experiments over a grid of sample sizes.
 Replications are fully determined by (master seed, replication index, cell
 index).  ``_replicate`` turns one grid cell into the (R, p+1, p+1) stack of
 Gram matrices of ``[x, y]``: it builds the design part once and draws the
-errors through ``processes.map_draws``, which maps chunks of replications
-over one thread per CPU the process may run on (its CPU affinity); each
-chunk's errors get the signal added and are reduced to their Grams at
-once.  ``map_draws`` holds the raw data in flight across all threads to
-one fixed budget of floats, so memory stays at about R (p+1)^2 floats
-plus that budget.  Each experiment reduces the stack:
-consistency and normality fit it with the batched TLS kernel
+errors through ``processes.map_draws``, which hands chunks of replications
+to a thread pool of at most one thread per CPU the process may run on (its
+CPU affinity); each chunk's errors get the signal added and are reduced to
+their Grams at once.  ``map_draws`` holds the raw data in flight across all
+threads to one fixed budget of floats, so memory stays at about R (p+1)^2
+floats plus that budget.  Each experiment reduces the stack: consistency
+and normality fit it with the batched TLS kernel
 ``estimator.tls_from_gram`` (consistency also takes OLS from the same
 Grams), and the long-run check takes the scores ``G [beta; -1]``.  Every
 Gram depends only on its own replication's streams, so reports are

@@ -20,10 +20,11 @@ A single seed is drawn through ``seeding.stream``, one generator per
 column (``generate_sequence``, ``generate_error_matrix``, so ``gen`` and
 ``synthesize``).  Every seeded draw of many rows goes through
 ``map_draws``: it derives the PCG64 seed words of all rows' streams at
-once and hands out chunks of blocks, one contiguous share per usable CPU,
-within a budget of ``CHUNK_ELEMENTS`` floats in flight.  This is the only
-place in the package that reads the CPU count or starts a thread: the
-draws are the work measured to run faster on more threads.  Each chunk is
+once and hands its chunks of blocks to a standard-library thread pool of
+at most one thread per usable CPU (none on one CPU), within a budget of
+``CHUNK_ELEMENTS`` floats in flight.  This is the only place in the
+package that reads the CPU count or starts a thread: the draws are the
+work measured to run faster on more threads.  Each chunk is
 filled with one scratch generator set to each row's stream in turn,
 filtered as one array (AR(1) by one ``lfilter`` along the last axis, MA(q)
 by one shifted-slice sum) and passed to the caller's ``reduce``.  The
@@ -38,7 +39,6 @@ numpy alone.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,10 +79,11 @@ class ErrorProcessSpec:
         if self.kind == "ma":
             if not self.coeffs:
                 raise InvalidParams("ma spec needs at least one coefficient")
-            if not all(np.isfinite(c) for c in self.coeffs):
-                raise InvalidParams("ma coefficients must be finite")
-            if all(c == 0 for c in self.coeffs):
-                raise InvalidParams("ma coefficients cannot all be zero")
+            with np.errstate(over="ignore", under="ignore"):
+                norm = np.linalg.norm(self.coeffs)
+            # A draw is divided by this norm, so it must be a positive float.
+            if not 0 < norm < np.inf:
+                raise InvalidParams(f"ma coefficients need a positive finite 2-norm, got {norm:g}")
             if self.delta is not None:
                 raise InvalidParams("ma is finite-range; delta must be None")
         elif self.kind == "ar1":
@@ -102,10 +103,6 @@ class ErrorProcessSpec:
         if self.kind == "ma":
             return len(self.coeffs) - 1
         return 0
-
-    @property
-    def finite_range(self) -> bool:
-        return self.kind in ("ma", "iid_gaussian")
 
     def to_dict(self) -> dict:
         # Fixed keys: every column is stationary, and its sd is set by the draw.
@@ -196,73 +193,35 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
 
     ``columns`` holds C (process, sd) pairs; row j of block r is a draw of
     ``columns[j]`` from ``stream(seeds[j, r])``.  The PCG64 seed words of
-    all C R streams are derived once; ``_map_chunks`` hands each step a
-    range of blocks, which it draws into its own (k, C, n) array with its
-    own scratch generator.  The results come back in block order.
+    all C R streams are derived once.  Each chunk of ``rows`` consecutive
+    blocks is drawn into its own (k, C, n) array with its own scratch
+    generator; ``rows`` is the most blocks of which one chunk per usable
+    CPU fits in ``CHUNK_ELEMENTS`` floats, the raw data in flight.  A thread
+    pool of at most one thread per usable CPU runs the chunks (the calling
+    thread does, on one CPU or for one chunk), so ``reduce`` may run on
+    several threads at once.  The results come back in block order, and
+    the first chunk in that order to raise raises here.
     """
     words = pcg64_seed_words(seeds)
+    count = seeds.shape[1]
+    workers = _usable_cpus()
+    rows = max(1, CHUNK_ELEMENTS // (workers * len(columns) * n))
+    starts = range(0, count, rows)
 
-    def step(lo: int, hi: int):
+    def step(lo: int):
+        hi = min(lo + rows, count)
         rng = stream(0)
         block = np.empty((hi - lo, len(columns), n))
         for j, (spec, sd) in enumerate(columns):
             _fill_column(spec, sd, streams(rng, words[:, j, lo:hi]), block[:, j])
         return reduce(block)
 
-    return _map_chunks(seeds.shape[1], len(columns) * n, step)
+    if workers == 1 or len(starts) < 2:
+        return [step(lo) for lo in starts]
+    from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
 
-
-def _map_chunks(count: int, size: int, step: Callable[[int, int], object]) -> list:
-    """Results of ``step(lo, hi)`` over consecutive chunks of ``count`` blocks of ``size`` floats.
-
-    The blocks are split into one contiguous share per usable CPU (the
-    calling thread takes the first, each other share gets its own thread),
-    and each share into chunks of ``rows`` blocks, where
-    ``rows * size * shares`` is about ``CHUNK_ELEMENTS`` floats: the raw
-    data held at once across all threads.  ``step`` handles blocks
-    ``lo .. hi-1`` (at most ``rows`` of them) and runs on several threads
-    at once, so it keeps its scratch state to itself.  The results come
-    back in block order, so when each depends on its own blocks only they
-    are the same for any chunk size and any CPU count.
-    """
-    workers = _usable_cpus()
-    rows = max(1, CHUNK_ELEMENTS // (workers * size))
-    workers = max(1, min(workers, -(-count // rows)))
-    bounds = [count * w // workers for w in range(workers + 1)]
-
-    def share(w: int) -> list:
-        lo, hi = bounds[w], bounds[w + 1]
-        return [step(start, min(start + rows, hi)) for start in range(lo, hi, rows)]
-
-    return [part for parts in _in_threads(share, workers) for part in parts]
-
-
-def _in_threads(fn: Callable[[int], list], count: int) -> list:
-    """``[fn(0), ..., fn(count - 1)]``, each on its own thread; ``fn(0)`` on the calling one.
-
-    The first exception raised by any call is raised here, after every
-    thread has finished.
-    """
-    results: list = [None] * count
-    errors: list[BaseException] = []
-
-    def run(i: int) -> None:
-        try:
-            results[i] = fn(i)
-        except BaseException as exc:  # handed to the calling thread below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, count)]
-    for t in threads:
-        t.start()
-    try:
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-    return results
+    with ThreadPoolExecutor(min(workers, len(starts))) as pool:
+        return list(pool.map(step, starts))
 
 
 def _usable_cpus() -> int:

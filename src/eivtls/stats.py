@@ -28,7 +28,7 @@ from .errors import (
     SingularCovariance,
     TooFewSamples,
 )
-from .linalg import as_matrix
+from .linalg import as_integer, as_matrix
 from .processes import ErrorProcessSpec, map_draws
 from .seeding import derive_subseed
 
@@ -133,8 +133,9 @@ def clt_check(
     its definition as a variance of the partial sum), not by a within-series
     kernel estimate.  Replication r is ``generate_sequence(spec, n,
     derive_subseed(seed, r, 0))``; ``processes.map_draws`` draws them a
-    chunk at a time, on one thread per usable CPU, and each chunk is reduced
-    to its row sums, so the sums do not depend on the chunking.
+    chunk at a time, on a thread pool of at most one thread per usable CPU,
+    and each chunk is reduced to its row sums, so the sums do not depend on
+    the chunking or the CPU count.
     """
     if replications < 500:
         raise InvalidParams("need at least 500 replications")
@@ -250,7 +251,7 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
     if bandwidth == "auto":
         b = _icbrt(n)
     else:
-        b = int(bandwidth)
+        b = as_integer(bandwidth, "bandwidth")
         if b < 0:
             raise InvalidParams("bandwidth must be non-negative")
     if n < 10 * (b + 1):

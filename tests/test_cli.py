@@ -161,6 +161,7 @@ class TestErrorExits:
             ("mc-consistency", alpha_config_dict(n_grid=["250", 1000])),
             ("clt-check", {**CLT_BAD_N, "n": True}),
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": {**CLT_BAD_N["process"], "scale": 2.0}}),
+            ("clt-check", {**CLT_BAD_N, "n": 500, "process": {"kind": "ma", "coeffs": [1e200, 1e200]}}),
         ],
         ids=[
             "replications-string",
@@ -189,6 +190,7 @@ class TestErrorExits:
             "n_grid-numeric-string",
             "clt-n-bool",
             "clt-column-scale",
+            "clt-ma-norm-overflow",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, config):

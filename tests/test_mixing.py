@@ -143,7 +143,7 @@ class TestCheckAssumptions:
         failing = {c.name for c in report.checks if not c.passed}
         assert failing == {"rate-vs-moment-order"}
 
-    def test_an_phi_pass_for_finite_range(self):
+    def test_an_phi_pass_for_q_dependent_columns(self):
         report = check_assumptions("AN-phi", default_design(2), default_errors("phi", 2))
         assert report.passed
         by_name = {c.name: c for c in report.checks}

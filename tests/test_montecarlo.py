@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from eivtls import processes
+from eivtls import montecarlo, processes
 from eivtls.errors import InvalidParams
 from eivtls.model import repeating_block
 from eivtls.montecarlo import (
@@ -268,22 +268,31 @@ class TestWorkers:
         assert all(np.array_equal(s, stacks[0]) for s in stacks[1:])
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        cfg = small_config()  # 120 replications, so the second worker starts at 60
+        cfg = small_config()  # 120 replications at n = 40, drawn in chunks of 10
         monkeypatch.setattr(processes, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 2 * 2 * 40 * 10)
-        map_chunks = processes._map_chunks
+        draw = montecarlo.map_draws
 
-        def failing_off_the_calling_thread(count, size, step):
-            def checked(lo, hi):
-                if threading.current_thread() is not threading.main_thread():
-                    raise FloatingPointError(f"drawn on the second worker from {lo}")
-                return step(lo, hi)
+        def failing_from_60_and_90(columns, seeds, n, reduce):
+            # Each replication's errors, drawn alone, mark the chunk it starts.
+            marks = {
+                lo: draw(columns, seeds[:, lo : lo + 1], n, lambda b: b[0])[0] for lo in (60, 90)
+            }
 
-            return map_chunks(count, size, checked)
+            def checked(block):
+                for lo, mark in marks.items():
+                    if np.array_equal(block[0], mark):
+                        raise FloatingPointError(f"chunk from {lo}")
+                return reduce(block)
 
-        monkeypatch.setattr(processes, "_map_chunks", failing_off_the_calling_thread)
-        with pytest.raises(FloatingPointError, match="second worker from 60"):
+            return draw(columns, seeds, n, checked)
+
+        monkeypatch.setattr(montecarlo, "map_draws", failing_from_60_and_90)
+        before = threading.active_count()
+        # The first failing chunk in block order raises, whichever thread ran it.
+        with pytest.raises(FloatingPointError, match="chunk from 60"):
             run_consistency(cfg)
+        assert threading.active_count() == before
 
 
 class TestPresets:

@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from eivtls.processes import (
     ma,
     map_draws,
 )
-from eivtls.processes import _fill_column, _map_chunks
+from eivtls.processes import _fill_column
 from eivtls.seeding import column_subseed, stream
 
 N = 100_000
@@ -38,13 +39,15 @@ class TestSpecValidation:
     def test_ma_needs_coefficients(self):
         with pytest.raises(InvalidParams):
             ma(())
-        with pytest.raises(InvalidParams):
-            ma((0.0, 0.0))
+        # A draw is divided by the 2-norm of the coefficients: it must be
+        # a positive float, not 0 (all zero, or underflowing) nor inf.
+        for coeffs in ((0.0, 0.0), (1e200, 1e200), (1e-170, 1e-170)):
+            with pytest.raises(InvalidParams):
+                ma(coeffs)
 
     def test_mixing_class_conventions(self):
         assert ma((1.0, 1.0)).mixing_class == "phi"
         assert ma((1.0, 1.0)).delta is None
-        assert ma((1.0, 1.0)).finite_range
         assert ar1(0.5, delta=2.0).mixing_class == "alpha"
         assert iid_gaussian().mixing_class == "independent"
 
@@ -287,31 +290,64 @@ class TestErrorBlocks:
 
 
 class TestMapChunks:
+    SPEC = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
+    SEEDS = np.arange(23, dtype=np.uint64) * 7919 + 3
+
+    def draws(self, reduce, n=40):
+        return map_draws(*self.SPEC.column_draws(self.SEEDS), n, reduce)
+
     def test_gram_stack_independent_of_chunking(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(23, 3, 40))
-
-        def grams(lo, hi):
-            return data[lo:hi] @ data[lo:hi].mT
-
-        full = np.concatenate(_map_chunks(23, 120, grams))
-        np.testing.assert_allclose(full, data @ data.mT, rtol=1e-14)
+        full = np.concatenate(self.draws(lambda b: b.copy()))
+        grams = full @ full.mT
         for workers in (1, 2, 3):
             monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
-            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", workers * 7 * 120)
-            seen = []
+            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", workers * 7 * 3 * 40)
+            lock, seen = threading.Lock(), []
 
-            def step(lo, hi):
-                seen.append((threading.current_thread().name, lo, hi))
-                return grams(lo, hi)
+            def reduce(block):
+                # Which blocks this chunk holds, found by its first row.
+                lo = next(r for r in range(len(full)) if np.array_equal(full[r], block[0]))
+                with lock:
+                    seen.append((threading.current_thread(), lo, len(block)))
+                return block @ block.mT
 
-            assert np.array_equal(np.concatenate(_map_chunks(23, 120, step)), full)
-            # One contiguous share per worker, each on its own thread, in
-            # chunks of at most 7 rows.
-            shares = {}
-            for name, lo, hi in seen:
-                shares.setdefault(name, []).append((lo, hi))
-            bounds = [23 * w // workers for w in range(workers + 1)]
-            spans = zip(bounds, bounds[1:])
-            chunks = [[(s, min(s + 7, hi)) for s in range(lo, hi, 7)] for lo, hi in spans]
-            assert sorted(shares.values()) == chunks
+            assert np.array_equal(np.concatenate(self.draws(reduce)), grams)
+            # Chunks of at most 7 blocks in consecutive ranges from 0, on at
+            # most one thread per usable CPU; one CPU draws on the calling thread.
+            assert sorted((lo, k) for _, lo, k in seen) == [(0, 7), (7, 7), (14, 7), (21, 2)]
+            threads = {thread for thread, _, _ in seen}
+            assert len(threads) <= workers
+            if workers == 1:
+                assert threads == {threading.current_thread()}
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        whole = np.concatenate(self.draws(lambda b: b.copy()))
+        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 5 * 3 * 40)
+
+        def refuse(thread):
+            raise AssertionError(f"map_draws started thread {thread.name} on one CPU")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        chunks = self.draws(lambda b: b.copy())
+        assert len(chunks) == 5
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_reduces_in_flight_at_most_usable_cpus(self, monkeypatch, workers):
+        # The memory budget: at most one chunk per usable CPU is held at once.
+        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", workers * 2 * 3 * 40)
+        lock, running, peak = threading.Lock(), [0], [0]
+
+        def reduce(block):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.002)
+            with lock:
+                running[0] -= 1
+            return len(block)
+
+        assert self.draws(reduce) == [2] * 11 + [1]
+        assert 1 <= peak[0] <= workers

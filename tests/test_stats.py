@@ -229,8 +229,10 @@ class TestLongRunVariance:
             long_run_variance(np.zeros((30, 1)), bandwidth=4)
 
     def test_negative_bandwidth(self):
-        with pytest.raises(InvalidParams):
-            long_run_variance(np.zeros((100, 1)), bandwidth=-1)
+        # Also no fraction, string or bool: the bandwidth is a whole number.
+        for bandwidth in (-1, 2.5, "3", True):
+            with pytest.raises(InvalidParams):
+                long_run_variance(np.zeros((100, 1)), bandwidth=bandwidth)
 
     def test_non_finite_rows_rejected(self):
         x = np.random.default_rng(7).normal(size=(200, 2))
