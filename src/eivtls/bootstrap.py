@@ -13,11 +13,14 @@ is the Gram of each truncated last block; no resample is ever gathered.
 Each resample keeps its own stream of block starts.  The resamples are
 handled on the calling thread in chunks of at most ``STARTS_IN_FLIGHT``
 starts: the PCG64 seed words of a chunk's streams are derived at once, one
-generator is set to each in turn (``seeding.streams``) to draw its starts,
-and each resample's Gram is summed from the two tables one block position
-at a time.  So memory stays at about B (p+1)^2 floats plus the tables and
-one chunk of starts whatever n and L are, and all resamples are refitted
-together by the batched TLS kernel ``estimator.tls_from_gram``.
+generator is set to each in turn (``seeding.streams``) to draw its raw
+64-bit words, one batched bounded transform (numpy's own, Lemire 2019)
+turns the whole chunk's words into starts bit-identical to
+``Generator.integers``, and each resample's Gram is summed from the two
+tables one block position at a time.  So memory stays at about B (p+1)^2
+floats plus the tables and one chunk of starts whatever n and L are, and
+all resamples are refitted together by the batched TLS kernel
+``estimator.tls_from_gram``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ from .seeding import derive_subseed, pcg64_seed_words, stream, streams
 from .stats import _icbrt
 
 MAX_FAILURE_FRACTION = 0.10
-STARTS_IN_FLIGHT = 1 << 21  # block starts drawn at once (16 MB)
+# Block starts drawn at once.  While drawn each takes at most 13 bytes (half
+# a raw word and a 64-bit product, then the product, its low 32 bits and a
+# mask byte), and a resample's count is rounded up to even.  A resample's
+# seed words take about 280 bytes more while its words are drawn, so it
+# counts as at least 32 starts.  So a chunk stays under 15 MB.
+STARTS_IN_FLIGHT = 1 << 20
 
 
 def choose_block_length(n: int) -> int:
@@ -61,6 +69,7 @@ class BootstrapConfig:
         if n_boot < 199:
             raise InvalidParams("need at least 199 bootstrap resamples")
         object.__setattr__(self, "n_boot", n_boot)
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if not 0.0 < self.level < 1.0:
             raise InvalidParams("level must lie in (0, 1)")
 
@@ -87,18 +96,51 @@ class BootstrapCi:
         }
 
 
+def _lemire_starts(words: np.ndarray, n_blocks: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_blocks, m) starts in [0, high) from the raw words of m streams, and the streams to redraw.
+
+    ``high`` is at most 2^32.  ``Generator.integers(0, high)`` takes the
+    low, then the high 32 bits of each PCG64 word as one draw u and returns
+    (u * high) >> 32, unless (u * high) mod 2^32 falls below 2^32 mod high
+    (Lemire 2019), where it draws again.  Here that transform runs over a
+    whole chunk at once; a stream with any such draw is returned for redrawing.
+    """
+    k = -(-n_blocks // 2)
+    raw = np.empty((k, words.shape[1]), dtype=np.uint64)
+    for j, rng in enumerate(streams(stream(0), words)):
+        raw[:, j] = rng.bit_generator.random_raw(k)
+    # Masks and shifts, not a uint32 view, so the split ignores byte order.
+    draws = np.empty((2 * k, words.shape[1]), dtype=np.uint64)
+    np.bitwise_and(raw, 0xFFFFFFFF, out=draws[0::2])
+    np.right_shift(raw, 32, out=draws[1::2])
+    del raw
+    draws = draws[:n_blocks]
+    draws *= np.uint64(high)
+    redraw = (draws.astype(np.uint32) < (1 << 32) % high).any(axis=0)
+    draws >>= np.uint64(32)
+    return draws.view(np.int64), np.flatnonzero(redraw)
+
+
 def _block_starts(n: int, length: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, ceil(n / length)) block starts of resamples ``lo .. hi-1``.
 
-    Resample r draws its starts from ``stream(derive_subseed(seed, r, 0))``.
+    Resample r's starts are ``stream(derive_subseed(seed, r, 0)).integers(0,
+    n - length + 1, size=ceil(n / length))`` bit for bit.  They come from
+    its stream's raw words through ``_lemire_starts``; the rare resamples
+    that transform rejects, and every resample of a range over 2^32
+    (numpy's 64-bit path), are drawn by that ``integers`` call itself.
     """
     n_blocks = -(-n // length)
+    high = n - length + 1
     words = pcg64_seed_words(derive_subseed(seed, np.arange(lo, hi, dtype=np.uint64), 0))
     # Stored block position by block position, so each position's starts
     # over all resamples are contiguous for the sums in _resample_grams.
-    starts = np.empty((n_blocks, hi - lo), dtype=np.int64)
-    for column, rng in zip(starts.T, streams(stream(0), words)):
-        column[:] = rng.integers(0, n - length + 1, size=n_blocks)
+    if high <= 1 << 32:
+        starts, redraw = _lemire_starts(words, n_blocks, high)
+    else:
+        starts, redraw = np.empty((n_blocks, hi - lo), dtype=np.int64), np.arange(hi - lo)
+    for column, rng in zip(redraw, streams(stream(0), words[:, redraw])):
+        starts[:, column] = rng.integers(0, high, size=n_blocks)
     return starts.T
 
 
@@ -150,7 +192,8 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
         raise BlockTooLong(f"block length {length} exceeds n = {n}")
 
     full, last = _block_tables(np.column_stack([x, y]), length)
-    per_chunk = max(1, STARTS_IN_FLIGHT // -(-n // length))
+    n_blocks = -(-n // length)
+    per_chunk = max(1, STARTS_IN_FLIGHT // max(n_blocks + n_blocks % 2, 32))
     grams = []
     for lo in range(0, cfg.n_boot, per_chunk):
         starts = _block_starts(n, length, cfg.seed, lo, min(lo + per_chunk, cfg.n_boot))

@@ -80,10 +80,13 @@ class ErrorProcessSpec:
             if not self.coeffs:
                 raise InvalidParams("ma spec needs at least one coefficient")
             with np.errstate(over="ignore", under="ignore"):
-                norm = np.linalg.norm(self.coeffs)
-            # A draw is divided by this norm, so it must be a positive float.
-            if not 0 < norm < np.inf:
-                raise InvalidParams(f"ma coefficients need a positive finite 2-norm, got {norm:g}")
+                square = np.dot(self.coeffs, self.coeffs)
+            # A draw is divided by the 2-norm sqrt(square), which is accurate
+            # only when square is a finite float above the subnormal range.
+            if not np.finfo(float).tiny <= square < np.inf:
+                raise InvalidParams(
+                    f"ma coefficients need a finite, non-subnormal sum of squares, got {square:g}"
+                )
             if self.delta is not None:
                 raise InvalidParams("ma is finite-range; delta must be None")
         elif self.kind == "ar1":

@@ -14,7 +14,10 @@ the draws from many seeds (``processes.map_draws``, the bootstrap's block
 starts) do not: ``pcg64_seed_words`` runs that hash over a seed array at
 once, and ``streams`` sets one reused ``Generator`` to each seed's starting
 state in turn, so a chunk of rows is drawn without constructing a
-generator per row.  The bytes drawn are those of ``stream(seed)``.
+generator per row.  The bytes drawn are those of ``stream(seed)``.  The
+bootstrap's block starts are drawn from each stream as raw PCG64 words,
+which one batched bounded transform turns into starts bit-identical to
+``Generator.integers`` on that stream.
 """
 
 from __future__ import annotations

@@ -63,6 +63,9 @@ class TestBootstrapConfig:
             BootstrapConfig(n_boot=100)
         with pytest.raises(InvalidParams):
             BootstrapConfig(level=1.0)
+        for seed in (1.5, "7", True):
+            with pytest.raises(InvalidParams, match="seed must be a whole number"):
+                BootstrapConfig(seed=seed)
 
     def test_fractional_resample_count_refused(self):
         with pytest.raises(InvalidParams, match="n_boot must be a whole number"):
@@ -169,6 +172,33 @@ class TestBlockBootstrapCi:
             idx = (drawn[:, None] + np.arange(length)).ravel()[:n]
             expected = rows[idx].T @ rows[idx]
             assert np.max(np.abs(grams[r] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize(
+        "n, length, lo, hi",
+        [
+            # high = 3 * 2^30: a quarter of all draws are rejected, so most
+            # resamples are redrawn.
+            (4 * 2**30 - 1, 2**30, 0, 40),
+            # high = 2^31 + 1: about half of all draws are rejected, with
+            # remainders that take every value, not only multiples of 2^30.
+            (3 * 2**30, 2**30, 0, 40),
+            # high = 2^32 exactly: no draw is rejected.
+            (3 * 2**31 - 1, 2**31, 0, 20),
+            # high > 2^32: numpy's 64-bit path, every resample redrawn.
+            (2**33, 2**31 - 5, 0, 20),
+            # high = 1: every start is 0.
+            (50, 50, 0, 20),
+            # 101 blocks, an odd count, in a chunk that starts at resample 5.
+            (1001, 10, 5, 40),
+        ],
+    )
+    def test_starts_match_integers_on_edge_ranges(self, n, length, lo, hi):
+        starts = bootstrap_mod._block_starts(n, length, 9, lo, hi)
+        n_blocks = -(-n // length)
+        assert starts.shape == (hi - lo, n_blocks)
+        for r in range(lo, hi):
+            drawn = stream(derive_subseed(9, r, 0)).integers(0, n - length + 1, size=n_blocks)
+            assert np.array_equal(starts[r - lo], drawn)
 
     def test_independent_of_chunking(self, monkeypatch):
         x, y = make_dataset(300, seed=6, dependent=True)

@@ -162,6 +162,8 @@ class TestErrorExits:
             ("clt-check", {**CLT_BAD_N, "n": True}),
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": {**CLT_BAD_N["process"], "scale": 2.0}}),
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": {"kind": "ma", "coeffs": [1e200, 1e200]}}),
+            ("clt-check", {**CLT_BAD_N, "n": 500, "process": {"kind": "ma", "coeffs": [2e-162, 2e-162]}}),
+            ("clt-check", {**CLT_BAD_N, "n": 500, "process": {"kind": "ma", "coeffs": [1e-161, 1e-161]}}),
         ],
         ids=[
             "replications-string",
@@ -191,6 +193,8 @@ class TestErrorExits:
             "clt-n-bool",
             "clt-column-scale",
             "clt-ma-norm-overflow",
+            "clt-ma-norm-subnormal",
+            "clt-ma-norm-subnormal-edge",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, config):

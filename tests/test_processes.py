@@ -39,11 +39,19 @@ class TestSpecValidation:
     def test_ma_needs_coefficients(self):
         with pytest.raises(InvalidParams):
             ma(())
-        # A draw is divided by the 2-norm of the coefficients: it must be
-        # a positive float, not 0 (all zero, or underflowing) nor inf.
-        for coeffs in ((0.0, 0.0), (1e200, 1e200), (1e-170, 1e-170)):
+        # A draw is divided by the 2-norm of the coefficients: their sum of
+        # squares must be a finite float above the subnormal range, where
+        # the norm loses precision (1.11x too large at 2e-162).
+        for coeffs in (
+            (0.0, 0.0),
+            (1e200, 1e200),
+            (1e-170, 1e-170),
+            (2e-162, 2e-162),
+            (1e-161, 1e-161),
+        ):
             with pytest.raises(InvalidParams):
                 ma(coeffs)
+        assert ma((1e-150, 1e-150)).coeffs == (1e-150, 1e-150)
 
     def test_mixing_class_conventions(self):
         assert ma((1.0, 1.0)).mixing_class == "phi"
