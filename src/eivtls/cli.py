@@ -45,8 +45,6 @@ EXIT_NUMERICAL = 3
 
 def _load_experiment(path: str, seed_override: int | None) -> ExperimentConfig:
     d = read_json(path)
-    if not isinstance(d, dict):
-        raise InvalidParams("malformed config: the top level must be a JSON object")
     if seed_override is not None:
         d["master_seed"] = seed_override
     return ExperimentConfig.from_dict(d)
@@ -152,7 +150,7 @@ def _cmd_clt_check(args) -> int:
         ),
     )
     if args.tables:
-        write_table_csv(args.tables, ["s_over_sigma"], [[float(v)] for v in report.s_over_sigma])
+        write_table_csv(args.tables, ["s_over_sigma"], report.s_over_sigma[:, None].tolist())
     return EXIT_OK
 
 
@@ -261,7 +259,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

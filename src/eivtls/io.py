@@ -1,8 +1,11 @@
 """Bit-exact file formats: dataset CSV, report JSON, and companion tables.
 
-Floats are serialized with Python's shortest round-trip repr, so a write /
-read cycle reproduces the in-memory values bit for bit.  All writes go
-through a temp file in the target directory followed by an atomic rename.
+Floats are written with Python's shortest round-trip repr, so a write / read
+cycle reproduces the in-memory values bit for bit.  All writes go through a
+temp file in the target directory followed by an atomic rename.  Every input
+is read as UTF-8 text; a config must be one JSON object, and a dataset is the
+header ``x1,...,xp,y`` over rows of p + 1 numbers, which ``numpy.loadtxt``
+parses once blank lines are dropped.  Any other input is ``InvalidParams``.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ import numpy as np
 
 from .errors import InvalidParams
 from .linalg import as_matrix, as_vector
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -34,43 +33,40 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidParams(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def write_dataset_csv(path: str, x, y) -> None:
     """Write the dataset as ``x1,...,xp,y`` rows, LF-terminated, UTF-8."""
     x = as_matrix(x)
     y = as_vector(y)
     if y.shape[0] != x.shape[0]:
         raise InvalidParams("x and y row counts differ")
-    p = x.shape[1]
-    lines = [",".join([f"x{j + 1}" for j in range(p)] + ["y"])]
-    for i in range(x.shape[0]):
-        lines.append(",".join([_fmt(v) for v in x[i]] + [_fmt(y[i])]))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    header = [f"x{j + 1}" for j in range(x.shape[1])] + ["y"]
+    write_table_csv(path, header, np.column_stack([x, y]).tolist())
 
 
 def read_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a dataset written by ``write_dataset_csv``."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if len(cols) < 2 or cols[-1] != "y" or cols[:-1] != [
-            f"x{j + 1}" for j in range(len(cols) - 1)
-        ]:
-            raise InvalidParams(f"unexpected dataset header {header!r} in {path}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise InvalidParams(f"{path}:{lineno}: expected {len(cols)} fields")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise InvalidParams(f"{path}:{lineno}: non-numeric field") from None
+    header, *lines = _read_text(path).split("\n")
+    header = header.strip()
+    cols = header.split(",")
+    if len(cols) < 2 or cols != [f"x{j + 1}" for j in range(len(cols) - 1)] + ["y"]:
+        raise InvalidParams(f"unexpected dataset header {header!r} in {path}")
+    rows = [line for line in lines if line.strip()]
     if not rows:
         raise InvalidParams(f"{path} contains no data rows")
-    data = np.array(rows)
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise InvalidParams(f"malformed data row in {path}: {exc}") from None
+    if data.shape[1] != len(cols):
+        raise InvalidParams(f"{path}: {data.shape[1]} fields per row under {len(cols)} columns")
     return data[:, :-1], data[:, -1]
 
 
@@ -79,18 +75,19 @@ def write_report_json(path: str, report: dict) -> None:
 
 
 def read_json(path: str) -> dict:
+    """The JSON object in ``path``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+        d = json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidParams(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise InvalidParams(f"malformed config {path}: the top level must be a JSON object")
+    return d
 
 
 def write_table_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Companion CSV table (one row per record, shortest-repr floats)."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-        )
+    """CSV table, one record per row, each value printed by ``repr``.
+
+    Rows hold Python scalars (``tolist()``): numpy 2 prints ``np.float64(...)``."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     _atomic_write_text(path, "\n".join(lines) + "\n")

@@ -183,7 +183,7 @@ class NormalityExperimentReport(ExperimentReport):
     def table(self) -> tuple[list[str], list[list]]:
         """Companion CSV: one row of deviations per successful replication."""
         header = [f"dev{j + 1}" for j in range(self.config.design.p)]
-        return header, [list(map(float, row)) for row in self.deviations]
+        return header, self.deviations.tolist()
 
 
 @dataclass(frozen=True)

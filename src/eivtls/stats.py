@@ -166,8 +166,8 @@ class NormalityReport:
 
     Projection KS tests compare each directional projection of the centered
     sample with the normal whose variance is taken from the empirical
-    covariance (the limiting covariance is not available in closed form, so
-    the battery studentizes empirically).
+    covariance (the battery does not compute the limiting covariance, so it
+    studentizes empirically).
     """
 
     n_samples: int

@@ -28,6 +28,29 @@ SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 GOLDEN_LAMBDA = 9.0 - 4.0 * np.sqrt(5.0)
 GOLDEN_BETA = (1.0 + np.sqrt(5.0)) / 2.0
 
+CLEAN_CSV = "x1,y\n1.0,2.1\n2.0,2.9\n3.0,4.2\n4.0,4.8\n"
+BAD_DATASETS = {
+    "wrong-header": b"x,y\n1.0,2.1\n2.0,2.9\n",
+    "ragged-row": b"x1,y\n1.0,2.1\n2.0\n3.0,4.2\n",
+    "non-numeric-field": b"x1,y\n1.0,2.1\n2.0,two\n3.0,4.2\n",
+    "trailing-comma": b"x1,y\n1.0,2.1,\n2.0,2.9,\n3.0,4.2,\n",
+    "header-only": b"x1,y\n",
+    "not-utf8": b"x1,y\n1.0,2.1\n2.0,\xff\n",
+}
+BAD_CONFIGS = {
+    "not-utf8": b'{"a": "\xff"}',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+BAD_INPUTS = [
+    pytest.param(command, option, content, id=f"{command}-{name}")
+    for option, commands, cases in (
+        ("--data", ("fit", "bootstrap-ci"), BAD_DATASETS),
+        ("--config", ("mc-consistency", "clt-check"), BAD_CONFIGS),
+    )
+    for command in commands
+    for name, content in cases.items()
+]
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -71,14 +94,39 @@ class TestGenFit:
         assert out["lambda"] == pytest.approx(GOLDEN_LAMBDA, abs=1e-9)
 
     def test_csv_bitwise_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(50, 2))
-        y = rng.normal(size=50)
+        # Random finite bit patterns (subnormals included) and the edge values;
+        # comparing bits, not values, tells -0.0 from 0.0.
+        tiny, big = np.finfo(float).tiny, np.finfo(float).max
+        edges = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, big, -big]
+        bits = np.random.default_rng(0).integers(0, 2**64, size=6000, dtype=np.uint64)
+        flat = bits.view(float)[np.isfinite(bits.view(float))]
+        flat = flat[: len(flat) // 3 * 3]
+        flat[: len(edges)] = edges
+        data = flat.reshape(-1, 3)
+        x, y = data[:, :2], data[:, 2]
         path = tmp_path / "rt.csv"
         write_dataset_csv(str(path), x, y)
         x2, y2 = read_dataset_csv(str(path))
-        assert np.array_equal(x, x2)
-        assert np.array_equal(y, y2)
+        assert np.array_equal(x2.view(np.uint64), x.view(np.uint64))
+        assert np.array_equal(y2.view(np.uint64), y.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "messy",
+        [
+            CLEAN_CSV.replace("\n", "\n\n"),
+            CLEAN_CSV.replace("\n", "\n \t\n"),
+            CLEAN_CSV.replace("\n", "\r\n"),
+        ],
+        ids=["blank-lines", "whitespace-lines", "crlf"],
+    )
+    def test_blank_lines_and_crlf_fit_as_the_clean_file(self, tmp_path, messy):
+        fits = []
+        for name, text in (("clean", CLEAN_CSV), ("messy", messy)):
+            data, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            data.write_bytes(text.encode())
+            assert run("fit", "--data", data, "--out", report) == EXIT_OK
+            fits.append({k: v for k, v in json.loads(report.read_text()).items() if k != "data"})
+        assert fits[0] == fits[1]
 
     def test_gen_deterministic_under_seed(self, tmp_path, config_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -248,6 +296,15 @@ class TestErrorExits:
             str(data), np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0])
         )
         assert run("fit", "--data", data, "--out", tmp_path / "r.json") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, option, content", BAD_INPUTS)
+    def test_unreadable_input_is_config_error(self, tmp_path, capsys, command, option, content):
+        path, out = tmp_path / "input", tmp_path / "r.json"
+        path.write_bytes(content)
+        assert run(command, option, path, "--out", out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         assert run("fit", "--data", tmp_path / "nope.csv", "--out", tmp_path / "r.json") == EXIT_CONFIG
