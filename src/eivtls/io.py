@@ -2,10 +2,12 @@
 
 Floats are written with Python's shortest round-trip repr, so a write / read
 cycle reproduces the in-memory values bit for bit.  All writes go through a
-temp file in the target directory followed by an atomic rename.  Every input
-is read as UTF-8 text; a config must be one JSON object, and a dataset is the
-header ``x1,...,xp,y`` over rows of p + 1 numbers, which ``numpy.loadtxt``
-parses once blank lines are dropped.  Any other input is ``InvalidParams``.
+temp file in the target directory followed by an atomic rename, and the file
+gets the mode a newly created file gets under the process umask.  Every input
+is read as UTF-8 text; a config must be one JSON object, and a dataset is
+the header ``x1,...,xp,y`` over rows of p + 1 numbers, which
+``numpy.loadtxt`` parses once blank lines are dropped.  Any other input is
+``InvalidParams``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ def _atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -16,24 +16,27 @@ marginal standard deviation is exactly the sd it is drawn at, sqrt(sigma2)
 for every column of an error matrix and 1 for ``generate_sequence``.  All
 draws are pure functions of (spec, n, seed).
 
-A single seed is drawn through ``seeding.stream``, one generator per
-column (``generate_sequence``, ``generate_error_matrix``, so ``gen`` and
-``synthesize``).  Every seeded draw of many rows goes through
-``map_draws``: it derives the PCG64 seed words of all rows' streams at
-once and hands its chunks of blocks to a standard-library thread pool of
-at most one thread per usable CPU (none on one CPU), within a budget of
-``CHUNK_ELEMENTS`` floats in flight.  This is the only place in the
-package that reads the CPU count or starts a thread: the draws are the
-work measured to run faster on more threads.  Each chunk is
-filled with one scratch generator set to each row's stream in turn,
-filtered as one array (AR(1) by one ``lfilter`` along the last axis, MA(q)
-by one shifted-slice sum) and passed to the caller's ``reduce``.  The
-Monte Carlo experiments reduce to Gram matrices and ``stats.clt_check`` to
-row sums.  A row depends only on its seed, never on the chunk or thread
-that draws it, so block r of ``map_draws`` equals the transposed
-``generate_error_matrix`` of seed r bit for bit.  ``scipy.signal`` is
-imported only when an AR(1) column is drawn; iid and MA(q) columns need
-numpy alone.
+A single seed is drawn through ``seeding.stream``, one generator per column
+(``generate_sequence``, ``generate_error_matrix``, so ``gen`` and
+``synthesize``).  Every seeded draw of many rows goes through ``map_draws``:
+it derives the PCG64 seed words of all rows' streams at once and hands its
+chunks of blocks to a standard-library thread pool of at most one thread
+per usable CPU (none on one CPU), within a budget of ``CHUNK_ELEMENTS``
+floats in flight.  This is the only place in the package that reads the CPU
+count or starts a thread.  What the threads overlap is each chunk's filter
+and the caller's ``reduce``, numpy work on the whole chunk; the per-row
+draws gain less and not reliably, since each row's generator state is set
+in Python under the interpreter lock (iid-only ``map_draws`` at R = n =
+2000, p = 2 on a 2-vCPU host: medians of 0.26-0.28 s on one worker and
+0.17-0.31 s on two, over four interleaved runs of 15).  Each chunk is filled
+with one scratch generator set to each row's stream in turn, filtered as
+one array (AR(1) by one ``lfilter`` along the last axis, MA(q) by one
+shifted-slice sum) and passed to the caller's ``reduce``.  The Monte Carlo
+experiments reduce to Gram matrices and ``stats.clt_check`` to row sums.  A
+row depends only on its seed, never on the chunk or thread that draws it,
+so block r of ``map_draws`` equals the transposed ``generate_error_matrix``
+of seed r bit for bit.  ``scipy.signal`` is imported only when an AR(1)
+column is drawn; iid and MA(q) columns need numpy alone.
 """
 
 from __future__ import annotations
@@ -254,8 +257,16 @@ class ErrorMatrixSpec:
     def __post_init__(self):
         if not self.column_specs:
             raise InvalidParams("need at least one error column")
-        if self.sigma2 <= 0 or not np.isfinite(self.sigma2):
+        sigma2 = self.sigma2
+        if isinstance(sigma2, (str, bool, np.bool_)):
+            raise InvalidParams(f"sigma2 must be a number, got {sigma2!r}")
+        try:
+            sigma2 = float(sigma2)
+        except (TypeError, ValueError):
+            raise InvalidParams(f"sigma2 must be a number, got {sigma2!r}") from None
+        if not (sigma2 > 0 and np.isfinite(sigma2)):
             raise InvalidParams("sigma2 must be positive and finite")
+        object.__setattr__(self, "sigma2", sigma2)
 
     @property
     def p(self) -> int:

@@ -3,10 +3,12 @@ import copy
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import eivtls.processes
 import eivtls.montecarlo
 from eivtls.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from eivtls.estimator import FIT_EIG_GAP, FIT_NONGENERIC, tls_from_gram
-from eivtls.io import read_dataset_csv, write_dataset_csv
+from eivtls.io import read_dataset_csv, write_dataset_csv, write_table_csv
 from eivtls.presets import default_config
 
 
@@ -128,6 +130,19 @@ class TestGenFit:
             fits.append({k: v for k, v in json.loads(report.read_text()).items() if k != "data"})
         assert fits[0] == fits[1]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_get_the_mode_the_umask_gives(self, tmp_path, config_path, umask):
+        data, report, table = tmp_path / "d.csv", tmp_path / "fit.json", tmp_path / "t.csv"
+        old = os.umask(umask)
+        try:
+            assert run("gen", "--config", config_path, "--n", 50, "--out", data) == EXIT_OK
+            assert run("fit", "--data", data, "--out", report) == EXIT_OK
+            write_table_csv(str(table), ["a"], [[1.0]])
+        finally:
+            os.umask(old)
+        for path in (data, report, table):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+
     def test_gen_deterministic_under_seed(self, tmp_path, config_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("gen", "--config", config_path, "--n", 100, "--seed", 9, "--out", a)
@@ -138,6 +153,12 @@ class TestGenFit:
 def alpha_config_dict(**changes):
     d = default_config("alpha", beta=(1.5,), n_grid=(40, 80), replications=100).to_dict()
     d.update(changes)
+    return d
+
+
+def alpha_with_sigma2(sigma2):
+    d = alpha_config_dict()
+    d["errors"]["sigma2"] = sigma2
     return d
 
 
@@ -212,6 +233,9 @@ class TestErrorExits:
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": {"kind": "ma", "coeffs": [1e200, 1e200]}}),
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": {"kind": "ma", "coeffs": [2e-162, 2e-162]}}),
             ("clt-check", {**CLT_BAD_N, "n": 500, "process": {"kind": "ma", "coeffs": [1e-161, 1e-161]}}),
+            ("check-assumptions", alpha_with_sigma2(True)),
+            ("mc-consistency", alpha_with_sigma2(False)),
+            ("check-assumptions", alpha_with_sigma2("1.0")),
         ],
         ids=[
             "replications-string",
@@ -243,6 +267,9 @@ class TestErrorExits:
             "clt-ma-norm-overflow",
             "clt-ma-norm-subnormal",
             "clt-ma-norm-subnormal-edge",
+            "check-assumptions-sigma2-bool",
+            "sigma2-false",
+            "check-assumptions-sigma2-string",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, config):
@@ -250,6 +277,12 @@ class TestErrorExits:
         path.write_text(json.dumps(config))
         assert run(command, "--config", path, "--out", tmp_path / "r.json") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_integer_sigma2_is_echoed_as_a_float(self, tmp_path):
+        path, out = tmp_path / "int.json", tmp_path / "r.json"
+        path.write_text(json.dumps(alpha_with_sigma2(1)))
+        assert run("check-assumptions", "--config", path, "--out", out) == EXIT_OK
+        assert '"sigma2": 1.0,' in out.read_text()
 
     def test_non_object_config_with_seed_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -282,11 +315,14 @@ class TestErrorExits:
         assert "90 of 100 fits failed" in capsys.readouterr().err
 
     def test_overflowing_gram_matrices_are_numerical_error(self, tmp_path, capsys):
-        # The limit matrix of the scaled block is finite, but y'y at n = 250 is not.
+        # The limit matrix of the scaled block is finite, but y'y at n = 250 is
+        # not: every fit is refused as non-finite, and no overflow warning escapes.
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(phi_with_block_scaled(1e153)))
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run("mc-consistency", "--config", path, "--out", tmp_path / "r.json")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code == EXIT_NUMERICAL
         assert "every replication failed" in capsys.readouterr().err
 

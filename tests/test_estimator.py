@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from eivtls.estimator import (
     FIT_NOT_FINITE,
     FIT_NOT_SPD,
     FIT_OK,
+    GRAM_BLOCK,
     NONGENERIC_RTOL,
+    gram_stack,
     ols_fit,
     ols_from_gram,
     tls_fit,
@@ -164,8 +168,37 @@ def cholesky_dataset(scale):
 
 
 def joint_gram(x, y):
-    xy = np.vstack([x.T, y])
-    return xy @ xy.T
+    """The Gram matrix of ``[x, y]`` by the kernel ``tls_fit`` uses."""
+    return gram_stack(np.vstack([x.T, y])[None])[0]
+
+
+class TestGramStack:
+    @pytest.mark.parametrize("n", [1, 250, GRAM_BLOCK, GRAM_BLOCK + 1, 9000])
+    def test_matches_matmul(self, n):
+        xy = np.random.default_rng(n).standard_normal((5, 3, n))
+        np.testing.assert_allclose(gram_stack(xy), xy @ xy.mT, rtol=1e-12, atol=1e-12 * n)
+
+    @pytest.mark.parametrize("n", [2000, 9000, 16000])
+    def test_gram_depends_on_its_own_rows_alone(self, n):
+        # Plain einsum sums a row of more than 8192 columns differently in a
+        # one-matrix stack, and a strided (F-ordered) row differently again.
+        xy = np.random.default_rng(n).standard_normal((5, 4, n))
+        whole = gram_stack(xy)
+        for r in range(5):
+            assert np.array_equal(gram_stack(xy[r : r + 1]), whole[r : r + 1])
+            assert np.array_equal(gram_stack(np.asfortranarray(xy[r])[None]), whole[r : r + 1])
+        assert np.array_equal(np.concatenate([gram_stack(xy[:2]), gram_stack(xy[2:])]), whole)
+
+    def test_overflow_is_left_to_the_fit_without_a_warning(self):
+        # Each block's sums overflow: y'y to inf, x'y to -inf in the first
+        # block and to inf in the others, so that adding the blocks gives NaN.
+        xy = np.full((1, 2, 3 * GRAM_BLOCK), 1e200)
+        xy[0, 1, :GRAM_BLOCK] *= -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = gram_stack(xy)
+        assert not np.any(np.isfinite(m))
+        assert tls_from_gram(m).status.tolist() == [FIT_NOT_FINITE]
 
 
 class TestTlsFromGram:

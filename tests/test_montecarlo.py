@@ -7,7 +7,8 @@ import pytest
 
 from eivtls import montecarlo, processes
 from eivtls.errors import InvalidParams
-from eivtls.model import repeating_block
+from eivtls.estimator import FIT_OK, tls_fit
+from eivtls.model import repeating_block, synthesize
 from eivtls.montecarlo import (
     ConsistencyReport,
     ExperimentConfig,
@@ -17,6 +18,7 @@ from eivtls.montecarlo import (
     run_consistency,
     run_long_run_check,
     run_normality,
+    _fit_cell,
     _replicate,
 )
 from eivtls.presets import default_config, default_design, default_errors
@@ -251,15 +253,37 @@ class TestChunking:
         assert self.reports() == whole
 
 
+class TestFitCell:
+    @pytest.mark.parametrize("path", ["alpha", "phi"])
+    def test_fits_equal_tls_fit_of_the_synthesized_data(self, path):
+        # One cell under GRAM_BLOCK columns and one past einsum's 8192-float buffer.
+        cfg = default_config(path, beta=(1.0, -2.0), n_grid=(250, 9000), replications=100)
+        for cell, n in enumerate(cfg.n_grid):
+            _, fits = _fit_cell(cfg, cell)
+            for r in (0, 1, 58, 99):
+                seed = derive_subseed(cfg.master_seed, r, cell)
+                inst = synthesize(cfg.design, cfg.beta, cfg.errors, n, seed)
+                fit = tls_fit(inst.x, inst.y)
+                assert fits.status[r] == FIT_OK
+                assert np.array_equal(fits.beta[r], fit.beta_hat)
+                assert fits.lam[r] == fit.lam
+                assert np.array_equal(fits.v[r], fit.v)
+
+
 class TestWorkers:
     """Gram stacks must not depend on how many threads draw them."""
 
-    @pytest.mark.parametrize("path", ["alpha", "phi"])
-    def test_gram_stacks_bitwise_equal_for_1_2_3_workers(self, monkeypatch, path):
-        cfg = default_config(path, beta=(1.0, -2.0), n_grid=(90,), replications=100)
-        # 6 replications of (p + 1) n = 270 floats in flight: chunks of 6, 3
-        # and 2 replications, so every worker draws many chunks.
-        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 6 * 3 * 90)
+    @pytest.mark.parametrize(
+        "path, n, in_flight",
+        [("alpha", 90, 6), ("phi", 90, 6), ("alpha", 9000, 4), ("phi", 9000, 4)],
+        ids=["alpha", "phi", "alpha-n9000", "phi-n9000"],
+    )
+    def test_gram_stacks_bitwise_equal_for_1_2_3_workers(self, monkeypatch, path, n, in_flight):
+        cfg = default_config(path, beta=(1.0, -2.0), n_grid=(n,), replications=100)
+        # in_flight replications of (p + 1) n floats: at n = 90, chunks of 6, 3
+        # and 2 replications, so every worker draws many chunks; at n = 9000,
+        # past einsum's 8192-float buffer, chunks of 4, 2 and 1 replications.
+        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", in_flight * 3 * n)
         stacks = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
