@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlockTooLong, InvalidParams, TooManyRefitFailures
 from .estimator import FIT_OK, TlsFit, tls_fit, tls_from_gram
-from .linalg import as_integer, as_matrix, as_vector
+from .linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_vector
 from .seeding import derive_subseed, pcg64_seed_words, stream, streams
 from .stats import _icbrt
 
@@ -66,10 +66,11 @@ class BootstrapConfig:
                 raise InvalidParams("block_length must be positive")
             object.__setattr__(self, "block_length", length)
         n_boot = as_integer(self.n_boot, "n_boot")
-        if n_boot < 199:
-            raise InvalidParams("need at least 199 bootstrap resamples")
+        if not 199 <= n_boot <= MAX_LENGTH:
+            raise InvalidParams(f"need at least 199 and at most {MAX_LENGTH} bootstrap resamples")
         object.__setattr__(self, "n_boot", n_boot)
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
+        object.__setattr__(self, "level", as_number(self.level, "level"))
         if not 0.0 < self.level < 1.0:
             raise InvalidParams("level must lie in (0, 1)")
 

@@ -26,7 +26,7 @@ from .io import (
     write_report_json,
     write_table_csv,
 )
-from .linalg import as_integer
+from .linalg import as_integer, check_keys
 from .mixing import check_assumptions
 from .model import synthesize
 from .montecarlo import (
@@ -124,6 +124,7 @@ def _cmd_experiment(args, run) -> int:
 
 def _cmd_clt_check(args) -> int:
     d = read_json(args.config)
+    check_keys(d, ("process", "n", "replications", "seed"), "clt-check config")
     try:
         spec = ErrorProcessSpec.from_dict(d["process"])
         n = args.n if args.n is not None else as_integer(d["n"], "n")
@@ -132,11 +133,9 @@ def _cmd_clt_check(args) -> int:
             if args.replications is not None
             else as_integer(d["replications"], "replications")
         )
-        seed = args.seed if args.seed is not None else as_integer(d.get("seed", 0), "seed")
     except KeyError as exc:
-        raise InvalidParams(f"clt-check config is missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise InvalidParams(f"malformed clt-check config: {exc}") from None
+        raise InvalidParams(f"clt-check config is missing required key {exc}") from None
+    seed = args.seed if args.seed is not None else as_integer(d.get("seed", 0), "seed")
     report = clt_check(spec, n, reps, seed)
     write_report_json(
         args.out,
@@ -261,6 +260,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -15,8 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, RankDeficientDesign
-from .linalg import as_matrix, as_vector
+from .linalg import MAX_LENGTH, as_matrix, as_number, as_tuple, as_vector, from_keys
 from .processes import ErrorMatrixSpec, generate_error_matrix
+
+
+# The fields each design kind does not read; a spec that sets one is refused.
+UNREAD_FIELDS = {"repeating_block": ("frequencies",), "sinusoidal": ("block",)}
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,11 @@ class DesignSpec:
     frequencies: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in UNREAD_FIELDS:
+            raise InvalidParams(f"unknown design kind {self.kind!r}")
+        for name in UNREAD_FIELDS[self.kind]:
+            if getattr(self, name) is not None:
+                raise InvalidParams(f"kind {self.kind!r} takes no {name}")
         if self.kind == "repeating_block":
             if self.block is None:
                 raise InvalidParams("repeating_block needs a block matrix")
@@ -44,17 +53,16 @@ class DesignSpec:
                     raise InvalidParams("the limit matrix block.T @ block / k overflows")
             if np.linalg.matrix_rank(blk) < blk.shape[1]:
                 raise RankDeficientDesign("block columns are linearly dependent")
-        elif self.kind == "sinusoidal":
-            if not self.frequencies:
+        else:
+            freqs = self.frequencies
+            freqs = () if freqs is None else as_tuple(freqs, as_number, "frequencies")
+            if not freqs:
                 raise InvalidParams("sinusoidal needs at least one frequency")
-            freqs = tuple(float(f) for f in self.frequencies)
             if len(set(freqs)) != len(freqs):
                 raise InvalidParams("frequencies must be distinct")
             if not all(0.0 < f < 0.5 for f in freqs):
                 raise InvalidParams("frequencies must lie in (0, 0.5)")
             object.__setattr__(self, "frequencies", freqs)
-        else:
-            raise InvalidParams(f"unknown design kind {self.kind!r}")
 
     @property
     def p(self) -> int:
@@ -69,20 +77,15 @@ class DesignSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DesignSpec":
-        kind = d.get("kind")
-        if kind == "repeating_block":
-            return cls(kind=kind, block=np.asarray(d["block"], dtype=float))
-        if kind == "sinusoidal":
-            return cls(kind=kind, frequencies=tuple(d["frequencies"]))
-        raise InvalidParams(f"unknown design kind {kind!r}")
+        return from_keys(cls, d, "design")
 
 
 def repeating_block(block) -> DesignSpec:
-    return DesignSpec(kind="repeating_block", block=np.asarray(block, dtype=float))
+    return DesignSpec(kind="repeating_block", block=block)
 
 
 def sinusoidal(frequencies) -> DesignSpec:
-    return DesignSpec(kind="sinusoidal", frequencies=tuple(frequencies))
+    return DesignSpec(kind="sinusoidal", frequencies=frequencies)
 
 
 def build_design(spec: DesignSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,8 +95,8 @@ def build_design(spec: DesignSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     exactly at ``n``; otherwise it is the asymptotic value.
     """
     p = spec.p
-    if n < p + 2:
-        raise InvalidParams(f"n must be at least p + 2 = {p + 2}")
+    if not p + 2 <= n <= MAX_LENGTH:
+        raise InvalidParams(f"n must be at least p + 2 = {p + 2} and at most {MAX_LENGTH}, got {n}")
     if spec.kind == "repeating_block":
         blk = spec.block
         k = blk.shape[0]

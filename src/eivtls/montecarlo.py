@@ -39,7 +39,7 @@ from .estimator import (
     ols_from_gram,
     tls_from_gram,
 )
-from .linalg import as_integer, as_vector
+from .linalg import MAX_LENGTH, as_integer, as_tuple, as_vector, from_keys
 from .mixing import AssumptionReport, check_assumptions
 from .model import DesignSpec, build_design
 from .processes import ErrorMatrixSpec, map_draws
@@ -71,9 +71,13 @@ class ExperimentConfig:
     theorem: str = "AN-alpha"
 
     def __post_init__(self):
+        if not isinstance(self.design, DesignSpec):
+            object.__setattr__(self, "design", DesignSpec.from_dict(self.design))
+        if not isinstance(self.errors, ErrorMatrixSpec):
+            object.__setattr__(self, "errors", ErrorMatrixSpec.from_dict(self.errors))
         beta = as_vector(self.beta)
         object.__setattr__(self, "beta", beta)
-        grid = tuple(as_integer(n, "every n_grid entry") for n in self.n_grid)
+        grid = as_tuple(self.n_grid, as_integer, "n_grid")
         object.__setattr__(self, "n_grid", grid)
         for name in ("replications", "master_seed"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
@@ -81,15 +85,15 @@ class ExperimentConfig:
             raise InvalidParams("n_grid must not be empty")
         if list(grid) != sorted(set(grid)):
             raise InvalidParams("n_grid must be strictly ascending")
-        if self.replications < 100:
-            raise InvalidParams("need at least 100 replications")
+        if not 100 <= self.replications <= MAX_LENGTH:
+            raise InvalidParams(f"need at least 100 and at most {MAX_LENGTH} replications")
         p = self.design.p
         if beta.shape[0] != p:
             raise InvalidParams(f"beta must have p = {p} entries")
         if self.errors.p != p:
             raise InvalidParams(f"error spec must have p + 1 = {p + 1} columns")
-        if grid[0] < p + 2:
-            raise InvalidParams(f"every n must be at least p + 2 = {p + 2}")
+        if not p + 2 <= grid[0] <= grid[-1] <= MAX_LENGTH:
+            raise InvalidParams(f"every n must be at least p + 2 = {p + 2} and at most {MAX_LENGTH}")
 
     def to_dict(self) -> dict:
         return {
@@ -104,20 +108,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        try:
-            return cls(
-                design=DesignSpec.from_dict(d["design"]),
-                beta=np.asarray(d["beta"], dtype=float),
-                errors=ErrorMatrixSpec.from_dict(d["errors"]),
-                n_grid=tuple(d["n_grid"]),
-                replications=d["replications"],
-                master_seed=d["master_seed"],
-                theorem=d.get("theorem", "AN-alpha"),
-            )
-        except KeyError as exc:
-            raise InvalidParams(f"config is missing required key {exc}") from None
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise InvalidParams(f"malformed config: {exc}") from None
+        return from_keys(cls, d, "config")
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,13 @@ def default_config(
     master_seed: int = 20240801,
     sigma2: float = 1.0,
 ) -> ExperimentConfig:
-    beta = np.asarray(beta, dtype=float)
-    p = beta.shape[0]
+    p = len(beta)
     theorem = "AN-alpha" if path == ALPHA_PATH else "AN-phi"
     return ExperimentConfig(
         design=default_design(p),
         beta=beta,
         errors=default_errors(path, p, sigma2),
-        n_grid=tuple(n_grid),
+        n_grid=n_grid,
         replications=replications,
         master_seed=master_seed,
         theorem=theorem,

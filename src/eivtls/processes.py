@@ -42,12 +42,13 @@ column is drawn; iid and MA(q) columns need numpy alone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParams
+from .linalg import as_number, as_tuple, config_object, from_keys
 from .seeding import column_subseed, pcg64_seed_words, stream, streams
 
 MIXING_ALPHA = "alpha"
@@ -55,6 +56,10 @@ MIXING_PHI = "phi"
 MIXING_INDEPENDENT = "independent"
 
 CHUNK_ELEMENTS = 1 << 18  # floats of raw error data in flight in map_draws (2 MB)
+
+
+# The fields each process kind does not read; a spec that sets one is refused.
+UNREAD_FIELDS = {"iid_gaussian": ("coeffs", "a", "delta"), "ma": ("a", "delta"), "ar1": ("coeffs",)}
 
 
 @dataclass(frozen=True)
@@ -68,13 +73,16 @@ class ErrorProcessSpec:
     omega: float | None = None  # moment surplus in E|xi|^(4+omega)
 
     def __post_init__(self):
-        for name in ("delta", "omega"):
-            value = getattr(self, name)
-            if value is not None:
-                try:
-                    object.__setattr__(self, name, float(value))
-                except (TypeError, ValueError):
-                    raise InvalidParams(f"{name} must be a number, got {value!r}") from None
+        if not isinstance(self.kind, str) or self.kind not in UNREAD_FIELDS:
+            raise InvalidParams(f"unknown process kind {self.kind!r}")
+        for name in UNREAD_FIELDS[self.kind]:
+            if getattr(self, name) is not None:
+                raise InvalidParams(f"kind {self.kind!r} takes no {name}")
+        for name in ("a", "delta", "omega"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_number(getattr(self, name), name))
+        if self.coeffs is not None:
+            object.__setattr__(self, "coeffs", as_tuple(self.coeffs, as_number, "coeffs"))
         if self.delta is not None and np.isnan(self.delta):
             raise InvalidParams("delta must be a number, got nan")
         if self.omega is not None and not self.omega > 0:
@@ -90,13 +98,9 @@ class ErrorProcessSpec:
                 raise InvalidParams(
                     f"ma coefficients need a finite, non-subnormal sum of squares, got {square:g}"
                 )
-            if self.delta is not None:
-                raise InvalidParams("ma is finite-range; delta must be None")
         elif self.kind == "ar1":
             if self.a is None or not np.isfinite(self.a) or abs(self.a) >= 1:
                 raise InvalidParams("ar1 needs |a| < 1")
-        elif self.kind != "iid_gaussian":
-            raise InvalidParams(f"unknown process kind {self.kind!r}")
 
     @property
     def mixing_class(self) -> str:
@@ -113,33 +117,24 @@ class ErrorProcessSpec:
     def to_dict(self) -> dict:
         # Fixed keys: every column is stationary, and its sd is set by the draw.
         out = {"kind": self.kind, "scale": 1.0, "stationary": True}
-        if self.coeffs is not None:
-            out["coeffs"] = list(self.coeffs)
-        if self.a is not None:
-            out["a"] = self.a
-        if self.delta is not None:
-            out["delta"] = self.delta
-        if self.omega is not None:
-            out["omega"] = self.omega
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if value is not None:
+                out[f.name] = list(value) if f.name == "coeffs" else value
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorProcessSpec":
-        if d.get("stationary", True) is not True:
+        d = config_object(d, "error process")
+        if d.pop("stationary", True) is not True:
             raise InvalidParams("every generator is stationary; stationary must be true")
-        if d.get("scale", 1.0) != 1.0:
+        scale = d.pop("scale", 1.0)
+        if as_number(scale, "scale") != 1.0:
             raise InvalidParams(
-                f"scale must be 1, got {d['scale']!r}: error-matrix columns are drawn "
+                f"scale must be 1, got {scale!r}: error-matrix columns are drawn "
                 "at sd sqrt(sigma2), a clt-check process at sd 1"
             )
-        kind = d.get("kind")
-        if kind == "iid_gaussian":
-            return iid_gaussian(omega=d.get("omega"))
-        if kind == "ma":
-            return ma(tuple(d.get("coeffs", ())), omega=d.get("omega"))
-        if kind == "ar1":
-            return ar1(d.get("a"), delta=d.get("delta"), omega=d.get("omega"))
-        raise InvalidParams(f"unknown process kind {kind!r}")
+        return from_keys(cls, d, "error process")
 
 
 def iid_gaussian(omega: float | None = None) -> ErrorProcessSpec:
@@ -148,12 +143,12 @@ def iid_gaussian(omega: float | None = None) -> ErrorProcessSpec:
 
 def ma(coeffs: tuple[float, ...], omega: float | None = None) -> ErrorProcessSpec:
     """Gaussian MA(q) with coefficients ``coeffs = (c_0, ..., c_q)``."""
-    return ErrorProcessSpec(kind="ma", coeffs=tuple(float(c) for c in coeffs), omega=omega)
+    return ErrorProcessSpec(kind="ma", coeffs=coeffs, omega=omega)
 
 
 def ar1(a: float, delta: float | None = None, omega: float | None = None) -> ErrorProcessSpec:
     """Stationary Gaussian AR(1) with coefficient ``a``."""
-    return ErrorProcessSpec(kind="ar1", a=float(a), delta=delta, omega=omega)
+    return ErrorProcessSpec(kind="ar1", a=a, delta=delta, omega=omega)
 
 
 def _fill_column(spec: ErrorProcessSpec, sd: float, rngs, out: np.ndarray) -> None:
@@ -255,17 +250,13 @@ class ErrorMatrixSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not self.column_specs:
+        cols = as_tuple(self.column_specs, lambda c, _: _as_process(c), "columns")
+        if not cols:
             raise InvalidParams("need at least one error column")
-        sigma2 = self.sigma2
-        if isinstance(sigma2, (str, bool, np.bool_)):
-            raise InvalidParams(f"sigma2 must be a number, got {sigma2!r}")
-        try:
-            sigma2 = float(sigma2)
-        except (TypeError, ValueError):
-            raise InvalidParams(f"sigma2 must be a number, got {sigma2!r}") from None
+        sigma2 = as_number(self.sigma2, "sigma2")
         if not (sigma2 > 0 and np.isfinite(sigma2)):
             raise InvalidParams("sigma2 must be positive and finite")
+        object.__setattr__(self, "column_specs", cols)
         object.__setattr__(self, "sigma2", sigma2)
 
     @property
@@ -290,8 +281,13 @@ class ErrorMatrixSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorMatrixSpec":
-        cols = tuple(ErrorProcessSpec.from_dict(c) for c in d.get("columns", ()))
-        return cls(column_specs=cols, sigma2=d.get("sigma2", 1.0))
+        d = config_object(d, "errors")
+        columns = d.pop("columns", ())
+        return from_keys(cls, d, "errors", column_specs=columns)
+
+
+def _as_process(c) -> ErrorProcessSpec:
+    return c if isinstance(c, ErrorProcessSpec) else ErrorProcessSpec.from_dict(c)
 
 
 def generate_error_matrix(spec: ErrorMatrixSpec, n: int, seed: int) -> np.ndarray:

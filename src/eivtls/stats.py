@@ -28,7 +28,7 @@ from .errors import (
     SingularCovariance,
     TooFewSamples,
 )
-from .linalg import as_integer, as_matrix
+from .linalg import MAX_LENGTH, as_integer, as_matrix
 from .processes import ErrorProcessSpec, map_draws
 from .seeding import derive_subseed
 
@@ -137,10 +137,10 @@ def clt_check(
     and each chunk is reduced to its row sums, so the sums do not depend on
     the chunking or the CPU count.
     """
-    if replications < 500:
-        raise InvalidParams("need at least 500 replications")
-    if n < 500:
-        raise InvalidParams("need n >= 500")
+    if not 500 <= replications <= MAX_LENGTH:
+        raise InvalidParams(f"need at least 500 and at most {MAX_LENGTH} replications")
+    if not 500 <= n <= MAX_LENGTH:
+        raise InvalidParams(f"need 500 <= n <= {MAX_LENGTH}")
     seeds = derive_subseed(seed, np.arange(replications, dtype=np.uint64), 0)
     chunks = map_draws([(spec, 1.0)], seeds[None], n, lambda b: b[:, 0].sum(axis=1))
     sums = np.concatenate(chunks)

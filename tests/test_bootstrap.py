@@ -66,6 +66,9 @@ class TestBootstrapConfig:
         for seed in (1.5, "7", True):
             with pytest.raises(InvalidParams, match="seed must be a whole number"):
                 BootstrapConfig(seed=seed)
+        for level in ("0.9", True, None):
+            with pytest.raises(InvalidParams, match="level must be a number"):
+                BootstrapConfig(level=level)
 
     def test_fractional_resample_count_refused(self):
         with pytest.raises(InvalidParams, match="n_boot must be a whole number"):

@@ -17,12 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eivtls
+import eivtls.cli
 import eivtls.processes
 import eivtls.montecarlo
+from eivtls.bootstrap import BootstrapConfig
 from eivtls.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from eivtls.errors import InvalidParams
 from eivtls.estimator import FIT_EIG_GAP, FIT_NONGENERIC, tls_from_gram
 from eivtls.io import read_dataset_csv, write_dataset_csv, write_table_csv
+from eivtls.linalg import MAX_LENGTH
+from eivtls.montecarlo import ExperimentConfig
 from eivtls.presets import default_config
+from eivtls.processes import ErrorProcessSpec
 
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -72,6 +78,10 @@ def phi_config_path(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def umask_forbidden(mask):
+    raise AssertionError("os.umask changes the umask of every thread in the process")
 
 
 class TestGenFit:
@@ -131,17 +141,29 @@ class TestGenFit:
         assert fits[0] == fits[1]
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
-    def test_outputs_get_the_mode_the_umask_gives(self, tmp_path, config_path, umask):
+    def test_outputs_get_the_mode_the_umask_gives(self, tmp_path, monkeypatch, config_path, umask):
         data, report, table = tmp_path / "d.csv", tmp_path / "fit.json", tmp_path / "t.csv"
         old = os.umask(umask)
         try:
-            assert run("gen", "--config", config_path, "--n", 50, "--out", data) == EXIT_OK
-            assert run("fit", "--data", data, "--out", report) == EXIT_OK
-            write_table_csv(str(table), ["a"], [[1.0]])
+            # The writer leaves the process umask alone: the kernel applies it.
+            with monkeypatch.context() as m:
+                m.setattr(os, "umask", umask_forbidden)
+                assert run("gen", "--config", config_path, "--n", 50, "--out", data) == EXIT_OK
+                assert run("fit", "--data", data, "--out", report) == EXIT_OK
+                write_table_csv(str(table), ["a"], [[1.0]])
         finally:
             os.umask(old)
         for path in (data, report, table):
             assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_table_csv(str(tmp_path / "t.csv"), ["a"], [[1.0]])
+        assert list(tmp_path.iterdir()) == []
 
     def test_gen_deterministic_under_seed(self, tmp_path, config_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -361,6 +383,140 @@ class TestErrorExits:
         assert run("frobnicate") == EXIT_CONFIG
 
 
+def shipped(name):
+    return json.loads((SHIPPED_CONFIGS / f"{name}.json").read_text())
+
+
+def edited(name, path, key, *value):
+    """Shipped config ``name`` with ``key`` of the object at ``path`` set to ``value``, or deleted."""
+    d = shipped(name)
+    node = d
+    for step in path:
+        node = node[step]
+    if value:
+        node[key] = value[0]
+    else:
+        del node[key]
+    return d
+
+
+# Per level: the command that reads the config, a shipped config, the path
+# to the object at that level, and a key that no field there takes.
+LEVELS = {
+    "top": ("check-assumptions", "alpha_p2", ()),
+    "design": ("check-assumptions", "alpha_p2", ("design",)),
+    "errors": ("check-assumptions", "alpha_p2", ("errors",)),
+    "column": ("check-assumptions", "alpha_p2", ("errors", "columns", 0)),
+    "clt-top": ("clt-check", "clt_ma1", ()),
+    "clt-process": ("clt-check", "clt_ma1", ("process",)),
+}
+UNKNOWN_KEYS = {
+    "top": "theorm", "design": "rows", "errors": "sigma", "column": "omgea",
+    "clt-top": "sigma2", "clt-process": "sigma",
+}
+# Inputs that ran before the spec dataclasses became the config schema.
+COLUMN = ("errors", "columns", 0)
+ONCE_ACCEPTED = {
+    "theorem-misspelt": edited("alpha_p2", (), "theorm", "CON-phi"),
+    "sigma-for-sigma2": edited("alpha_p2", ("errors",), "sigma", 4.0),
+    "omega-misspelt": edited("alpha_p2", COLUMN, "omgea", 1.0),
+    "ma-delta": edited("phi_p2", COLUMN, "delta", 1.0),
+    "ma-coeffs-string": edited("phi_p2", COLUMN, "coeffs", "123"),
+    "omega-bool": edited("alpha_p2", COLUMN, "omega", True),
+    "a-string": edited("alpha_p2", COLUMN, "a", "0.5"),
+    "beta-strings": edited("alpha_p2", (), "beta", ["1", "-2"]),
+    "beta-bool-among-numbers": edited("alpha_p2", (), "beta", [1.0, True]),
+}
+
+
+def exit_and_error(tmp_path, capsys, command, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    code = run(command, "--config", path, "--out", tmp_path / "r.json")
+    return code, capsys.readouterr().err
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("level", sorted(LEVELS))
+    def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys, level):
+        command, name, path = LEVELS[level]
+        key = UNKNOWN_KEYS[level]
+        code, err = exit_and_error(tmp_path, capsys, command, edited(name, path, key, 1.0))
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"error: unknown key {key!r}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(ONCE_ACCEPTED))
+    @pytest.mark.parametrize("command", ["check-assumptions", "mc-consistency"])
+    def test_once_accepted_inputs_exit_2(self, tmp_path, capsys, command, name):
+        code, err = exit_and_error(tmp_path, capsys, command, ONCE_ACCEPTED[name])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "level, key",
+        [("top", "beta"), ("top", "master_seed"), ("design", "kind"), ("column", "kind"),
+         ("clt-top", "n"), ("clt-process", "kind")],
+    )
+    def test_missing_required_key(self, tmp_path, capsys, level, key):
+        command, name, path = LEVELS[level]
+        code, err = exit_and_error(tmp_path, capsys, command, edited(name, path, key))
+        assert code == EXIT_CONFIG
+        assert "missing required key" in err and repr(key) in err
+
+    @pytest.mark.parametrize("name", ["alpha_p2", "phi_p2"])
+    def test_shipped_configs_are_their_own_to_dict(self, name):
+        d = shipped(name)
+        assert json.dumps(ExperimentConfig.from_dict(d).to_dict()) == json.dumps(d)
+
+    def test_shipped_clt_process_is_its_own_to_dict(self):
+        d = shipped("clt_ma1")["process"]
+        assert json.dumps(ErrorProcessSpec.from_dict(d).to_dict()) == json.dumps(d)
+
+
+class TestSizeLimits:
+    """Sizes above MAX_LENGTH fail before anything is allocated; none below is run."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"n_grid": [40, 1e300]}, {"n_grid": [40, 10**30]}, {"replications": 10**30}],
+        ids=["n_grid-1e300", "n_grid-10**30", "replications-10**30"],
+    )
+    def test_experiment_sizes(self, tmp_path, capsys, changes):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(alpha_config_dict(**changes)))
+        assert run("mc-consistency", "--config", path, "--out", tmp_path / "r.json") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--config", SHIPPED_CONFIGS / "alpha_p2.json", "--n", 10**30],
+            ["clt-check", "--config", SHIPPED_CONFIGS / "clt_ma1.json", "--n", 10**30],
+            ["clt-check", "--config", SHIPPED_CONFIGS / "clt_ma1.json", "--replications", 10**30],
+        ],
+        ids=["gen-n", "clt-n", "clt-replications"],
+    )
+    def test_command_line_sizes(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert MAX_LENGTH < 10**30
+
+    def test_bootstrap_resample_count(self):
+        with pytest.raises(InvalidParams, match="at most"):
+            BootstrapConfig(n_boot=MAX_LENGTH + 1)
+
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(x, y):
+            raise MemoryError("Unable to allocate")
+
+        data = tmp_path / "d.csv"
+        data.write_text(CLEAN_CSV)
+        monkeypatch.setattr(eivtls.cli, "tls_fit", exhausted)
+        assert run("fit", "--data", data, "--out", tmp_path / "r.json") == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate\n"
+
+
 # No mutation may ask for a large experiment: the configs start at R = 100
 # and n_grid = [40, 80] (clt-check at its floor n = R = 500), and a number
 # put at replications, n or in n_grid never exceeds SIZE_CAP.
@@ -396,10 +552,12 @@ def paths(node, prefix=()):
 
 
 def within_cap(path, value):
-    """False for a finite number above SIZE_CAP put at a size key."""
+    """False for a number above SIZE_CAP put at a size key, unless no array can hold it.
+
+    A size of MAX_LENGTH or more is refused before anything is allocated."""
     sized = path[-1] in SIZE_KEYS or path[0] == "n_grid"
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return not (sized and number and SIZE_CAP < value < float("inf"))
+    return not (sized and number and SIZE_CAP < value < MAX_LENGTH)
 
 
 class TestConfigProperty:

@@ -67,6 +67,28 @@ class TestBuildDesign:
         with pytest.raises(InvalidParams):
             sinusoidal((0.7,))
 
+    def test_fields_a_kind_does_not_read_are_refused(self):
+        with pytest.raises(InvalidParams, match="kind 'repeating_block' takes no frequencies"):
+            DesignSpec.from_dict({"kind": "repeating_block", "block": [[1.0]], "frequencies": [0.1]})
+        with pytest.raises(InvalidParams, match="kind 'sinusoidal' takes no block"):
+            DesignSpec.from_dict({"kind": "sinusoidal", "frequencies": [0.1], "block": [[1.0]]})
+
+    @pytest.mark.parametrize("value", ["0.1", True], ids=["str", "bool"])
+    def test_numeric_fields_refuse_strings_and_bools(self, value):
+        with pytest.raises(InvalidParams, match="frequencies must be a number"):
+            sinusoidal((0.2, value))
+        with pytest.raises(InvalidParams, match="matrix entries must be finite numbers"):
+            repeating_block([[value], [value]])
+        with pytest.raises(InvalidParams, match="frequencies must be a list"):
+            sinusoidal(value)
+
+    def test_unknown_kind_and_key(self):
+        for kind in ("tiled", ["repeating_block"], {"kind": "sinusoidal"}):
+            with pytest.raises(InvalidParams, match="unknown design kind"):
+                DesignSpec.from_dict({"kind": kind})
+        with pytest.raises(InvalidParams, match="unknown key 'rows' in design"):
+            DesignSpec.from_dict({"kind": "repeating_block", "block": [[1.0]], "rows": 1})
+
     def test_dict_roundtrip(self):
         for spec in (repeating_block([[1.0], [2.0]]), sinusoidal((0.1, 0.2))):
             rt = DesignSpec.from_dict(spec.to_dict())

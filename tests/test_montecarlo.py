@@ -8,6 +8,7 @@ import pytest
 from eivtls import montecarlo, processes
 from eivtls.errors import InvalidParams
 from eivtls.estimator import FIT_OK, tls_fit
+from eivtls.linalg import MAX_LENGTH
 from eivtls.model import repeating_block, synthesize
 from eivtls.montecarlo import (
     ConsistencyReport,
@@ -90,6 +91,31 @@ class TestExperimentConfig:
         assert cfg.to_dict()["replications"] == 120
         for changes in ({"reps": 100.5}, {"reps": "120"}, {"seed": 7.5}, {"seed": True}):
             with pytest.raises(InvalidParams, match="must be a whole number"):
+                small_config(**changes)
+
+    @pytest.mark.parametrize("value", ["1.5", True], ids=["str", "bool"])
+    def test_numeric_fields_refuse_strings_and_bools(self, value):
+        d = small_config().to_dict()
+        for key, bad in (("beta", [value]), ("n_grid", [value, 80])):
+            with pytest.raises(InvalidParams, match="must be"):
+                ExperimentConfig.from_dict({**d, key: bad})
+        for key in ("replications", "master_seed"):
+            with pytest.raises(InvalidParams, match=f"{key} must be a whole number"):
+                ExperimentConfig.from_dict({**d, key: value})
+        with pytest.raises(InvalidParams, match="sigma2 must be a number"):
+            ExperimentConfig.from_dict({**d, "errors": {**d["errors"], "sigma2": value}})
+
+    def test_nested_objects_must_be_objects(self):
+        d = small_config().to_dict()
+        for key in ("design", "errors"):
+            with pytest.raises(InvalidParams, match=f"{key} must be a JSON object"):
+                ExperimentConfig.from_dict({**d, key: "repeating_block"})
+        with pytest.raises(InvalidParams, match="config must be a JSON object"):
+            ExperimentConfig.from_dict([d])
+
+    def test_sizes_no_array_can_hold_are_refused(self):
+        for changes in ({"n_grid": (40, MAX_LENGTH + 1)}, {"reps": MAX_LENGTH + 1}):
+            with pytest.raises(InvalidParams, match="at most"):
                 small_config(**changes)
 
     def test_dict_roundtrip(self):

@@ -26,7 +26,7 @@ N = 100_000
 class TestSpecValidation:
     def test_scale_positive(self):
         # No column has a scale of its own; a config may only restate 1.
-        for scale in (0.0, -1.0, float("nan")):
+        for scale in (0.0, -1.0, float("nan"), True, "1.0"):
             with pytest.raises(InvalidParams):
                 ErrorProcessSpec.from_dict({"kind": "iid_gaussian", "scale": scale})
 
@@ -72,6 +72,41 @@ class TestSpecValidation:
             ar1(0.5, delta=float("nan"))
         with pytest.raises(InvalidParams):
             ma((1.0, 1.0), omega=[1.0])
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("iid_gaussian", "coeffs"), ("iid_gaussian", "a"), ("iid_gaussian", "delta"),
+         ("ma", "a"), ("ma", "delta"), ("ar1", "coeffs")],
+    )
+    def test_fields_a_kind_does_not_read_are_refused(self, kind, field):
+        base = {"iid_gaussian": {}, "ma": {"coeffs": [1.0, 1.0]}, "ar1": {"a": 0.5}}[kind]
+        d = {"kind": kind, **base, field: [1.0] if field == "coeffs" else 0.5}
+        with pytest.raises(InvalidParams, match=f"kind '{kind}' takes no {field}"):
+            ErrorProcessSpec.from_dict(d)
+        with pytest.raises(InvalidParams, match=f"takes no {field}"):
+            ErrorProcessSpec(**d)
+
+    @pytest.mark.parametrize("value", ["0.5", True, np.True_], ids=["str", "bool", "np-bool"])
+    @pytest.mark.parametrize("field", ["a", "delta", "omega", "coeffs"])
+    def test_numeric_fields_refuse_strings_and_bools(self, field, value):
+        if field == "coeffs":
+            d = {"kind": "ma", "coeffs": [1.0, value]}
+        else:
+            d = {"kind": "ar1", "a": 0.5, field: value}
+        with pytest.raises(InvalidParams, match=f"{field} must be a number"):
+            ErrorProcessSpec.from_dict(d)
+
+    @pytest.mark.parametrize("coeffs", ["123", 5, {"c": 1.0}, [[1.0, 1.0]]])
+    def test_coefficients_must_be_a_list_of_numbers(self, coeffs):
+        # "123" once drew an MA(2) with coefficients (1, 2, 3).
+        with pytest.raises(InvalidParams, match="coeffs"):
+            ma(coeffs)
+
+    def test_numbers_are_stored_as_floats(self):
+        spec = ErrorProcessSpec.from_dict({"kind": "ar1", "a": np.float32(0.5), "delta": 3})
+        assert (type(spec.a), type(spec.delta)) == (float, float)
+        spec = ma(np.array([1, 2]))
+        assert spec.coeffs == (1.0, 2.0) and type(spec.coeffs[0]) is float
 
     @pytest.mark.parametrize("omega", [0, -1.0, float("nan")])
     def test_moment_surplus_must_be_positive(self, omega):
