@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BlockTooLong, InvalidParams, TooManyRefitFailures
+from .errors import InvalidParams, NumericalError
 from .estimator import FIT_OK, TlsFit, tls_fit, tls_from_gram
 from .linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_vector
 from .seeding import derive_subseed, pcg64_seed_words, stream, streams
@@ -192,7 +192,7 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
     fit: TlsFit = tls_fit(x, y)
     length = choose_block_length(n) if cfg.block_length == "auto" else cfg.block_length
     if length > n:
-        raise BlockTooLong(f"block length {length} exceeds n = {n}")
+        raise InvalidParams(f"block length {length} exceeds n = {n}")
 
     full, last = _block_tables(np.column_stack([x, y]), length)
     n_blocks = -(-n // length)
@@ -205,9 +205,7 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
     ok = refits.status == FIT_OK
     failures = int(np.count_nonzero(~ok))
     if failures > MAX_FAILURE_FRACTION * cfg.n_boot:
-        raise TooManyRefitFailures(
-            f"{failures} of {cfg.n_boot} resamples failed to refit"
-        )
+        raise NumericalError(f"{failures} of {cfg.n_boot} resamples failed to refit")
     draws = refits.beta[ok]
     alpha = 1.0 - cfg.level
     # numpy's default interpolation is the type-7 quantile rule.

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, block_bootstrap_ci
-from .errors import ConfigError, InvalidParams, NumericalError
+from .errors import InvalidParams, NumericalError
 from .estimator import tls_fit
 from .io import (
     read_dataset_csv,
@@ -83,8 +83,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_check_assumptions(args) -> int:
     cfg = _load_experiment(args.config, args.seed)
-    theorem = args.theorem or cfg.theorem
-    report = check_assumptions(theorem, cfg.design, cfg.errors)
+    report = check_assumptions(cfg.theorem, cfg.design, cfg.errors)
     write_report_json(
         args.out,
         _base_report(
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-assumptions", help="evaluate theorem assumptions")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--theorem", default=None)
     common(sp)
     sp.set_defaults(func=_cmd_check_assumptions)
 
@@ -258,7 +256,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (InvalidParams, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

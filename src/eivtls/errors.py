@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Numerical failures (estimation breaking down on a particular dataset) are kept
-distinct from configuration errors so the CLI can map them to different exit
-codes.
+The command line maps each base class to one exit code: ``InvalidParams``
+(bad configuration, parameters or input files) exits 2, and
+``NumericalError`` (a computation that failed on otherwise valid input)
+exits 3.  ``NonGeneric`` and ``IllConditioned`` are the two ways the TLS
+problem itself fails; the experiment reports count each of them.
 """
 
 
@@ -10,56 +12,12 @@ class EivError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(EivError):
+class InvalidParams(EivError):
     """Invalid configuration, parameters, or input files."""
 
 
 class NumericalError(EivError):
     """A computation failed on otherwise valid input."""
-
-
-# -- configuration / precondition violations ---------------------------------
-
-class DimensionMismatch(ConfigError):
-    pass
-
-
-class InvalidParams(ConfigError):
-    pass
-
-
-class RankDeficientDesign(ConfigError):
-    pass
-
-
-class SupportTooLarge(ConfigError):
-    pass
-
-
-class InsufficientData(ConfigError):
-    pass
-
-
-class MissingMetadata(ConfigError):
-    pass
-
-
-class TooFewSamples(ConfigError):
-    pass
-
-
-class EmptySample(ConfigError):
-    pass
-
-
-class BlockTooLong(ConfigError):
-    pass
-
-
-# -- numerical failures ------------------------------------------------------
-
-class NotPositiveDefinite(NumericalError):
-    pass
 
 
 class NonGeneric(NumericalError):
@@ -68,15 +26,3 @@ class NonGeneric(NumericalError):
 
 class IllConditioned(NumericalError):
     """The estimate is not identifiable at working precision."""
-
-
-class SingularCovariance(NumericalError):
-    pass
-
-
-class DegenerateVariance(NumericalError):
-    pass
-
-
-class TooManyRefitFailures(NumericalError):
-    pass

@@ -35,13 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IllConditioned,
-    InvalidParams,
-    NonGeneric,
-    NotPositiveDefinite,
-)
+from .errors import IllConditioned, InvalidParams, NonGeneric, NumericalError
 from .linalg import as_matrix, as_vector
 
 NONGENERIC_RTOL = 1e-10  # threshold on |v_last| relative to max |v| entry
@@ -191,7 +185,7 @@ def _joint_gram(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = as_matrix(x)
     y = as_vector(y)
     if y.shape[0] != x.shape[0]:
-        raise DimensionMismatch(f"x has {x.shape[0]} rows, y has {y.shape[0]}")
+        raise InvalidParams(f"x has {x.shape[0]} rows, y has {y.shape[0]}")
     return x, gram_stack(np.vstack([x.T, y])[None])
 
 
@@ -220,11 +214,11 @@ def tls_fit(x, y) -> TlsFit:
 def ols_from_gram(m) -> np.ndarray:
     """(R, p) OLS fits ``G[:p, :p]^-1 G[:p, p]`` of a stack of Gram matrices of ``[x, y]``.
 
-    Raises NotPositiveDefinite when some ``x.T x`` is not positive definite.
+    Raises NumericalError when some ``x.T x`` is not positive definite.
     """
     beta, spd = _solve_leading(np.asarray(m, dtype=float))
     if not np.all(spd):
-        raise NotPositiveDefinite(f"x.T x is not positive definite in {np.sum(~spd)} fits")
+        raise NumericalError(f"x.T x is not positive definite in {np.sum(~spd)} fits")
     return beta
 
 

@@ -23,15 +23,21 @@ from .linalg import as_matrix, as_vector
 
 def _atomic_write_text(path: str, text: str) -> None:
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
-    # A new file (O_EXCL) of mode 0666, which the kernel masks with the umask as open() does.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        # A new file (O_EXCL) of mode 0666, which the kernel masks with the umask as open() does.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is not None:  # name the caller's path, not the temp file
+            exc.filename = path
+            del exc.filename2  # os.replace names both
         raise
 
 

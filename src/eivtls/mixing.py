@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, MissingMetadata, SupportTooLarge
+from .errors import InvalidParams
 from .model import DesignSpec
 from .processes import (
     MIXING_ALPHA,
@@ -55,7 +55,7 @@ def _subset_row_sums(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(A n {V=j}) and P(A) for every subset A of the row support."""
     k, _ = pmf.shape
     if k > MAX_SUPPORT or pmf.shape[1] > MAX_SUPPORT:
-        raise SupportTooLarge(f"support sizes {pmf.shape} exceed {MAX_SUPPORT}")
+        raise InvalidParams(f"support sizes {pmf.shape} exceed {MAX_SUPPORT}")
     masks = (np.arange(2**k)[:, None] >> np.arange(k)) & 1  # 2^k x k
     pa_joint = masks @ pmf
     return pa_joint, pa_joint.sum(axis=1)
@@ -122,9 +122,7 @@ def _declared_delta(spec: ErrorProcessSpec) -> float:
     if spec.mixing_class != MIXING_ALPHA:
         return np.inf
     if spec.delta is None:
-        raise MissingMetadata(
-            f"column of kind {spec.kind!r} has no declared rate exponent"
-        )
+        raise InvalidParams(f"column of kind {spec.kind!r} has no declared rate exponent")
     return spec.delta
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, RankDeficientDesign
+from .errors import InvalidParams
 from .linalg import MAX_LENGTH, as_matrix, as_number, as_tuple, as_vector, from_keys
 from .processes import ErrorMatrixSpec, generate_error_matrix
 
@@ -52,7 +52,7 @@ class DesignSpec:
                 if not np.all(np.isfinite(blk.T @ blk / blk.shape[0])):
                     raise InvalidParams("the limit matrix block.T @ block / k overflows")
             if np.linalg.matrix_rank(blk) < blk.shape[1]:
-                raise RankDeficientDesign("block columns are linearly dependent")
+                raise InvalidParams("block columns are linearly dependent")
         else:
             freqs = self.frequencies
             freqs = () if freqs is None else as_tuple(freqs, as_number, "frequencies")
@@ -142,11 +142,9 @@ def synthesize(
     beta = as_vector(beta)
     p = design.p
     if beta.shape[0] != p:
-        raise DimensionMismatch(f"beta has {beta.shape[0]} entries, design has p={p}")
+        raise InvalidParams(f"beta has {beta.shape[0]} entries, design has p={p}")
     if errors.p != p:
-        raise DimensionMismatch(
-            f"error spec has {errors.p + 1} columns, expected p + 1 = {p + 1}"
-        )
+        raise InvalidParams(f"error spec has {errors.p + 1} columns, expected p + 1 = {p + 1}")
     z, _ = build_design(design, n)
     w = generate_error_matrix(errors, n, seed)
     theta = w[:, :p]
@@ -168,7 +166,7 @@ def expected_cross_product(z, beta, sigma2: float) -> np.ndarray:
     beta = as_vector(beta)
     n, p = z.shape
     if beta.shape[0] != p:
-        raise DimensionMismatch("beta length must match design columns")
+        raise InvalidParams("beta length must match design columns")
     ib = np.hstack([np.eye(p), beta[:, None]])  # p x (p+1)
     return ib.T @ (z.T @ z) @ ib + n * sigma2 * np.eye(p + 1)
 
@@ -178,7 +176,7 @@ def score_sequence(inst: EivInstance, t) -> np.ndarray:
     t = as_vector(t)
     p = inst.p
     if t.shape[0] != p + 1:
-        raise DimensionMismatch(f"t must have p + 1 = {p + 1} entries")
+        raise InvalidParams(f"t must have p + 1 = {p + 1} entries")
     b = np.append(inst.beta, -1.0)
     g = np.column_stack([inst.z, inst.z @ inst.beta])  # rows [z_i, z_i beta]
     w = np.column_stack([inst.theta, inst.eps])

@@ -40,7 +40,7 @@ from .estimator import (
     tls_from_gram,
 )
 from .linalg import MAX_LENGTH, as_integer, as_tuple, as_vector, from_keys
-from .mixing import AssumptionReport, check_assumptions
+from .mixing import THEOREMS, AssumptionReport, check_assumptions
 from .model import DesignSpec, build_design
 from .processes import ErrorMatrixSpec, map_draws
 from .seeding import derive_subseed
@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise InvalidParams(f"error spec must have p + 1 = {p + 1} columns")
         if not p + 2 <= grid[0] <= grid[-1] <= MAX_LENGTH:
             raise InvalidParams(f"every n must be at least p + 2 = {p + 2} and at most {MAX_LENGTH}")
+        if self.theorem not in THEOREMS:
+            raise InvalidParams(f"unknown theorem {self.theorem!r}; expected one of {THEOREMS}")
 
     def to_dict(self) -> dict:
         return {

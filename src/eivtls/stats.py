@@ -1,9 +1,6 @@
 """Distributional checks: multivariate normality, KS distances, CLT
 experiments on normalized sums, and Bartlett-kernel long-run covariance.
 
-``ks_statistic`` takes a vectorised cdf, one that maps the sorted sample
-to an array of its shape (``special.ndtr`` in every caller).
-
 P-values and the normal CDF come straight from ``scipy.special``: the
 chi-square upper tail is ``chdtrc``, the standard normal CDF is ``ndtr``
 (two-sided normal p-values are ``2 ndtr(-|z|)``), and the Kolmogorov limit
@@ -20,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVariance,
-    EmptySample,
-    InsufficientData,
-    InvalidParams,
-    SingularCovariance,
-    TooFewSamples,
-)
+from .errors import InvalidParams, NumericalError
 from .linalg import MAX_LENGTH, as_integer, as_matrix
 from .processes import ErrorProcessSpec, map_draws
 from .seeding import derive_subseed
@@ -55,15 +45,15 @@ def mardia_tests(samples) -> MardiaResult:
         x = x[:, None]
     r, d = x.shape
     if r < MIN_SAMPLES_PER_DIM * d:
-        raise TooFewSamples(f"need at least 20*d = {MIN_SAMPLES_PER_DIM * d} samples, have {r}")
+        raise InvalidParams(f"need at least 20*d = {MIN_SAMPLES_PER_DIM * d} samples, have {r}")
     xc = x - x.mean(axis=0)
     try:
         whiten = np.linalg.cholesky(np.linalg.inv(xc.T @ xc / r))
     except np.linalg.LinAlgError:
-        raise SingularCovariance("sample covariance is singular") from None
+        raise NumericalError("sample covariance is singular") from None
     u = xc @ whiten  # u_i . u_j = xc_i' S^-1 xc_j
     if not np.all(np.isfinite(u)):
-        raise SingularCovariance("sample covariance is numerically singular")
+        raise NumericalError("sample covariance is numerically singular")
 
     # sum_ij (u_i . u_j)^3 is the squared Frobenius norm of the third-moment
     # tensor sum_i u_i (x) u_i (x) u_i, which needs no R x R matrix.
@@ -80,24 +70,19 @@ def mardia_tests(samples) -> MardiaResult:
     return MardiaResult(skew_stat, skew_p, float(kurt_stat), kurt_p)
 
 
-def ks_statistic(sample, cdf) -> tuple[float, float]:
-    """One-sample KS distance and its asymptotic p-value.
+def ks_statistic(sample) -> tuple[float, float]:
+    """One-sample KS distance from N(0, 1) and its asymptotic p-value.
 
-    ``cdf`` maps an array to an array of the same shape; any other output
-    is InvalidParams.  The p-value uses the Kolmogorov limiting series; it is an asymptotic
+    The p-value uses the Kolmogorov limiting series; it is an asymptotic
     approximation, reasonable for n >= 35.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.shape[0]
     if n == 0:
-        raise EmptySample("sample is empty")
-    f = np.asarray(cdf(x), dtype=float)
-    if f.shape != x.shape:
-        raise InvalidParams(f"cdf must map the sample to shape {x.shape}, got shape {f.shape}")
-    if np.any(np.diff(f) < -1e-12):
-        raise InvalidParams("cdf must be non-decreasing")
+        raise InvalidParams("sample is empty")
     from scipy import special
 
+    f = special.ndtr(x)
     i = np.arange(1, n + 1)
     d = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
     p = float(special.kolmogorov(np.sqrt(n) * d))
@@ -146,11 +131,9 @@ def clt_check(
     sums = np.concatenate(chunks)
     var = float(np.var(sums, ddof=1))
     if not var > 0:
-        raise DegenerateVariance("partial-sum variance estimate is not positive")
-    from scipy import special
-
+        raise NumericalError("partial-sum variance estimate is not positive")
     normalized = sums / np.sqrt(var)
-    ks = ks_statistic(normalized, special.ndtr)
+    ks = ks_statistic(normalized)
     return CltCheckReport(
         n=n,
         replications=replications,
@@ -210,12 +193,10 @@ def normality_battery(samples) -> NormalityReport:
     directions = [(f"axis-{j + 1}", np.eye(d)[j]) for j in range(d)]
     if d > 1:
         directions.append(("ones", np.ones(d) / np.sqrt(d)))
-    from scipy import special
-
     projections = []
     for label, u in directions:
         sd = float(np.sqrt(u @ cov @ u))
-        ks_d, ks_p = ks_statistic(xc @ u / sd, special.ndtr)
+        ks_d, ks_p = ks_statistic(xc @ u / sd)
         projections.append((label, ks_d, ks_p))
     return NormalityReport(
         n_samples=r,
@@ -255,7 +236,7 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
         if b < 0:
             raise InvalidParams("bandwidth must be non-negative")
     if n < 10 * (b + 1):
-        raise InsufficientData(f"need at least 10*(bandwidth+1) = {10 * (b + 1)} rows")
+        raise InvalidParams(f"need at least 10*(bandwidth+1) = {10 * (b + 1)} rows")
     xc = x - x.mean(axis=0)
     out = xc.T @ xc / n
     for k in range(1, b + 1):

@@ -11,11 +11,7 @@ from eivtls.bootstrap import (
     block_bootstrap_ci,
     choose_block_length,
 )
-from eivtls.errors import (
-    BlockTooLong,
-    InvalidParams,
-    TooManyRefitFailures,
-)
+from eivtls.errors import InvalidParams, NumericalError
 from eivtls.estimator import FIT_NONGENERIC, tls_from_gram
 from eivtls.model import repeating_block, synthesize
 from eivtls.processes import ErrorMatrixSpec, iid_gaussian, ma
@@ -111,7 +107,7 @@ class TestBlockBootstrapCi:
 
     def test_block_too_long(self):
         x, y = make_dataset(100)
-        with pytest.raises(BlockTooLong):
+        with pytest.raises(InvalidParams, match="block length 101 exceeds n = 100"):
             block_bootstrap_ci(x, y, BootstrapConfig(block_length=101))
 
     def test_width_shrinks_with_n(self):
@@ -140,7 +136,7 @@ class TestBlockBootstrapCi:
     def test_too_many_refit_failures(self, monkeypatch):
         x, y = make_dataset(200, seed=4)
         monkeypatch.setattr(bootstrap_mod, "tls_from_gram", refits_failing(lambda r: r >= 0))
-        with pytest.raises(TooManyRefitFailures):
+        with pytest.raises(NumericalError, match="199 of 199 resamples failed to refit"):
             block_bootstrap_ci(x, y, BootstrapConfig(n_boot=199))
 
     def test_failed_refits_are_counted_and_dropped(self, monkeypatch):
@@ -154,7 +150,7 @@ class TestBlockBootstrapCi:
         assert (ci.failure_count, ci.n_boot_effective) == (19, 180)
         assert ci.point_estimate == full.point_estimate
         monkeypatch.setattr(bootstrap_mod, "tls_from_gram", refits_failing(lambda r: r < 20))
-        with pytest.raises(TooManyRefitFailures, match="20 of 199"):
+        with pytest.raises(NumericalError, match="20 of 199 resamples failed to refit"):
             block_bootstrap_ci(x, y, cfg)
 
     @pytest.mark.parametrize(

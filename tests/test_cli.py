@@ -165,6 +165,14 @@ class TestGenFit:
             write_table_csv(str(tmp_path / "t.csv"), ["a"], [[1.0]])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["missing/f.json", "."], ids=["no-directory", "a-directory"])
+    def test_failed_write_names_the_output_path(self, tmp_path, capsys, out):
+        data, out = tmp_path / "d.csv", tmp_path / out
+        data.write_text(CLEAN_CSV)
+        assert run("fit", "--data", data, "--out", out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
+
     def test_gen_deterministic_under_seed(self, tmp_path, config_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("gen", "--config", config_path, "--n", 100, "--seed", 9, "--out", a)
@@ -258,6 +266,8 @@ class TestErrorExits:
             ("check-assumptions", alpha_with_sigma2(True)),
             ("mc-consistency", alpha_with_sigma2(False)),
             ("check-assumptions", alpha_with_sigma2("1.0")),
+            ("gen", alpha_config_dict(theorem="bogus")),
+            ("gen", alpha_config_dict(theorem=5)),
         ],
         ids=[
             "replications-string",
@@ -292,6 +302,8 @@ class TestErrorExits:
             "check-assumptions-sigma2-bool",
             "sigma2-false",
             "check-assumptions-sigma2-string",
+            "gen-theorem-unknown",
+            "gen-theorem-number",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, config):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eivtls.errors import DimensionMismatch, InvalidParams, RankDeficientDesign
+from eivtls.errors import InvalidParams
 from eivtls.estimator import tls_fit
 from eivtls.model import (
     DesignSpec,
@@ -41,7 +41,7 @@ class TestBuildDesign:
         assert z.T @ z / 300 == pytest.approx(delta, abs=1e-12)
 
     def test_rank_deficient_block(self):
-        with pytest.raises(RankDeficientDesign):
+        with pytest.raises(InvalidParams, match="block columns are linearly dependent"):
             repeating_block([[1.0, 2.0], [2.0, 4.0]])
 
     def test_overflowing_limit_matrix(self):
@@ -116,9 +116,9 @@ class TestSynthesize:
         assert np.array_equal(a.y, b.y)
 
     def test_dimension_checks(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams, match="beta has 2 entries, design has p=1"):
             synthesize(repeating_block([[1.0]]), [1.0, 2.0], iid_errors(2), 10, 0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams, match=r"error spec has 3 columns, expected p \+ 1 = 2"):
             synthesize(repeating_block([[1.0]]), [1.0], iid_errors(2), 10, 0)
 
 
@@ -221,5 +221,5 @@ class TestScoreSequence:
 
     def test_dimension_mismatch(self):
         inst = self.make_instance()
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams, match=r"t must have p \+ 1 = 3 entries"):
             score_sequence(inst, np.ones(2))

@@ -5,14 +5,7 @@ from scipy import stats as sps
 
 import eivtls.processes
 import eivtls.processes
-from eivtls.errors import (
-    DegenerateVariance,
-    EmptySample,
-    InsufficientData,
-    InvalidParams,
-    SingularCovariance,
-    TooFewSamples,
-)
+from eivtls.errors import InvalidParams, NumericalError
 from eivtls.seeding import derive_subseed
 from eivtls.stats import (
     _icbrt,
@@ -39,13 +32,13 @@ class TestMardia:
         assert res.kurtosis_pvalue < 1e-3
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(InvalidParams, match=r"need at least 20\*d = 40 samples, have 39"):
             mardia_tests(np.zeros((39, 2)))
 
     def test_singular_covariance(self):
         rng = np.random.default_rng(1)
         col = rng.normal(size=100)
-        with pytest.raises(SingularCovariance):
+        with pytest.raises(NumericalError, match="sample covariance is (numerically )?singular"):
             mardia_tests(np.column_stack([col, 2.0 * col]))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -87,54 +80,52 @@ class TestMardia:
         assert rej_kurt / seeds < 0.12
 
 
+def ks_reference(x):
+    """KS distance from N(0, 1) and p-value, the cdf taken from scipy.stats."""
+    x = np.sort(x)
+    n = x.shape[0]
+    f = sps.norm.cdf(x)
+    i = np.arange(1, n + 1)
+    d = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+    return d, float(sps.kstwobign.sf(np.sqrt(n) * d))
+
+
 class TestKs:
     def test_degenerate_point_mass_at_median(self):
         # all mass at the cdf value 0.5 gives D = 0.5 exactly
-        d, _ = ks_statistic(np.zeros(100), sps.norm.cdf)
+        d, _ = ks_statistic(np.zeros(100))
         assert d == pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_grid_fixture(self):
-        # uniform sample placed exactly at mid-quantiles gives D = 1/(2n)
+        # a sample placed exactly at the normal mid-quantiles gives D = 1/(2n)
         n = 10
-        x = (np.arange(1, n + 1) - 0.5) / n
-        d, p = ks_statistic(x, lambda v: np.clip(v, 0.0, 1.0))
+        x = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
+        d, p = ks_statistic(x)
         assert d == pytest.approx(1.0 / (2 * n), abs=1e-12)
         assert p > 0.99
 
     def test_empty_sample(self):
-        with pytest.raises(EmptySample):
-            ks_statistic(np.array([]), sps.norm.cdf)
-
-    def test_decreasing_cdf_rejected(self):
-        with pytest.raises(InvalidParams):
-            ks_statistic(np.array([0.0, 1.0]), lambda v: -np.asarray(v))
-
-    @pytest.mark.parametrize(
-        "cdf", [lambda v: 0.5, lambda v: np.full(3, 0.5), lambda v: sps.norm.cdf(v)[:, None]],
-        ids=["scalar", "short", "column"],
-    )
-    def test_cdf_of_the_wrong_shape_rejected(self, cdf):
-        with pytest.raises(InvalidParams, match="cdf must map the sample to shape"):
-            ks_statistic(np.linspace(-1, 1, 50), cdf)
+        with pytest.raises(InvalidParams, match="sample is empty"):
+            ks_statistic(np.array([]))
 
     def test_null_calibration(self):
         rejected = 0
         for s in range(200):
             x = np.random.default_rng(s).normal(size=500)
-            _, p = ks_statistic(x, sps.norm.cdf)
+            _, p = ks_statistic(x)
             rejected += p < 0.05
         assert rejected / 200 < 0.10
 
     def test_ndtr_cdf_equals_scipy_stats_bitwise(self):
         for seed in range(20):
             x = np.random.default_rng(seed).standard_t(4, size=500) * 2.0
-            assert ks_statistic(x, special.ndtr) == ks_statistic(x, sps.norm.cdf)
+            assert ks_statistic(x) == ks_reference(x)
         z = np.random.default_rng(0).normal(scale=4.0, size=200_000)
         assert np.array_equal(special.ndtr(z), sps.norm.cdf(z))
 
     def test_matches_scipy(self):
         x = np.random.default_rng(7).normal(size=300)
-        d, _ = ks_statistic(x, sps.norm.cdf)
+        d, _ = ks_statistic(x)
         ref = sps.kstest(x, "norm")
         assert d == pytest.approx(ref.statistic, abs=1e-12)
 
@@ -171,7 +162,7 @@ class TestCltCheck:
         monkeypatch.setattr(
             eivtls.processes, "_fill_column", lambda spec, sd, rngs, out: out.fill(0.0)
         )
-        with pytest.raises(DegenerateVariance):
+        with pytest.raises(NumericalError, match="partial-sum variance estimate is not positive"):
             clt_check(iid_gaussian(), n=1000, replications=500, seed=0)
 
 
@@ -225,7 +216,7 @@ class TestLongRunVariance:
         assert not out.psd_clipped
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(InvalidParams, match=r"need at least 10\*\(bandwidth\+1\) = 50 rows"):
             long_run_variance(np.zeros((30, 1)), bandwidth=4)
 
     def test_negative_bandwidth(self):
