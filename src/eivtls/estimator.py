@@ -141,7 +141,11 @@ def tls_from_gram(m) -> GramFits:
     def refuse(failed, code):
         status[(status == FIT_OK) & failed] = code
 
-    norm_m = np.sqrt(np.sum(m * m, axis=(1, 2)))
+    # Frobenius norm over the largest entry, so a finite Gram near the float
+    # limit does not square to inf
+    big = np.max(np.abs(m), axis=(1, 2))
+    unit = m / np.where(big > 0, big, 1.0)[:, None, None]
+    norm_m = big * np.sqrt(np.sum(unit * unit, axis=(1, 2)))
     refuse(eigs[:, 1] - lam < EIG_GAP_RTOL * norm_m, FIT_EIG_GAP)
     v = vecs[:, :, 0]
     last = v[:, p]

@@ -325,9 +325,13 @@ def run_long_run_check(
     b = np.append(cfg.beta, -1.0)
     table = []
     for ci, n in enumerate(cfg.n_grid):
-        scores = _replicate(cfg, ci) @ b  # [x, y]' ([x, y] b) of each replication
-        cov = np.cov(scores, rowvar=False, ddof=1) / n
-        table.append((n, float(t @ cov @ t)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = _replicate(cfg, ci) @ b  # [x, y]' ([x, y] b) of each replication
+            cov = np.cov(scores, rowvar=False, ddof=1) / n
+            value = float(t @ cov @ t)
+        if not np.isfinite(value):
+            raise NumericalError(f"the long-run variance overflowed at n = {n}")
+        table.append((n, value))
     return LongRunReport(
         cfg, assumptions, override_assumptions, long_run_table=tuple(table), long_run_direction=t
     )

@@ -360,6 +360,34 @@ class TestErrorExits:
         assert code == EXIT_NUMERICAL
         assert "every replication failed" in capsys.readouterr().err
 
+    def test_overflowing_long_run_scores_are_numerical_error(self, tmp_path, capsys):
+        # beta = 1e300 is a finite config, but the score [x, y]' ([x, y] b) is not.
+        d = capped_config("alpha_p2")
+        d["beta"][0] = 1e300
+        path = tmp_path / "huge_beta.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("long-run-check", "--config", path, "--out", out)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code == EXIT_NUMERICAL
+        assert "long-run variance overflowed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mc-consistency", "mc-normality"])
+    def test_near_limit_gram_matrices_exit_without_warning(self, tmp_path, command):
+        # sigma2 = 1e300 keeps every Gram entry finite, but squaring one is not.
+        d = capped_config("alpha_p2")
+        d["errors"]["sigma2"] = 1e300
+        path = tmp_path / "huge_sigma2.json"
+        path.write_text(json.dumps(d))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(command, "--config", path, "--out", tmp_path / "r.json")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code in (EXIT_OK, EXIT_NUMERICAL)
+
     def test_underdetermined_dataset_is_config_error(self, tmp_path):
         data = tmp_path / "short.csv"
         write_dataset_csv(
