@@ -189,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_required=True):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=None, help="override the master seed")
-        sp.add_argument("--out", required=out_required, help="output file path")
+        sp.add_argument("--out", required=True, help="output file path")
 
     sp = sub.add_parser("gen", help="synthesize a dataset and write it as CSV")
     sp.add_argument("--config", required=True)
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="TLS fit of a dataset CSV")
     sp.add_argument("--data", required=True)
-    common(sp)
+    sp.add_argument("--out", required=True, help="output file path")
     sp.set_defaults(func=_cmd_fit)
 
     sp = sub.add_parser("check-assumptions", help="evaluate theorem assumptions")

@@ -11,22 +11,22 @@ symmetric in its two variables: ``FiniteJoint.transposed`` swaps them.
 
 The theorem assumption checker evaluates declared process metadata (rate
 exponents, moment surpluses) -- mixing rates are not statistically
-identifiable from desk-scale data, so checks never look at samples.
+identifiable from desk-scale data, so checks never look at samples.  It is
+one table: ``CONDITIONS`` maps each theorem to its ``(name, condition)``
+pairs in report order, where a condition is a function
+``(design, column_specs) -> (passed, detail)`` written once however many
+theorems list it, and ``check_assumptions`` applies them in turn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidParams
 from .model import DesignSpec
-from .processes import (
-    MIXING_ALPHA,
-    ErrorMatrixSpec,
-    ErrorProcessSpec,
-)
+from .processes import MIXING_ALPHA, ErrorMatrixSpec
 
 MAX_SUPPORT = 12
 
@@ -83,12 +83,6 @@ def phi_between(j: FiniteJoint) -> float:
 
 # -- theorem assumption checking ---------------------------------------------
 
-THEOREM_AN_ALPHA = "AN-alpha"
-THEOREM_AN_PHI = "AN-phi"
-THEOREM_CON_ALPHA = "CON-alpha"
-THEOREM_CON_PHI = "CON-phi"
-THEOREMS = (THEOREM_AN_ALPHA, THEOREM_AN_PHI, THEOREM_CON_ALPHA, THEOREM_CON_PHI)
-
 
 @dataclass(frozen=True)
 class AssumptionCheck:
@@ -110,34 +104,121 @@ class AssumptionReport:
         return {
             "theorem": self.theorem,
             "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
-def _declared_delta(spec: ErrorProcessSpec) -> float:
-    """Effective rate exponent: infinite for zero-beyond-range classes."""
-    if spec.mixing_class != MIXING_ALPHA:
-        return np.inf
-    if spec.delta is None:
-        raise InvalidParams(f"column of kind {spec.kind!r} has no declared rate exponent")
-    return spec.delta
+def _holds(detail: str):
+    """A condition that every exemplar meets by construction."""
+    return lambda design, specs: (True, detail)
 
 
-def _declared_omega(spec: ErrorProcessSpec) -> float:
-    # All exemplars are Gaussian-driven, so an undeclared surplus means
-    # "finite for every omega".
-    return np.inf if spec.omega is None else spec.omega
+def _declared_deltas(specs) -> list[float]:
+    """Effective rate exponents: infinite for zero-beyond-range classes.
+
+    Every phi-mixing or independent column is also alpha-mixing.
+    """
+    for s in specs:
+        if s.mixing_class == MIXING_ALPHA and s.delta is None:
+            raise InvalidParams(f"column of kind {s.kind!r} has no declared rate exponent")
+    return [s.delta if s.mixing_class == MIXING_ALPHA else np.inf for s in specs]
 
 
-def _moment_detail(specs) -> str:
+def _number(value: float) -> str:
+    return "inf" if np.isinf(value) else f"{value:g}"
+
+
+def _design_bounded(design, specs):
+    return True, f"{design.kind} designs have bounded entries by construction"
+
+
+def _alpha_rate_envelope(design, specs):
+    # An envelope n^(-1-delta) with delta <= 0 decays no faster than 1/n.
+    deltas = _declared_deltas(specs)
+    listed = ", ".join(map(_number, deltas))
+    return min(deltas) > 0, f"declared envelopes n^(-1-delta) with delta = {listed}"
+
+
+def _alpha_rate_envelope_consistency(design, specs):
+    # Rate n^(-q/(2q-2)-delta) with q in (1, 2]: at q = 2 it reads
+    # n^(-1-delta), which every declared envelope matches directly.
+    deltas = _declared_deltas(specs)
+    if min(deltas) > 0:
+        return True, "declared envelopes match the q = 2 rate n^(-1-delta)"
+    listed = ", ".join(map(_number, deltas))
+    return False, f"requires delta > 0 in the q = 2 rate n^(-1-delta); declared delta = {listed}"
+
+
+def _moments_4_plus_omega(design, specs):
     if all(s.omega is None for s in specs):
-        return "Gaussian-driven columns: satisfied for any omega"
-    return "declared moment surpluses: " + ", ".join(
+        return True, "Gaussian-driven columns: satisfied for any omega"
+    return True, "declared moment surpluses: " + ", ".join(
         "any" if s.omega is None else f"{s.omega:g}" for s in specs
     )
+
+
+def _rate_vs_moment_order(design, specs):
+    min_delta = min(_declared_deltas(specs))
+    # All exemplars are Gaussian-driven, so an undeclared surplus means
+    # "finite for every omega", which bounds nothing.
+    omegas = [s.omega for s in specs if s.omega is not None]
+    bound = 2.0 / min(omegas) if omegas else 0.0
+    detail = f"requires 2/min omega = {bound:g} < min delta = {_number(min_delta)}"
+    return bound < min_delta, detail
+
+
+def _phi_mixing_class(design, specs):
+    non_phi = [s.kind for s in specs if s.mixing_class == MIXING_ALPHA]
+    if non_phi:
+        return False, f"columns of kind {non_phi} are only alpha-mixing"
+    return True, "all columns are phi-mixing or independent"
+
+
+def _sqrt_phi_summable(design, specs):
+    if any(s.mixing_class == MIXING_ALPHA for s in specs):
+        return False, "cannot certify summability for alpha-only columns"
+    lag = max(s.order for s in specs)
+    return True, f"phi(n) = 0 beyond lag {lag}, so the sum of sqrt(phi(n)) is finite"
+
+
+_EVERY_THEOREM = (
+    ("design-bounded", _design_bounded),
+    ("pairwise-independent-columns", _holds("columns are generated from independent sub-streams")),
+)
+_PHI_MIXING = (
+    ("phi-mixing-class", _phi_mixing_class),
+    ("sqrt-phi-summable", _sqrt_phi_summable),
+)
+_MOMENTS = ("moments-4-plus-omega", _moments_4_plus_omega)
+
+# Each theorem's conditions in report order; a condition maps
+# (design, column_specs) to (passed, detail).
+CONDITIONS = {
+    "AN-alpha": (
+        *_EVERY_THEOREM,
+        ("alpha-rate-envelope", _alpha_rate_envelope),
+        _MOMENTS,
+        ("rate-vs-moment-order", _rate_vs_moment_order),
+    ),
+    "AN-phi": (*_EVERY_THEOREM, *_PHI_MIXING, _MOMENTS),
+    "CON-alpha": (
+        *_EVERY_THEOREM,
+        ("alpha-rate-envelope-consistency", _alpha_rate_envelope_consistency),
+        (
+            "moments-2q",
+            _holds("Gaussian-driven columns have finite moments of every order (q = 2)"),
+        ),
+    ),
+    "CON-phi": (
+        *_EVERY_THEOREM,
+        *_PHI_MIXING,
+        (
+            "fourth-moments-summable",
+            _holds("bounded fourth moments make the n^-2 weighted series finite"),
+        ),
+    ),
+}
+THEOREMS = tuple(CONDITIONS)
 
 
 def check_assumptions(
@@ -147,109 +228,7 @@ def check_assumptions(
     if theorem not in THEOREMS:
         raise InvalidParams(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     specs = errors.column_specs
-    checks: list[AssumptionCheck] = []
-
-    checks.append(
-        AssumptionCheck(
-            "design-bounded",
-            True,
-            f"{design.kind} designs have bounded entries by construction",
-        )
+    checks = tuple(
+        AssumptionCheck(name, *condition(design, specs)) for name, condition in CONDITIONS[theorem]
     )
-    checks.append(
-        AssumptionCheck(
-            "pairwise-independent-columns",
-            True,
-            "columns are generated from independent sub-streams",
-        )
-    )
-
-    if theorem in (THEOREM_AN_ALPHA, THEOREM_CON_ALPHA):
-        # Every phi-mixing or independent column is also alpha-mixing.
-        deltas = [_declared_delta(s) for s in specs]
-        min_delta = min(deltas)
-        # An envelope n^(-1-delta) with delta <= 0 decays no faster than 1/n.
-        decaying = min_delta > 0
-        listed = ", ".join("inf" if np.isinf(d) else f"{d:g}" for d in deltas)
-        if theorem == THEOREM_AN_ALPHA:
-            checks.append(
-                AssumptionCheck(
-                    "alpha-rate-envelope",
-                    decaying,
-                    f"declared envelopes n^(-1-delta) with delta = {listed}",
-                )
-            )
-            omegas = [_declared_omega(s) for s in specs]
-            min_omega = min(omegas)
-            checks.append(
-                AssumptionCheck("moments-4-plus-omega", True, _moment_detail(specs))
-            )
-            bound = 2.0 / min_omega if np.isfinite(min_omega) else 0.0
-            checks.append(
-                AssumptionCheck(
-                    "rate-vs-moment-order",
-                    bound < min_delta,
-                    f"requires 2/min omega = {bound:g} < min delta = "
-                    + ("inf" if np.isinf(min_delta) else f"{min_delta:g}"),
-                )
-            )
-        else:
-            # Rate n^(-q/(2q-2)-delta) with q in (1, 2]: at q = 2 it reads
-            # n^(-1-delta), which every declared envelope matches directly.
-            checks.append(
-                AssumptionCheck(
-                    "alpha-rate-envelope-consistency",
-                    decaying,
-                    "declared envelopes match the q = 2 rate n^(-1-delta)"
-                    if decaying
-                    else "requires delta > 0 in the q = 2 rate n^(-1-delta); "
-                    f"declared delta = {listed}",
-                )
-            )
-            checks.append(
-                AssumptionCheck(
-                    "moments-2q",
-                    True,
-                    "Gaussian-driven columns have finite moments of every order "
-                    "(q = 2)",
-                )
-            )
-    else:
-        non_phi = [s.kind for s in specs if s.mixing_class == MIXING_ALPHA]
-        checks.append(
-            AssumptionCheck(
-                "phi-mixing-class",
-                not non_phi,
-                "all columns are phi-mixing or independent"
-                if not non_phi
-                else f"columns of kind {non_phi} are only alpha-mixing",
-            )
-        )
-        ranges = [s.order for s in specs if s.mixing_class != MIXING_ALPHA]
-        checks.append(
-            AssumptionCheck(
-                "sqrt-phi-summable",
-                not non_phi,
-                (
-                    "phi(n) = 0 beyond lag "
-                    + (f"{max(ranges)}" if ranges else "0")
-                    + ", so the sum of sqrt(phi(n)) is finite"
-                )
-                if not non_phi
-                else "cannot certify summability for alpha-only columns",
-            )
-        )
-        if theorem == THEOREM_AN_PHI:
-            checks.append(
-                AssumptionCheck("moments-4-plus-omega", True, _moment_detail(specs))
-            )
-        else:
-            checks.append(
-                AssumptionCheck(
-                    "fourth-moments-summable",
-                    True,
-                    "bounded fourth moments make the n^-2 weighted series finite",
-                )
-            )
-
-    return AssumptionReport(theorem=theorem, checks=tuple(checks))
+    return AssumptionReport(theorem=theorem, checks=checks)

@@ -83,10 +83,10 @@ class ErrorProcessSpec:
                 object.__setattr__(self, name, as_number(getattr(self, name), name))
         if self.coeffs is not None:
             object.__setattr__(self, "coeffs", as_tuple(self.coeffs, as_number, "coeffs"))
-        if self.delta is not None and np.isnan(self.delta):
-            raise InvalidParams("delta must be a number, got nan")
-        if self.omega is not None and not self.omega > 0:
-            raise InvalidParams(f"omega must be positive, got {self.omega!r}")
+        if self.delta is not None and not np.isfinite(self.delta):
+            raise InvalidParams(f"delta must be finite, got {self.delta!r}")
+        if self.omega is not None and not 0 < self.omega < np.inf:
+            raise InvalidParams(f"omega must be positive and finite, got {self.omega!r}")
         if self.kind == "ma":
             if not self.coeffs:
                 raise InvalidParams("ma spec needs at least one coefficient")

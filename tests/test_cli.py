@@ -173,6 +173,12 @@ class TestGenFit:
         err = capsys.readouterr().err
         assert str(out) in err and ".tmp" not in err
 
+    def test_fit_takes_no_seed(self, tmp_path):
+        # fit draws nothing, so a --seed would be silently ignored.
+        data = tmp_path / "d.csv"
+        data.write_text(CLEAN_CSV)
+        assert run("fit", "--data", data, "--seed", 1, "--out", tmp_path / "f.json") == EXIT_CONFIG
+
     def test_gen_deterministic_under_seed(self, tmp_path, config_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("gen", "--config", config_path, "--n", 100, "--seed", 9, "--out", a)
@@ -268,6 +274,9 @@ class TestErrorExits:
             ("check-assumptions", alpha_with_sigma2("1.0")),
             ("gen", alpha_config_dict(theorem="bogus")),
             ("gen", alpha_config_dict(theorem=5)),
+            ("check-assumptions", alpha_with_columns(delta=float("inf"))),
+            ("check-assumptions", alpha_with_columns(delta=float("-inf"))),
+            ("check-assumptions", alpha_with_columns(omega=float("inf"))),
         ],
         ids=[
             "replications-string",
@@ -304,6 +313,9 @@ class TestErrorExits:
             "check-assumptions-sigma2-string",
             "gen-theorem-unknown",
             "gen-theorem-number",
+            "check-assumptions-delta-inf",
+            "check-assumptions-delta-minus-inf",
+            "check-assumptions-omega-inf",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, command, config):

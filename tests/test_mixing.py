@@ -12,8 +12,9 @@ from eivtls.mixing import (
     check_assumptions,
     phi_between,
 )
+from eivtls.model import repeating_block, sinusoidal
 from eivtls.presets import default_design, default_errors
-from eivtls.processes import ErrorMatrixSpec, ar1
+from eivtls.processes import ErrorMatrixSpec, ar1, ma
 
 
 def naive_alpha(pmf):
@@ -128,7 +129,36 @@ class TestPhiBetween:
         assert rev == pytest.approx(naive_phi(j.pmf.T), abs=1e-12)
 
 
+REPORT_ORDER = {
+    "AN-alpha": [
+        "design-bounded", "pairwise-independent-columns", "alpha-rate-envelope",
+        "moments-4-plus-omega", "rate-vs-moment-order",
+    ],
+    "AN-phi": [
+        "design-bounded", "pairwise-independent-columns", "phi-mixing-class",
+        "sqrt-phi-summable", "moments-4-plus-omega",
+    ],
+    "CON-alpha": [
+        "design-bounded", "pairwise-independent-columns", "alpha-rate-envelope-consistency",
+        "moments-2q",
+    ],
+    "CON-phi": [
+        "design-bounded", "pairwise-independent-columns", "phi-mixing-class",
+        "sqrt-phi-summable", "fourth-moments-summable",
+    ],
+}
+
+
 class TestCheckAssumptions:
+    @pytest.mark.parametrize("design", ["repeating_block", "sinusoidal"])
+    @pytest.mark.parametrize("theorem", list(REPORT_ORDER))
+    def test_report_order(self, theorem, design):
+        spec = repeating_block([[1.0], [2.0]]) if design == "repeating_block" else sinusoidal([0.1])
+        errors = ErrorMatrixSpec((ar1(0.5, delta=3.0, omega=1.0), ma((1.0, 0.5))), sigma2=1.0)
+        report = check_assumptions(theorem, spec, errors)
+        assert [c.name for c in report.checks] == REPORT_ORDER[theorem]
+        assert report.checks[0].detail == f"{design} designs have bounded entries by construction"
+
     def test_an_alpha_pass_fixture(self):
         errors = ErrorMatrixSpec((ar1(0.5, delta=3.0, omega=1.0),) * 2, sigma2=1.0)
         report = check_assumptions("AN-alpha", default_design(1), errors)

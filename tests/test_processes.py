@@ -68,8 +68,9 @@ class TestSpecValidation:
         assert (type(spec.delta), type(spec.omega)) == (float, float)
         with pytest.raises(InvalidParams):
             ar1(0.5, delta="x")
-        with pytest.raises(InvalidParams):
-            ar1(0.5, delta=float("nan"))
+        for delta in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidParams, match="delta must be finite"):
+                ar1(0.5, delta=delta)
         with pytest.raises(InvalidParams):
             ma((1.0, 1.0), omega=[1.0])
 
@@ -108,7 +109,7 @@ class TestSpecValidation:
         spec = ma(np.array([1, 2]))
         assert spec.coeffs == (1.0, 2.0) and type(spec.coeffs[0]) is float
 
-    @pytest.mark.parametrize("omega", [0, -1.0, float("nan")])
+    @pytest.mark.parametrize("omega", [0, -1.0, float("nan"), float("inf")])
     def test_moment_surplus_must_be_positive(self, omega):
         with pytest.raises(InvalidParams):
             ar1(0.5, delta=3.0, omega=omega)
