@@ -53,6 +53,7 @@ from .processes import (
     map_draws,
 )
 from .stats import (
+    CltCheckConfig,
     CltCheckReport,
     NormalityReport,
     clt_check,

@@ -2,9 +2,12 @@
 
 Exit codes: 0 on success, 2 on configuration or usage errors, 3 on
 numerical failures (degenerate or ill-conditioned eigenproblem, singular
-covariance, too many bootstrap refit failures).  Every report embeds the
-fully resolved config, the master seed, the package version, and the
-assumption verdict where one applies; all files are written atomically.
+covariance, too many bootstrap refit failures).  ``main`` writes every
+report: a handler returns the body and the object whose ``table()`` is the
+``--tables`` CSV, and ``main`` puts the package version first.  Every report
+but ``fit``'s (which names its dataset) embeds the resolved config and the
+master seed, and ``check-assumptions`` and the experiments the assumption
+verdict; ``gen`` writes a dataset.  All files are written atomically.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .io import (
     write_report_json,
     write_table_csv,
 )
-from .linalg import as_integer, check_keys
 from .mixing import check_assumptions
 from .model import synthesize
 from .montecarlo import (
@@ -35,67 +37,56 @@ from .montecarlo import (
     run_long_run_check,
     run_normality,
 )
-from .processes import ErrorProcessSpec
-from .stats import clt_check
+from .stats import CltCheckConfig, clt_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _load_experiment(path: str, seed_override: int | None) -> ExperimentConfig:
+def _read_config(path: str, seed_key: str, seed: int | None) -> dict:
+    """The config object in ``path``, with ``seed_key`` set to ``--seed`` when one is given."""
     d = read_json(path)
-    if seed_override is not None:
-        d["master_seed"] = seed_override
-    return ExperimentConfig.from_dict(d)
+    if seed is not None:
+        d[seed_key] = seed
+    return d
 
 
-def _base_report(extra: dict) -> dict:
-    return {"artifact_version": __version__, **extra}
+def _load_experiment(path: str, seed: int | None = None) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(_read_config(path, "master_seed", seed))
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     cfg = _load_experiment(args.config, args.seed)
     n = args.n if args.n is not None else cfg.n_grid[-1]
     inst = synthesize(cfg.design, cfg.beta, cfg.errors, n, cfg.master_seed)
     write_dataset_csv(args.out, inst.x, inst.y)
-    return EXIT_OK
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     x, y = read_dataset_csv(args.data)
     fit = tls_fit(x, y)
-    report = _base_report(
-        {
-            "command": "fit",
-            "data": args.data,
-            "n": fit.n,
-            "beta_hat": fit.beta_hat.tolist(),
-            "lambda": fit.lam,
-            "sigma2_hat": fit.sigma2_hat,
-            "eigenvector": fit.v.tolist(),
-            "delta_n": fit.delta_n.tolist(),
-        }
-    )
-    write_report_json(args.out, report)
-    return EXIT_OK
+    return {
+        "command": "fit",
+        "data": args.data,
+        "n": fit.n,
+        "beta_hat": fit.beta_hat.tolist(),
+        "lambda": fit.lam,
+        "sigma2_hat": fit.sigma2_hat,
+        "eigenvector": fit.v.tolist(),
+        "delta_n": fit.delta_n.tolist(),
+    }, None
 
 
-def _cmd_check_assumptions(args) -> int:
-    cfg = _load_experiment(args.config, args.seed)
+def _cmd_check_assumptions(args):
+    cfg = _load_experiment(args.config)
     report = check_assumptions(cfg.theorem, cfg.design, cfg.errors)
-    write_report_json(
-        args.out,
-        _base_report(
-            {
-                "command": "check-assumptions",
-                "config": cfg.to_dict(),
-                "master_seed": cfg.master_seed,
-                "assumptions": report.to_dict(),
-            }
-        ),
-    )
-    return EXIT_OK
+    return {
+        "command": "check-assumptions",
+        "config": cfg.to_dict(),
+        "master_seed": cfg.master_seed,
+        "assumptions": report.to_dict(),
+    }, None
 
 
 def _direction(text: str | None, p: int) -> np.ndarray:
@@ -108,51 +99,29 @@ def _direction(text: str | None, p: int) -> np.ndarray:
         raise InvalidParams(f"--t must be comma-separated numbers: {exc}") from None
 
 
-def _cmd_experiment(args, run) -> int:
+def _cmd_experiment(args, run):
     """mc-consistency, mc-normality and long-run-check: ``run`` the experiment."""
     cfg = _load_experiment(args.config, args.seed)
     direction = (_direction(args.t, cfg.design.p),) if "t" in vars(args) else ()
     report = run(
         cfg, *direction, threads=args.threads, override_assumptions=args.override_assumptions
     )
-    write_report_json(args.out, _base_report(report.to_dict()))
-    if getattr(args, "tables", None):
-        write_table_csv(args.tables, *report.table())
-    return EXIT_OK
+    return report.to_dict(), report
 
 
-def _cmd_clt_check(args) -> int:
-    d = read_json(args.config)
-    check_keys(d, ("process", "n", "replications", "seed"), "clt-check config")
-    try:
-        spec = ErrorProcessSpec.from_dict(d["process"])
-        n = args.n if args.n is not None else as_integer(d["n"], "n")
-        reps = (
-            args.replications
-            if args.replications is not None
-            else as_integer(d["replications"], "replications")
-        )
-    except KeyError as exc:
-        raise InvalidParams(f"clt-check config is missing required key {exc}") from None
-    seed = args.seed if args.seed is not None else as_integer(d.get("seed", 0), "seed")
-    report = clt_check(spec, n, reps, seed)
-    write_report_json(
-        args.out,
-        _base_report(
-            {
-                "command": "clt-check",
-                "config": {"process": spec.to_dict(), "n": n, "replications": reps},
-                "master_seed": seed,
-                **report.to_dict(),
-            }
-        ),
-    )
-    if args.tables:
-        write_table_csv(args.tables, ["s_over_sigma"], report.s_over_sigma[:, None].tolist())
-    return EXIT_OK
+def _cmd_clt_check(args):
+    cfg = CltCheckConfig.from_dict(_read_config(args.config, "seed", args.seed))
+    report = clt_check(cfg.process, cfg.n, cfg.replications, cfg.seed)
+    config = {"process": cfg.process.to_dict(), "n": report.n, "replications": report.replications}
+    return {
+        "command": "clt-check",
+        "config": config,
+        "master_seed": report.seed,
+        **report.to_dict(),
+    }, report
 
 
-def _cmd_bootstrap_ci(args) -> int:
+def _cmd_bootstrap_ci(args):
     x, y = read_dataset_csv(args.data)
     block = "auto" if args.block_length is None else args.block_length
     cfg = BootstrapConfig(
@@ -162,22 +131,12 @@ def _cmd_bootstrap_ci(args) -> int:
         seed=args.seed if args.seed is not None else 0,
     )
     ci = block_bootstrap_ci(x, y, cfg)
-    write_report_json(
-        args.out,
-        _base_report(
-            {
-                "command": "bootstrap-ci",
-                "config": {
-                    "block_length": cfg.block_length,
-                    "n_boot": cfg.n_boot,
-                    "level": cfg.level,
-                },
-                "master_seed": cfg.seed,
-                **ci.to_dict(),
-            }
-        ),
-    )
-    return EXIT_OK
+    return {
+        "command": "bootstrap-ci",
+        "config": {"block_length": cfg.block_length, "n_boot": cfg.n_boot, "level": cfg.level},
+        "master_seed": cfg.seed,
+        **ci.to_dict(),
+    }, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-assumptions", help="evaluate theorem assumptions")
     sp.add_argument("--config", required=True)
-    common(sp)
+    sp.add_argument("--out", required=True, help="output file path")
     sp.set_defaults(func=_cmd_check_assumptions)
 
     for name, run, tables in (
@@ -231,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("clt-check", help="normalized-partial-sum normality check")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--replications", type=int, default=None)
     sp.add_argument("--tables", default=None)
     common(sp)
     sp.set_defaults(func=_cmd_clt_check)
@@ -255,7 +212,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        written = args.func(args)
+        if written is not None:  # gen writes its dataset itself
+            body, report = written
+            write_report_json(args.out, {"artifact_version": __version__, **body})
+            if getattr(args, "tables", None):
+                write_table_csv(args.tables, *report.table())
     except (InvalidParams, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -265,6 +227,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

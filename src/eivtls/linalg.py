@@ -94,15 +94,11 @@ def from_keys(cls, d, what: str, **given):
     """
     d = config_object(d, what)
     keyed = [f for f in fields(cls) if f.name not in given]
-    check_keys(d, [f.name for f in keyed], what)
+    names = [f.name for f in keyed]
+    for key in d:
+        if key not in names:
+            raise InvalidParams(f"unknown key {key!r} in {what}")
     for f in keyed:
         if f.default is MISSING and f.name not in d:
             raise InvalidParams(f"{what} is missing required key {f.name!r}")
     return cls(**d, **given)
-
-
-def check_keys(d: dict, known, what: str) -> None:
-    """InvalidParams naming the first key of ``d`` that is not in ``known``."""
-    for key in d:
-        if key not in known:
-            raise InvalidParams(f"unknown key {key!r} in {what}")

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidParams
+from .linalg import as_matrix
 from .model import DesignSpec
 from .processes import MIXING_ALPHA, ErrorMatrixSpec
 
@@ -38,9 +39,7 @@ class FiniteJoint:
     pmf: np.ndarray
 
     def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=float)
-        if pmf.ndim != 2:
-            raise InvalidParams("pmf must be a 2-d array")
+        pmf = as_matrix(self.pmf)
         if np.any(pmf < 0):
             raise InvalidParams("pmf entries must be non-negative")
         if abs(pmf.sum() - 1.0) > 1e-12:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import MAX_LENGTH, as_matrix, as_number, as_tuple, as_vector, from_keys
+from .linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_tuple, as_vector, from_keys
 from .processes import ErrorMatrixSpec, generate_error_matrix
 
 
@@ -95,6 +95,7 @@ def build_design(spec: DesignSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     exactly at ``n``; otherwise it is the asymptotic value.
     """
     p = spec.p
+    n = as_integer(n, "n")
     if not p + 2 <= n <= MAX_LENGTH:
         raise InvalidParams(f"n must be at least p + 2 = {p + 2} and at most {MAX_LENGTH}, got {n}")
     if spec.kind == "repeating_block":

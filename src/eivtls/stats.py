@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NumericalError
-from .linalg import MAX_LENGTH, as_integer, as_matrix
+from .linalg import MAX_LENGTH, as_integer, as_matrix, from_keys
 from .processes import ErrorProcessSpec, map_draws
 from .seeding import derive_subseed
 
@@ -90,11 +90,30 @@ def ks_statistic(sample) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
+class CltCheckConfig:
+    """A ``clt-check`` config: the arguments of ``clt_check``, which reads the counts and seed."""
+
+    process: ErrorProcessSpec
+    n: int
+    replications: int
+    seed: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.process, ErrorProcessSpec):
+            object.__setattr__(self, "process", ErrorProcessSpec.from_dict(self.process))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CltCheckConfig":
+        return from_keys(cls, d, "clt-check config")
+
+
+@dataclass(frozen=True)
 class CltCheckReport:
     """Normalized partial sums across replications, tested against N(0, 1)."""
 
     n: int
     replications: int
+    seed: int
     s_over_sigma: np.ndarray
     ks_vs_standard_normal: tuple[float, float]
     varsigma2_estimate: float
@@ -107,6 +126,10 @@ class CltCheckReport:
             "ks_pvalue": self.ks_vs_standard_normal[1],
             "varsigma2_estimate": self.varsigma2_estimate,
         }
+
+    def table(self) -> tuple[list[str], list[list]]:
+        """Companion CSV: one normalized partial sum per replication."""
+        return ["s_over_sigma"], self.s_over_sigma[:, None].tolist()
 
 
 def clt_check(
@@ -122,6 +145,9 @@ def clt_check(
     and each chunk is reduced to its row sums, so the sums do not depend on
     the chunking or the CPU count.
     """
+    n = as_integer(n, "n")
+    replications = as_integer(replications, "replications")
+    seed = as_integer(seed, "seed")
     if not 500 <= replications <= MAX_LENGTH:
         raise InvalidParams(f"need at least 500 and at most {MAX_LENGTH} replications")
     if not 500 <= n <= MAX_LENGTH:
@@ -137,6 +163,7 @@ def clt_check(
     return CltCheckReport(
         n=n,
         replications=replications,
+        seed=seed,
         s_over_sigma=normalized,
         ks_vs_standard_normal=ks,
         varsigma2_estimate=var / n,

@@ -179,6 +179,16 @@ class TestGenFit:
         data.write_text(CLEAN_CSV)
         assert run("fit", "--data", data, "--seed", 1, "--out", tmp_path / "f.json") == EXIT_CONFIG
 
+    def test_check_assumptions_takes_no_seed(self, tmp_path, config_path):
+        # The check reads no seed, so a --seed would change only the echoed master_seed.
+        argv = ["--config", config_path, "--seed", 1, "--out", tmp_path / "a.json"]
+        assert run("check-assumptions", *argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", ["--n", "--replications"])
+    def test_clt_check_sizes_come_from_the_config(self, tmp_path, flag):
+        argv = ["--config", SHIPPED_CONFIGS / "clt_ma1.json", flag, 500]
+        assert run("clt-check", *argv, "--out", tmp_path / "c.json") == EXIT_CONFIG
+
     def test_gen_deterministic_under_seed(self, tmp_path, config_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("gen", "--config", config_path, "--n", 100, "--seed", 9, "--out", a)
@@ -540,14 +550,18 @@ class TestSizeLimits:
         assert run("mc-consistency", "--config", path, "--out", tmp_path / "r.json") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("key", ["n", "replications"], ids=["clt-n", "clt-replications"])
+    def test_clt_check_sizes(self, tmp_path, capsys, key):
+        config = {**shipped("clt_ma1"), key: 10**30}
+        code, err = exit_and_error(tmp_path, capsys, "clt-check", config)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ")
+        assert MAX_LENGTH < 10**30
+
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["gen", "--config", SHIPPED_CONFIGS / "alpha_p2.json", "--n", 10**30],
-            ["clt-check", "--config", SHIPPED_CONFIGS / "clt_ma1.json", "--n", 10**30],
-            ["clt-check", "--config", SHIPPED_CONFIGS / "clt_ma1.json", "--replications", 10**30],
-        ],
-        ids=["gen-n", "clt-n", "clt-replications"],
+        [["gen", "--config", SHIPPED_CONFIGS / "alpha_p2.json", "--n", 10**30]],
+        ids=["gen-n"],
     )
     def test_command_line_sizes(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", tmp_path / "out") == EXIT_CONFIG
@@ -758,6 +772,57 @@ class TestExperimentCommands:
             assert run("mc-consistency", "--config", config_path, *argv) == EXIT_OK
             outs.append((out.read_bytes(), tables.read_bytes()))
         assert outs[0] == outs[1]
+
+
+EXPERIMENT_KEYS = ["kind", "config", "master_seed", "assumptions", "assumption_override"]
+REPORT_KEYS = {
+    "fit": ["command", "data", "n", "beta_hat", "lambda", "sigma2_hat", "eigenvector", "delta_n"],
+    "check-assumptions": ["command", "config", "master_seed", "assumptions"],
+    "mc-consistency": [*EXPERIMENT_KEYS, "cells"],
+    "mc-normality": [
+        *EXPERIMENT_KEYS, "normality", "normality_n", "mean_within_4se",
+        "nongeneric_failures", "illconditioned_failures",
+    ],
+    "long-run-check": [*EXPERIMENT_KEYS, "long_run", "long_run_direction"],
+    "clt-check": [
+        "command", "config", "master_seed", "n", "replications", "ks_d", "ks_pvalue",
+        "varsigma2_estimate",
+    ],
+    "bootstrap-ci": [
+        "command", "config", "master_seed", "point_estimate", "lower", "upper", "level",
+        "block_length", "n_boot_effective", "failure_count",
+    ],
+}
+TABLE_HEADERS = {
+    "mc-consistency": "n,successes,nongeneric_failures,illconditioned_failures,"
+    "median_beta_err,iqr_beta_err,median_lambda_dev,ols_median_beta_err",
+    "mc-normality": "dev1",
+    "clt-check": "s_over_sigma",
+}
+
+
+class TestReportLayout:
+    """What each subcommand writes: its top-level keys in order, and its --tables header."""
+
+    @pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+    def test_keys_and_table_header(self, tmp_path, config_path, command):
+        data, clt = tmp_path / "d.csv", tmp_path / "clt.json"
+        assert run("gen", "--config", config_path, "--n", 300, "--out", data) == EXIT_OK
+        clt.write_text(json.dumps({
+            "process": {"kind": "ma", "coeffs": [1.0, 1.0]}, "n": 500, "replications": 500,
+        }))
+        argv = {
+            "fit": ["--data", data],
+            "bootstrap-ci": ["--data", data, "--n-boot", 199],
+            "clt-check": ["--config", clt],
+        }.get(command, ["--config", config_path])
+        out, table = tmp_path / "r.json", tmp_path / "t.csv"
+        if command in TABLE_HEADERS:
+            argv += ["--tables", table]
+        assert run(command, *argv, "--out", out) == EXIT_OK
+        assert list(json.loads(out.read_text())) == ["artifact_version", *REPORT_KEYS[command]]
+        if command in TABLE_HEADERS:
+            assert table.read_text().splitlines()[0] == TABLE_HEADERS[command]
 
 
 SCIPY_ON_FIRST_USE = textwrap.dedent(

@@ -5,7 +5,9 @@ import pytest
 
 from eivtls.errors import IllConditioned, InvalidParams, NonGeneric, NumericalError
 from eivtls.estimator import (
+    CROSS_CHECK_TOL,
     EIG_GAP_RTOL,
+    FIT_CROSS_CHECK,
     FIT_FAILURES,
     FIT_NOT_FINITE,
     FIT_NOT_SPD,
@@ -130,6 +132,31 @@ def nongeneric_dataset(scale, factor, n=8, p=2):
     return xy[:, :p], xy[:, p]
 
 
+EIGH = np.linalg.eigh
+
+
+def shifted_eigh(factor):
+    """``np.linalg.eigh`` with each smallest eigenvector moved off the closed form.
+
+    With v normalised so that its last entry is -1, the largest-magnitude
+    entry of v[:p] moves outwards by ``factor * CROSS_CHECK_TOL * (1 + max|v[:p]|)``,
+    the max taken after the move.
+    """
+
+    def shifted(m):
+        eigs, vecs = EIGH(m)
+        v = vecs[:, :, 0] / -vecs[:, -1:, 0]
+        rows = np.arange(len(v))
+        j = np.argmax(np.abs(v[:, :-1]), axis=1)
+        tol = factor * CROSS_CHECK_TOL
+        v[rows, j] += np.sign(v[rows, j]) * tol * (1.0 + np.abs(v[rows, j])) / (1.0 - tol)
+        vecs = vecs.copy()
+        vecs[:, :, 0] = v
+        return eigs, vecs
+
+    return shifted
+
+
 class TestGuardThresholds:
     @pytest.mark.parametrize("scale", SCALES)
     def test_eigen_gap(self, scale):
@@ -147,6 +174,18 @@ class TestGuardThresholds:
         # the eigen-gap, far below rounding, so the closed form refuses.
         with pytest.raises(IllConditioned):
             tls_fit(*nongeneric_dataset(scale, OUTSIDE))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_form_cross_check(self, monkeypatch, seed):
+        x, y = random_dataset(seed)
+        m = joint_gram(x, y)[None]
+        monkeypatch.setattr(np.linalg, "eigh", shifted_eigh(INSIDE))
+        assert tls_from_gram(m).status.tolist() == [FIT_OK]
+        tls_fit(x, y)
+        monkeypatch.setattr(np.linalg, "eigh", shifted_eigh(OUTSIDE))
+        assert tls_from_gram(m).status.tolist() == [FIT_CROSS_CHECK]
+        with pytest.raises(IllConditioned, match="closed-form and eigenvector estimates disagree"):
+            tls_fit(x, y)
 
 
 def cholesky_dataset(scale):

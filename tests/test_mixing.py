@@ -63,6 +63,12 @@ class TestFiniteJoint:
         with pytest.raises(InvalidParams):
             FiniteJoint(np.array([[1.2, -0.2], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN compares False with 0 and with the mass tolerance alike.
+        with pytest.raises(InvalidParams, match="finite"):
+            FiniteJoint(np.array([[bad, 0.5], [0.25, 0.25]]))
+
     def test_support_cap(self):
         pmf = np.full((13, 2), 1.0 / 26)
         with pytest.raises(InvalidParams, match=r"support sizes \(13, 2\) exceed 12"):
