@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParams, NumericalError
 from .estimator import FIT_OK, TlsFit, tls_fit, tls_from_gram
-from .linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_vector
+from .linalg import as_integer, as_matrix, as_number, as_vector
 from .seeding import derive_subseed, pcg64_seed_words, stream, streams
 from .stats import _icbrt
 
@@ -46,9 +46,8 @@ STARTS_IN_FLIGHT = 1 << 20
 
 
 def choose_block_length(n: int) -> int:
-    """Default block length floor(n^(1/3)), clamped to [1, n/4]."""
-    if n < 8:
-        raise InvalidParams("need n >= 8 to choose a block length")
+    """Default block length floor(n^(1/3)), clamped to [1, n/4]; n is at least 8."""
+    n = as_integer(n, "n", 8)
     return int(np.clip(_icbrt(n), 1, n // 4))
 
 
@@ -61,14 +60,8 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if self.block_length != "auto":
-            length = as_integer(self.block_length, "block_length")
-            if length < 1:
-                raise InvalidParams("block_length must be positive")
-            object.__setattr__(self, "block_length", length)
-        n_boot = as_integer(self.n_boot, "n_boot")
-        if not 199 <= n_boot <= MAX_LENGTH:
-            raise InvalidParams(f"need at least 199 and at most {MAX_LENGTH} bootstrap resamples")
-        object.__setattr__(self, "n_boot", n_boot)
+            object.__setattr__(self, "block_length", as_integer(self.block_length, "block_length", 1))
+        object.__setattr__(self, "n_boot", as_integer(self.n_boot, "n_boot", 199))
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         object.__setattr__(self, "level", as_number(self.level, "level"))
         if not 0.0 < self.level < 1.0:

@@ -3,10 +3,13 @@
 Matrices and vectors are plain ``numpy`` float arrays; ``as_matrix`` and
 ``as_vector`` are their public constructors and reject entries that are
 not finite integers or floats.  ``as_number`` reads a float and
-``as_integer`` a count (a sample size, a replication or resample count, a
-block length, a seed); both refuse a string and a bool.  ``from_keys``
-builds a spec dataclass from a config object whose keys are its fields.
-The numerical kernels call ``numpy`` (LAPACK) directly.
+``as_integer`` a whole number; both refuse a string and a bool.
+``as_integer`` with a minimum is the one reader of every size and count
+(a sample size, a replication or resample count, a block length, a
+bandwidth): it refuses a value below the minimum or above ``MAX_LENGTH``,
+which no other module names.  ``from_keys`` builds a spec dataclass from
+a config object whose keys are its fields.  The numerical kernels call
+``numpy`` (LAPACK) directly.
 """
 
 from __future__ import annotations
@@ -37,9 +40,14 @@ def _float_array(a, what: str) -> np.ndarray:
     return m.astype(float, copy=False)
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a 2-d float array with finite entries."""
+def as_matrix(a, vector_as_column: bool = False) -> np.ndarray:
+    """Validate and return ``a`` as a 2-d float array with finite entries.
+
+    With ``vector_as_column``, a 1-d ``a`` is read as a one-column matrix.
+    """
     m = _float_array(a, "matrix")
+    if vector_as_column and m.ndim == 1:
+        m = m[:, None]
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise InvalidParams(f"expected a 2-d matrix, got shape {m.shape}")
     return m
@@ -60,16 +68,21 @@ def as_number(value, name: str) -> float:
     return float(value)
 
 
-def as_integer(value, name: str) -> int:
+def as_integer(value, name: str, least: int | None = None) -> int:
     """``int(value)``; InvalidParams for anything but an integer or a whole-number float.
 
-    Python and numpy integers, and whole-number floats, are accepted.
+    Python and numpy integers, and whole-number floats, are accepted.  Given
+    ``least``, the value is a size or count and must lie from ``least`` to
+    ``MAX_LENGTH``.
     """
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, _REAL) or (
         isinstance(value, (float, np.floating)) and not float(value).is_integer()
     ):
         raise InvalidParams(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+    n = int(value)
+    if least is not None and not least <= n <= MAX_LENGTH:
+        raise InvalidParams(f"{name} must be at least {least} and at most {MAX_LENGTH}, got {value}")
+    return n
 
 
 def as_tuple(values, read, name: str) -> tuple:

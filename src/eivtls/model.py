@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_tuple, as_vector, from_keys
+from .linalg import as_integer, as_matrix, as_number, as_tuple, as_vector, from_keys
 from .processes import ErrorMatrixSpec, generate_error_matrix
 
 
@@ -95,9 +95,7 @@ def build_design(spec: DesignSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     exactly at ``n``; otherwise it is the asymptotic value.
     """
     p = spec.p
-    n = as_integer(n, "n")
-    if not p + 2 <= n <= MAX_LENGTH:
-        raise InvalidParams(f"n must be at least p + 2 = {p + 2} and at most {MAX_LENGTH}, got {n}")
+    n = as_integer(n, "n", p + 2)
     if spec.kind == "repeating_block":
         blk = spec.block
         k = blk.shape[0]
@@ -165,9 +163,12 @@ def expected_cross_product(z, beta, sigma2: float) -> np.ndarray:
     """E [x, y]^T [x, y] for the model: [I, b]^T z^T z [I, b] + n sigma^2 I."""
     z = as_matrix(z)
     beta = as_vector(beta)
+    sigma2 = as_number(sigma2, "sigma2")
     n, p = z.shape
     if beta.shape[0] != p:
         raise InvalidParams("beta length must match design columns")
+    if not 0.0 <= sigma2 < np.inf:
+        raise InvalidParams(f"sigma2 must be non-negative and finite, got {sigma2}")
     ib = np.hstack([np.eye(p), beta[:, None]])  # p x (p+1)
     return ib.T @ (z.T @ z) @ ib + n * sigma2 * np.eye(p + 1)
 

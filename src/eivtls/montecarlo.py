@@ -39,7 +39,7 @@ from .estimator import (
     ols_from_gram,
     tls_from_gram,
 )
-from .linalg import MAX_LENGTH, as_integer, as_tuple, as_vector, from_keys
+from .linalg import as_integer, as_tuple, as_vector, from_keys
 from .mixing import THEOREMS, AssumptionReport, check_assumptions
 from .model import DesignSpec, build_design
 from .processes import ErrorMatrixSpec, map_draws
@@ -77,23 +77,19 @@ class ExperimentConfig:
             object.__setattr__(self, "errors", ErrorMatrixSpec.from_dict(self.errors))
         beta = as_vector(self.beta)
         object.__setattr__(self, "beta", beta)
-        grid = as_tuple(self.n_grid, as_integer, "n_grid")
+        p = self.design.p
+        grid = as_tuple(self.n_grid, lambda n, name: as_integer(n, name, p + 2), "n_grid")
         object.__setattr__(self, "n_grid", grid)
-        for name in ("replications", "master_seed"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        object.__setattr__(self, "replications", as_integer(self.replications, "replications", 100))
+        object.__setattr__(self, "master_seed", as_integer(self.master_seed, "master_seed"))
         if not grid:
             raise InvalidParams("n_grid must not be empty")
         if list(grid) != sorted(set(grid)):
             raise InvalidParams("n_grid must be strictly ascending")
-        if not 100 <= self.replications <= MAX_LENGTH:
-            raise InvalidParams(f"need at least 100 and at most {MAX_LENGTH} replications")
-        p = self.design.p
         if beta.shape[0] != p:
             raise InvalidParams(f"beta must have p = {p} entries")
         if self.errors.p != p:
             raise InvalidParams(f"error spec must have p + 1 = {p + 1} columns")
-        if not p + 2 <= grid[0] <= grid[-1] <= MAX_LENGTH:
-            raise InvalidParams(f"every n must be at least p + 2 = {p + 2} and at most {MAX_LENGTH}")
         if self.theorem not in THEOREMS:
             raise InvalidParams(f"unknown theorem {self.theorem!r}; expected one of {THEOREMS}")
 

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import MAX_LENGTH, as_integer, as_number, as_tuple, config_object, from_keys
+from .linalg import as_integer, as_number, as_tuple, config_object, from_keys
 from .seeding import column_subseed, pcg64_seed_words, stream, streams
 
 MIXING_ALPHA = "alpha"
@@ -233,17 +233,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _length(n) -> int:
-    """The series length ``n`` as an int of at least 1 that an array can hold."""
-    n = as_integer(n, "n")
-    if not 1 <= n <= MAX_LENGTH:
-        raise InvalidParams(f"n must be at least 1 and at most {MAX_LENGTH}, got {n}")
-    return n
-
-
 def generate_sequence(spec: ErrorProcessSpec, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` values of the process at unit sd; deterministic given (spec, n, seed)."""
-    n = _length(n)
+    n = as_integer(n, "n", 1)
     seed = as_integer(seed, "seed")
     out = np.empty((1, n))
     _fill_column(spec, 1.0, [stream(seed)], out)
@@ -306,7 +298,7 @@ def generate_error_matrix(spec: ErrorMatrixSpec, n: int, seed: int) -> np.ndarra
     ``map_draws`` over ``spec.column_draws`` draws the same matrices,
     transposed, for many seeds at once.
     """
-    n = _length(n)
+    n = as_integer(n, "n", 1)
     seed = as_integer(seed, "seed") % (1 << 64)
     sd = float(np.sqrt(spec.sigma2))
     w = np.empty((len(spec.column_specs), n))

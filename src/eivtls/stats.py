@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NumericalError
-from .linalg import MAX_LENGTH, as_integer, as_matrix, from_keys
+from .linalg import as_integer, as_matrix, as_vector, from_keys
 from .processes import ErrorProcessSpec, map_draws
 from .seeding import derive_subseed
 
@@ -40,9 +40,7 @@ def mardia_tests(samples) -> MardiaResult:
     freedom.  Kurtosis: (b2 - d(d+2)) / sqrt(8 d (d+2) / R) against the
     standard normal, two-sided.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_matrix(samples, vector_as_column=True)
     r, d = x.shape
     if r < MIN_SAMPLES_PER_DIM * d:
         raise InvalidParams(f"need at least 20*d = {MIN_SAMPLES_PER_DIM * d} samples, have {r}")
@@ -76,10 +74,10 @@ def ks_statistic(sample) -> tuple[float, float]:
     The p-value uses the Kolmogorov limiting series; it is an asymptotic
     approximation, reasonable for n >= 35.
     """
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = x.shape[0]
-    if n == 0:
+    if np.size(sample) == 0:
         raise InvalidParams("sample is empty")
+    x = np.sort(as_vector(sample))
+    n = x.shape[0]
     from scipy import special
 
     f = special.ndtr(x)
@@ -145,13 +143,9 @@ def clt_check(
     and each chunk is reduced to its row sums, so the sums do not depend on
     the chunking or the CPU count.
     """
-    n = as_integer(n, "n")
-    replications = as_integer(replications, "replications")
+    n = as_integer(n, "n", 500)
+    replications = as_integer(replications, "replications", 500)
     seed = as_integer(seed, "seed")
-    if not 500 <= replications <= MAX_LENGTH:
-        raise InvalidParams(f"need at least 500 and at most {MAX_LENGTH} replications")
-    if not 500 <= n <= MAX_LENGTH:
-        raise InvalidParams(f"need 500 <= n <= {MAX_LENGTH}")
     seeds = derive_subseed(seed, np.arange(replications, dtype=np.uint64), 0)
     chunks = map_draws([(spec, 1.0)], seeds[None], n, lambda b: b[:, 0].sum(axis=1))
     sums = np.concatenate(chunks)
@@ -209,9 +203,7 @@ class NormalityReport:
 
 def normality_battery(samples) -> NormalityReport:
     """Mardia tests plus per-direction KS on coordinate axes and the diagonal."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_matrix(samples, vector_as_column=True)
     r, d = x.shape
     mardia = mardia_tests(x)
     mean = x.mean(axis=0)
@@ -253,15 +245,12 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
     if indefinite, projected onto the PSD cone by clipping negative
     eigenvalues (flagged, never silent).
     """
-    x = np.asarray(x, dtype=float)
-    x = as_matrix(x[:, None] if x.ndim == 1 else x)
+    x = as_matrix(x, vector_as_column=True)
     n, d = x.shape
     if bandwidth == "auto":
         b = _icbrt(n)
     else:
-        b = as_integer(bandwidth, "bandwidth")
-        if b < 0:
-            raise InvalidParams("bandwidth must be non-negative")
+        b = as_integer(bandwidth, "bandwidth", 0)
     if n < 10 * (b + 1):
         raise InvalidParams(f"need at least 10*(bandwidth+1) = {10 * (b + 1)} rows")
     xc = x - x.mean(axis=0)

@@ -620,7 +620,7 @@ def paths(node, prefix=()):
 def within_cap(path, value):
     """False for a number above SIZE_CAP put at a size key, unless no array can hold it.
 
-    A size of MAX_LENGTH or more is refused before anything is allocated."""
+    A size above MAX_LENGTH is refused before anything is allocated."""
     sized = path[-1] in SIZE_KEYS or path[0] == "n_grid"
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     return not (sized and number and SIZE_CAP < value < MAX_LENGTH)

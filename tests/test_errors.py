@@ -3,7 +3,9 @@
 ``cli.main`` maps ``InvalidParams`` to exit 2 and ``NumericalError`` to exit
 3; any other exception escapes as a traceback and exit 1.  These tests scan
 the package source, so a stray ``ValueError`` or a new error class fails
-here rather than at the command line.
+here rather than at the command line.  Sizes and counts are bounded in one
+place: ``linalg.as_integer`` with a minimum, so only ``linalg`` names
+``MAX_LENGTH``.
 """
 
 import ast
@@ -42,3 +44,15 @@ def test_every_raise_names_one_of_the_five(path):
             continue
         stray.append(f"{path.name}:{node.lineno}: raise {ast.unparse(exc)}")
     assert not stray
+
+
+def test_only_linalg_names_the_size_bound():
+    named = []
+    for path in SOURCES:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "MAX_LENGTH":
+                named.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not named

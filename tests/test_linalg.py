@@ -1,8 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+import eivtls.bootstrap
+from eivtls.bootstrap import BootstrapConfig, choose_block_length
 from eivtls.errors import InvalidParams
-from eivtls.linalg import as_integer, as_matrix, as_number, as_vector
+from eivtls.linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_vector
+from eivtls.model import build_design, repeating_block
+from eivtls.presets import default_config
+from eivtls.processes import generate_error_matrix, generate_sequence, iid_gaussian
+from eivtls.stats import clt_check, long_run_variance
 
 
 class TestValidators:
@@ -54,3 +62,68 @@ class TestValidators:
             as_vector(entries)
         with pytest.raises(InvalidParams):
             as_matrix([entries, entries])
+
+
+def experiment(**changes):
+    """An experiment config at p = 1, so each n must be at least 3."""
+    return default_config("alpha", beta=(1.0,), **changes)
+
+
+# Every size and count the package reads: (argument name in the message,
+# least accepted value, a call that reads the value).
+SIZES = {
+    "n_grid": ("every entry of n_grid", 3, lambda v: experiment(n_grid=[v])),
+    "replications": ("replications", 100, lambda v: experiment(replications=v)),
+    "build_design": ("n", 3, lambda v: build_design(repeating_block([[1.0], [2.0]]), v)),
+    "generate_sequence": ("n", 1, lambda v: generate_sequence(iid_gaussian(), v, 0)),
+    "generate_error_matrix": ("n", 1, lambda v: generate_error_matrix(experiment().errors, v, 0)),
+    "clt_check-n": ("n", 500, lambda v: clt_check(iid_gaussian(), v, 500, 0)),
+    "clt_check-replications": ("replications", 500, lambda v: clt_check(iid_gaussian(), 500, v, 0)),
+    "n_boot": ("n_boot", 199, lambda v: BootstrapConfig(n_boot=v)),
+    "block_length": ("block_length", 1, lambda v: BootstrapConfig(block_length=v)),
+    "bandwidth": ("bandwidth", 0, lambda v: long_run_variance(np.zeros((100, 1)), bandwidth=v)),
+    "choose_block_length": ("n", 8, choose_block_length),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SIZES))
+class TestSizeReader:
+    """``as_integer`` with a minimum reads every size and count, from ``least`` to MAX_LENGTH."""
+
+    def test_out_of_range_is_refused(self, site):
+        name, least, read = SIZES[site]
+        message = f"{name} must be at least {least} and at most {MAX_LENGTH}, got"
+        for value in (least - 1, MAX_LENGTH + 1):
+            with pytest.raises(InvalidParams, match="^" + re.escape(message)):
+                read(value)
+
+    def test_least_is_accepted(self, site):
+        _, least, read = SIZES[site]
+        read(least)
+
+    def test_fraction_and_string_are_refused(self, site):
+        name, least, read = SIZES[site]
+        for value in (least + 0.5, str(least)):
+            with pytest.raises(InvalidParams, match="^" + re.escape(f"{name} must be a whole number")):
+                read(value)
+
+
+class TestChooseBlockLengthReadsN:
+    @pytest.mark.parametrize("n", ["100", 9.5, 10**300, 1e300], ids=["str", "fraction", "10**300", "1e300"])
+    def test_refused_before_the_cube_root(self, monkeypatch, n):
+        def unreachable(n):
+            raise AssertionError("the cube root ran")
+
+        monkeypatch.setattr(eivtls.bootstrap, "_icbrt", unreachable)
+        with pytest.raises(InvalidParams, match="^n must be"):
+            choose_block_length(n)
+
+
+class TestAsInteger:
+    def test_no_minimum_reads_any_whole_number(self):
+        assert as_integer(-(10**30), "seed") == -(10**30)
+        assert as_integer(MAX_LENGTH + 1, "seed") == MAX_LENGTH + 1
+
+    def test_bounds_are_inclusive(self):
+        assert as_integer(5, "n", 5) == 5
+        assert as_integer(np.int64(MAX_LENGTH), "n", 5) == MAX_LENGTH

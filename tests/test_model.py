@@ -201,6 +201,11 @@ class TestExpectedCrossProduct:
         assert out[2, :] == pytest.approx(0.0)
         assert out[:, 2] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("sigma2", ["1", np.nan, np.inf, -1.0], ids=["str", "nan", "inf", "negative"])
+    def test_sigma2_is_a_non_negative_finite_number(self, sigma2):
+        with pytest.raises(InvalidParams, match="sigma2 must be"):
+            expected_cross_product([[1.0], [2.0]], [1.0], sigma2)
+
     def test_projection_identity(self):
         # [I, b] E [b; -1] vanishes algebraically
         rng = np.random.default_rng(8)

@@ -35,6 +35,14 @@ class TestMardia:
         with pytest.raises(InvalidParams, match=r"need at least 20\*d = 40 samples, have 39"):
             mardia_tests(np.zeros((39, 2)))
 
+    def test_non_finite_sample_is_a_config_error(self):
+        x = np.random.default_rng(1).normal(size=(100, 2))
+        x[10, 1] = np.nan
+        with pytest.raises(InvalidParams, match="entries must be finite numbers"):
+            mardia_tests(x)
+        with pytest.raises(InvalidParams, match="entries must be finite numbers"):
+            normality_battery(x)
+
     def test_singular_covariance(self):
         rng = np.random.default_rng(1)
         col = rng.normal(size=100)
@@ -103,6 +111,14 @@ class TestKs:
         d, p = ks_statistic(x)
         assert d == pytest.approx(1.0 / (2 * n), abs=1e-12)
         assert p > 0.99
+
+    @pytest.mark.parametrize(
+        "sample", [[np.nan, 1.0], [np.inf, 1.0], np.ones((3, 2)), ["1", "2"]],
+        ids=["nan", "inf", "2-d", "strings"],
+    )
+    def test_sample_is_a_finite_vector(self, sample):
+        with pytest.raises(InvalidParams):
+            ks_statistic(sample)
 
     def test_empty_sample(self):
         with pytest.raises(InvalidParams, match="sample is empty"):
