@@ -4,9 +4,9 @@ experiments over a grid of sample sizes.
 Replications are fully determined by (master seed, replication index, cell
 index).  ``_replicate`` turns one grid cell into the (R, p+1, p+1) stack of
 Gram matrices of ``[x, y]``: it builds the design part once and draws the
-errors through ``processes.map_draws``, which hands chunks of replications
-to a thread pool of at most one thread per CPU the process may run on (its
-CPU affinity); each chunk's errors get the signal added and are reduced to
+errors through ``processes.map_draws``, which spreads chunks of
+replications over threads (the ``processes`` docstring states the CPU
+policy); each chunk's errors get the signal added and are reduced to
 their Grams at once by ``estimator.gram_stack``, the kernel ``tls_fit``
 uses too.  It is one ``einsum`` loop over the whole chunk, where ``@`` would
 hand BLAS one small product per replication at 1.2 to 2.4 times the cost

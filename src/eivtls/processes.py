@@ -23,16 +23,15 @@ it derives the PCG64 seed words of all rows' streams at once and hands its
 chunks of blocks to a standard-library thread pool of at most one thread
 per usable CPU (none on one CPU), within a budget of ``CHUNK_ELEMENTS``
 floats in flight.  This is the only place in the package that reads the CPU
-count or starts a thread.  What the threads overlap is each chunk's filter
-and the caller's ``reduce``, numpy work on the whole chunk; the per-row
-draws gain less and not reliably, since each row's generator state is set
-in Python under the interpreter lock (iid-only ``map_draws`` at R = n =
-2000, p = 2 on a 2-vCPU host: medians of 0.26-0.28 s on one worker and
-0.17-0.31 s on two, over four interleaved runs of 15).  Each chunk is filled
-with one scratch generator set to each row's stream in turn, filtered as
-one array (AR(1) by one ``lfilter`` along the last axis, MA(q) by one
-shifted-slice sum) and passed to the caller's ``reduce``.  The Monte Carlo
-experiments reduce to Gram matrices and ``stats.clt_check`` to row sums.  A
+count or starts a thread, and the one statement of that policy.  The pool
+pays end to end: on a 2-vCPU host, ``perfbench/run.py --seed 1 --seconds 25
+--trace 0`` gave a ``unit_ref_ratio`` of 1.29-1.40 with the pool against
+2.01-2.06 with ``_usable_cpus`` returning 1 on ``normality``, and 0.85-0.92
+against 1.19-1.37 on ``consistency`` (two runs per side): about a third off
+the unit time.  Each chunk is drawn by the one loop of ``_fill_column``,
+filtered as one array (AR(1) by one ``lfilter`` along the last axis, MA(q)
+by one shifted-slice sum) and passed to the caller's ``reduce``: Gram
+matrices for the Monte Carlo experiments, row sums for ``clt_check``.  A
 row depends only on its seed, never on the chunk or thread that draws it,
 so block r of ``map_draws`` equals the transposed ``generate_error_matrix``
 of seed r bit for bit.  ``scipy.signal`` is imported only when an AR(1)
@@ -154,22 +153,21 @@ def ar1(a: float, delta: float | None = None, omega: float | None = None) -> Err
 def _fill_column(spec: ErrorProcessSpec, sd: float, rngs, out: np.ndarray) -> None:
     """Write one draw of the process at marginal sd ``sd`` into each row of ``out``.
 
-    Row r takes its normals from the r-th generator of the iterable ``rngs``
-    alone, drawn into a preallocated buffer with ``standard_normal(out=...)``
-    before the next generator is taken (so ``rngs`` may yield one generator
-    reseeded per row, as ``seeding.streams`` does); the filter then runs
-    over all rows at once.
+    Row r takes ``lead + n`` normals from the r-th generator of the iterable
+    ``rngs`` alone, drawn with ``standard_normal(out=...)`` before the next
+    generator is taken (so ``rngs`` may yield one generator reseeded per row,
+    as ``seeding.streams`` does); the kind's filter then runs over all rows
+    at once.  ``lead`` is q for MA(q), 1 for AR(1)'s stationary start and 0
+    for iid, whose normals are drawn straight into ``out``.
     """
     rows, n = out.shape
-    if spec.kind == "iid_gaussian":
-        for row, rng in zip(out, rngs):
-            rng.standard_normal(out=row)
-        out *= sd
-        return
-    lead = spec.order if spec.kind == "ma" else 1  # AR(1) draws its start first
-    raw = np.empty((rows, lead + n))
+    lead = {"ma": spec.order, "ar1": 1}.get(spec.kind, 0)
+    raw = np.empty((rows, lead + n)) if lead else out
     for row, rng in zip(raw, rngs):
         rng.standard_normal(out=row)
+    if spec.kind == "iid_gaussian":
+        out *= sd
+        return
     if spec.kind == "ma":
         c = np.asarray(spec.coeffs)
         # x_t = sd * sum_j c_j eta_{t-j} / ||c||_2, so Var x_t = sd^2.
@@ -293,15 +291,15 @@ def _as_process(c) -> ErrorProcessSpec:
 def generate_error_matrix(spec: ErrorMatrixSpec, n: int, seed: int) -> np.ndarray:
     """Draw the n x (p+1) error matrix with mutually independent columns.
 
-    Column j (1-based) is drawn at sd sqrt(sigma2) from its own PCG64 stream,
-    ``stream(column_subseed(seed, j))``; ``seed`` is a whole number taken modulo 2^64.
-    ``map_draws`` over ``spec.column_draws`` draws the same matrices,
-    transposed, for many seeds at once.
+    Each column is drawn at the sd and from the ``stream`` of the seed that
+    ``spec.column_draws`` gives for ``seed``, a whole number taken modulo
+    2^64.  ``map_draws`` over the same ``column_draws`` draws the same
+    matrices, transposed, for many seeds at once.
     """
     n = as_integer(n, "n", 1)
     seed = as_integer(seed, "seed") % (1 << 64)
-    sd = float(np.sqrt(spec.sigma2))
-    w = np.empty((len(spec.column_specs), n))
-    for j, col in enumerate(spec.column_specs):
-        _fill_column(col, sd, [stream(column_subseed(seed, j + 1))], w[j : j + 1])
+    columns, seeds = spec.column_draws(np.array([seed], dtype=np.uint64))
+    w = np.empty((len(columns), n))
+    for j, (col, sd) in enumerate(columns):
+        _fill_column(col, sd, [stream(int(seeds[j, 0]))], w[j : j + 1])
     return np.ascontiguousarray(w.T)

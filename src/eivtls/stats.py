@@ -72,10 +72,9 @@ def ks_statistic(sample) -> tuple[float, float]:
     """One-sample KS distance from N(0, 1) and its asymptotic p-value.
 
     The p-value uses the Kolmogorov limiting series; it is an asymptotic
-    approximation, reasonable for n >= 35.
+    approximation, reasonable for n >= 35.  The sample is read through
+    ``linalg.as_vector``, so an empty, ragged or non-finite one is refused.
     """
-    if np.size(sample) == 0:
-        raise InvalidParams("sample is empty")
     x = np.sort(as_vector(sample))
     n = x.shape[0]
     from scipy import special
@@ -139,9 +138,9 @@ def clt_check(
     its definition as a variance of the partial sum), not by a within-series
     kernel estimate.  Replication r is ``generate_sequence(spec, n,
     derive_subseed(seed, r, 0))``; ``processes.map_draws`` draws them a
-    chunk at a time, on a thread pool of at most one thread per usable CPU,
-    and each chunk is reduced to its row sums, so the sums do not depend on
-    the chunking or the CPU count.
+    chunk at a time, on the threads its module docstring sets out, and each
+    chunk is reduced to its row sums, so the sums do not depend on the
+    chunking or the CPU count.
     """
     n = as_integer(n, "n", 500)
     replications = as_integer(replications, "replications", 500)
@@ -243,7 +242,8 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
 
     ``auto`` bandwidth is floor(n^(1/3)).  The estimate is symmetrized and,
     if indefinite, projected onto the PSD cone by clipping negative
-    eigenvalues (flagged, never silent).
+    eigenvalues (flagged, never silent).  A zero estimate (constant rows)
+    has exact zero eigenvalues: neither clipped nor positive definite.
     """
     x = as_matrix(x, vector_as_column=True)
     n, d = x.shape
@@ -259,8 +259,6 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
         gamma = xc[k:].T @ xc[:-k] / n
         out += (1.0 - k / (b + 1.0)) * (gamma + gamma.T)
     out = 0.5 * (out + out.T)
-    if not np.any(out):
-        return LongRunVariance(out, b, psd_clipped=False, positive_definite=False)
     eigs, vecs = np.linalg.eigh(out)  # ascending
     clipped = bool(eigs[0] < 0)
     pd = bool(eigs[0] > 0)

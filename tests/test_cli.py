@@ -531,6 +531,11 @@ class TestConfigSchema:
         d = shipped(name)
         assert json.dumps(ExperimentConfig.from_dict(d).to_dict()) == json.dumps(d)
 
+    @pytest.mark.parametrize("name, path", [("alpha_p2", "alpha"), ("phi_p2", "phi")])
+    def test_shipped_configs_are_the_presets(self, name, path):
+        # The benchmark and CI read the JSON files; the tests build from presets.
+        assert shipped(name) == default_config(path, beta=(1.0, -2.0)).to_dict()
+
     def test_shipped_clt_process_is_its_own_to_dict(self):
         d = shipped("clt_ma1")["process"]
         assert json.dumps(ErrorProcessSpec.from_dict(d).to_dict()) == json.dumps(d)

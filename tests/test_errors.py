@@ -5,7 +5,9 @@
 the package source, so a stray ``ValueError`` or a new error class fails
 here rather than at the command line.  Sizes and counts are bounded in one
 place: ``linalg.as_integer`` with a minimum, so only ``linalg`` names
-``MAX_LENGTH``.
+``MAX_LENGTH``.  The same scan keeps one normal-draw loop
+(``processes._fill_column``) and one column-seed rule
+(``ErrorMatrixSpec.column_draws``).
 """
 
 import ast
@@ -56,3 +58,27 @@ def test_only_linalg_names_the_size_bound():
             if name == "MAX_LENGTH":
                 named.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not named
+
+
+# Each name may be used at one site only: the draw loop every process filters
+# after, and the rule that gives error-matrix column j its stream seed.
+ONE_SITE = {
+    "standard_normal": ["processes.py:_fill_column"],
+    "column_subseed": ["processes.py:ErrorMatrixSpec.column_draws"],
+}
+
+
+def test_one_draw_loop_and_one_column_seed_rule():
+    found = {name: [] for name in ONE_SITE}
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in found:
+                found[name].append(f"{path.name}:{'.'.join(scope)}")
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, path, scope + (child.name,) if named else scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path, ())
+    assert found == ONE_SITE

@@ -287,11 +287,12 @@ class TestErrorBlocks:
 
     def test_against_one_dimensional_filters(self):
         # The per-column formulas the block filters replace: np.convolve for
-        # MA (summation order differs, so a tolerance of a few ulps) and a
-        # 1-d lfilter after a scalar start draw for AR(1) (bit-identical).
+        # MA (summation order differs, so a tolerance of a few ulps), a 1-d
+        # lfilter after a scalar start draw for AR(1) and a scaled draw for
+        # iid (both bit-identical).
         sd, n, seed = np.sqrt(0.7), 300, 9
         c = np.array([1.0, 0.5, -0.3])
-        spec = ErrorMatrixSpec((ma(tuple(c)), ar1(0.6)), sigma2=0.7)
+        spec = ErrorMatrixSpec((ma(tuple(c)), ar1(0.6), iid_gaussian()), sigma2=0.7)
         block = self.blocks(spec, n, [seed])[0]
         eta = stream(column_subseed(seed, 1)).standard_normal(n + 2)
         ref = sd * np.convolve(eta, c, mode="valid") / np.linalg.norm(c)
@@ -302,6 +303,7 @@ class TestErrorBlocks:
         innov = sd * np.sqrt(1.0 - 0.36) * rng.standard_normal(n)
         ref, _ = lfilter([1.0], [1.0, -0.6], innov, zi=np.array([0.6 * x0]))
         assert np.array_equal(block[1], ref)
+        assert np.array_equal(block[2], sd * stream(column_subseed(seed, 3)).standard_normal(n))
 
     def test_reused_generator_draws_the_same_blocks(self, monkeypatch):
         # Each step reuses one generator for every row of its chunk.

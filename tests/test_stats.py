@@ -113,15 +113,15 @@ class TestKs:
         assert p > 0.99
 
     @pytest.mark.parametrize(
-        "sample", [[np.nan, 1.0], [np.inf, 1.0], np.ones((3, 2)), ["1", "2"]],
-        ids=["nan", "inf", "2-d", "strings"],
+        "sample", [[np.nan, 1.0], [np.inf, 1.0], np.ones((3, 2)), ["1", "2"], [[1], [1, 2]]],
+        ids=["nan", "inf", "2-d", "strings", "ragged"],
     )
     def test_sample_is_a_finite_vector(self, sample):
         with pytest.raises(InvalidParams):
             ks_statistic(sample)
 
     def test_empty_sample(self):
-        with pytest.raises(InvalidParams, match="sample is empty"):
+        with pytest.raises(InvalidParams, match=r"expected a 1-d vector, got shape \(0,\)"):
             ks_statistic(np.array([]))
 
     def test_null_calibration(self):
