@@ -37,7 +37,6 @@ from .montecarlo import (
     ExperimentReport,
     LongRunReport,
     NormalityExperimentReport,
-    derive_subseed,
     run_consistency,
     run_long_run_check,
     run_normality,
@@ -52,6 +51,7 @@ from .processes import (
     ma,
     map_draws,
 )
+from .seeding import derive_subseed
 from .stats import (
     CltCheckConfig,
     CltCheckReport,

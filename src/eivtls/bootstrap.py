@@ -20,7 +20,9 @@ turns the whole chunk's words into starts bit-identical to
 tables one block position at a time.  So memory stays at about B (p+1)^2
 floats plus the tables and one chunk of starts whatever n and L are, and
 all resamples are refitted together by the batched TLS kernel
-``estimator.tls_from_gram``.
+``estimator.tls_from_gram``.  No thread is started: what is left per
+resample, setting the generator, holds the interpreter lock and ran slower
+on two threads than on one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParams, NumericalError
 from .estimator import FIT_OK, TlsFit, tls_fit, tls_from_gram
-from .linalg import as_integer, as_matrix, as_number, as_vector
+from .linalg import as_integer, as_matrix, as_number, as_vector, to_keys
 from .seeding import derive_subseed, pcg64_seed_words, stream, streams
 from .stats import _icbrt
 
@@ -79,15 +81,7 @@ class BootstrapCi:
     failure_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "point_estimate": self.point_estimate.tolist(),
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-            "level": self.level,
-            "block_length": self.block_length,
-            "n_boot_effective": self.n_boot_effective,
-            "failure_count": self.failure_count,
-        }
+        return to_keys(self)
 
 
 def _lemire_starts(words: np.ndarray, n_blocks: int, high: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,10 @@ not finite integers or floats.  ``as_number`` reads a float and
 ``as_integer`` with a minimum is the one reader of every size and count
 (a sample size, a replication or resample count, a block length, a
 bandwidth): it refuses a value below the minimum or above ``MAX_LENGTH``,
-which no other module names.  ``from_keys`` builds a spec dataclass from
-a config object whose keys are its fields.  The numerical kernels call
-``numpy`` (LAPACK) directly.
+which no other module names.  A spec dataclass is read from a config
+object whose keys are its fields by ``from_keys`` (a nested one by
+``as_spec``), written by ``to_keys`` and checked by ``check_kind``.  The
+numerical kernels call ``numpy`` (LAPACK) directly.
 """
 
 from __future__ import annotations
@@ -115,3 +116,37 @@ def from_keys(cls, d, what: str, **given):
         if f.default is MISSING and f.name not in d:
             raise InvalidParams(f"{what} is missing required key {f.name!r}")
     return cls(**d, **given)
+
+
+def to_keys(obj) -> dict:
+    """The inverse of ``from_keys``: the fields of dataclass ``obj`` that are not None, in order.
+
+    An array or a tuple is written as a list, and a nested spec by its ``to_dict``.
+    """
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif hasattr(value, "to_dict"):
+            value = value.to_dict()
+        if value is not None:
+            out[f.name] = value
+    return out
+
+
+def as_spec(cls, value):
+    """``value`` if it is a ``cls`` already, else ``cls.from_dict(value)`` of its config object."""
+    return value if isinstance(value, cls) else cls.from_dict(value)
+
+
+def check_kind(spec, reads: dict, what: str) -> None:
+    """InvalidParams unless ``reads`` lists ``spec.kind`` and, under it, every other field set."""
+    kind = spec.kind
+    if not isinstance(kind, str) or kind not in reads:
+        raise InvalidParams(f"unknown {what} kind {kind!r}")
+    for f in fields(spec):
+        if f.name != "kind" and f.name not in reads[kind] and getattr(spec, f.name) is not None:
+            raise InvalidParams(f"kind {kind!r} takes no {f.name}")

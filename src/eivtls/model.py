@@ -15,12 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import as_integer, as_matrix, as_number, as_tuple, as_vector, from_keys
+from .linalg import (
+    as_integer,
+    as_matrix,
+    as_number,
+    as_tuple,
+    as_vector,
+    check_kind,
+    from_keys,
+    to_keys,
+)
 from .processes import ErrorMatrixSpec, generate_error_matrix
 
 
-# The fields each design kind does not read; a spec that sets one is refused.
-UNREAD_FIELDS = {"repeating_block": ("frequencies",), "sinusoidal": ("block",)}
+# The fields each design kind reads; a spec that sets any other is refused.
+KIND_FIELDS = {"repeating_block": ("block",), "sinusoidal": ("frequencies",)}
 
 
 @dataclass(frozen=True)
@@ -38,11 +47,7 @@ class DesignSpec:
     frequencies: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in UNREAD_FIELDS:
-            raise InvalidParams(f"unknown design kind {self.kind!r}")
-        for name in UNREAD_FIELDS[self.kind]:
-            if getattr(self, name) is not None:
-                raise InvalidParams(f"kind {self.kind!r} takes no {name}")
+        check_kind(self, KIND_FIELDS, "design")
         if self.kind == "repeating_block":
             if self.block is None:
                 raise InvalidParams("repeating_block needs a block matrix")
@@ -71,9 +76,7 @@ class DesignSpec:
         return len(self.frequencies)
 
     def to_dict(self) -> dict:
-        if self.kind == "repeating_block":
-            return {"kind": self.kind, "block": self.block.tolist()}
-        return {"kind": self.kind, "frequencies": list(self.frequencies)}
+        return to_keys(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DesignSpec":

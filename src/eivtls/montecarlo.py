@@ -8,15 +8,12 @@ errors through ``processes.map_draws``, which spreads chunks of
 replications over threads (the ``processes`` docstring states the CPU
 policy); each chunk's errors get the signal added and are reduced to
 their Grams at once by ``estimator.gram_stack``, the kernel ``tls_fit``
-uses too.  It is one ``einsum`` loop over the whole chunk, where ``@`` would
-hand BLAS one small product per replication at 1.2 to 2.4 times the cost
-for p of 1 or 2, and it sums each row in contiguous blocks of columns, so a
-Gram does not depend on the chunk or the thread that holds it.
-``map_draws`` holds the raw data in flight across all threads to one fixed
-budget of floats, so memory stays at about R (p+1)^2 floats plus that
-budget.  Each experiment reduces the stack: consistency and normality fit it
-with the batched TLS kernel ``estimator.tls_from_gram`` (consistency also
-takes OLS from the same Grams), and the long-run check takes the scores
+uses too (its docstring states why a Gram does not depend on the chunk or
+the thread that holds it).  So memory stays at about R (p+1)^2 floats plus
+the budget of ``map_draws``.  Each experiment reduces the stack:
+consistency and normality fit it with the batched TLS kernel
+``estimator.tls_from_gram`` (consistency also takes OLS from the same
+Grams), and the long-run check takes the scores
 ``G [beta; -1]``.  Every Gram depends only on its own replication's streams,
 so reports are bit-identical for any number of CPUs and any value of the
 ``threads`` argument of the ``run_*`` functions, which is accepted and
@@ -39,26 +36,12 @@ from .estimator import (
     ols_from_gram,
     tls_from_gram,
 )
-from .linalg import as_integer, as_tuple, as_vector, from_keys
+from .linalg import as_integer, as_spec, as_tuple, as_vector, from_keys, to_keys
 from .mixing import THEOREMS, AssumptionReport, check_assumptions
 from .model import DesignSpec, build_design
 from .processes import ErrorMatrixSpec, map_draws
 from .seeding import derive_subseed
 from .stats import MIN_SAMPLES_PER_DIM, NormalityReport, normality_battery
-
-__all__ = [
-    "ExperimentConfig",
-    "ConsistencyCell",
-    "ExperimentReport",
-    "ConsistencyReport",
-    "NormalityExperimentReport",
-    "LongRunReport",
-    "run_consistency",
-    "run_normality",
-    "run_long_run_check",
-    "derive_subseed",
-]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -71,10 +54,8 @@ class ExperimentConfig:
     theorem: str = "AN-alpha"
 
     def __post_init__(self):
-        if not isinstance(self.design, DesignSpec):
-            object.__setattr__(self, "design", DesignSpec.from_dict(self.design))
-        if not isinstance(self.errors, ErrorMatrixSpec):
-            object.__setattr__(self, "errors", ErrorMatrixSpec.from_dict(self.errors))
+        object.__setattr__(self, "design", as_spec(DesignSpec, self.design))
+        object.__setattr__(self, "errors", as_spec(ErrorMatrixSpec, self.errors))
         beta = as_vector(self.beta)
         object.__setattr__(self, "beta", beta)
         p = self.design.p
@@ -94,15 +75,7 @@ class ExperimentConfig:
             raise InvalidParams(f"unknown theorem {self.theorem!r}; expected one of {THEOREMS}")
 
     def to_dict(self) -> dict:
-        return {
-            "design": self.design.to_dict(),
-            "beta": self.beta.tolist(),
-            "errors": self.errors.to_dict(),
-            "n_grid": list(self.n_grid),
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "theorem": self.theorem,
-        }
+        return to_keys(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

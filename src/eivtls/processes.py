@@ -41,13 +41,22 @@ column is drawn; iid and MA(q) columns need numpy alone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import as_integer, as_number, as_tuple, config_object, from_keys
+from .linalg import (
+    as_integer,
+    as_number,
+    as_spec,
+    as_tuple,
+    check_kind,
+    config_object,
+    from_keys,
+    to_keys,
+)
 from .seeding import column_subseed, pcg64_seed_words, stream, streams
 
 MIXING_ALPHA = "alpha"
@@ -57,8 +66,8 @@ MIXING_INDEPENDENT = "independent"
 CHUNK_ELEMENTS = 1 << 18  # floats of raw error data in flight in map_draws (2 MB)
 
 
-# The fields each process kind does not read; a spec that sets one is refused.
-UNREAD_FIELDS = {"iid_gaussian": ("coeffs", "a", "delta"), "ma": ("a", "delta"), "ar1": ("coeffs",)}
+# The fields each process kind reads; a spec that sets any other is refused.
+KIND_FIELDS = {"iid_gaussian": ("omega",), "ma": ("coeffs", "omega"), "ar1": ("a", "delta", "omega")}
 
 
 @dataclass(frozen=True)
@@ -72,11 +81,7 @@ class ErrorProcessSpec:
     omega: float | None = None  # moment surplus in E|xi|^(4+omega)
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in UNREAD_FIELDS:
-            raise InvalidParams(f"unknown process kind {self.kind!r}")
-        for name in UNREAD_FIELDS[self.kind]:
-            if getattr(self, name) is not None:
-                raise InvalidParams(f"kind {self.kind!r} takes no {name}")
+        check_kind(self, KIND_FIELDS, "process")
         for name in ("a", "delta", "omega"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, as_number(getattr(self, name), name))
@@ -104,7 +109,7 @@ class ErrorProcessSpec:
     @property
     def mixing_class(self) -> str:
         """Mixing class of the kind: phi for MA(q), alpha for AR(1), independent for iid."""
-        return {"ma": MIXING_PHI, "ar1": MIXING_ALPHA}.get(self.kind, MIXING_INDEPENDENT)
+        return {"iid_gaussian": MIXING_INDEPENDENT, "ma": MIXING_PHI, "ar1": MIXING_ALPHA}[self.kind]
 
     @property
     def order(self) -> int:
@@ -115,12 +120,7 @@ class ErrorProcessSpec:
 
     def to_dict(self) -> dict:
         # Fixed keys: every column is stationary, and its sd is set by the draw.
-        out = {"kind": self.kind, "scale": 1.0, "stationary": True}
-        for f in fields(self)[1:]:
-            value = getattr(self, f.name)
-            if value is not None:
-                out[f.name] = list(value) if f.name == "coeffs" else value
-        return out
+        return {"kind": self.kind, "scale": 1.0, "stationary": True, **to_keys(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorProcessSpec":
@@ -161,7 +161,7 @@ def _fill_column(spec: ErrorProcessSpec, sd: float, rngs, out: np.ndarray) -> No
     for iid, whose normals are drawn straight into ``out``.
     """
     rows, n = out.shape
-    lead = {"ma": spec.order, "ar1": 1}.get(spec.kind, 0)
+    lead = {"iid_gaussian": 0, "ma": spec.order, "ar1": 1}[spec.kind]
     raw = np.empty((rows, lead + n)) if lead else out
     for row, rng in zip(raw, rngs):
         rng.standard_normal(out=row)
@@ -248,7 +248,7 @@ class ErrorMatrixSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        cols = as_tuple(self.column_specs, lambda c, _: _as_process(c), "columns")
+        cols = as_tuple(self.column_specs, lambda c, _: as_spec(ErrorProcessSpec, c), "columns")
         if not cols:
             raise InvalidParams("need at least one error column")
         sigma2 = as_number(self.sigma2, "sigma2")
@@ -282,10 +282,6 @@ class ErrorMatrixSpec:
         d = config_object(d, "errors")
         columns = d.pop("columns", ())
         return from_keys(cls, d, "errors", column_specs=columns)
-
-
-def _as_process(c) -> ErrorProcessSpec:
-    return c if isinstance(c, ErrorProcessSpec) else ErrorProcessSpec.from_dict(c)
 
 
 def generate_error_matrix(spec: ErrorMatrixSpec, n: int, seed: int) -> np.ndarray:

@@ -14,10 +14,9 @@ the draws from many seeds (``processes.map_draws``, the bootstrap's block
 starts) do not: ``pcg64_seed_words`` runs that hash over a seed array at
 once, and ``streams`` sets one reused ``Generator`` to each seed's starting
 state in turn, so a chunk of rows is drawn without constructing a
-generator per row.  The bytes drawn are those of ``stream(seed)``.  The
-bootstrap's block starts are drawn from each stream as raw PCG64 words,
-which one batched bounded transform turns into starts bit-identical to
-``Generator.integers`` on that stream.
+generator per row.  The bytes drawn are those of ``stream(seed)``.  How
+the bootstrap turns a stream's raw words into block starts is stated in
+``bootstrap``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
-# Odd mixing constants for (replication, cell) separation.
-K1 = 0x9E3779B97F4A7C15
+# Odd mixing constant for the cell; GOLDEN mixes in the replication.
 K2 = 0xC2B2AE3D27D4EB4F
 
 # numpy's SeedSequence hash constants (pool size 4, 32-bit words).
@@ -74,7 +72,7 @@ def derive_subseed(master: int, replication, cell: int):
     same form.
     """
     x = master & _MASK
-    x ^= (replication * K1) & _MASK
+    x ^= (replication * GOLDEN) & _MASK
     x ^= (cell * K2) & _MASK
     return splitmix64(x)
 

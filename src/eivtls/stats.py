@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NumericalError
-from .linalg import as_integer, as_matrix, as_vector, from_keys
+from .linalg import as_integer, as_matrix, as_spec, as_vector, from_keys
 from .processes import ErrorProcessSpec, map_draws
 from .seeding import derive_subseed
 
@@ -96,8 +96,7 @@ class CltCheckConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.process, ErrorProcessSpec):
-            object.__setattr__(self, "process", ErrorProcessSpec.from_dict(self.process))
+        object.__setattr__(self, "process", as_spec(ErrorProcessSpec, self.process))
 
     @classmethod
     def from_dict(cls, d: dict) -> "CltCheckConfig":

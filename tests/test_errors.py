@@ -6,8 +6,10 @@ the package source, so a stray ``ValueError`` or a new error class fails
 here rather than at the command line.  Sizes and counts are bounded in one
 place: ``linalg.as_integer`` with a minimum, so only ``linalg`` names
 ``MAX_LENGTH``.  The same scan keeps one normal-draw loop
-(``processes._fill_column``) and one column-seed rule
-(``ErrorMatrixSpec.column_draws``).
+(``processes._fill_column``), one column-seed rule
+(``ErrorMatrixSpec.column_draws``), one nested-spec reader
+(``linalg.as_spec``, beside the two config loaders of ``cli``) and one
+kind guard (``linalg.check_kind``).
 """
 
 import ast
@@ -60,25 +62,49 @@ def test_only_linalg_names_the_size_bound():
     assert not named
 
 
-# Each name may be used at one site only: the draw loop every process filters
-# after, and the rule that gives error-matrix column j its stream seed.
+# Each name, or string part, may be used at its own sites only: the draw loop
+# every process filters after, the rule that gives error-matrix column j its
+# stream seed, the reader of a nested spec (the two config files are read at
+# the top), and the guard that refuses a field its kind does not read.
 ONE_SITE = {
     "standard_normal": ["processes.py:_fill_column"],
     "column_subseed": ["processes.py:ErrorMatrixSpec.column_draws"],
+    "from_dict": ["cli.py:_load_experiment", "cli.py:_cmd_clt_check", "linalg.py:as_spec"],
+    " takes no ": ["linalg.py:check_kind"],
 }
 
 
-def test_one_draw_loop_and_one_column_seed_rule():
+def _sites() -> dict:
+    """The sites where each entry of ``ONE_SITE`` is used in the package source."""
     found = {name: [] for name in ONE_SITE}
 
     def visit(node, path, scope):
         for child in ast.iter_child_nodes(node):
+            site = f"{path.name}:{'.'.join(scope)}"
             name = getattr(child, "id", None) or getattr(child, "attr", None)
             if isinstance(child, (ast.Name, ast.Attribute)) and name in found:
-                found[name].append(f"{path.name}:{'.'.join(scope)}")
+                found[name].append(site)
+            # A key that starts with a space is message text: it is looked for in
+            # string constants, the literal parts of f-strings included.
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                for part in found:
+                    if part.startswith(" ") and part in child.value:
+                        found[part].append(site)
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(child, path, scope + (child.name,) if named else scope)
 
     for path in SOURCES:
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path, ())
-    assert found == ONE_SITE
+    return found
+
+
+def test_one_draw_loop_and_one_column_seed_rule():
+    found = _sites()
+    for name in ("standard_normal", "column_subseed"):
+        assert found[name] == ONE_SITE[name]
+
+
+def test_one_nested_spec_reader_and_one_kind_guard():
+    found = _sites()
+    for name in ("from_dict", " takes no "):
+        assert found[name] == ONE_SITE[name]

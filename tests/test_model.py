@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from eivtls.errors import InvalidParams
 from eivtls.estimator import tls_fit
 from eivtls.model import (
+    KIND_FIELDS,
     DesignSpec,
     build_design,
     expected_cross_product,
@@ -75,10 +78,14 @@ class TestBuildDesign:
             sinusoidal((0.7,))
 
     def test_fields_a_kind_does_not_read_are_refused(self):
-        with pytest.raises(InvalidParams, match="kind 'repeating_block' takes no frequencies"):
-            DesignSpec.from_dict({"kind": "repeating_block", "block": [[1.0]], "frequencies": [0.1]})
-        with pytest.raises(InvalidParams, match="kind 'sinusoidal' takes no block"):
-            DesignSpec.from_dict({"kind": "sinusoidal", "frequencies": [0.1], "block": [[1.0]]})
+        # Every field that a kind does not list in KIND_FIELDS, so a new field is tried too.
+        values = {"block": [[1.0]], "frequencies": [0.1]}
+        for kind, reads in KIND_FIELDS.items():
+            for field in [f.name for f in fields(DesignSpec)[1:] if f.name not in reads]:
+                d = {"kind": kind, **{name: values[name] for name in reads}}
+                d[field] = values.get(field, 0.5)
+                with pytest.raises(InvalidParams, match=f"kind '{kind}' takes no {field}"):
+                    DesignSpec.from_dict(d)
 
     @pytest.mark.parametrize("value", ["0.1", True], ids=["str", "bool"])
     def test_numeric_fields_refuse_strings_and_bools(self, value):

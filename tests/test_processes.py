@@ -1,5 +1,6 @@
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.signal import lfilter
 import eivtls.processes
 from eivtls.errors import InvalidParams
 from eivtls.processes import (
+    KIND_FIELDS,
     ErrorMatrixSpec,
     ErrorProcessSpec,
     ar1,
@@ -74,10 +76,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidParams):
             ma((1.0, 1.0), omega=[1.0])
 
+    # Every field that a kind does not list in KIND_FIELDS, so a new field is tried too.
     @pytest.mark.parametrize(
         "kind, field",
-        [("iid_gaussian", "coeffs"), ("iid_gaussian", "a"), ("iid_gaussian", "delta"),
-         ("ma", "a"), ("ma", "delta"), ("ar1", "coeffs")],
+        [(kind, f.name) for kind, reads in KIND_FIELDS.items()
+         for f in fields(ErrorProcessSpec)[1:] if f.name not in reads],
     )
     def test_fields_a_kind_does_not_read_are_refused(self, kind, field):
         base = {"iid_gaussian": {}, "ma": {"coeffs": [1.0, 1.0]}, "ar1": {"a": 0.5}}[kind]
@@ -86,6 +89,15 @@ class TestSpecValidation:
             ErrorProcessSpec.from_dict(d)
         with pytest.raises(InvalidParams, match=f"takes no {field}"):
             ErrorProcessSpec(**d)
+
+    def test_a_kind_missing_from_a_per_kind_table_fails_loudly(self, monkeypatch):
+        # A new kind is neither certified independent nor drawn without a lead.
+        monkeypatch.setitem(eivtls.processes.KIND_FIELDS, "fgn", ("omega",))
+        spec = ErrorProcessSpec(kind="fgn", omega=1.0)
+        with pytest.raises(KeyError):
+            spec.mixing_class
+        with pytest.raises(KeyError):
+            generate_sequence(spec, 10, 0)
 
     @pytest.mark.parametrize("value", ["0.5", True, np.True_], ids=["str", "bool", "np-bool"])
     @pytest.mark.parametrize("field", ["a", "delta", "omega", "coeffs"])
