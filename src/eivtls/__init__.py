@@ -27,7 +27,6 @@ from .model import (
     build_design,
     expected_cross_product,
     repeating_block,
-    score_sequence,
     sinusoidal,
     synthesize,
 )

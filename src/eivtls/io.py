@@ -4,10 +4,10 @@ Floats are written with Python's shortest round-trip repr, so a write / read
 cycle reproduces the in-memory values bit for bit.  All writes go through a
 temp file in the target directory followed by an atomic rename, and the file
 gets the mode a newly created file gets under the process umask.  Every input
-is read as UTF-8 text; a config must be one JSON object, and a dataset is
-the header ``x1,...,xp,y`` over rows of p + 1 numbers, which
-``numpy.loadtxt`` parses once blank lines are dropped.  Any other input is
-``InvalidParams``.
+is read as UTF-8 text; a config must be one JSON object that gives each key
+once, and a dataset is the header ``x1,...,xp,y`` over rows of p + 1
+numbers, which ``numpy.loadtxt`` parses once blank lines are dropped.  Any
+other input is ``InvalidParams``.
 """
 
 from __future__ import annotations
@@ -83,9 +83,18 @@ def write_report_json(path: str, report: dict) -> None:
 
 
 def read_json(path: str) -> dict:
-    """The JSON object in ``path``."""
+    """The JSON object in ``path``; an object at any depth that gives a key twice is refused."""
+
+    def one_value_per_key(pairs: list) -> dict:
+        d = {}
+        for key, value in pairs:
+            if key in d:
+                raise InvalidParams(f"malformed config {path}: the key {key!r} is given twice")
+            d[key] = value
+        return d
+
     try:
-        d = json.loads(_read_text(path))
+        d = json.loads(_read_text(path), object_pairs_hook=one_value_per_key)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidParams(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(d, dict):

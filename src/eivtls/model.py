@@ -2,10 +2,10 @@
 
 A dataset realizes ``y = z @ beta + eps`` and ``x = z + theta``, where the
 design ``z`` is deterministic, bounded, and built so that the limit of
-``z.T @ z / n`` exists and is positive definite.  Also provides the exact
-model quantities used by the distributional checks: the expected
-cross-product of ``[x, y]`` and the per-row score sequence whose normalized
-sum carries the asymptotic normality.
+``z.T @ z / n`` exists and is positive definite; ``DesignSpec.limit`` is
+that limit.  ``check_model`` is the one check that beta, the design and the
+error columns agree on p, and ``expected_cross_product`` gives the exact
+expected cross-product of ``[x, y]`` that the distributional checks use.
 """
 
 from __future__ import annotations
@@ -51,12 +51,11 @@ class DesignSpec:
         if self.kind == "repeating_block":
             if self.block is None:
                 raise InvalidParams("repeating_block needs a block matrix")
-            blk = as_matrix(self.block)
-            object.__setattr__(self, "block", blk)
+            object.__setattr__(self, "block", as_matrix(self.block))
             with np.errstate(over="ignore"):
-                if not np.all(np.isfinite(blk.T @ blk / blk.shape[0])):
+                if not np.all(np.isfinite(self.limit)):
                     raise InvalidParams("the limit matrix block.T @ block / k overflows")
-            if np.linalg.matrix_rank(blk) < blk.shape[1]:
+            if np.linalg.matrix_rank(self.block) < self.p:
                 raise InvalidParams("block columns are linearly dependent")
         else:
             freqs = self.frequencies
@@ -74,6 +73,13 @@ class DesignSpec:
         if self.kind == "repeating_block":
             return self.block.shape[1]
         return len(self.frequencies)
+
+    @property
+    def limit(self) -> np.ndarray:
+        """The limit matrix lim z.T @ z / n: ``block.T @ block / k``, or ``I/2`` for sinusoids."""
+        if self.kind == "repeating_block":
+            return self.block.T @ self.block / self.block.shape[0]
+        return 0.5 * np.eye(self.p)
 
     def to_dict(self) -> dict:
         return to_keys(self)
@@ -97,19 +103,24 @@ def build_design(spec: DesignSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     For a repeating block whose row count divides ``n`` the limit is attained
     exactly at ``n``; otherwise it is the asymptotic value.
     """
-    p = spec.p
-    n = as_integer(n, "n", p + 2)
+    n = as_integer(n, "n", spec.p + 2)
     if spec.kind == "repeating_block":
-        blk = spec.block
-        k = blk.shape[0]
-        reps = -(-n // k)
-        z = np.tile(blk, (reps, 1))[:n]
-        delta = blk.T @ blk / k
-        return z, delta
-    idx = np.arange(1, n + 1, dtype=float)
-    z = np.sin(2.0 * np.pi * np.outer(idx, np.asarray(spec.frequencies)))
-    delta = 0.5 * np.eye(p)
-    return z, delta
+        k = spec.block.shape[0]
+        z = np.tile(spec.block, (-(-n // k), 1))[:n]
+    else:
+        idx = np.arange(1, n + 1, dtype=float)
+        z = np.sin(2.0 * np.pi * np.outer(idx, np.asarray(spec.frequencies)))
+    return z, spec.limit
+
+
+def check_model(p: int, beta, errors: ErrorMatrixSpec | None = None) -> np.ndarray:
+    """``beta`` as a vector, once it has p entries and ``errors``, if given, p + 1 columns."""
+    beta = as_vector(beta)
+    if beta.shape[0] != p:
+        raise InvalidParams(f"beta has {beta.shape[0]} entries, design has p={p}")
+    if errors is not None and errors.p != p:
+        raise InvalidParams(f"error spec has {errors.p + 1} columns, expected p + 1 = {p + 1}")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -124,14 +135,6 @@ class EivInstance:
     x: np.ndarray
     y: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.z.shape[1]
-
 
 def synthesize(
     design: DesignSpec,
@@ -141,16 +144,10 @@ def synthesize(
     seed: int,
 ) -> EivInstance:
     """Build z, draw [theta, eps], and form x = z + theta, y = z beta + eps."""
-    beta = as_vector(beta)
-    p = design.p
-    if beta.shape[0] != p:
-        raise InvalidParams(f"beta has {beta.shape[0]} entries, design has p={p}")
-    if errors.p != p:
-        raise InvalidParams(f"error spec has {errors.p + 1} columns, expected p + 1 = {p + 1}")
+    beta = check_model(design.p, beta, errors)
     z, _ = build_design(design, n)
     w = generate_error_matrix(errors, n, seed)
-    theta = w[:, :p]
-    eps = w[:, p]
+    theta, eps = w[:, :-1], w[:, -1]
     return EivInstance(
         z=z,
         beta=beta,
@@ -165,25 +162,10 @@ def synthesize(
 def expected_cross_product(z, beta, sigma2: float) -> np.ndarray:
     """E [x, y]^T [x, y] for the model: [I, b]^T z^T z [I, b] + n sigma^2 I."""
     z = as_matrix(z)
-    beta = as_vector(beta)
-    sigma2 = as_number(sigma2, "sigma2")
     n, p = z.shape
-    if beta.shape[0] != p:
-        raise InvalidParams("beta length must match design columns")
+    beta = check_model(p, beta)
+    sigma2 = as_number(sigma2, "sigma2")
     if not 0.0 <= sigma2 < np.inf:
         raise InvalidParams(f"sigma2 must be non-negative and finite, got {sigma2}")
     ib = np.hstack([np.eye(p), beta[:, None]])  # p x (p+1)
     return ib.T @ (z.T @ z) @ ib + n * sigma2 * np.eye(p + 1)
-
-
-def score_sequence(inst: EivInstance, t) -> np.ndarray:
-    """Per-row scores rho_i whose sum is t^T (G - E G) [beta; -1], G = [x,y]^T [x,y]."""
-    t = as_vector(t)
-    p = inst.p
-    if t.shape[0] != p + 1:
-        raise InvalidParams(f"t must have p + 1 = {p + 1} entries")
-    b = np.append(inst.beta, -1.0)
-    g = np.column_stack([inst.z, inst.z @ inst.beta])  # rows [z_i, z_i beta]
-    w = np.column_stack([inst.theta, inst.eps])
-    wb = w @ b
-    return (g @ t) * wb + (w @ t) * wb - inst.sigma2 * float(t @ b)

@@ -38,7 +38,7 @@ from .estimator import (
 )
 from .linalg import as_integer, as_spec, as_tuple, as_vector, from_keys, to_keys
 from .mixing import THEOREMS, AssumptionReport, check_assumptions
-from .model import DesignSpec, build_design
+from .model import DesignSpec, build_design, check_model
 from .processes import ErrorMatrixSpec, map_draws
 from .seeding import derive_subseed
 from .stats import MIN_SAMPLES_PER_DIM, NormalityReport, normality_battery
@@ -56,9 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "design", as_spec(DesignSpec, self.design))
         object.__setattr__(self, "errors", as_spec(ErrorMatrixSpec, self.errors))
-        beta = as_vector(self.beta)
-        object.__setattr__(self, "beta", beta)
         p = self.design.p
+        object.__setattr__(self, "beta", check_model(p, self.beta, self.errors))
         grid = as_tuple(self.n_grid, lambda n, name: as_integer(n, name, p + 2), "n_grid")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "replications", as_integer(self.replications, "replications", 100))
@@ -67,10 +66,6 @@ class ExperimentConfig:
             raise InvalidParams("n_grid must not be empty")
         if list(grid) != sorted(set(grid)):
             raise InvalidParams("n_grid must be strictly ascending")
-        if beta.shape[0] != p:
-            raise InvalidParams(f"beta must have p = {p} entries")
-        if self.errors.p != p:
-            raise InvalidParams(f"error spec must have p + 1 = {p + 1} columns")
         if self.theorem not in THEOREMS:
             raise InvalidParams(f"unknown theorem {self.theorem!r}; expected one of {THEOREMS}")
 

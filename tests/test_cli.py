@@ -334,6 +334,25 @@ class TestErrorExits:
         assert run(command, "--config", path, "--out", tmp_path / "r.json") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "given, twice",
+        [
+            ('"replications": 500', '"replications": 100, "replications": 500'),
+            ('"omega": 1.0', '"omega": 1.0, "omega": 1.0'),
+        ],
+        ids=["top", "column"],
+    )
+    def test_a_key_given_twice_is_config_error(self, tmp_path, capsys, given, twice):
+        # Raw text, since json.dumps cannot write a key twice.
+        path, out = tmp_path / "twice.json", tmp_path / "r.json"
+        text = (SHIPPED_CONFIGS / "phi_p2.json").read_text()
+        path.write_text(text.replace(given, twice, 1))
+        assert run("check-assumptions", "--config", path, "--out", out) == EXIT_CONFIG
+        key = given.split(":")[0].strip('"')
+        message = f"malformed config {path}: the key {key!r} is given twice"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_integer_sigma2_is_echoed_as_a_float(self, tmp_path):
         path, out = tmp_path / "int.json", tmp_path / "r.json"
         path.write_text(json.dumps(alpha_with_sigma2(1)))

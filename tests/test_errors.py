@@ -8,8 +8,9 @@ place: ``linalg.as_integer`` with a minimum, so only ``linalg`` names
 ``MAX_LENGTH``.  The same scan keeps one normal-draw loop
 (``processes._fill_column``), one column-seed rule
 (``ErrorMatrixSpec.column_draws``), one nested-spec reader
-(``linalg.as_spec``, beside the two config loaders of ``cli``) and one
-kind guard (``linalg.check_kind``).
+(``linalg.as_spec``, beside the two config loaders of ``cli``), one
+kind guard (``linalg.check_kind``) and one check that beta and the error
+columns agree with the design (``model.check_model``).
 """
 
 import ast
@@ -65,12 +66,15 @@ def test_only_linalg_names_the_size_bound():
 # Each name, or string part, may be used at its own sites only: the draw loop
 # every process filters after, the rule that gives error-matrix column j its
 # stream seed, the reader of a nested spec (the two config files are read at
-# the top), and the guard that refuses a field its kind does not read.
+# the top), the guard that refuses a field its kind does not read, and the
+# check that beta and the error columns agree with the design.
 ONE_SITE = {
     "standard_normal": ["processes.py:_fill_column"],
     "column_subseed": ["processes.py:ErrorMatrixSpec.column_draws"],
     "from_dict": ["cli.py:_load_experiment", "cli.py:_cmd_clt_check", "linalg.py:as_spec"],
     " takes no ": ["linalg.py:check_kind"],
+    " entries, design has p=": ["model.py:check_model"],
+    " columns, expected p + 1 = ": ["model.py:check_model"],
 }
 
 
@@ -108,3 +112,9 @@ def test_one_nested_spec_reader_and_one_kind_guard():
     found = _sites()
     for name in ("from_dict", " takes no "):
         assert found[name] == ONE_SITE[name]
+
+
+def test_one_model_agreement_check():
+    found = _sites()
+    for part in (" entries, design has p=", " columns, expected p + 1 = "):
+        assert found[part] == ONE_SITE[part]

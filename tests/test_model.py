@@ -11,10 +11,10 @@ from eivtls.model import (
     build_design,
     expected_cross_product,
     repeating_block,
-    score_sequence,
     sinusoidal,
     synthesize,
 )
+from eivtls.montecarlo import ExperimentConfig
 from eivtls.processes import (
     ErrorMatrixSpec,
     generate_error_matrix,
@@ -48,7 +48,8 @@ class TestBuildDesign:
     def test_exact_delta_when_block_divides_n(self):
         spec = repeating_block([[1.0, 0.5], [0.0, 1.0], [1.0, -1.0]])
         z, delta = build_design(spec, 300)
-        assert z.T @ z / 300 == pytest.approx(delta, abs=1e-12)
+        assert np.array_equal(delta, spec.limit)
+        assert z.T @ z / 300 == pytest.approx(spec.limit, abs=1e-12)
 
     def test_rank_deficient_block(self):
         with pytest.raises(InvalidParams, match="block columns are linearly dependent"):
@@ -69,6 +70,7 @@ class TestBuildDesign:
         z, delta = build_design(spec, 20_000)
         assert np.max(np.abs(z)) <= 1.0
         assert np.array_equal(delta, 0.5 * np.eye(2))
+        assert np.array_equal(delta, spec.limit)
         assert z.T @ z / 20_000 == pytest.approx(delta, abs=0.01)
 
     def test_sinusoidal_validation(self):
@@ -134,6 +136,34 @@ class TestSynthesize:
             synthesize(repeating_block([[1.0]]), [1.0, 2.0], iid_errors(2), 10, 0)
         with pytest.raises(InvalidParams, match=r"error spec has 3 columns, expected p \+ 1 = 2"):
             synthesize(repeating_block([[1.0]]), [1.0], iid_errors(2), 10, 0)
+
+    @pytest.mark.parametrize(
+        "beta, errors, message",
+        [
+            ([1.0], iid_errors(2), "beta has 1 entries, design has p=2"),
+            ([1.0, 2.0], iid_errors(1), r"error spec has 2 columns, expected p \+ 1 = 3"),
+        ],
+        ids=["short-beta", "missing-error-column"],
+    )
+    def test_each_reader_words_an_agreement_fault_alike(self, beta, errors, message):
+        design = repeating_block([[1.0, 0.0], [0.0, 1.0]])
+        config = {
+            "design": design.to_dict(),
+            "beta": beta,
+            "errors": errors.to_dict(),
+            "n_grid": [10],
+            "replications": 100,
+            "master_seed": 0,
+        }
+        readers = [
+            lambda: ExperimentConfig.from_dict(config),
+            lambda: synthesize(design, beta, errors, 10, 0),
+        ]
+        if errors.p == design.p:  # expected_cross_product reads no error spec
+            readers.append(lambda: expected_cross_product(build_design(design, 10)[0], beta, 1.0))
+        for read in readers:
+            with pytest.raises(InvalidParams, match=f"^{message}$"):
+                read()
 
 
 BLOCK = repeating_block([[1.0], [2.0]])
@@ -242,63 +272,3 @@ class TestExpectedCrossProduct:
         expected = expected_cross_product(z, beta, 1.0)
         assert np.all(np.abs(mean - expected) <= 4.0 * se)
 
-
-class TestScoreSequence:
-    def make_instance(self, seed=0, n=400):
-        return synthesize(
-            repeating_block([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-            [1.0, -2.0],
-            iid_errors(2),
-            n,
-            seed,
-        )
-
-    def test_zero_direction(self):
-        inst = self.make_instance()
-        assert np.array_equal(score_sequence(inst, np.zeros(3)), np.zeros(inst.n))
-
-    def test_zero_errors_zero_scores(self):
-        inst = self.make_instance()
-        clean = type(inst)(
-            z=inst.z,
-            beta=inst.beta,
-            sigma2=0.0,
-            theta=np.zeros_like(inst.theta),
-            eps=np.zeros_like(inst.eps),
-            x=inst.z,
-            y=inst.z @ inst.beta,
-        )
-        rho = score_sequence(clean, np.array([0.4, -1.0, 2.0]))
-        assert np.array_equal(rho, np.zeros(inst.n))
-
-    def test_sum_identity(self):
-        from eivtls.model import expected_cross_product
-
-        rng = np.random.default_rng(5)
-        for seed in range(10):
-            inst = self.make_instance(seed)
-            t = rng.normal(size=3)
-            rho = score_sequence(inst, t)
-            xy = np.column_stack([inst.x, inst.y])
-            b = np.append(inst.beta, -1.0)
-            rhs = float(
-                t
-                @ (xy.T @ xy - expected_cross_product(inst.z, inst.beta, inst.sigma2))
-                @ b
-            )
-            assert abs(rho.sum() - rhs) <= 1e-8 * (1 + abs(rhs))
-
-    def test_replication_mean_near_zero(self):
-        t = np.array([1.0, 0.5, -0.5])
-        reps = 600
-        sums = np.empty(reps)
-        for r in range(reps):
-            inst = self.make_instance(seed=derive_subseed(5150, r, 0), n=60)
-            sums[r] = score_sequence(inst, t).mean()
-        se = sums.std(ddof=1) / np.sqrt(reps)
-        assert abs(sums.mean()) <= 4.0 * se
-
-    def test_dimension_mismatch(self):
-        inst = self.make_instance()
-        with pytest.raises(InvalidParams, match=r"t must have p \+ 1 = 3 entries"):
-            score_sequence(inst, np.ones(2))
