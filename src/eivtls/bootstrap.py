@@ -48,9 +48,8 @@ STARTS_IN_FLIGHT = 1 << 20
 
 
 def choose_block_length(n: int) -> int:
-    """Default block length floor(n^(1/3)), clamped to [1, n/4]; n is at least 8."""
-    n = as_integer(n, "n", 8)
-    return int(np.clip(_icbrt(n), 1, n // 4))
+    """Default block length floor(n^(1/3)); n is at least 8, so it lies in [2, n // 4]."""
+    return _icbrt(as_integer(n, "n", 8))
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def _lemire_starts(words: np.ndarray, n_blocks: int, high: int) -> tuple[np.ndar
 
 
 def _block_starts(n: int, length: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, ceil(n / length)) block starts of resamples ``lo .. hi-1``.
+    """(ceil(n / length), hi - lo) block starts of resamples ``lo .. hi-1``, one column each.
 
     Resample r's starts are ``stream(derive_subseed(seed, r, 0)).integers(0,
     n - length + 1, size=ceil(n / length))`` bit for bit.  They come from
@@ -121,15 +120,13 @@ def _block_starts(n: int, length: int, seed: int, lo: int, hi: int) -> np.ndarra
     n_blocks = -(-n // length)
     high = n - length + 1
     words = pcg64_seed_words(derive_subseed(seed, np.arange(lo, hi, dtype=np.uint64), 0))
-    # Stored block position by block position, so each position's starts
-    # over all resamples are contiguous for the sums in _resample_grams.
     if high <= 1 << 32:
         starts, redraw = _lemire_starts(words, n_blocks, high)
     else:
         starts, redraw = np.empty((n_blocks, hi - lo), dtype=np.int64), np.arange(hi - lo)
     for column, rng in zip(redraw, streams(stream(0), words[:, redraw])):
         starts[:, column] = rng.integers(0, high, size=n_blocks)
-    return starts.T
+    return starts
 
 
 def _block_grams(rows: np.ndarray, length: int, count: int) -> np.ndarray:
@@ -157,10 +154,10 @@ def _block_tables(rows: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _resample_grams(full: np.ndarray, last: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """(B, p+1, p+1) Grams of the resamples whose blocks start at the rows of ``starts``."""
-    grams = last[starts[:, -1]]
+    """(B, p+1, p+1) Grams of the resamples whose blocks start at the columns of ``starts``."""
+    grams = last[starts[-1]]
     block = np.empty_like(grams)
-    for position in starts.T[:-1]:
+    for position in starts[:-1]:
         np.take(full, position, axis=0, out=block)
         grams += block
     return grams

@@ -13,6 +13,7 @@ verdict; ``gen`` writes a dataset.  All files are written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -99,37 +100,35 @@ def _direction(text: str | None, p: int) -> np.ndarray:
         raise InvalidParams(f"--t must be comma-separated numbers: {exc}") from None
 
 
-def _cmd_experiment(args, run):
-    """mc-consistency, mc-normality and long-run-check: ``run`` the experiment."""
+def _cmd_experiment(args):
+    """mc-consistency, mc-normality and long-run-check: run the experiment the command names."""
+    # Looked up per call, not bound into the cached parser, so a patched run_* is the one run.
+    run = {
+        "mc-consistency": run_consistency,
+        "mc-normality": run_normality,
+        "long-run-check": run_long_run_check,
+    }[args.command]
     cfg = _load_experiment(args.config, args.seed)
     direction = (_direction(args.t, cfg.design.p),) if "t" in vars(args) else ()
-    report = run(
-        cfg, *direction, threads=args.threads, override_assumptions=args.override_assumptions
-    )
+    report = run(cfg, *direction, override_assumptions=args.override_assumptions)
     return report.to_dict(), report
 
 
 def _cmd_clt_check(args):
     cfg = CltCheckConfig.from_dict(_read_config(args.config, "seed", args.seed))
     report = clt_check(cfg.process, cfg.n, cfg.replications, cfg.seed)
-    config = {"process": cfg.process.to_dict(), "n": report.n, "replications": report.replications}
     return {
         "command": "clt-check",
-        "config": config,
-        "master_seed": report.seed,
+        "config": {"process": cfg.process.to_dict(), "n": cfg.n, "replications": cfg.replications},
+        "master_seed": cfg.seed,
         **report.to_dict(),
     }, report
 
 
 def _cmd_bootstrap_ci(args):
     x, y = read_dataset_csv(args.data)
-    block = "auto" if args.block_length is None else args.block_length
-    cfg = BootstrapConfig(
-        block_length=block,
-        n_boot=args.n_boot,
-        level=args.level,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(BootstrapConfig)}
+    cfg = BootstrapConfig(**{name: value for name, value in given.items() if value is not None})
     ci = block_bootstrap_ci(x, y, cfg)
     return {
         "command": "bootstrap-ci",
@@ -139,6 +138,7 @@ def _cmd_bootstrap_ci(args):
     }, None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eivtls",
@@ -168,25 +168,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output file path")
     sp.set_defaults(func=_cmd_check_assumptions)
 
-    for name, run, tables in (
-        ("mc-consistency", run_consistency, True),
-        ("mc-normality", run_normality, True),
-        ("long-run-check", run_long_run_check, False),
-    ):
+    for name in ("mc-consistency", "mc-normality", "long-run-check"):
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True)
         sp.add_argument(
-            "--threads", type=int, default=1,
+            "--threads", type=int,
             help="ignored; replications are drawn on one thread per usable CPU "
             "(set by CPU affinity), and reports do not depend on the count",
         )
         sp.add_argument("--override-assumptions", action="store_true")
-        if tables:
-            sp.add_argument("--tables", default=None, help="companion CSV table path")
         if name == "long-run-check":
             sp.add_argument("--t", default=None, help="projection direction, comma separated")
+        else:
+            sp.add_argument("--tables", default=None, help="companion CSV table path")
         common(sp)
-        sp.set_defaults(func=functools.partial(_cmd_experiment, run=run))
+        sp.set_defaults(func=_cmd_experiment)
 
     sp = sub.add_parser("clt-check", help="normalized-partial-sum normality check")
     sp.add_argument("--config", required=True)
@@ -197,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bootstrap-ci", help="moving-block bootstrap interval")
     sp.add_argument("--data", required=True)
     sp.add_argument("--block-length", type=int, default=None)
-    sp.add_argument("--n-boot", type=int, default=999)
-    sp.add_argument("--level", type=float, default=0.95)
+    sp.add_argument("--n-boot", type=int, default=None)
+    sp.add_argument("--level", type=float, default=None)
     common(sp)
     sp.set_defaults(func=_cmd_bootstrap_ci)
 

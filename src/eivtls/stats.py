@@ -88,7 +88,7 @@ def ks_statistic(sample) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CltCheckConfig:
-    """A ``clt-check`` config: the arguments of ``clt_check``, which reads the counts and seed."""
+    """A ``clt-check`` config; each field is read here, ``n`` and ``replications`` from 500 up."""
 
     process: ErrorProcessSpec
     n: int
@@ -97,6 +97,9 @@ class CltCheckConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "process", as_spec(ErrorProcessSpec, self.process))
+        object.__setattr__(self, "n", as_integer(self.n, "n", 500))
+        object.__setattr__(self, "replications", as_integer(self.replications, "replications", 500))
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
 
     @classmethod
     def from_dict(cls, d: dict) -> "CltCheckConfig":
@@ -105,19 +108,17 @@ class CltCheckConfig:
 
 @dataclass(frozen=True)
 class CltCheckReport:
-    """Normalized partial sums across replications, tested against N(0, 1)."""
+    """Normalized partial sums across the replications of ``config``, tested against N(0, 1)."""
 
-    n: int
-    replications: int
-    seed: int
+    config: CltCheckConfig
     s_over_sigma: np.ndarray
     ks_vs_standard_normal: tuple[float, float]
     varsigma2_estimate: float
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "replications": self.replications,
+            "n": self.config.n,
+            "replications": self.config.replications,
             "ks_d": self.ks_vs_standard_normal[0],
             "ks_pvalue": self.ks_vs_standard_normal[1],
             "varsigma2_estimate": self.varsigma2_estimate,
@@ -129,23 +130,21 @@ class CltCheckReport:
 
 
 def clt_check(
-    spec: ErrorProcessSpec, n: int, replications: int, seed: int
+    spec: ErrorProcessSpec | dict, n: int, replications: int, seed: int
 ) -> CltCheckReport:
     """Check that normalized partial sums of the process look standard normal.
 
     The sum's standard deviation is estimated across replications (matching
     its definition as a variance of the partial sum), not by a within-series
-    kernel estimate.  Replication r is ``generate_sequence(spec, n,
-    derive_subseed(seed, r, 0))``; ``processes.map_draws`` draws them a
-    chunk at a time, on the threads its module docstring sets out, and each
-    chunk is reduced to its row sums, so the sums do not depend on the
-    chunking or the CPU count.
+    kernel estimate.  ``CltCheckConfig`` reads the arguments.  Replication r
+    is ``generate_sequence(spec, n, derive_subseed(seed, r, 0))``;
+    ``processes.map_draws`` draws them a chunk at a time, on the threads its
+    module docstring sets out, and each chunk is reduced to its row sums, so
+    the sums do not depend on the chunking or the CPU count.
     """
-    n = as_integer(n, "n", 500)
-    replications = as_integer(replications, "replications", 500)
-    seed = as_integer(seed, "seed")
-    seeds = derive_subseed(seed, np.arange(replications, dtype=np.uint64), 0)
-    chunks = map_draws([(spec, 1.0)], seeds[None], n, lambda b: b[:, 0].sum(axis=1))
+    cfg = CltCheckConfig(spec, n, replications, seed)
+    seeds = derive_subseed(cfg.seed, np.arange(cfg.replications, dtype=np.uint64), 0)
+    chunks = map_draws([(cfg.process, 1.0)], seeds[None], cfg.n, lambda b: b[:, 0].sum(axis=1))
     sums = np.concatenate(chunks)
     var = float(np.var(sums, ddof=1))
     if not var > 0:
@@ -153,12 +152,10 @@ def clt_check(
     normalized = sums / np.sqrt(var)
     ks = ks_statistic(normalized)
     return CltCheckReport(
-        n=n,
-        replications=replications,
-        seed=seed,
+        config=cfg,
         s_over_sigma=normalized,
         ks_vs_standard_normal=ks,
-        varsigma2_estimate=var / n,
+        varsigma2_estimate=var / cfg.n,
     )
 
 

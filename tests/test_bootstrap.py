@@ -167,7 +167,7 @@ class TestBlockBootstrapCi:
         n_blocks = -(-n // length)
         for r in range(n_boot):
             drawn = stream(derive_subseed(seed, r, 0)).integers(0, n - length + 1, size=n_blocks)
-            assert np.array_equal(starts[r], drawn)
+            assert np.array_equal(starts[:, r], drawn)
             idx = (drawn[:, None] + np.arange(length)).ravel()[:n]
             expected = rows[idx].T @ rows[idx]
             assert np.max(np.abs(grams[r] - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -194,10 +194,10 @@ class TestBlockBootstrapCi:
     def test_starts_match_integers_on_edge_ranges(self, n, length, lo, hi):
         starts = bootstrap_mod._block_starts(n, length, 9, lo, hi)
         n_blocks = -(-n // length)
-        assert starts.shape == (hi - lo, n_blocks)
+        assert starts.shape == (n_blocks, hi - lo)
         for r in range(lo, hi):
             drawn = stream(derive_subseed(9, r, 0)).integers(0, n - length + 1, size=n_blocks)
-            assert np.array_equal(starts[r - lo], drawn)
+            assert np.array_equal(starts[:, r - lo], drawn)
 
     def test_independent_of_chunking(self, monkeypatch):
         x, y = make_dataset(300, seed=6, dependent=True)

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -188,6 +190,21 @@ class TestGenFit:
     def test_clt_check_sizes_come_from_the_config(self, tmp_path, flag):
         argv = ["--config", SHIPPED_CONFIGS / "clt_ma1.json", flag, 500]
         assert run("clt-check", *argv, "--out", tmp_path / "c.json") == EXIT_CONFIG
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "d.csv"
+        data.write_text(CLEAN_CSV)
+        assert run("fit", "--data", data, "--out", tmp_path / "a.json") == EXIT_OK
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run("fit", "--data", data, "--out", tmp_path / "b.json") == EXIT_OK
+        assert built == []
 
     def test_gen_deterministic_under_seed(self, tmp_path, config_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -782,6 +799,25 @@ class TestExperimentCommands:
         assert code == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["lower"][0] <= rep["point_estimate"][0] <= rep["upper"][0]
+
+    def test_bootstrap_ci_defaults_are_the_config_defaults(self, tmp_path, monkeypatch, config_path):
+        data = tmp_path / "bdata.csv"
+        run("gen", "--config", config_path, "--n", 300, "--out", data)
+        reports = []
+        for argv in ([], ["--n-boot", 999, "--level", 0.95, "--seed", 0]):
+            out = tmp_path / f"ci{len(reports)}.json"
+            assert run("bootstrap-ci", "--data", data, *argv, "--out", out) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+        @dataclasses.dataclass(frozen=True)
+        class FewerResamples(BootstrapConfig):
+            n_boot: int = 299
+
+        monkeypatch.setattr(eivtls.cli, "BootstrapConfig", FewerResamples)
+        out = tmp_path / "ci299.json"
+        assert run("bootstrap-ci", "--data", data, "--out", out) == EXIT_OK
+        assert json.loads(out.read_text())["config"]["n_boot"] == 299
 
     def test_threads_do_not_change_report_bytes(self, tmp_path, monkeypatch, config_path):
         # (p + 1) n = 160 floats per replication at n = 80: chunks of 15

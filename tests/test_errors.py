@@ -10,7 +10,8 @@ place: ``linalg.as_integer`` with a minimum, so only ``linalg`` names
 (``ErrorMatrixSpec.column_draws``), one nested-spec reader
 (``linalg.as_spec``, beside the two config loaders of ``cli``), one
 kind guard (``linalg.check_kind``) and one check that beta and the error
-columns agree with the design (``model.check_model``).
+columns agree with the design (``model.check_model``).  ``cli`` states no
+numeric flag default: each belongs to the config class that reads it.
 """
 
 import ast
@@ -118,3 +119,21 @@ def test_one_model_agreement_check():
     found = _sites()
     for part in (" entries, design has p=", " columns, expected p + 1 = "):
         assert found[part] == ONE_SITE[part]
+
+
+def test_cli_states_no_number_default():
+    path = next(path for path in SOURCES if path.name == "cli.py")
+    stated = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"):
+            continue
+        for keyword in node.keywords:
+            if keyword.arg != "default":
+                continue
+            try:
+                value = ast.literal_eval(keyword.value)
+            except ValueError:
+                continue
+            if type(value) in (int, float):
+                stated.append(f"cli.py:{node.lineno}: default={value!r}")
+    assert not stated

@@ -10,7 +10,7 @@ from eivtls.linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_vecto
 from eivtls.model import build_design, repeating_block
 from eivtls.presets import default_config
 from eivtls.processes import generate_error_matrix, generate_sequence, iid_gaussian
-from eivtls.stats import clt_check, long_run_variance
+from eivtls.stats import CltCheckConfig, clt_check, long_run_variance
 
 
 class TestValidators:
@@ -69,6 +69,12 @@ def experiment(**changes):
     return default_config("alpha", beta=(1.0,), **changes)
 
 
+def clt_config(**changes):
+    """A clt-check config read from its config object, at the least sizes."""
+    d = {"process": {"kind": "iid_gaussian"}, "n": 500, "replications": 500}
+    return CltCheckConfig.from_dict({**d, **changes})
+
+
 # Every size and count the package reads: (argument name in the message,
 # least accepted value, a call that reads the value).
 SIZES = {
@@ -79,6 +85,8 @@ SIZES = {
     "generate_error_matrix": ("n", 1, lambda v: generate_error_matrix(experiment().errors, v, 0)),
     "clt_check-n": ("n", 500, lambda v: clt_check(iid_gaussian(), v, 500, 0)),
     "clt_check-replications": ("replications", 500, lambda v: clt_check(iid_gaussian(), 500, v, 0)),
+    "CltCheckConfig-n": ("n", 500, lambda v: clt_config(n=v)),
+    "CltCheckConfig-replications": ("replications", 500, lambda v: clt_config(replications=v)),
     "n_boot": ("n_boot", 199, lambda v: BootstrapConfig(n_boot=v)),
     "block_length": ("block_length", 1, lambda v: BootstrapConfig(block_length=v)),
     "bandwidth": ("bandwidth", 0, lambda v: long_run_variance(np.zeros((100, 1)), bandwidth=v)),

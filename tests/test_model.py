@@ -23,7 +23,7 @@ from eivtls.processes import (
     ma,
 )
 from eivtls.seeding import derive_subseed
-from eivtls.stats import clt_check
+from eivtls.stats import CltCheckConfig, clt_check
 
 
 def iid_errors(p, sigma2=1.0):
@@ -199,6 +199,12 @@ class TestSizeAndSeedArguments:
             (lambda: clt_check(iid_gaussian(), 500.5, 500, 0), "n"),
             (lambda: clt_check(iid_gaussian(), 500, 500.5, 0), "replications"),
             (lambda: clt_check(iid_gaussian(), 500, 500, 3.7), "seed"),
+            (
+                lambda: CltCheckConfig.from_dict(
+                    {"process": {"kind": "iid_gaussian"}, "n": 500, "replications": 500, "seed": 1.5}
+                ),
+                "seed",
+            ),
         ],
         ids=[
             "error-matrix-seed-fraction",
@@ -212,6 +218,7 @@ class TestSizeAndSeedArguments:
             "clt-n-fraction",
             "clt-replications-fraction",
             "clt-seed-fraction",
+            "clt-config-seed-fraction",
         ],
     )
     def test_fraction_bool_string_or_no_array_size_is_refused(self, call, name):

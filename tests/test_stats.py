@@ -168,6 +168,14 @@ class TestCltCheck:
             rep = clt_check(spec, n=700, replications=500, seed=8)
             assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
 
+    def test_process_may_be_its_config_object(self):
+        rep = clt_check({"kind": "ma", "coeffs": [1.0, 1.0]}, 500, 500, 0)
+        same = clt_check(ma((1.0, 1.0)), 500, 500, 0)
+        assert rep.config == same.config
+        assert np.array_equal(rep.s_over_sigma, same.s_over_sigma)
+        with pytest.raises(InvalidParams, match="^ma spec needs at least one coefficient"):
+            clt_check({"kind": "ma"}, 500, 500, 0)
+
     def test_preconditions(self):
         with pytest.raises(InvalidParams):
             clt_check(iid_gaussian(), n=1000, replications=100, seed=0)
