@@ -100,14 +100,8 @@ def _direction(text: str | None, p: int) -> np.ndarray:
         raise InvalidParams(f"--t must be comma-separated numbers: {exc}") from None
 
 
-def _cmd_experiment(args):
-    """mc-consistency, mc-normality and long-run-check: run the experiment the command names."""
-    # Looked up per call, not bound into the cached parser, so a patched run_* is the one run.
-    run = {
-        "mc-consistency": run_consistency,
-        "mc-normality": run_normality,
-        "long-run-check": run_long_run_check,
-    }[args.command]
+def _cmd_experiment(args, run):
+    """mc-consistency, mc-normality and long-run-check: ``run`` the experiment."""
     cfg = _load_experiment(args.config, args.seed)
     direction = (_direction(args.t, cfg.design.p),) if "t" in vars(args) else ()
     report = run(cfg, *direction, override_assumptions=args.override_assumptions)
@@ -115,8 +109,9 @@ def _cmd_experiment(args):
 
 
 def _cmd_clt_check(args):
-    cfg = CltCheckConfig.from_dict(_read_config(args.config, "seed", args.seed))
-    report = clt_check(cfg.process, cfg.n, cfg.replications, cfg.seed)
+    given = CltCheckConfig.from_dict(_read_config(args.config, "seed", args.seed))
+    report = clt_check(given.process, given.n, given.replications, given.seed)
+    cfg = report.config
     return {
         "command": "clt-check",
         "config": {"process": cfg.process.to_dict(), "n": cfg.n, "replications": cfg.replications},
@@ -138,7 +133,6 @@ def _cmd_bootstrap_ci(args):
     }, None
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eivtls",
@@ -168,7 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output file path")
     sp.set_defaults(func=_cmd_check_assumptions)
 
-    for name in ("mc-consistency", "mc-normality", "long-run-check"):
+    for name, run in (
+        ("mc-consistency", run_consistency),
+        ("mc-normality", run_normality),
+        ("long-run-check", run_long_run_check),
+    ):
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True)
         sp.add_argument(
@@ -182,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--tables", default=None, help="companion CSV table path")
         common(sp)
-        sp.set_defaults(func=_cmd_experiment)
+        sp.set_defaults(func=functools.partial(_cmd_experiment, run=run))
 
     sp = sub.add_parser("clt-check", help="normalized-partial-sum normality check")
     sp.add_argument("--config", required=True)

@@ -136,11 +136,13 @@ def clt_check(
 
     The sum's standard deviation is estimated across replications (matching
     its definition as a variance of the partial sum), not by a within-series
-    kernel estimate.  ``CltCheckConfig`` reads the arguments.  Replication r
-    is ``generate_sequence(spec, n, derive_subseed(seed, r, 0))``;
-    ``processes.map_draws`` draws them a chunk at a time, on the threads its
-    module docstring sets out, and each chunk is reduced to its row sums, so
-    the sums do not depend on the chunking or the CPU count.
+    kernel estimate.  ``CltCheckConfig`` reads the arguments (again, for
+    ``clt-check``: acceptance criterion 07 fixes this signature), and the
+    report holds it.  Replication r is ``generate_sequence(spec, n,
+    derive_subseed(seed, r, 0))``; ``processes.map_draws`` draws them a
+    chunk at a time, on the threads its module docstring sets out, and each
+    chunk is reduced to its row sums, so the sums do not depend on the
+    chunking or the CPU count.
     """
     cfg = CltCheckConfig(spec, n, replications, seed)
     seeds = derive_subseed(cfg.seed, np.arange(cfg.replications, dtype=np.uint64), 0)

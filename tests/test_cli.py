@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import copy
 import dataclasses
@@ -190,21 +189,6 @@ class TestGenFit:
     def test_clt_check_sizes_come_from_the_config(self, tmp_path, flag):
         argv = ["--config", SHIPPED_CONFIGS / "clt_ma1.json", flag, 500]
         assert run("clt-check", *argv, "--out", tmp_path / "c.json") == EXIT_CONFIG
-
-    def test_parser_is_built_once(self, tmp_path, monkeypatch):
-        data = tmp_path / "d.csv"
-        data.write_text(CLEAN_CSV)
-        assert run("fit", "--data", data, "--out", tmp_path / "a.json") == EXIT_OK
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counted(parser, *args, **kwargs):
-            built.append(parser)
-            init(parser, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        assert run("fit", "--data", data, "--out", tmp_path / "b.json") == EXIT_OK
-        assert built == []
 
     def test_gen_deterministic_under_seed(self, tmp_path, config_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
