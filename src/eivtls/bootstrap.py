@@ -12,17 +12,18 @@ computed once, by a batched product over the windows of the data, and so
 is the Gram of each truncated last block; no resample is ever gathered.
 Each resample keeps its own stream of block starts.  The resamples are
 handled on the calling thread in chunks of at most ``STARTS_IN_FLIGHT``
-starts: the PCG64 seed words of a chunk's streams are derived at once, one
-generator is set to each in turn (``seeding.streams``) to draw its raw
-64-bit words, one batched bounded transform (numpy's own, Lemire 2019)
-turns the whole chunk's words into starts bit-identical to
-``Generator.integers``, and each resample's Gram is summed from the two
-tables one block position at a time.  So memory stays at about B (p+1)^2
-floats plus the tables and one chunk of starts whatever n and L are, and
-all resamples are refitted together by the batched TLS kernel
-``estimator.tls_from_gram``.  No thread is started: what is left per
-resample, setting the generator, holds the interpreter lock and ran slower
-on two threads than on one.
+starts: the PCG64 starting states of a chunk's streams are derived at once
+(``seeding.pcg64_states``), one generator is set to each in turn
+(``seeding.streams``) to draw its raw 64-bit words, one batched bounded
+transform (numpy's own, Lemire 2019) turns the whole chunk's words into
+starts bit-identical to ``Generator.integers``, and each resample's Gram is
+summed from the two tables one block position at a time.  So memory stays
+at about B (p+1)^2 floats plus the tables and one chunk of starts whatever
+n and L are, and all resamples are refitted together by the batched TLS
+kernel ``estimator.tls_from_gram``.  No thread is started: what is left per
+resample is joining its state's 64-bit halves into Python ints, assigning
+the generator's state and one ``random_raw`` call, all under the
+interpreter lock, and that loop ran slower on two threads than on one.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InvalidParams, NumericalError
 from .estimator import FIT_OK, TlsFit, tls_fit, tls_from_gram
 from .linalg import as_integer, as_matrix, as_number, as_vector, to_keys
-from .seeding import derive_subseed, pcg64_seed_words, stream, streams
+from .seeding import derive_subseed, pcg64_states, stream, streams
 from .stats import _icbrt
 
 MAX_FAILURE_FRACTION = 0.10
 # Block starts drawn at once.  While drawn each takes at most 13 bytes (half
 # a raw word and a 64-bit product, then the product, its low 32 bits and a
 # mask byte), and a resample's count is rounded up to even.  A resample's
-# seed words take about 280 bytes more while its words are drawn, so it
+# starting state takes about 280 bytes more while its words are drawn, so it
 # counts as at least 32 starts.  So a chunk stays under 15 MB.
 STARTS_IN_FLIGHT = 1 << 20
 
@@ -83,7 +84,7 @@ class BootstrapCi:
         return to_keys(self)
 
 
-def _lemire_starts(words: np.ndarray, n_blocks: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+def _lemire_starts(states: np.ndarray, n_blocks: int, high: int) -> tuple[np.ndarray, np.ndarray]:
     """(n_blocks, m) starts in [0, high) from the raw words of m streams, and the streams to redraw.
 
     ``high`` is at most 2^32.  ``Generator.integers(0, high)`` takes the
@@ -93,11 +94,13 @@ def _lemire_starts(words: np.ndarray, n_blocks: int, high: int) -> tuple[np.ndar
     whole chunk at once; a stream with any such draw is returned for redrawing.
     """
     k = -(-n_blocks // 2)
-    raw = np.empty((k, words.shape[1]), dtype=np.uint64)
-    for j, rng in enumerate(streams(stream(0), words)):
-        raw[:, j] = rng.bit_generator.random_raw(k)
+    rng = stream(0)
+    random_raw = rng.bit_generator.random_raw
+    raw = np.empty((k, states.shape[1]), dtype=np.uint64)
+    for j, _ in enumerate(streams(rng, states)):
+        raw[:, j] = random_raw(k)
     # Masks and shifts, not a uint32 view, so the split ignores byte order.
-    draws = np.empty((2 * k, words.shape[1]), dtype=np.uint64)
+    draws = np.empty((2 * k, states.shape[1]), dtype=np.uint64)
     np.bitwise_and(raw, 0xFFFFFFFF, out=draws[0::2])
     np.right_shift(raw, 32, out=draws[1::2])
     del raw
@@ -119,12 +122,12 @@ def _block_starts(n: int, length: int, seed: int, lo: int, hi: int) -> np.ndarra
     """
     n_blocks = -(-n // length)
     high = n - length + 1
-    words = pcg64_seed_words(derive_subseed(seed, np.arange(lo, hi, dtype=np.uint64), 0))
+    states = pcg64_states(derive_subseed(seed, np.arange(lo, hi, dtype=np.uint64), 0))
     if high <= 1 << 32:
-        starts, redraw = _lemire_starts(words, n_blocks, high)
+        starts, redraw = _lemire_starts(states, n_blocks, high)
     else:
         starts, redraw = np.empty((n_blocks, hi - lo), dtype=np.int64), np.arange(hi - lo)
-    for column, rng in zip(redraw, streams(stream(0), words[:, redraw])):
+    for column, rng in zip(redraw, streams(stream(0), states[:, redraw])):
         starts[:, column] = rng.integers(0, high, size=n_blocks)
     return starts
 

@@ -19,7 +19,7 @@ draws are pure functions of (spec, n, seed).
 A single seed is drawn through ``seeding.stream``, one generator per column
 (``generate_sequence``, ``generate_error_matrix``, so ``gen`` and
 ``synthesize``).  Every seeded draw of many rows goes through ``map_draws``:
-it derives the PCG64 seed words of all rows' streams at once and hands its
+it derives the PCG64 states of all rows' streams at once and hands its
 chunks of blocks to a standard-library thread pool of at most one thread
 per usable CPU (none on one CPU), within a budget of ``CHUNK_ELEMENTS``
 floats in flight.  This is the only place in the package that reads the CPU
@@ -57,7 +57,7 @@ from .linalg import (
     from_keys,
     to_keys,
 )
-from .seeding import column_subseed, pcg64_seed_words, stream, streams
+from .seeding import column_subseed, pcg64_states, stream, streams
 
 MIXING_ALPHA = "alpha"
 MIXING_PHI = "phi"
@@ -181,18 +181,18 @@ def _fill_column(spec: ErrorProcessSpec, sd: float, rngs, out: np.ndarray) -> No
 
     a = spec.a
     x0 = sd * raw[:, 0]
-    innov = raw[:, 1:]
-    innov *= sd * np.sqrt(1.0 - a * a)
-    # Stationary start: x_0 ~ N(0, sd^2), then x_t = a x_{t-1} + e_t.
-    out[...], _ = lfilter([1.0], [1.0, -a], innov, axis=-1, zi=a * x0[:, None])
+    # Stationary start: x_0 ~ N(0, sd^2), then x_t = a x_{t-1} + e_t, with
+    # e_t = sd sqrt(1 - a^2) eta_t scaled by the filter's numerator.
+    b = [sd * np.sqrt(1.0 - a * a)]
+    out[...], _ = lfilter(b, [1.0, -a], raw[:, 1:], axis=-1, zi=a * x0[:, None])
 
 
 def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray], object]) -> list:
     """``reduce(block)`` over chunks of the error blocks of a (C, R) uint64 array of stream seeds.
 
     ``columns`` holds C (process, sd) pairs; row j of block r is a draw of
-    ``columns[j]`` from ``stream(seeds[j, r])``.  The PCG64 seed words of
-    all C R streams are derived once.  Each chunk of ``rows`` consecutive
+    ``columns[j]`` from ``stream(seeds[j, r])``.  The PCG64 starting states
+    of all C R streams are derived once.  Each chunk of ``rows`` consecutive
     blocks is drawn into its own (k, C, n) array with its own scratch
     generator; ``rows`` is the most blocks of which one chunk per usable
     CPU fits in ``CHUNK_ELEMENTS`` floats, the raw data in flight.  A thread
@@ -201,7 +201,7 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
     several threads at once.  The results come back in block order, and
     the first chunk in that order to raise raises here.
     """
-    words = pcg64_seed_words(seeds)
+    states = pcg64_states(seeds)
     count = seeds.shape[1]
     workers = _usable_cpus()
     rows = max(1, CHUNK_ELEMENTS // (workers * len(columns) * n))
@@ -212,7 +212,7 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
         rng = stream(0)
         block = np.empty((hi - lo, len(columns), n))
         for j, (spec, sd) in enumerate(columns):
-            _fill_column(spec, sd, streams(rng, words[:, j, lo:hi]), block[:, j])
+            _fill_column(spec, sd, streams(rng, states[:, j, lo:hi]), block[:, j])
         return reduce(block)
 
     if workers == 1 or len(starts) < 2:

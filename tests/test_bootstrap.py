@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ class TestBlockBootstrapCi:
         for r in range(lo, hi):
             drawn = stream(derive_subseed(9, r, 0)).integers(0, n - length + 1, size=n_blocks)
             assert np.array_equal(starts[:, r - lo], drawn)
+
+    @pytest.mark.parametrize("n, length, resamples", [(1000, 10, 999), (999, 10, 300), (16000, 25, 999)])
+    def test_starts_stay_within_their_memory_bound(self, n, length, resamples):
+        # STARTS_IN_FLIGHT is sized by this peak: 13 bytes per start, the
+        # count rounded up to even, and 280 more per resample.
+        n_blocks = -(-n // length)
+        # Once untraced first, so that numpy's one-time set-up is not counted.
+        bootstrap_mod._block_starts(n, length, 0, 0, resamples)
+        tracemalloc.start()
+        try:
+            bootstrap_mod._block_starts(n, length, 0, 0, resamples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (13 * (n_blocks + n_blocks % 2) + 280) * resamples
 
     def test_independent_of_chunking(self, monkeypatch):
         x, y = make_dataset(300, seed=6, dependent=True)

@@ -259,7 +259,7 @@ class TestErrorMatrix:
             raise AssertionError("one seed needs no vectorised seeding")
 
         monkeypatch.setattr(eivtls.processes, "stream", counted)
-        monkeypatch.setattr(eivtls.processes, "pcg64_seed_words", refused)
+        monkeypatch.setattr(eivtls.processes, "pcg64_states", refused)
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
         generate_error_matrix(spec, 50, 7)
         assert made == [column_subseed(7, j) for j in (1, 2, 3)]
