@@ -1,6 +1,6 @@
 """Weakly dependent error-sequence generators with declarative rate metadata.
 
-Three generator kinds are provided:
+Three generator kinds are provided, each stated in one row of ``KINDS``:
 
 * ``iid_gaussian`` -- independent Gaussian draws.
 * ``ma`` -- Gaussian moving average of order q.  The output is q-dependent,
@@ -29,13 +29,13 @@ pays end to end: on a 2-vCPU host, ``perfbench/run.py --seed 1 --seconds 25
 2.01-2.06 with ``_usable_cpus`` returning 1 on ``normality``, and 0.85-0.92
 against 1.19-1.37 on ``consistency`` (two runs per side): about a third off
 the unit time.  Each chunk is drawn by the one loop of ``_fill_column``,
-filtered as one array (AR(1) by one ``lfilter`` along the last axis, MA(q)
-by one shifted-slice sum) and passed to the caller's ``reduce``: Gram
-matrices for the Monte Carlo experiments, row sums for ``clt_check``.  A
-row depends only on its seed, never on the chunk or thread that draws it,
-so block r of ``map_draws`` equals the transposed ``generate_error_matrix``
-of seed r bit for bit.  ``scipy.signal`` is imported only when an AR(1)
-column is drawn; iid and MA(q) columns need numpy alone.
+filtered as one array by each column's kind and passed to the caller's
+``reduce``: Gram matrices for the Monte Carlo experiments, row sums for
+``clt_check``.  A row depends only on its seed, never on the chunk or
+thread that draws it, so block r of ``map_draws`` equals the transposed
+``generate_error_matrix`` of seed r bit for bit.  ``scipy.signal`` is
+imported only when an AR(1) column is drawn; iid and MA(q) columns need
+numpy alone.
 """
 
 from __future__ import annotations
@@ -66,22 +66,90 @@ MIXING_INDEPENDENT = "independent"
 CHUNK_ELEMENTS = 1 << 18  # floats of raw error data in flight in map_draws (2 MB)
 
 
-# The fields each process kind reads; a spec that sets any other is refused.
-KIND_FIELDS = {"iid_gaussian": ("omega",), "ma": ("coeffs", "omega"), "ar1": ("a", "delta", "omega")}
+@dataclass(frozen=True)
+class Kind:
+    """One process kind: the fields a spec of it reads, what it declares and how it is drawn."""
+
+    fields: tuple[str, ...]  # a spec that sets any other field is refused
+    mixing_class: str
+    check: Callable[["ErrorProcessSpec"], None]  # InvalidParams unless its fields are drawable
+    lead: Callable[["ErrorProcessSpec"], int]  # normals a row draws before its n
+    order: Callable[["ErrorProcessSpec"], int]  # dependence range (0 where none is finite)
+    # (spec, raw, sd, out): the (rows, lead + n) normals raw as rows of the process at sd in out
+    filter: Callable[["ErrorProcessSpec", np.ndarray, float, np.ndarray], None]
+
+
+def _check_ma(spec) -> None:
+    if not spec.coeffs:
+        raise InvalidParams("ma spec needs at least one coefficient")
+    with np.errstate(over="ignore", under="ignore"):
+        square = np.dot(spec.coeffs, spec.coeffs)
+    # A draw is divided by the 2-norm sqrt(square), which is accurate
+    # only when square is a finite float above the subnormal range.
+    if not np.finfo(float).tiny <= square < np.inf:
+        raise InvalidParams(
+            f"ma coefficients need a finite, non-subnormal sum of squares, got {square:g}"
+        )
+
+
+def _check_ar1(spec) -> None:
+    if spec.a is None or not np.isfinite(spec.a) or abs(spec.a) >= 1:
+        raise InvalidParams("ar1 needs |a| < 1")
+
+
+def _ma_order(spec) -> int:
+    return len(spec.coeffs) - 1
+
+
+def _filter_iid(spec, raw: np.ndarray, sd: float, out: np.ndarray) -> None:
+    out *= sd
+
+
+def _filter_ma(spec, raw: np.ndarray, sd: float, out: np.ndarray) -> None:
+    c = np.asarray(spec.coeffs)
+    q, n = len(c) - 1, out.shape[1]
+    # x_t = sd * sum_j c_j eta_{t-j} / ||c||_2, so Var x_t = sd^2.
+    np.multiply(raw[:, q:], c[0], out=out)
+    for j in range(1, q + 1):
+        out += c[j] * raw[:, q - j : q - j + n]
+    out *= sd
+    out /= np.linalg.norm(c)
+
+
+def _filter_ar1(spec, raw: np.ndarray, sd: float, out: np.ndarray) -> None:
+    from scipy.signal import lfilter
+
+    a = spec.a
+    x0 = sd * raw[:, 0]
+    # Stationary start: x_0 ~ N(0, sd^2), then x_t = a x_{t-1} + e_t, with
+    # e_t = sd sqrt(1 - a^2) eta_t scaled by the filter's numerator.
+    b = [sd * np.sqrt(1.0 - a * a)]
+    out[...], _ = lfilter(b, [1.0, -a], raw[:, 1:], axis=-1, zi=a * x0[:, None])
+
+
+def _zero(spec) -> int:
+    return 0
+
+
+KINDS = {
+    "iid_gaussian": Kind(("omega",), MIXING_INDEPENDENT, lambda _: None, _zero, _zero, _filter_iid),
+    "ma": Kind(("coeffs", "omega"), MIXING_PHI, _check_ma, _ma_order, _ma_order, _filter_ma),
+    "ar1": Kind(("a", "delta", "omega"), MIXING_ALPHA, _check_ar1, lambda _: 1, _zero, _filter_ar1),
+}
 
 
 @dataclass(frozen=True)
 class ErrorProcessSpec:
     """One error column: generator kind plus mixing/moment metadata."""
 
-    kind: str  # "iid_gaussian" | "ma" | "ar1"
+    kind: str  # a key of KINDS
     coeffs: tuple[float, ...] | None = None  # MA coefficients c_0..c_q
     a: float | None = None  # AR(1) coefficient
     delta: float | None = None  # polynomial rate exponent in n^(-1-delta)
     omega: float | None = None  # moment surplus in E|xi|^(4+omega)
 
     def __post_init__(self):
-        check_kind(self, KIND_FIELDS, "process")
+        check_kind(self, {name: kind.fields for name, kind in KINDS.items()}, "process")
         for name in ("a", "delta", "omega"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, as_number(getattr(self, name), name))
@@ -91,32 +159,17 @@ class ErrorProcessSpec:
             raise InvalidParams(f"delta must be finite, got {self.delta!r}")
         if self.omega is not None and not 0 < self.omega < np.inf:
             raise InvalidParams(f"omega must be positive and finite, got {self.omega!r}")
-        if self.kind == "ma":
-            if not self.coeffs:
-                raise InvalidParams("ma spec needs at least one coefficient")
-            with np.errstate(over="ignore", under="ignore"):
-                square = np.dot(self.coeffs, self.coeffs)
-            # A draw is divided by the 2-norm sqrt(square), which is accurate
-            # only when square is a finite float above the subnormal range.
-            if not np.finfo(float).tiny <= square < np.inf:
-                raise InvalidParams(
-                    f"ma coefficients need a finite, non-subnormal sum of squares, got {square:g}"
-                )
-        elif self.kind == "ar1":
-            if self.a is None or not np.isfinite(self.a) or abs(self.a) >= 1:
-                raise InvalidParams("ar1 needs |a| < 1")
+        KINDS[self.kind].check(self)
 
     @property
     def mixing_class(self) -> str:
-        """Mixing class of the kind: phi for MA(q), alpha for AR(1), independent for iid."""
-        return {"iid_gaussian": MIXING_INDEPENDENT, "ma": MIXING_PHI, "ar1": MIXING_ALPHA}[self.kind]
+        """Mixing class of the kind, from its ``KINDS`` row."""
+        return KINDS[self.kind].mixing_class
 
     @property
     def order(self) -> int:
-        """Dependence range: q for MA(q), 0 for iid (AR(1) has no finite range)."""
-        if self.kind == "ma":
-            return len(self.coeffs) - 1
-        return 0
+        """Dependence range of the kind, from its ``KINDS`` row (0 where none is finite)."""
+        return KINDS[self.kind].order(self)
 
     def to_dict(self) -> dict:
         # Fixed keys: every column is stationary, and its sd is set by the draw.
@@ -153,38 +206,19 @@ def ar1(a: float, delta: float | None = None, omega: float | None = None) -> Err
 def _fill_column(spec: ErrorProcessSpec, sd: float, rngs, out: np.ndarray) -> None:
     """Write one draw of the process at marginal sd ``sd`` into each row of ``out``.
 
-    Row r takes ``lead + n`` normals from the r-th generator of the iterable
-    ``rngs`` alone, drawn with ``standard_normal(out=...)`` before the next
-    generator is taken (so ``rngs`` may yield one generator reseeded per row,
-    as ``seeding.streams`` does); the kind's filter then runs over all rows
-    at once.  ``lead`` is q for MA(q), 1 for AR(1)'s stationary start and 0
-    for iid, whose normals are drawn straight into ``out``.
+    Row r takes its kind's lead plus n normals from the r-th generator of
+    the iterable ``rngs`` alone, drawn with ``standard_normal(out=...)``
+    before the next generator is taken (so ``rngs`` may yield one generator
+    reseeded per row, as ``seeding.streams`` does); the kind's filter then
+    runs over all rows at once.  A kind with no lead draws straight into
+    ``out``.
     """
-    rows, n = out.shape
-    lead = {"iid_gaussian": 0, "ma": spec.order, "ar1": 1}[spec.kind]
-    raw = np.empty((rows, lead + n)) if lead else out
+    kind = KINDS[spec.kind]
+    lead = kind.lead(spec)
+    raw = np.empty((out.shape[0], lead + out.shape[1])) if lead else out
     for row, rng in zip(raw, rngs):
         rng.standard_normal(out=row)
-    if spec.kind == "iid_gaussian":
-        out *= sd
-        return
-    if spec.kind == "ma":
-        c = np.asarray(spec.coeffs)
-        # x_t = sd * sum_j c_j eta_{t-j} / ||c||_2, so Var x_t = sd^2.
-        np.multiply(raw[:, lead:], c[0], out=out)
-        for j in range(1, lead + 1):
-            out += c[j] * raw[:, lead - j : lead - j + n]
-        out *= sd
-        out /= np.linalg.norm(c)
-        return
-    from scipy.signal import lfilter
-
-    a = spec.a
-    x0 = sd * raw[:, 0]
-    # Stationary start: x_0 ~ N(0, sd^2), then x_t = a x_{t-1} + e_t, with
-    # e_t = sd sqrt(1 - a^2) eta_t scaled by the filter's numerator.
-    b = [sd * np.sqrt(1.0 - a * a)]
-    out[...], _ = lfilter(b, [1.0, -a], raw[:, 1:], axis=-1, zi=a * x0[:, None])
+    kind.filter(spec, raw, sd, out)
 
 
 def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray], object]) -> list:
@@ -195,16 +229,17 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
     of all C R streams are derived once.  Each chunk of ``rows`` consecutive
     blocks is drawn into its own (k, C, n) array with its own scratch
     generator; ``rows`` is the most blocks of which one chunk per usable
-    CPU fits in ``CHUNK_ELEMENTS`` floats, the raw data in flight.  A thread
-    pool of at most one thread per usable CPU runs the chunks (the calling
-    thread does, on one CPU or for one chunk), so ``reduce`` may run on
-    several threads at once.  The results come back in block order, and
-    the first chunk in that order to raise raises here.
+    CPU fits in ``CHUNK_ELEMENTS`` floats, C max(n, longest lead) a block.
+    A thread pool of at most one thread per usable CPU runs the chunks (the
+    calling thread does, on one CPU or for one chunk), so ``reduce`` may
+    run on several threads at once.  The results come back in block order,
+    and the first chunk in that order to raise raises here.
     """
     states = pcg64_states(seeds)
     count = seeds.shape[1]
     workers = _usable_cpus()
-    rows = max(1, CHUNK_ELEMENTS // (workers * len(columns) * n))
+    lead = max(KINDS[spec.kind].lead(spec) for spec, _ in columns)
+    rows = max(1, CHUNK_ELEMENTS // (workers * len(columns) * max(n, lead)))
     starts = range(0, count, rows)
 
     def step(lo: int):

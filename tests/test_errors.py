@@ -10,8 +10,10 @@ place: ``linalg.as_integer`` with a minimum, so only ``linalg`` names
 (``ErrorMatrixSpec.column_draws``), one nested-spec reader
 (``linalg.as_spec``, beside the two config loaders of ``cli``), one
 kind guard (``linalg.check_kind``) and one check that beta and the error
-columns agree with the design (``model.check_model``).  ``cli`` states no
-numeric flag default: each belongs to the config class that reads it.
+columns agree with the design (``model.check_model``).  Each process kind
+is named only in its ``processes.KINDS`` row and its factory function, and
+no process module branches on a kind.  ``cli`` states no numeric flag
+default: each belongs to the config class that reads it.
 """
 
 import ast
@@ -119,6 +121,26 @@ def test_one_model_agreement_check():
     found = _sites()
     for part in (" entries, design has p=", " columns, expected p + 1 = "):
         assert found[part] == ONE_SITE[part]
+
+
+def test_each_process_kind_is_named_in_its_row_and_its_factory():
+    kinds = ("iid_gaussian", "ma", "ar1")
+    named, compared = {kind: set() for kind in kinds}, []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            # A statement is known by the name it binds: a function, a class or a table.
+            name = ast.unparse(top.targets[0]) if isinstance(top, ast.Assign) else None
+            site = f"{path.name}:{name or getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and node.value in named:
+                    named[node.value].add(site)
+                sides = (node.left, *node.comparators) if isinstance(node, ast.Compare) else ()
+                if path.name in ("processes.py", "mixing.py") and any(
+                    getattr(side, "attr", None) == "kind" for side in sides
+                ):
+                    compared.append(f"{path.name}:{node.lineno}")
+    assert named == {kind: {"processes.py:KINDS", f"processes.py:{kind}"} for kind in kinds}
+    assert not compared
 
 
 def test_cli_states_no_number_default():

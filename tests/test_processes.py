@@ -1,5 +1,6 @@
 import threading
 import time
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -8,10 +9,13 @@ from scipy.signal import lfilter
 
 import eivtls.processes
 from eivtls.errors import InvalidParams
+from eivtls.mixing import check_assumptions
+from eivtls.presets import default_design
 from eivtls.processes import (
-    KIND_FIELDS,
+    KINDS,
     ErrorMatrixSpec,
     ErrorProcessSpec,
+    Kind,
     ar1,
     generate_error_matrix,
     generate_sequence,
@@ -76,11 +80,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidParams):
             ma((1.0, 1.0), omega=[1.0])
 
-    # Every field that a kind does not list in KIND_FIELDS, so a new field is tried too.
+    # Every field that a kind's row does not list, so a new field is tried too.
     @pytest.mark.parametrize(
         "kind, field",
-        [(kind, f.name) for kind, reads in KIND_FIELDS.items()
-         for f in fields(ErrorProcessSpec)[1:] if f.name not in reads],
+        [(kind, f.name) for kind, row in KINDS.items()
+         for f in fields(ErrorProcessSpec)[1:] if f.name not in row.fields],
     )
     def test_fields_a_kind_does_not_read_are_refused(self, kind, field):
         base = {"iid_gaussian": {}, "ma": {"coeffs": [1.0, 1.0]}, "ar1": {"a": 0.5}}[kind]
@@ -90,14 +94,35 @@ class TestSpecValidation:
         with pytest.raises(InvalidParams, match=f"takes no {field}"):
             ErrorProcessSpec(**d)
 
-    def test_a_kind_missing_from_a_per_kind_table_fails_loudly(self, monkeypatch):
-        # A new kind is neither certified independent nor drawn without a lead.
-        monkeypatch.setitem(eivtls.processes.KIND_FIELDS, "fgn", ("omega",))
-        spec = ErrorProcessSpec(kind="fgn", omega=1.0)
-        with pytest.raises(KeyError):
-            spec.mixing_class
-        with pytest.raises(KeyError):
-            generate_sequence(spec, 10, 0)
+    def test_a_new_kind_is_one_row(self, monkeypatch):
+        # A (1, -1) difference filter, x_t = sd (eta_t - eta_{t-1}) / sqrt(2):
+        # phi-mixing with range 1, drawn with a lead of 1.
+        def difference(spec, raw, sd, out):
+            np.subtract(raw[:, 1:], raw[:, :-1], out=out)
+            out *= sd / np.sqrt(2.0)
+
+        def one(spec):
+            return 1
+
+        row = Kind(("omega",), "phi", lambda spec: None, one, one, difference)
+        monkeypatch.setitem(KINDS, "diff", row)
+        with pytest.raises(InvalidParams, match="kind 'diff' takes no a"):
+            ErrorProcessSpec.from_dict({"kind": "diff", "a": 0.5})
+        spec = ErrorProcessSpec.from_dict({"kind": "diff", "omega": 1.0})
+        eta = stream(5).standard_normal(101)
+        expected = (eta[1:] - eta[:-1]) * (1.0 / np.sqrt(2.0))
+        assert np.array_equal(generate_sequence(spec, 100, 5), expected)
+        matrix = ErrorMatrixSpec((spec, iid_gaussian(), spec), sigma2=0.7)
+        seeds = [3, 2**63 + 1, 0]
+        blocks = map_draws(*matrix.column_draws(np.array(seeds, dtype=np.uint64)), 60, np.copy)
+        for block, seed in zip(np.concatenate(blocks), seeds):
+            assert np.array_equal(block, generate_error_matrix(matrix, 60, seed).T)
+        report = check_assumptions("AN-phi", default_design(2), matrix)
+        details = {check.name: (check.passed, check.detail) for check in report.checks}
+        assert details["phi-mixing-class"][0] and report.passed
+        assert details["sqrt-phi-summable"] == (
+            True, "phi(n) = 0 beyond lag 1, so the sum of sqrt(phi(n)) is finite"
+        )
 
     @pytest.mark.parametrize("value", ["0.5", True, np.True_], ids=["str", "bool", "np-bool"])
     @pytest.mark.parametrize("field", ["a", "delta", "omega", "coeffs"])
@@ -425,3 +450,24 @@ class TestMapChunks:
 
         assert self.draws(reduce) == [2] * 11 + [1]
         assert 1 <= peak[0] <= workers
+
+    def test_budget_counts_the_lead(self, monkeypatch):
+        # A row of MA(q) takes q + n normals, so a chunk counts max(n, q)
+        # floats a row: an MA(2000) column at n = 250 is drawn 8 rows a chunk
+        # against MA(2)'s 64, and peaks within the MA(2) column's peak.
+        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 8 * 2000)
+        seeds = np.arange(64, dtype=np.uint64)[None, :]
+
+        def peak(q):
+            columns = [(ma((1.0,) * (q + 1)), 1.0)]
+            # Once untraced first, so that numpy's one-time set-up is not counted.
+            map_draws(columns, seeds[:, :1], 250, len)
+            tracemalloc.start()
+            try:
+                map_draws(columns, seeds, 250, len)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) <= peak(2)
