@@ -12,12 +12,13 @@ computed once, by a batched product over the windows of the data, and so
 is the Gram of each truncated last block; no resample is ever gathered.
 Each resample keeps its own stream of block starts.  The resamples are
 handled on the calling thread in chunks of at most ``STARTS_IN_FLIGHT``
-starts: the PCG64 starting states of a chunk's streams are derived at once
-(``seeding.pcg64_states``), one generator is set to each in turn
-(``seeding.streams``) to draw its raw 64-bit words, one batched bounded
-transform (numpy's own, Lemire 2019) turns the whole chunk's words into
-starts bit-identical to ``Generator.integers``, and each resample's Gram is
-summed from the two tables one block position at a time.  So memory stays
+starts, and one function, ``_block_starts``, draws a chunk's starts: it
+derives the PCG64 starting states of the chunk's streams at once
+(``seeding.pcg64_states``), sets one scratch generator to each in turn
+(``seeding.streams``) to draw its raw 64-bit words, and turns the whole
+chunk's words into starts bit-identical to ``Generator.integers`` by one
+batched bounded transform (numpy's own, Lemire 2019).  Each resample's Gram
+is summed from the two tables one block position at a time.  So memory stays
 at about B (p+1)^2 floats plus the tables and one chunk of starts whatever
 n and L are, and all resamples are refitted together by the batched TLS
 kernel ``estimator.tls_from_gram``.  No thread is started: what is left per
@@ -84,50 +85,43 @@ class BootstrapCi:
         return to_keys(self)
 
 
-def _lemire_starts(states: np.ndarray, n_blocks: int, high: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n_blocks, m) starts in [0, high) from the raw words of m streams, and the streams to redraw.
-
-    ``high`` is at most 2^32.  ``Generator.integers(0, high)`` takes the
-    low, then the high 32 bits of each PCG64 word as one draw u and returns
-    (u * high) >> 32, unless (u * high) mod 2^32 falls below 2^32 mod high
-    (Lemire 2019), where it draws again.  Here that transform runs over a
-    whole chunk at once; a stream with any such draw is returned for redrawing.
-    """
-    k = -(-n_blocks // 2)
-    rng = stream(0)
-    random_raw = rng.bit_generator.random_raw
-    raw = np.empty((k, states.shape[1]), dtype=np.uint64)
-    for j, _ in enumerate(streams(rng, states)):
-        raw[:, j] = random_raw(k)
-    # Masks and shifts, not a uint32 view, so the split ignores byte order.
-    draws = np.empty((2 * k, states.shape[1]), dtype=np.uint64)
-    np.bitwise_and(raw, 0xFFFFFFFF, out=draws[0::2])
-    np.right_shift(raw, 32, out=draws[1::2])
-    del raw
-    draws = draws[:n_blocks]
-    draws *= np.uint64(high)
-    redraw = (draws.astype(np.uint32) < (1 << 32) % high).any(axis=0)
-    draws >>= np.uint64(32)
-    return draws.view(np.int64), np.flatnonzero(redraw)
-
-
 def _block_starts(n: int, length: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """(ceil(n / length), hi - lo) block starts of resamples ``lo .. hi-1``, one column each.
 
     Resample r's starts are ``stream(derive_subseed(seed, r, 0)).integers(0,
-    n - length + 1, size=ceil(n / length))`` bit for bit.  They come from
-    its stream's raw words through ``_lemire_starts``; the rare resamples
-    that transform rejects, and every resample of a range over 2^32
-    (numpy's 64-bit path), are drawn by that ``integers`` call itself.
+    n - length + 1, size=ceil(n / length))`` bit for bit.  For a range
+    ``high`` of at most 2^32 that call takes the low, then the high 32 bits
+    of each PCG64 word as one draw u and returns (u * high) >> 32, unless
+    (u * high) mod 2^32 falls below 2^32 mod high (Lemire 2019), where it
+    draws again.  Here that transform runs over the raw words of the whole
+    chunk at once; the rare resamples with a rejected draw, and every
+    resample of a range over 2^32 (numpy's 64-bit path), are drawn by the
+    ``integers`` call itself.
     """
     n_blocks = -(-n // length)
     high = n - length + 1
+    m = hi - lo
     states = pcg64_states(derive_subseed(seed, np.arange(lo, hi, dtype=np.uint64), 0))
+    rng = stream(0)
     if high <= 1 << 32:
-        starts, redraw = _lemire_starts(states, n_blocks, high)
+        k = -(-n_blocks // 2)
+        random_raw = rng.bit_generator.random_raw
+        raw = np.empty((k, m), dtype=np.uint64)
+        for j, _ in enumerate(streams(rng, states)):
+            raw[:, j] = random_raw(k)
+        # Masks and shifts, not a uint32 view, so the split ignores byte order.
+        draws = np.empty((2 * k, m), dtype=np.uint64)
+        np.bitwise_and(raw, 0xFFFFFFFF, out=draws[0::2])
+        np.right_shift(raw, 32, out=draws[1::2])
+        del raw
+        draws = draws[:n_blocks]
+        draws *= np.uint64(high)
+        redraw = np.flatnonzero((draws.astype(np.uint32) < (1 << 32) % high).any(axis=0))
+        draws >>= np.uint64(32)
+        starts = draws.view(np.int64)
     else:
-        starts, redraw = np.empty((n_blocks, hi - lo), dtype=np.int64), np.arange(hi - lo)
-    for column, rng in zip(redraw, streams(stream(0), states[:, redraw])):
+        starts, redraw = np.empty((n_blocks, m), dtype=np.int64), np.arange(m)
+    for column, _ in zip(redraw, streams(rng, states[:, redraw])):
         starts[:, column] = rng.integers(0, high, size=n_blocks)
     return starts
 

@@ -22,13 +22,14 @@ A single seed is drawn through ``seeding.stream``, one generator per column
 it derives the PCG64 states of all rows' streams at once and hands its
 chunks of blocks to a standard-library thread pool of at most one thread
 per usable CPU (none on one CPU), within a budget of ``CHUNK_ELEMENTS``
-floats in flight.  This is the only place in the package that reads the CPU
-count or starts a thread, and the one statement of that policy.  The pool
-pays end to end: on a 2-vCPU host, ``perfbench/run.py --seed 1 --seconds 25
---trace 0`` gave a ``unit_ref_ratio`` of 1.29-1.40 with the pool against
-2.01-2.06 with ``_usable_cpus`` returning 1 on ``normality``, and 0.85-0.92
-against 1.19-1.37 on ``consistency`` (two runs per side): about a third off
-the unit time.  Each chunk is drawn by the one loop of ``_fill_column``,
+floats of blocks in flight, a lead longer than n counted once.  This is
+the only place in the package that reads the CPU count or starts a thread,
+and the one statement of that policy.  The pool pays end to end: on a
+2-vCPU host, ``perfbench/run.py --seed 1 --seconds 25 --trace 0`` gave a
+``unit_ref_ratio`` of 1.29-1.40 with the pool against 2.01-2.06 with
+``_usable_cpus`` returning 1 on ``normality``, and 0.85-0.92 against
+1.19-1.37 on ``consistency`` (two runs per side): about a third off the
+unit time.  Each chunk is drawn by the one loop of ``_fill_column``,
 filtered as one array by each column's kind and passed to the caller's
 ``reduce``: Gram matrices for the Monte Carlo experiments, row sums for
 ``clt_check``.  A row depends only on its seed, never on the chunk or
@@ -229,7 +230,10 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
     of all C R streams are derived once.  Each chunk of ``rows`` consecutive
     blocks is drawn into its own (k, C, n) array with its own scratch
     generator; ``rows`` is the most blocks of which one chunk per usable
-    CPU fits in ``CHUNK_ELEMENTS`` floats, C max(n, longest lead) a block.
+    CPU fits in ``CHUNK_ELEMENTS`` floats, C n + max(0, lead - n) a block
+    for the longest lead: ``_fill_column`` holds one column's (lead + n)
+    scratch at a time.  The budget counts blocks, not that one scratch
+    (three MA(2) columns at n = 250 peak at 2.9 MB on one worker).
     A thread pool of at most one thread per usable CPU runs the chunks (the
     calling thread does, on one CPU or for one chunk), so ``reduce`` may
     run on several threads at once.  The results come back in block order,
@@ -239,7 +243,7 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
     count = seeds.shape[1]
     workers = _usable_cpus()
     lead = max(KINDS[spec.kind].lead(spec) for spec, _ in columns)
-    rows = max(1, CHUNK_ELEMENTS // (workers * len(columns) * max(n, lead)))
+    rows = max(1, CHUNK_ELEMENTS // (workers * (len(columns) * n + max(0, lead - n))))
     starts = range(0, count, rows)
 
     def step(lo: int):

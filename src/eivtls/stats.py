@@ -268,9 +268,8 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
 
 def _icbrt(n: int) -> int:
     """Exact integer floor cube root (float powers round 1000**(1/3) down)."""
+    # Up to linalg.MAX_LENGTH the float root errs by under 1e-9: round is never below the floor.
     k = int(round(n ** (1.0 / 3.0)))
-    while (k + 1) ** 3 <= n:
-        k += 1
     while k**3 > n:
         k -= 1
     return max(k, 0)

@@ -44,6 +44,7 @@ BAD_DATASETS = {
     "non-numeric-field": b"x1,y\n1.0,2.1\n2.0,two\n3.0,4.2\n",
     "trailing-comma": b"x1,y\n1.0,2.1,\n2.0,2.9,\n3.0,4.2,\n",
     "header-only": b"x1,y\n",
+    "rows-wider-than-header": b"x1,y\n1.0,2.0,3.1\n2.0,3.0,4.9\n3.0,1.0,4.2\n4.0,2.0,6.1\n",
     "not-utf8": b"x1,y\n1.0,2.1\n2.0,\xff\n",
 }
 BAD_CONFIGS = {
@@ -173,6 +174,18 @@ class TestGenFit:
         assert run("fit", "--data", data, "--out", out) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(out) in err and ".tmp" not in err
+
+    def test_rows_wider_than_the_header_are_refused(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_bytes(BAD_DATASETS["rows-wider-than-header"])
+        with pytest.raises(InvalidParams, match="3 fields per row under 2 columns"):
+            read_dataset_csv(str(path))
+
+    def test_x_and_y_of_different_lengths_are_not_written(self, tmp_path):
+        path = tmp_path / "d.csv"
+        with pytest.raises(InvalidParams, match="row counts differ"):
+            write_dataset_csv(str(path), np.ones((3, 1)), np.ones(2))
+        assert not path.exists()
 
     def test_fit_takes_no_seed(self, tmp_path):
         # fit draws nothing, so a --seed would be silently ignored.
@@ -334,6 +347,14 @@ class TestErrorExits:
         path.write_text(json.dumps(config))
         assert run(command, "--config", path, "--out", tmp_path / "r.json") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_with_no_error_columns_is_config_error(self, tmp_path, capsys):
+        d = alpha_config_dict()
+        d["errors"]["columns"] = []
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert run("mc-consistency", "--config", path, "--out", tmp_path / "r.json") == EXIT_CONFIG
+        assert "need at least one error column" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "given, twice",

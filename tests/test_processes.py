@@ -220,6 +220,10 @@ class TestGenerateSequence:
 
 
 class TestErrorMatrix:
+    def test_at_least_one_column_required(self):
+        with pytest.raises(InvalidParams, match="need at least one error column"):
+            ErrorMatrixSpec(())
+
     def test_sigma2_positive_required(self):
         with pytest.raises(InvalidParams):
             ErrorMatrixSpec((iid_gaussian(), iid_gaussian()), sigma2=0.0)
@@ -419,6 +423,11 @@ class TestMapChunks:
             if workers == 1:
                 assert threads == {threading.current_thread()}
 
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(eivtls.processes.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(eivtls.processes.os, "cpu_count", lambda: 5)
+        assert eivtls.processes._usable_cpus() == 5
+
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         whole = np.concatenate(self.draws(lambda b: b.copy()))
         monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
@@ -471,3 +480,26 @@ class TestMapChunks:
                 tracemalloc.stop()
 
         assert peak(2000) <= peak(2)
+
+    def test_budget_counts_a_long_lead_once(self, monkeypatch):
+        # Only one column's (lead + n) scratch is held at a time, so three
+        # MA(2000) columns at n = 250 count 3 * 250 + 1750 floats a block:
+        # 8 blocks a chunk, and a peak within three MA(2) columns' peak.
+        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 20_000)
+        seeds = np.arange(3 * 64, dtype=np.uint64).reshape(3, 64)
+
+        def peak(q):
+            columns = [(ma((1.0,) * (q + 1)), 1.0)] * 3
+            # Once untraced first, so that numpy's one-time set-up is not counted.
+            map_draws(columns, seeds[:, :1], 250, len)
+            tracemalloc.start()
+            try:
+                sizes = map_draws(columns, seeds, 250, len)
+                return sizes, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sizes, long_peak = peak(2000)
+        assert sizes == [8] * 8
+        assert long_peak <= peak(2)[1]

@@ -6,6 +6,7 @@ from scipy import stats as sps
 import eivtls.processes
 import eivtls.processes
 from eivtls.errors import InvalidParams, NumericalError
+from eivtls.linalg import MAX_LENGTH
 from eivtls.seeding import derive_subseed
 from eivtls.stats import (
     _icbrt,
@@ -256,11 +257,14 @@ class TestLongRunVariance:
             long_run_variance(x, bandwidth=2)
 
     def test_alternating_series_clips_to_psd(self):
-        # a deterministic alternating sequence drives the Bartlett estimate
-        # negative before clipping
-        x = np.tile([1.0, -1.0], 200)
-        out = long_run_variance(x, bandwidth=1)
-        assert out.matrix[0, 0] >= 0.0
+        # A column equal to the sum of the other two makes the estimate
+        # singular, so rounding leaves its least eigenvalue on either side of
+        # zero; with these rows it is negative before clipping.
+        z = np.random.default_rng(1).standard_normal((300, 2))
+        out = long_run_variance(np.column_stack([z, z.sum(axis=1)]))
+        assert out.psd_clipped and not out.positive_definite
+        assert np.array_equal(out.matrix, out.matrix.T)
+        assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-12 * np.trace(out.matrix)
 
 
 class TestIcbrt:
@@ -269,6 +273,16 @@ class TestIcbrt:
             assert _icbrt(k**3) == k
             assert _icbrt(k**3 - 1) == k - 1
             assert _icbrt(k**3 + 1) == k
+
+    def test_cubes_near_the_largest_length(self):
+        # MAX_LENGTH^(1/3) is about 1.05e6, where the float root errs most.
+        top = _icbrt(MAX_LENGTH)
+        assert top**3 <= MAX_LENGTH < (top + 1) ** 3
+        for k in (top - 1000, top - 1, top):
+            assert _icbrt(k**3) == k
+            assert _icbrt(k**3 - 1) == k - 1
+            assert _icbrt(k**3 + 1) == k
+            assert _icbrt((k + 1) ** 3 - 1) == k
 
     def test_small_values(self):
         assert _icbrt(0) == 0
