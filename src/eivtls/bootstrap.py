@@ -13,18 +13,20 @@ is the Gram of each truncated last block; no resample is ever gathered.
 Each resample keeps its own stream of block starts.  The resamples are
 handled on the calling thread in chunks of at most ``STARTS_IN_FLIGHT``
 starts, and one function, ``_block_starts``, draws a chunk's starts: it
-derives the PCG64 starting states of the chunk's streams at once
-(``seeding.pcg64_states``), sets one scratch generator to each in turn
-(``seeding.streams``) to draw its raw 64-bit words, and turns the whole
-chunk's words into starts bit-identical to ``Generator.integers`` by one
-batched bounded transform (numpy's own, Lemire 2019).  Each resample's Gram
-is summed from the two tables one block position at a time.  So memory stays
-at about B (p+1)^2 floats plus the tables and one chunk of starts whatever
-n and L are, and all resamples are refitted together by the batched TLS
-kernel ``estimator.tls_from_gram``.  No thread is started: what is left per
-resample is joining its state's 64-bit halves into Python ints, assigning
-the generator's state and one ``random_raw`` call, all under the
-interpreter lock, and that loop ran slower on two threads than on one.
+derives the ``SeedSequence`` words of the chunk's streams at once
+(``seeding.pcg64_seed_words``), takes each stream's raw 64-bit words from a
+bare PCG64 bit generator seeded by numpy from those words
+(``seeding.bit_generators``), and turns the whole chunk's words into starts
+bit-identical to ``Generator.integers`` by one batched bounded transform
+(numpy's own, Lemire 2019).  Each resample's Gram is summed from the two
+tables one block position at a time.  So memory stays at about B (p+1)^2
+floats plus the tables and one chunk of starts whatever n and L are, and
+all resamples are refitted together by the batched TLS kernel
+``estimator.tls_from_gram``.  No thread is started: what is left per
+resample is building its bit generator and one ``random_raw`` call, both
+under the interpreter lock, and that loop ran slower on two threads than on
+one (two runs of 20 000 streams of 50 words: 138-153 ms on one thread,
+171-202 ms on two, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -37,15 +39,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InvalidParams, NumericalError
 from .estimator import FIT_OK, TlsFit, tls_fit, tls_from_gram
 from .linalg import as_integer, as_matrix, as_number, as_vector, to_keys
-from .seeding import derive_subseed, pcg64_states, stream, streams
+from .seeding import bit_generators, derive_subseed, pcg64_seed_words, streams
 from .stats import _icbrt
 
 MAX_FAILURE_FRACTION = 0.10
 # Block starts drawn at once.  While drawn each takes at most 13 bytes (half
 # a raw word and a 64-bit product, then the product, its low 32 bits and a
 # mask byte), and a resample's count is rounded up to even.  A resample's
-# starting state takes about 280 bytes more while its words are drawn, so it
-# counts as at least 32 starts.  So a chunk stays under 15 MB.
+# four seed words take 32 bytes more while its starts are drawn, 64 while its
+# raw words are (with their row-major copy) and 144 at most while they are
+# derived, so it counts as at least 32 starts.  So a chunk stays under 15 MB.
 STARTS_IN_FLIGHT = 1 << 20
 
 
@@ -96,19 +99,17 @@ def _block_starts(n: int, length: int, seed: int, lo: int, hi: int) -> np.ndarra
     draws again.  Here that transform runs over the raw words of the whole
     chunk at once; the rare resamples with a rejected draw, and every
     resample of a range over 2^32 (numpy's 64-bit path), are drawn by the
-    ``integers`` call itself.
+    ``integers`` call itself, from a ``Generator`` built for them alone.
     """
     n_blocks = -(-n // length)
     high = n - length + 1
     m = hi - lo
-    states = pcg64_states(derive_subseed(seed, np.arange(lo, hi, dtype=np.uint64), 0))
-    rng = stream(0)
+    words = pcg64_seed_words(derive_subseed(seed, np.arange(lo, hi, dtype=np.uint64), 0))
     if high <= 1 << 32:
         k = -(-n_blocks // 2)
-        random_raw = rng.bit_generator.random_raw
         raw = np.empty((k, m), dtype=np.uint64)
-        for j, _ in enumerate(streams(rng, states)):
-            raw[:, j] = random_raw(k)
+        for j, bit_generator in enumerate(bit_generators(words)):
+            raw[:, j] = bit_generator.random_raw(k)
         # Masks and shifts, not a uint32 view, so the split ignores byte order.
         draws = np.empty((2 * k, m), dtype=np.uint64)
         np.bitwise_and(raw, 0xFFFFFFFF, out=draws[0::2])
@@ -121,7 +122,7 @@ def _block_starts(n: int, length: int, seed: int, lo: int, hi: int) -> np.ndarra
         starts = draws.view(np.int64)
     else:
         starts, redraw = np.empty((n_blocks, m), dtype=np.int64), np.arange(m)
-    for column, _ in zip(redraw, streams(rng, states[:, redraw])):
+    for column, rng in zip(redraw, streams(words[:, redraw])):
         starts[:, column] = rng.integers(0, high, size=n_blocks)
     return starts
 

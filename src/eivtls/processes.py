@@ -19,7 +19,7 @@ draws are pure functions of (spec, n, seed).
 A single seed is drawn through ``seeding.stream``, one generator per column
 (``generate_sequence``, ``generate_error_matrix``, so ``gen`` and
 ``synthesize``).  Every seeded draw of many rows goes through ``map_draws``:
-it derives the PCG64 states of all rows' streams at once and hands its
+it derives the PCG64 seed words of all rows' streams at once and hands its
 chunks of blocks to a standard-library thread pool of at most one thread
 per usable CPU (none on one CPU), within a budget of ``CHUNK_ELEMENTS``
 floats of blocks in flight, a lead longer than n counted once.  This is
@@ -58,7 +58,7 @@ from .linalg import (
     from_keys,
     to_keys,
 )
-from .seeding import column_subseed, pcg64_states, stream, streams
+from .seeding import column_subseed, pcg64_seed_words, stream, streams
 
 MIXING_ALPHA = "alpha"
 MIXING_PHI = "phi"
@@ -209,10 +209,9 @@ def _fill_column(spec: ErrorProcessSpec, sd: float, rngs, out: np.ndarray) -> No
 
     Row r takes its kind's lead plus n normals from the r-th generator of
     the iterable ``rngs`` alone, drawn with ``standard_normal(out=...)``
-    before the next generator is taken (so ``rngs`` may yield one generator
-    reseeded per row, as ``seeding.streams`` does); the kind's filter then
-    runs over all rows at once.  A kind with no lead draws straight into
-    ``out``.
+    (so ``rngs`` may build each row's generator as it is taken, as
+    ``seeding.streams`` does); the kind's filter then runs over all rows at
+    once.  A kind with no lead draws straight into ``out``.
     """
     kind = KINDS[spec.kind]
     lead = kind.lead(spec)
@@ -226,20 +225,21 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
     """``reduce(block)`` over chunks of the error blocks of a (C, R) uint64 array of stream seeds.
 
     ``columns`` holds C (process, sd) pairs; row j of block r is a draw of
-    ``columns[j]`` from ``stream(seeds[j, r])``.  The PCG64 starting states
-    of all C R streams are derived once.  Each chunk of ``rows`` consecutive
-    blocks is drawn into its own (k, C, n) array with its own scratch
-    generator; ``rows`` is the most blocks of which one chunk per usable
-    CPU fits in ``CHUNK_ELEMENTS`` floats, C n + max(0, lead - n) a block
-    for the longest lead: ``_fill_column`` holds one column's (lead + n)
-    scratch at a time.  The budget counts blocks, not that one scratch
-    (three MA(2) columns at n = 250 peak at 2.9 MB on one worker).
+    ``columns[j]`` from ``stream(seeds[j, r])``.  The PCG64 seed words of
+    all C R streams are derived once, and each chunk of ``rows`` consecutive
+    blocks is drawn into its own (k, C, n) array, each row by its own
+    generator from ``seeding.streams``.  ``rows`` is the most blocks of
+    which one chunk per usable CPU fits in ``CHUNK_ELEMENTS`` floats,
+    C n + max(0, lead - n) a block for the longest lead: ``_fill_column``
+    holds one column's (lead + n) scratch at a time.  The budget counts
+    blocks, not that one scratch (three MA(2) columns at n = 250 peak at
+    2.9 MB on one worker).
     A thread pool of at most one thread per usable CPU runs the chunks (the
     calling thread does, on one CPU or for one chunk), so ``reduce`` may
     run on several threads at once.  The results come back in block order,
     and the first chunk in that order to raise raises here.
     """
-    states = pcg64_states(seeds)
+    words = pcg64_seed_words(seeds)
     count = seeds.shape[1]
     workers = _usable_cpus()
     lead = max(KINDS[spec.kind].lead(spec) for spec, _ in columns)
@@ -248,10 +248,9 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
 
     def step(lo: int):
         hi = min(lo + rows, count)
-        rng = stream(0)
         block = np.empty((hi - lo, len(columns), n))
         for j, (spec, sd) in enumerate(columns):
-            _fill_column(spec, sd, streams(rng, states[:, j, lo:hi]), block[:, j])
+            _fill_column(spec, sd, streams(words[:, j, lo:hi]), block[:, j])
         return reduce(block)
 
     if workers == 1 or len(starts) < 2:

@@ -9,20 +9,21 @@ The derivations take a Python int or a uint64 array and return the same
 form (the same expressions wrap modulo 2^64 on either), so a whole grid cell
 derives its seeds in a few numpy calls.  ``stream(seed)`` is the reference
 stream, and a draw from one seed (one error matrix) builds it directly.
-Building one ``PCG64`` per seed runs numpy's ``SeedSequence`` and PCG64's
-seeding step each time, so the draws from many seeds
-(``processes.map_draws``, the bootstrap's block starts) do not:
-``pcg64_states`` runs both over a seed array at once in numpy, and
-``streams`` sets one reused ``Generator`` to each seed's starting state in
-turn, so a chunk of rows is drawn without constructing a generator per row
-and the per-row Python work is joining two 64-bit halves per 128-bit int
-and assigning the state.  The bytes drawn are those of ``stream(seed)``.
-How the bootstrap turns a stream's raw words into block starts is stated
-in ``bootstrap``.
+Building one ``PCG64`` from a seed builds a numpy ``SeedSequence`` each
+time, so the draws from many seeds (``processes.map_draws``, the
+bootstrap's block starts) do not: ``pcg64_seed_words`` runs the
+``SeedSequence`` hash over a seed array at once in numpy, and
+``bit_generators`` hands each seed's four words to numpy's ``PCG64``
+through its ``ISeedSequence`` interface.  numpy's own C seeding step then
+starts each stream, and per row only the bit generator (and, in
+``streams``, its ``Generator``) is built.  The bytes drawn are those of
+``stream(seed)``.  How the bootstrap turns a stream's raw words into block
+starts is stated in ``bootstrap``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -41,10 +42,6 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _M32 = 0xFFFFFFFF
 _POOL_SIZE = 4
-
-# PCG64's 128-bit LCG multiplier, as 64-bit halves.
-_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
-_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
 
 
 def splitmix64(x):
@@ -127,58 +124,47 @@ def pcg64_seed_words(seeds) -> np.ndarray:
     return words.reshape((4, *s.shape))
 
 
-def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """High 64 bits of the 128-bit products ``a * b``, from 32-bit limb products."""
-    m32, w = np.uint64(_M32), np.uint64(32)
-    a0, a1, b0, b1 = a & m32, a >> w, b & m32, b >> w
-    low, cross_a, cross_b = a0 * b0, a1 * b0, a0 * b1
-    # At most 3 (2^32 - 1), so this sum cannot wrap.
-    mid = (low >> w) + (cross_a & m32) + (cross_b & m32)
-    return a1 * b1 + (cross_a >> w) + (cross_b >> w) + (mid >> w)
-
-
-def pcg64_states(seeds) -> np.ndarray:
-    """(4, *shape) uint64 words of the state ``np.random.PCG64(seed)`` starts in, per uint64 seed.
-
-    The rows are state_hi, state_lo, inc_hi, inc_lo.  PCG64 seeds itself
-    (``pcg64_srandom_r``) from the ``pcg64_seed_words`` (initstate_hi,
-    initstate_lo, initseq_hi, initseq_lo): inc = 2 initseq + 1, then state =
-    (inc + initstate) * M + inc modulo 2^128.  Here that runs on 64-bit
-    halves over all seeds at once: a sum's carry out of its low half is
-    whether that half wrapped below an addend, and the product's high half
-    gathers the high word of lo * M_lo and the two cross products.
-    """
-    seed_words = pcg64_seed_words(seeds)
-    init_hi, init_lo, seq_hi, seq_lo = seed_words.reshape(4, -1)
-    one = np.uint64(1)
-    inc_hi = (seq_hi << one) | (seq_lo >> np.uint64(63))
-    inc_lo = (seq_lo << one) | one
-    sum_lo = inc_lo + init_lo
-    sum_hi = inc_hi + init_hi + (sum_lo < inc_lo)
-    product_hi = _mulhi(sum_lo, _PCG_MULT_LO) + sum_lo * _PCG_MULT_HI + sum_hi * _PCG_MULT_LO
-    state_lo = sum_lo * _PCG_MULT_LO + inc_lo
-    state_hi = product_hi + inc_hi + (state_lo < inc_lo)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo]).reshape(seed_words.shape)
-
-
 def stream(seed: int) -> np.random.Generator:
     """The package-wide RNG stream: PCG64 keyed by a 64-bit seed."""
     return np.random.Generator(np.random.PCG64(seed & _MASK))
 
 
-def streams(rng: np.random.Generator, states: np.ndarray) -> Iterator[np.random.Generator]:
-    """Yield ``rng`` once per column of ``states``, set to the start of that seed's stream.
+@functools.cache
+def _seed_words_type() -> type:
+    """An ``ISeedSequence`` that hands ``np.random.PCG64`` one seed's precomputed words.
 
-    ``states`` is a (4, k) slice of ``pcg64_states``; after the r-th yield,
-    ``rng`` draws exactly what ``stream(seed_r)`` would.  Per column this
-    only joins the two halves of the state and of the increment into one
-    reused state dict and assigns it.  ``rng`` must be a PCG64 ``Generator``.
+    Made on first use, so that ``import eivtls`` does not load ``numpy.random``.
     """
-    bit_generator = rng.bit_generator
-    words = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-    for state_hi, state_lo, inc_hi, inc_lo in states.T.tolist():
-        words["state"] = (state_hi << 64) | state_lo
-        words["inc"] = (inc_hi << 64) | inc_lo
-        bit_generator.state = state
-        yield rng
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for 4 uint64 words and reads them from the array's buffer.
+            return self.words
+
+    return SeedWords
+
+
+def bit_generators(words: np.ndarray) -> Iterator[np.random.BitGenerator]:
+    """Yield, per column of ``words``, a bit generator in the state ``PCG64(seed)`` starts in.
+
+    ``words`` is a (4, k) slice of ``pcg64_seed_words``.  Each column, copied
+    into one contiguous row, seeds numpy's ``PCG64`` through the
+    ``ISeedSequence`` interface, so numpy's own C seeding step runs per row
+    and no ``SeedSequence`` is built.
+    """
+    seed_words = _seed_words_type()
+    for row in np.ascontiguousarray(words.T):
+        yield np.random.PCG64(seed_words(row))
+
+
+def streams(words: np.ndarray) -> Iterator[np.random.Generator]:
+    """Yield, per column of ``words``, a ``Generator`` that draws what ``stream(seed)`` draws.
+
+    ``words`` is a (4, k) slice of ``pcg64_seed_words``, as for ``bit_generators``.
+    """
+    for bit_generator in bit_generators(words):
+        yield np.random.Generator(bit_generator)

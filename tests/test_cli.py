@@ -904,6 +904,7 @@ SCIPY_ON_FIRST_USE = textwrap.dedent(
     def scipy_modules():
         return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+    random_imported = "numpy.random" in sys.modules
     tmp = Path(sys.argv[1])
     cfg = default_config("phi", beta=(1.0,), n_grid=(300,), replications=100)
     (tmp / "phi.json").write_text(json.dumps(cfg.to_dict()))
@@ -920,6 +921,7 @@ SCIPY_ON_FIRST_USE = textwrap.dedent(
     e = generate_error_matrix(ErrorMatrixSpec((ar1(0.5),) * 2), 50, 3)
     print(json.dumps({
         "codes": codes,
+        "random_imported": random_imported,
         "loaded": loaded,
         "ar1_shape": list(e.shape),
         "ar1_finite": bool(np.all(np.isfinite(e))),
@@ -941,6 +943,8 @@ class TestScipyOnFirstUse:
         )
         out = json.loads(proc.stdout.splitlines()[-1])
         assert out["codes"] == [EXIT_OK] * 3
+        # numpy.random, too, loads on the first draw, not on import.
+        assert not out["random_imported"]
         assert out["loaded"] == {"import": [], "gen, fit and bootstrap-ci": []}
         assert out["ar1_shape"] == [50, 2] and out["ar1_finite"]
         assert out["signal_loaded"]

@@ -74,6 +74,7 @@ def test_only_linalg_names_the_size_bound():
 ONE_SITE = {
     "standard_normal": ["processes.py:_fill_column"],
     "column_subseed": ["processes.py:ErrorMatrixSpec.column_draws"],
+    "PCG64": ["seeding.py:stream", "seeding.py:bit_generators"],
     "from_dict": ["cli.py:_load_experiment", "cli.py:_cmd_clt_check", "linalg.py:as_spec"],
     " takes no ": ["linalg.py:check_kind"],
     " entries, design has p=": ["model.py:check_model"],
@@ -109,6 +110,11 @@ def test_one_draw_loop_and_one_column_seed_rule():
     found = _sites()
     for name in ("standard_normal", "column_subseed"):
         assert found[name] == ONE_SITE[name]
+
+
+def test_generators_are_built_in_seeding_alone():
+    # The reference stream and the many-seed bit generators; no other module seeds one.
+    assert _sites()["PCG64"] == ONE_SITE["PCG64"]
 
 
 def test_one_nested_spec_reader_and_one_kind_guard():

@@ -24,7 +24,7 @@ from eivtls.processes import (
     map_draws,
 )
 from eivtls.processes import _fill_column
-from eivtls.seeding import column_subseed, stream
+from eivtls.seeding import column_subseed, stream, streams
 
 N = 100_000
 
@@ -288,7 +288,8 @@ class TestErrorMatrix:
             raise AssertionError("one seed needs no vectorised seeding")
 
         monkeypatch.setattr(eivtls.processes, "stream", counted)
-        monkeypatch.setattr(eivtls.processes, "pcg64_states", refused)
+        monkeypatch.setattr(eivtls.processes, "pcg64_seed_words", refused)
+        monkeypatch.setattr(eivtls.processes, "streams", refused)
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
         generate_error_matrix(spec, 50, 7)
         assert made == [column_subseed(7, j) for j in (1, 2, 3)]
@@ -347,7 +348,7 @@ class TestErrorBlocks:
         assert np.array_equal(block[2], sd * stream(column_subseed(seed, 3)).standard_normal(n))
 
     def test_reused_generator_draws_the_same_blocks(self, monkeypatch):
-        # Each step reuses one generator for every row of its chunk.
+        # Each step draws the rows of its chunk from one iterator of generators.
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=0.4)
         whole = np.stack([generate_error_matrix(spec, 200, s).T for s in self.SEEDS])
         seeds = np.array(self.SEEDS, dtype=np.uint64)
@@ -372,20 +373,29 @@ class TestErrorBlocks:
         assert map_draws(*spec.column_draws(np.array([], dtype=np.uint64)), 200, len) == []
 
     def test_one_generator_draws_every_row(self, monkeypatch):
-        made = []
+        # Each row's generator comes from one many-seed iterator per chunk and
+        # column; no reference stream is built.
+        made, chunks = [], []
 
         def counted(seed):
             made.append(seed)
             return stream(seed)
 
+        def counted_streams(words):
+            chunks.append(words.shape[1])
+            return streams(words)
+
         monkeypatch.setattr(eivtls.processes, "stream", counted)
+        monkeypatch.setattr(eivtls.processes, "streams", counted_streams)
         monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
         for per_chunk in (4, 3, 1):
             monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", per_chunk * 3 * 50)
-            made.clear()
+            chunks.clear()
             steps = map_draws(*spec.column_draws(np.array(self.SEEDS, dtype=np.uint64)), 50, len)
-            assert len(made) == len(steps) == -(-4 // per_chunk)
+            assert made == []
+            assert len(chunks) == 3 * len(steps) == 3 * -(-4 // per_chunk)
+            assert sum(chunks) == 3 * 4
 
     def test_n_positive(self):
         with pytest.raises(InvalidParams):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from eivtls.seeding import (
+    bit_generators,
     column_subseed,
     derive_subseed,
     pcg64_seed_words,
-    pcg64_states,
     splitmix64,
     stream,
     streams,
@@ -56,40 +56,23 @@ class TestPcg64States:
             expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
             assert np.array_equal(column, expected)
 
-    def test_start_states_equal_pcg64(self):
-        seeds = np.array(self.SEEDS, dtype=np.uint64)
-        states = pcg64_states(seeds)
-        assert states.shape == (4, len(self.SEEDS)) and states.dtype == np.uint64
-        words = pcg64_seed_words(seeds).T.tolist()
-        carries = set()
-        for seed, column, (_, init_lo, _, _) in zip(self.SEEDS, states.T.tolist(), words):
-            expected = np.random.PCG64(seed).state["state"]
-            assert (column[0] << 64) | column[1] == expected["state"]
-            assert (column[2] << 64) | column[3] == expected["inc"]
-            # The low halves of inc + initstate and of (inc + initstate) * M + inc.
-            first = column[3] + init_lo
-            second = (first & MASK) * 0x4385DF649FCCF645 % 2**64 + column[3]
-            carries.add((first > MASK, second > MASK))
-        # Each addition carries out of its low half for some seed, and not for another.
-        assert carries == {(False, False), (False, True), (True, False), (True, True)}
-
     def test_states_equal_pcg64(self):
-        states = pcg64_states(np.array(self.SEEDS, dtype=np.uint64))
-        rng = stream(0)
+        words = pcg64_seed_words(np.array(self.SEEDS, dtype=np.uint64))
         count = 0
-        for seed, reseeded in zip(self.SEEDS, streams(rng, states)):
-            assert reseeded is rng
-            assert rng.bit_generator.state == np.random.PCG64(seed).state
+        for seed, bit_generator in zip(self.SEEDS, bit_generators(words)):
+            assert bit_generator.state == np.random.PCG64(seed).state
             count += 1
         assert count == len(self.SEEDS)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, 987654321])
     def test_draws_equal_a_fresh_stream_after_any_use(self, seed):
-        rng = stream(5)
-        rng.integers(0, 10, size=3, dtype=np.uint32)  # leaves a buffered 32-bit half
-        rng.standard_normal(7)
-        (reseeded,) = streams(rng, pcg64_states(np.array([seed], dtype=np.uint64)))
+        # The seed's words sit between two others, so each stream reads its own row.
+        seeds = np.array([seed ^ 1, seed, seed ^ 2], dtype=np.uint64)
+        _, built, _ = streams(pcg64_seed_words(seeds))
         fresh = stream(seed)
         draw = dict(low=0, high=10, size=5, dtype=np.uint32)
-        assert np.array_equal(reseeded.integers(**draw), fresh.integers(**draw))
-        assert np.array_equal(reseeded.standard_normal(9), fresh.standard_normal(9))
+        # An odd count of 32-bit draws leaves a buffered half; normals and raw words draw past it.
+        assert np.array_equal(built.integers(**draw), fresh.integers(**draw))
+        assert np.array_equal(built.standard_normal(9), fresh.standard_normal(9))
+        assert np.array_equal(built.bit_generator.random_raw(4), fresh.bit_generator.random_raw(4))
+        assert built.bit_generator.state == fresh.bit_generator.state
