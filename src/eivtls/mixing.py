@@ -220,14 +220,20 @@ CONDITIONS = {
 THEOREMS = tuple(CONDITIONS)
 
 
+def theorem_conditions(theorem: str) -> tuple:
+    """The ``CONDITIONS`` of ``theorem``; InvalidParams if it names no theorem."""
+    if theorem not in THEOREMS:
+        raise InvalidParams(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+    return CONDITIONS[theorem]
+
+
 def check_assumptions(
     theorem: str, design: DesignSpec, errors: ErrorMatrixSpec
 ) -> AssumptionReport:
     """Evaluate the selected theorem's conditions on declared metadata."""
-    if theorem not in THEOREMS:
-        raise InvalidParams(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+    conditions = theorem_conditions(theorem)
     specs = errors.column_specs
     checks = tuple(
-        AssumptionCheck(name, *condition(design, specs)) for name, condition in CONDITIONS[theorem]
+        AssumptionCheck(name, *condition(design, specs)) for name, condition in conditions
     )
     return AssumptionReport(theorem=theorem, checks=checks)

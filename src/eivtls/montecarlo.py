@@ -37,7 +37,7 @@ from .estimator import (
     tls_from_gram,
 )
 from .linalg import as_integer, as_spec, as_tuple, as_vector, from_keys, to_keys
-from .mixing import THEOREMS, AssumptionReport, check_assumptions
+from .mixing import AssumptionReport, check_assumptions, theorem_conditions
 from .model import DesignSpec, build_design, check_model
 from .processes import ErrorMatrixSpec, map_draws
 from .seeding import derive_subseed
@@ -66,8 +66,7 @@ class ExperimentConfig:
             raise InvalidParams("n_grid must not be empty")
         if list(grid) != sorted(set(grid)):
             raise InvalidParams("n_grid must be strictly ascending")
-        if self.theorem not in THEOREMS:
-            raise InvalidParams(f"unknown theorem {self.theorem!r}; expected one of {THEOREMS}")
+        theorem_conditions(self.theorem)
 
     def to_dict(self) -> dict:
         return to_keys(self)
@@ -246,16 +245,19 @@ def run_normality(
 ) -> NormalityExperimentReport:
     """Collect sqrt(n)(beta_hat - beta) at the largest grid size and test it."""
     assumptions = _checked_assumptions(cfg, override_assumptions)
+    need = MIN_SAMPLES_PER_DIM * cfg.design.p
+    if cfg.replications < need:
+        raise InvalidParams(
+            f"the normality battery needs at least {need} replications, have {cfg.replications}"
+        )
     n = cfg.n_grid[-1]
     _, fits = _fit_cell(cfg, len(cfg.n_grid) - 1)
     ok = fits.status == FIT_OK
     devs = np.sqrt(n) * (fits.beta[ok] - cfg.beta)
     nongeneric, illconditioned = _failures(fits)
-    failed = nongeneric + illconditioned
-    need = MIN_SAMPLES_PER_DIM * cfg.design.p
-    if failed and devs.shape[0] < need:
+    if devs.shape[0] < need:
         raise NumericalError(
-            f"{failed} of {cfg.replications} fits failed at n = {n}; "
+            f"{cfg.replications - devs.shape[0]} of {cfg.replications} fits failed at n = {n}; "
             f"the normality battery needs at least {need} estimates"
         )
     report = normality_battery(devs)

@@ -16,27 +16,24 @@ marginal standard deviation is exactly the sd it is drawn at, sqrt(sigma2)
 for every column of an error matrix and 1 for ``generate_sequence``.  All
 draws are pure functions of (spec, n, seed).
 
-A single seed is drawn through ``seeding.stream``, one generator per column
+Every seeded draw goes through ``map_draws``, a draw from one seed
 (``generate_sequence``, ``generate_error_matrix``, so ``gen`` and
-``synthesize``).  Every seeded draw of many rows goes through ``map_draws``:
-it derives the PCG64 seed words of all rows' streams at once and hands its
-chunks of blocks to a standard-library thread pool of at most one thread
-per usable CPU (none on one CPU), within a budget of ``CHUNK_ELEMENTS``
-floats of blocks in flight, a lead longer than n counted once.  This is
-the only place in the package that reads the CPU count or starts a thread,
-and the one statement of that policy.  The pool pays end to end: on a
-2-vCPU host, ``perfbench/run.py --seed 1 --seconds 25 --trace 0`` gave a
-``unit_ref_ratio`` of 1.29-1.40 with the pool against 2.01-2.06 with
-``_usable_cpus`` returning 1 on ``normality``, and 0.85-0.92 against
-1.19-1.37 on ``consistency`` (two runs per side): about a third off the
-unit time.  Each chunk is drawn by the one loop of ``_fill_column``,
-filtered as one array by each column's kind and passed to the caller's
-``reduce``: Gram matrices for the Monte Carlo experiments, row sums for
-``clt_check``.  A row depends only on its seed, never on the chunk or
-thread that draws it, so block r of ``map_draws`` equals the transposed
-``generate_error_matrix`` of seed r bit for bit.  ``scipy.signal`` is
-imported only when an AR(1) column is drawn; iid and MA(q) columns need
-numpy alone.
+``synthesize``) as its one block.  It derives the PCG64 seed words of all
+rows' streams at once and hands its chunks of blocks to a standard-library
+thread pool of at most one thread per usable CPU (none on one CPU or for
+one chunk), within a budget of ``CHUNK_ELEMENTS`` floats of blocks in
+flight, a lead longer than n counted once.  This is the only place in the
+package that reads the CPU count or starts a thread, and the one statement
+of that policy.  The pool pays end to end: on a 2-vCPU host, medians of 16
+alternated pairs against ``_usable_cpus`` returning 1 were 0.169 s against
+0.275 s for a criterion-06-shaped ``run_normality`` and 0.129 s against
+0.181 s for ``mc-consistency`` on the shipped p = 2 configs, about a third
+off.  Each chunk is drawn by the one loop of ``_fill_column``, filtered as
+one array by each column's kind and passed to the caller's ``reduce``: Gram
+matrices for the Monte Carlo experiments, row sums for ``clt_check``.  A
+row depends only on its seed, never on the chunk or thread that draws it.
+``scipy.signal`` is imported only when an AR(1) column is drawn; iid and
+MA(q) columns need numpy alone.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from .linalg import (
     from_keys,
     to_keys,
 )
-from .seeding import column_subseed, pcg64_seed_words, stream, streams
+from .seeding import column_subseed, pcg64_seed_words, streams
 
 MIXING_ALPHA = "alpha"
 MIXING_PHI = "phi"
@@ -204,19 +201,19 @@ def ar1(a: float, delta: float | None = None, omega: float | None = None) -> Err
     return ErrorProcessSpec(kind="ar1", a=a, delta=delta, omega=omega)
 
 
-def _fill_column(spec: ErrorProcessSpec, sd: float, rngs, out: np.ndarray) -> None:
+def _fill_column(spec: ErrorProcessSpec, sd: float, words: np.ndarray, out: np.ndarray) -> None:
     """Write one draw of the process at marginal sd ``sd`` into each row of ``out``.
 
-    Row r takes its kind's lead plus n normals from the r-th generator of
-    the iterable ``rngs`` alone, drawn with ``standard_normal(out=...)``
-    (so ``rngs`` may build each row's generator as it is taken, as
-    ``seeding.streams`` does); the kind's filter then runs over all rows at
-    once.  A kind with no lead draws straight into ``out``.
+    ``words`` is the (4, rows) slice of ``seeding.pcg64_seed_words`` for
+    the rows' streams.  Row r takes its kind's lead plus n normals from the
+    generator ``seeding.streams`` builds from column r of ``words``, drawn
+    with ``standard_normal(out=...)``; the kind's filter then runs over all
+    rows at once.  A kind with no lead draws straight into ``out``.
     """
     kind = KINDS[spec.kind]
     lead = kind.lead(spec)
     raw = np.empty((out.shape[0], lead + out.shape[1])) if lead else out
-    for row, rng in zip(raw, rngs):
+    for row, rng in zip(raw, streams(words)):
         rng.standard_normal(out=row)
     kind.filter(spec, raw, sd, out)
 
@@ -227,9 +224,9 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
     ``columns`` holds C (process, sd) pairs; row j of block r is a draw of
     ``columns[j]`` from ``stream(seeds[j, r])``.  The PCG64 seed words of
     all C R streams are derived once, and each chunk of ``rows`` consecutive
-    blocks is drawn into its own (k, C, n) array, each row by its own
-    generator from ``seeding.streams``.  ``rows`` is the most blocks of
-    which one chunk per usable CPU fits in ``CHUNK_ELEMENTS`` floats,
+    blocks is drawn into its own (k, C, n) array by ``_fill_column``, each
+    row by its own generator.  ``rows`` is the most blocks of which one
+    chunk per usable CPU fits in ``CHUNK_ELEMENTS`` floats,
     C n + max(0, lead - n) a block for the longest lead: ``_fill_column``
     holds one column's (lead + n) scratch at a time.  The budget counts
     blocks, not that one scratch (three MA(2) columns at n = 250 peak at
@@ -250,7 +247,7 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
         hi = min(lo + rows, count)
         block = np.empty((hi - lo, len(columns), n))
         for j, (spec, sd) in enumerate(columns):
-            _fill_column(spec, sd, streams(words[:, j, lo:hi]), block[:, j])
+            _fill_column(spec, sd, words[:, j, lo:hi], block[:, j])
         return reduce(block)
 
     if workers == 1 or len(starts) < 2:
@@ -270,12 +267,10 @@ def _usable_cpus() -> int:
 
 
 def generate_sequence(spec: ErrorProcessSpec, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` values of the process at unit sd; deterministic given (spec, n, seed)."""
+    """Draw ``n`` values of the process at unit sd from the stream of ``seed`` modulo 2^64."""
     n = as_integer(n, "n", 1)
-    seed = as_integer(seed, "seed")
-    out = np.empty((1, n))
-    _fill_column(spec, 1.0, [stream(seed)], out)
-    return out[0]
+    seed = as_integer(seed, "seed") % (1 << 64)
+    return map_draws([(spec, 1.0)], np.array([[seed]], np.uint64), n, lambda b: b[0, 0])[0]
 
 
 @dataclass(frozen=True)
@@ -325,15 +320,10 @@ class ErrorMatrixSpec:
 def generate_error_matrix(spec: ErrorMatrixSpec, n: int, seed: int) -> np.ndarray:
     """Draw the n x (p+1) error matrix with mutually independent columns.
 
-    Each column is drawn at the sd and from the ``stream`` of the seed that
-    ``spec.column_draws`` gives for ``seed``, a whole number taken modulo
-    2^64.  ``map_draws`` over the same ``column_draws`` draws the same
-    matrices, transposed, for many seeds at once.
+    The matrix is the one block of ``map_draws`` over the ``column_draws``
+    of ``seed``, a whole number taken modulo 2^64, transposed.
     """
     n = as_integer(n, "n", 1)
     seed = as_integer(seed, "seed") % (1 << 64)
-    columns, seeds = spec.column_draws(np.array([seed], dtype=np.uint64))
-    w = np.empty((len(columns), n))
-    for j, (col, sd) in enumerate(columns):
-        _fill_column(col, sd, [stream(int(seeds[j, 0]))], w[j : j + 1])
-    return np.ascontiguousarray(w.T)
+    draws = spec.column_draws(np.array([seed], dtype=np.uint64))
+    return np.ascontiguousarray(map_draws(*draws, n, lambda b: b[0].T)[0])

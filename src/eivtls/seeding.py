@@ -8,11 +8,11 @@ so results are reproducible across platforms.
 The derivations take a Python int or a uint64 array and return the same
 form (the same expressions wrap modulo 2^64 on either), so a whole grid cell
 derives its seeds in a few numpy calls.  ``stream(seed)`` is the reference
-stream, and a draw from one seed (one error matrix) builds it directly.
+stream that the tests compare against; no package module draws from it.
 Building one ``PCG64`` from a seed builds a numpy ``SeedSequence`` each
-time, so the draws from many seeds (``processes.map_draws``, the
-bootstrap's block starts) do not: ``pcg64_seed_words`` runs the
-``SeedSequence`` hash over a seed array at once in numpy, and
+time, so the seeded draws (``processes.map_draws``, the bootstrap's block
+starts) do not: ``pcg64_seed_words`` runs the ``SeedSequence`` hash over
+a seed array at once in numpy, and
 ``bit_generators`` hands each seed's four words to numpy's ``PCG64``
 through its ``ISeedSequence`` interface.  numpy's own C seeding step then
 starts each stream, and per row only the bit generator (and, in

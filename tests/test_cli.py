@@ -235,6 +235,16 @@ def alpha_with_columns(**changes):
     return d
 
 
+def phi_at_p6():
+    """phi_p2.json at p = 6: block [I_6; 1'], beta all 1, seven MA(2) columns, R = 100."""
+    d = json.loads((SHIPPED_CONFIGS / "phi_p2.json").read_text())
+    d["design"]["block"] = np.vstack([np.eye(6), np.ones(6)]).tolist()
+    d["beta"] = [1.0] * 6
+    d["errors"]["columns"] = d["errors"]["columns"][:1] * 7
+    d.update(n_grid=[250], replications=100)
+    return d
+
+
 def phi_with_block_scaled(factor):
     d = json.loads((SHIPPED_CONFIGS / "phi_p2.json").read_text())
     d["design"]["block"] = (factor * np.asarray(d["design"]["block"])).tolist()
@@ -410,6 +420,14 @@ class TestErrorExits:
         code = run("mc-normality", "--config", config_path, "--out", tmp_path / "r.json")
         assert code == EXIT_NUMERICAL
         assert "90 of 100 fits failed" in capsys.readouterr().err
+
+    def test_too_few_replications_for_the_battery_is_config_error(self, tmp_path, capsys):
+        # p = 6 needs 20 * 6 = 120 replications; 100 exit 2 before the draw.
+        path = tmp_path / "p6.json"
+        path.write_text(json.dumps(phi_at_p6()))
+        code = run("mc-normality", "--config", path, "--out", tmp_path / "r.json")
+        assert code == EXIT_CONFIG
+        assert "at least 120 replications, have 100" in capsys.readouterr().err
 
     def test_overflowing_gram_matrices_are_numerical_error(self, tmp_path, capsys):
         # The limit matrix of the scaled block is finite, but y'y at n = 250 is

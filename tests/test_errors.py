@@ -9,11 +9,14 @@ place: ``linalg.as_integer`` with a minimum, so only ``linalg`` names
 (``processes._fill_column``), one column-seed rule
 (``ErrorMatrixSpec.column_draws``), one nested-spec reader
 (``linalg.as_spec``, beside the two config loaders of ``cli``), one
-kind guard (``linalg.check_kind``) and one check that beta and the error
-columns agree with the design (``model.check_model``).  Each process kind
-is named only in its ``processes.KINDS`` row and its factory function, and
-no process module branches on a kind.  ``cli`` states no numeric flag
-default: each belongs to the config class that reads it.
+kind guard (``linalg.check_kind``), one check that beta and the error
+columns agree with the design (``model.check_model``) and one check of a
+theorem's name (``mixing.theorem_conditions``).  No package module draws
+from the reference ``seeding.stream``, so a second draw path fails here.
+Each process kind is named only in its ``processes.KINDS`` row and its
+factory function, and no process module branches on a kind.  ``cli``
+states no numeric flag default: each belongs to the config class that
+reads it.
 """
 
 import ast
@@ -69,16 +72,19 @@ def test_only_linalg_names_the_size_bound():
 # Each name, or string part, may be used at its own sites only: the draw loop
 # every process filters after, the rule that gives error-matrix column j its
 # stream seed, the reader of a nested spec (the two config files are read at
-# the top), the guard that refuses a field its kind does not read, and the
-# check that beta and the error columns agree with the design.
+# the top), the guard that refuses a field its kind does not read, the check
+# that beta and the error columns agree with the design, and the check of a
+# theorem's name.  The reference stream is built by the tests alone.
 ONE_SITE = {
     "standard_normal": ["processes.py:_fill_column"],
     "column_subseed": ["processes.py:ErrorMatrixSpec.column_draws"],
     "PCG64": ["seeding.py:stream", "seeding.py:bit_generators"],
+    "stream": [],
     "from_dict": ["cli.py:_load_experiment", "cli.py:_cmd_clt_check", "linalg.py:as_spec"],
     " takes no ": ["linalg.py:check_kind"],
     " entries, design has p=": ["model.py:check_model"],
     " columns, expected p + 1 = ": ["model.py:check_model"],
+    " expected one of ": ["mixing.py:theorem_conditions"],
 }
 
 
@@ -113,8 +119,11 @@ def test_one_draw_loop_and_one_column_seed_rule():
 
 
 def test_generators_are_built_in_seeding_alone():
-    # The reference stream and the many-seed bit generators; no other module seeds one.
-    assert _sites()["PCG64"] == ONE_SITE["PCG64"]
+    # The reference stream and the many-seed bit generators; no other module
+    # seeds one, and no module draws from the reference stream.
+    found = _sites()
+    for name in ("PCG64", "stream"):
+        assert found[name] == ONE_SITE[name]
 
 
 def test_one_nested_spec_reader_and_one_kind_guard():
@@ -127,6 +136,10 @@ def test_one_model_agreement_check():
     found = _sites()
     for part in (" entries, design has p=", " columns, expected p + 1 = "):
         assert found[part] == ONE_SITE[part]
+
+
+def test_one_theorem_name_check():
+    assert _sites()[" expected one of "] == ONE_SITE[" expected one of "]
 
 
 def test_each_process_kind_is_named_in_its_row_and_its_factory():

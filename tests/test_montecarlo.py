@@ -23,7 +23,7 @@ from eivtls.montecarlo import (
     _replicate,
 )
 from eivtls.presets import default_config, default_design, default_errors
-from eivtls.processes import ErrorMatrixSpec, ar1, iid_gaussian
+from eivtls.processes import ErrorMatrixSpec, ar1, iid_gaussian, ma
 
 
 def small_config(sigma2=1.0, reps=120, n_grid=(40, 80), seed=7):
@@ -197,6 +197,25 @@ class TestRunNormality:
         a, b = reports
         assert np.array_equal(a.deviations, b.deviations)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+
+    def test_too_few_replications_are_refused_before_the_draw(self, monkeypatch):
+        # Mardia's tests need 20 p estimates: at p = 6, 100 replications are
+        # refused before any of them is drawn.
+        def refuse(cfg, cell):
+            raise AssertionError("replications drawn that the battery cannot test")
+
+        monkeypatch.setattr(montecarlo, "_replicate", refuse)
+        cfg = ExperimentConfig(
+            design=repeating_block(np.vstack([np.eye(6), np.ones(6)]).tolist()),
+            beta=np.ones(6),
+            errors=ErrorMatrixSpec((ma((1.0, 0.6, 0.3), omega=1.0),) * 7),
+            n_grid=(250,),
+            replications=100,
+            master_seed=7,
+            theorem="AN-phi",
+        )
+        with pytest.raises(InvalidParams, match="at least 120 replications, have 100$"):
+            run_normality(cfg)
 
 
 class TestRunLongRun:

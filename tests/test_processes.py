@@ -23,7 +23,6 @@ from eivtls.processes import (
     ma,
     map_draws,
 )
-from eivtls.processes import _fill_column
 from eivtls.seeding import column_subseed, stream, streams
 
 N = 100_000
@@ -213,6 +212,10 @@ class TestGenerateSequence:
         assert np.array_equal(
             generate_sequence(spec, 1000, 5), generate_sequence(spec, 1000, 5)
         )
+        # A seed is taken modulo 2^64: iid draws are the normals of its stream().
+        for seed in (-5, 2**64 + 3):
+            expected = stream(seed % 2**64).standard_normal(50)
+            assert np.array_equal(generate_sequence(iid_gaussian(), 50, seed), expected)
 
     def test_n_positive(self):
         with pytest.raises(InvalidParams):
@@ -276,35 +279,6 @@ class TestErrorMatrix:
             generate_error_matrix(spec, 500, 9), generate_error_matrix(spec, 500, 9)
         )
 
-    def test_one_stream_per_column(self, monkeypatch):
-        # One seed builds its column streams directly, without the many-seed path.
-        made = []
-
-        def counted(seed):
-            made.append(seed)
-            return stream(seed)
-
-        def refused(seeds):
-            raise AssertionError("one seed needs no vectorised seeding")
-
-        monkeypatch.setattr(eivtls.processes, "stream", counted)
-        monkeypatch.setattr(eivtls.processes, "pcg64_seed_words", refused)
-        monkeypatch.setattr(eivtls.processes, "streams", refused)
-        spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
-        generate_error_matrix(spec, 50, 7)
-        assert made == [column_subseed(7, j) for j in (1, 2, 3)]
-
-    @pytest.mark.parametrize("seed", [-5, 2**64 + 3, 2**63 + 11])
-    def test_seeds_are_taken_modulo_2_64(self, seed):
-        # The reference seeds each column through stream(), numpy's SeedSequence,
-        # from the sub-seed of the seed reduced modulo 2^64.
-        spec = ErrorMatrixSpec((ma((1.0, 0.5)), ar1(0.6), iid_gaussian()), sigma2=0.7)
-        w = generate_error_matrix(spec, 300, seed)
-        for j, (col, row) in enumerate(zip(spec.column_specs, w.T), start=1):
-            ref = np.empty((1, 300))
-            _fill_column(col, np.sqrt(0.7), [stream(column_subseed(seed % 2**64, j))], ref)
-            assert np.array_equal(row, ref[0])
-
 
 class TestErrorBlocks:
     """``map_draws`` keeping its blocks: the many-seed form of ``generate_error_matrix``."""
@@ -327,25 +301,27 @@ class TestErrorBlocks:
         for block, seed in zip(blocks, seeds):
             assert np.array_equal(block, generate_error_matrix(spec, 300, seed).T)
 
-    def test_against_one_dimensional_filters(self):
-        # The per-column formulas the block filters replace: np.convolve for
-        # MA (summation order differs, so a tolerance of a few ulps), a 1-d
-        # lfilter after a scalar start draw for AR(1) and a scaled draw for
-        # iid (both bit-identical).
-        sd, n, seed = np.sqrt(0.7), 300, 9
+    @pytest.mark.parametrize("seed", [9, -5, 2**64 + 3, 2**63 + 11])
+    def test_against_one_dimensional_filters(self, seed):
+        # The per-column formulas the block filters replace, each column drawn
+        # from stream(), numpy's SeedSequence, of the sub-seed of the seed
+        # reduced modulo 2^64: np.convolve for MA (summation order differs,
+        # so a tolerance of a few ulps), a 1-d lfilter after a scalar start
+        # draw for AR(1) and a scaled draw for iid (both bit-identical).
+        sd, n, base = np.sqrt(0.7), 300, seed % 2**64
         c = np.array([1.0, 0.5, -0.3])
         spec = ErrorMatrixSpec((ma(tuple(c)), ar1(0.6), iid_gaussian()), sigma2=0.7)
-        block = self.blocks(spec, n, [seed])[0]
-        eta = stream(column_subseed(seed, 1)).standard_normal(n + 2)
+        block = generate_error_matrix(spec, n, seed).T
+        eta = stream(column_subseed(base, 1)).standard_normal(n + 2)
         ref = sd * np.convolve(eta, c, mode="valid") / np.linalg.norm(c)
         atol = 8 * np.finfo(float).eps * np.max(np.abs(ref))
         np.testing.assert_allclose(block[0], ref, rtol=0, atol=atol)
-        rng = stream(column_subseed(seed, 2))
+        rng = stream(column_subseed(base, 2))
         x0 = sd * rng.standard_normal()
         innov = sd * np.sqrt(1.0 - 0.36) * rng.standard_normal(n)
         ref, _ = lfilter([1.0], [1.0, -0.6], innov, zi=np.array([0.6 * x0]))
         assert np.array_equal(block[1], ref)
-        assert np.array_equal(block[2], sd * stream(column_subseed(seed, 3)).standard_normal(n))
+        assert np.array_equal(block[2], sd * stream(column_subseed(base, 3)).standard_normal(n))
 
     def test_reused_generator_draws_the_same_blocks(self, monkeypatch):
         # Each step draws the rows of its chunk from one iterator of generators.
@@ -373,19 +349,13 @@ class TestErrorBlocks:
         assert map_draws(*spec.column_draws(np.array([], dtype=np.uint64)), 200, len) == []
 
     def test_one_generator_draws_every_row(self, monkeypatch):
-        # Each row's generator comes from one many-seed iterator per chunk and
-        # column; no reference stream is built.
-        made, chunks = [], []
-
-        def counted(seed):
-            made.append(seed)
-            return stream(seed)
+        # Each row's generator comes from one many-seed iterator per chunk and column.
+        chunks = []
 
         def counted_streams(words):
             chunks.append(words.shape[1])
             return streams(words)
 
-        monkeypatch.setattr(eivtls.processes, "stream", counted)
         monkeypatch.setattr(eivtls.processes, "streams", counted_streams)
         monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
@@ -393,7 +363,6 @@ class TestErrorBlocks:
             monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", per_chunk * 3 * 50)
             chunks.clear()
             steps = map_draws(*spec.column_draws(np.array(self.SEEDS, dtype=np.uint64)), 50, len)
-            assert made == []
             assert len(chunks) == 3 * len(steps) == 3 * -(-4 // per_chunk)
             assert sum(chunks) == 3 * 4
 
@@ -450,6 +419,17 @@ class TestMapChunks:
         chunks = self.draws(lambda b: b.copy())
         assert len(chunks) == 5
         assert np.array_equal(np.concatenate(chunks), whole)
+
+    def test_one_seed_starts_no_thread(self, monkeypatch):
+        # One seed is one chunk, drawn on the calling thread whatever the CPU count.
+        whole = generate_error_matrix(self.SPEC, 40, 3)
+        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 4)
+
+        def refuse(thread):
+            raise AssertionError(f"a one-seed draw started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert np.array_equal(generate_error_matrix(self.SPEC, 40, 3), whole)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_reduces_in_flight_at_most_usable_cpus(self, monkeypatch, workers):

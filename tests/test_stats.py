@@ -185,7 +185,7 @@ class TestCltCheck:
 
     def test_degenerate_variance(self, monkeypatch):
         monkeypatch.setattr(
-            eivtls.processes, "_fill_column", lambda spec, sd, rngs, out: out.fill(0.0)
+            eivtls.processes, "_fill_column", lambda spec, sd, words, out: out.fill(0.0)
         )
         with pytest.raises(NumericalError, match="partial-sum variance estimate is not positive"):
             clt_check(iid_gaussian(), n=1000, replications=500, seed=0)
