@@ -19,7 +19,9 @@ bare PCG64 bit generator seeded by numpy from those words
 (``seeding.bit_generators``), and turns the whole chunk's words into starts
 bit-identical to ``Generator.integers`` by one batched bounded transform
 (numpy's own, Lemire 2019).  Each resample's Gram is summed from the two
-tables one block position at a time.  So memory stays at about B (p+1)^2
+tables one block position at a time into its row of one (B, p+1, p+1)
+stack, allocated before the first start is drawn so that a count the host
+cannot hold is refused before any work.  So memory stays at about B (p+1)^2
 floats plus the tables and one chunk of starts whatever n and L are, and
 all resamples are refitted together by the batched TLS kernel
 ``estimator.tls_from_gram``.  No thread is started: what is left per
@@ -54,7 +56,7 @@ STARTS_IN_FLIGHT = 1 << 20
 
 def choose_block_length(n: int) -> int:
     """Default block length floor(n^(1/3)); n is at least 8, so it lies in [2, n // 4]."""
-    return _icbrt(as_integer(n, "n", 8))
+    return _icbrt(as_integer(n, "rows for an automatic block length", 8))
 
 
 @dataclass(frozen=True)
@@ -176,14 +178,16 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
     if length > n:
         raise InvalidParams(f"block length {length} exceeds n = {n}")
 
+    side = x.shape[1] + 1
+    as_integer(cfg.n_boot * side * side, "n_boot * (p+1)^2 resample Gram entries", 1)
+    grams = np.empty((cfg.n_boot, side, side))
     full, last = _block_tables(np.column_stack([x, y]), length)
     n_blocks = -(-n // length)
     per_chunk = max(1, STARTS_IN_FLIGHT // max(n_blocks + n_blocks % 2, 32))
-    grams = []
     for lo in range(0, cfg.n_boot, per_chunk):
-        starts = _block_starts(n, length, cfg.seed, lo, min(lo + per_chunk, cfg.n_boot))
-        grams.append(_resample_grams(full, last, starts))
-    refits = tls_from_gram(np.concatenate(grams))
+        hi = min(lo + per_chunk, cfg.n_boot)
+        grams[lo:hi] = _resample_grams(full, last, _block_starts(n, length, cfg.seed, lo, hi))
+    refits = tls_from_gram(grams)
     ok = refits.status == FIT_OK
     failures = int(np.count_nonzero(~ok))
     if failures > MAX_FAILURE_FRACTION * cfg.n_boot:

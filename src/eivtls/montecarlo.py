@@ -168,7 +168,7 @@ def _checked_assumptions(cfg: ExperimentConfig, override: bool) -> AssumptionRep
         failed = [c.name for c in report.checks if not c.passed]
         raise InvalidParams(
             f"assumption check failed ({', '.join(failed)}); "
-            "pass override_assumptions=True to run anyway"
+            "pass --override-assumptions (override_assumptions=True) to run anyway"
         )
     return report
 

@@ -48,7 +48,7 @@ class TestChooseBlockLength:
         assert choose_block_length(12) == 2
 
     def test_too_small(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="rows for an automatic block length"):
             choose_block_length(7)
 
 

@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eivtls
+import eivtls.bootstrap
 import eivtls.cli
 import eivtls.processes
 import eivtls.montecarlo
-from eivtls.bootstrap import BootstrapConfig
+from eivtls.bootstrap import BootstrapConfig, block_bootstrap_ci
 from eivtls.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from eivtls.errors import InvalidParams
 from eivtls.estimator import FIT_EIG_GAP, FIT_NONGENERIC, tls_from_gram
@@ -398,6 +399,11 @@ class TestErrorExits:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_failed_assumptions_name_the_override_flag(self, tmp_path, capsys):
+        code, err = exit_and_error(tmp_path, capsys, "mc-consistency", alpha_with_columns(delta=0.5))
+        assert code == EXIT_CONFIG
+        assert "--override-assumptions" in err
+
     def test_non_numeric_direction_is_config_error(self, tmp_path, config_path, capsys):
         out = tmp_path / "lr.json"
         code = run("long-run-check", "--config", config_path, "--t", "a,b", "--out", out)
@@ -601,7 +607,8 @@ class TestConfigSchema:
 
 
 class TestSizeLimits:
-    """Sizes above MAX_LENGTH fail before anything is allocated; none below is run."""
+    """Sizes above MAX_LENGTH fail before anything is allocated, and a resample
+    count whose Grams cannot be held fails before any start is drawn."""
 
     @pytest.mark.parametrize(
         "changes",
@@ -635,6 +642,26 @@ class TestSizeLimits:
     def test_bootstrap_resample_count(self):
         with pytest.raises(InvalidParams, match="at most"):
             BootstrapConfig(n_boot=MAX_LENGTH + 1)
+
+    @pytest.mark.parametrize(
+        "n_boot, error, message",
+        # At p = 1, 10**17 Grams take about 3e18 bytes, past any address space,
+        # and MAX_LENGTH Grams have more entries than MAX_LENGTH.
+        [(10**17, MemoryError, "error: out of memory: "), (MAX_LENGTH, InvalidParams, "error: n_boot")],
+        ids=["n_boot-10**17", "n_boot-MAX_LENGTH"],
+    )
+    def test_unholdable_resamples_draw_no_start(self, tmp_path, monkeypatch, capsys, n_boot, error, message):
+        def drawn(*args):
+            raise AssertionError("a block start was drawn")
+
+        monkeypatch.setattr(eivtls.bootstrap, "_block_starts", drawn)
+        data = tmp_path / "d.csv"
+        data.write_text(CLEAN_CSV)
+        with pytest.raises(error):
+            block_bootstrap_ci(*read_dataset_csv(data), BootstrapConfig(block_length=2, n_boot=n_boot))
+        argv = ["--data", data, "--block-length", 2, "--n-boot", n_boot, "--out", tmp_path / "r.json"]
+        assert run("bootstrap-ci", *argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(message)
 
     def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys):
         def exhausted(x, y):

@@ -90,7 +90,7 @@ SIZES = {
     "n_boot": ("n_boot", 199, lambda v: BootstrapConfig(n_boot=v)),
     "block_length": ("block_length", 1, lambda v: BootstrapConfig(block_length=v)),
     "bandwidth": ("bandwidth", 0, lambda v: long_run_variance(np.zeros((100, 1)), bandwidth=v)),
-    "choose_block_length": ("n", 8, choose_block_length),
+    "choose_block_length": ("rows for an automatic block length", 8, choose_block_length),
 }
 
 
@@ -123,7 +123,7 @@ class TestChooseBlockLengthReadsN:
             raise AssertionError("the cube root ran")
 
         monkeypatch.setattr(eivtls.bootstrap, "_icbrt", unreachable)
-        with pytest.raises(InvalidParams, match="^n must be"):
+        with pytest.raises(InvalidParams, match="^rows for an automatic block length must be"):
             choose_block_length(n)
 
 
