@@ -19,16 +19,17 @@ bare PCG64 bit generator seeded by numpy from those words
 (``seeding.bit_generators``), and turns the whole chunk's words into starts
 bit-identical to ``Generator.integers`` by one batched bounded transform
 (numpy's own, Lemire 2019).  Each resample's Gram is summed from the two
-tables one block position at a time into its row of one (B, p+1, p+1)
-stack, allocated before the first start is drawn so that a count the host
-cannot hold is refused before any work.  So memory stays at about B (p+1)^2
-floats plus the tables and one chunk of starts whatever n and L are, and
-all resamples are refitted together by the batched TLS kernel
-``estimator.tls_from_gram``.  No thread is started: what is left per
-resample is building its bit generator and one ``random_raw`` call, both
-under the interpreter lock, and that loop ran slower on two threads than on
-one (two runs of 20 000 streams of 50 words: 138-153 ms on one thread,
-171-202 ms on two, 2 vCPUs).
+tables one block position at a time, and the chunk's Grams are refitted at
+once by the batched TLS kernel ``estimator.tls_from_gram``, whose rows do
+not depend on one another.  Only the estimates and fit statuses outlive the
+chunk, in a (B, p) array and a B-vector allocated before the first start is
+drawn so that a count the host cannot hold is refused before any work.  So
+memory stays at about 8p + 1 bytes a resample plus the tables and one
+chunk's starts, Grams and refit whatever n and L are.  No thread is
+started: what is left per resample is building its bit generator and one
+``random_raw`` call, both under the interpreter lock, and that loop ran
+slower on two threads than on one (two runs of 20 000 streams of 50 words:
+138-153 ms on one thread, 171-202 ms on two, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -50,7 +51,10 @@ MAX_FAILURE_FRACTION = 0.10
 # mask byte), and a resample's count is rounded up to even.  A resample's
 # four seed words take 32 bytes more while its starts are drawn, 64 while its
 # raw words are (with their row-major copy) and 144 at most while they are
-# derived, so it counts as at least 32 starts.  So a chunk stays under 15 MB.
+# derived, so it counts as at least 32 starts.  So a chunk's starts stay
+# under 15 MB.  Its Grams and their refit then take under 75 (p+1)^2 bytes a
+# resample (``tls_from_gram`` needs up to 8 times its stack), and a chunk
+# holds at most 2^15 resamples: under 23 MB at p = 2.
 STARTS_IN_FLIGHT = 1 << 20
 
 
@@ -178,21 +182,22 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
     if length > n:
         raise InvalidParams(f"block length {length} exceeds n = {n}")
 
-    side = x.shape[1] + 1
-    as_integer(cfg.n_boot * side * side, "n_boot * (p+1)^2 resample Gram entries", 1)
-    grams = np.empty((cfg.n_boot, side, side))
+    p = x.shape[1]
+    as_integer(cfg.n_boot * p, "n_boot * p resample estimates", 1)
+    beta = np.empty((cfg.n_boot, p))
+    status = np.empty(cfg.n_boot, dtype=np.int8)
     full, last = _block_tables(np.column_stack([x, y]), length)
     n_blocks = -(-n // length)
     per_chunk = max(1, STARTS_IN_FLIGHT // max(n_blocks + n_blocks % 2, 32))
     for lo in range(0, cfg.n_boot, per_chunk):
         hi = min(lo + per_chunk, cfg.n_boot)
-        grams[lo:hi] = _resample_grams(full, last, _block_starts(n, length, cfg.seed, lo, hi))
-    refits = tls_from_gram(grams)
-    ok = refits.status == FIT_OK
+        refits = tls_from_gram(_resample_grams(full, last, _block_starts(n, length, cfg.seed, lo, hi)))
+        beta[lo:hi], status[lo:hi] = refits.beta, refits.status
+    ok = status == FIT_OK
     failures = int(np.count_nonzero(~ok))
     if failures > MAX_FAILURE_FRACTION * cfg.n_boot:
         raise NumericalError(f"{failures} of {cfg.n_boot} resamples failed to refit")
-    draws = refits.beta[ok]
+    draws = beta[ok]
     alpha = 1.0 - cfg.level
     # numpy's default interpolation is the type-7 quantile rule.
     lower = np.quantile(draws, alpha / 2.0, axis=0)

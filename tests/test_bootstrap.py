@@ -20,7 +20,7 @@ from eivtls.seeding import derive_subseed, stream
 
 
 def refits_failing(failed):
-    """A tls_from_gram that marks the resamples r with ``failed(r)`` non-generic."""
+    """A tls_from_gram that marks the rows r with ``failed(r)`` of each chunk non-generic."""
 
     def kernel(m):
         fits = tls_from_gram(m)
@@ -214,6 +214,37 @@ class TestBlockBootstrapCi:
         finally:
             tracemalloc.stop()
         assert peak <= (13 * (n_blocks + n_blocks % 2) + 280) * resamples
+
+    def test_interval_holds_one_chunk_of_grams(self, monkeypatch):
+        # p = 2, n = 200: 40 blocks of 5 rows, chunks of 5000 resamples.
+        errors = ErrorMatrixSpec((ma((1.0, 1.0)),) * 3, sigma2=0.25)
+        design = repeating_block([[1.0, 0.0], [2.0, 1.0], [0.0, -1.0]])
+        inst = synthesize(design, [1.5, -0.5], errors, 200, 7)
+        monkeypatch.setattr(bootstrap_mod, "STARTS_IN_FLIGHT", 40 * 5000)
+        chunks = []
+        draw = bootstrap_mod._block_starts
+
+        def counted(*args):
+            chunks.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(bootstrap_mod, "_block_starts", counted)
+        cfg = BootstrapConfig(n_boot=20_000, seed=1)
+        # Once untraced first, so that numpy's one-time set-up is not counted.
+        block_bootstrap_ci(inst.x, inst.y, BootstrapConfig(n_boot=199))
+        chunks.clear()
+        tracemalloc.start()
+        try:
+            block_bootstrap_ci(inst.x, inst.y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 4
+        # The estimates and statuses of all resamples, then one chunk's
+        # starts (as bounded above) and its Grams with their refit, under
+        # 75 (p+1)^2 bytes a resample.  A refit of all 20 000 Grams at once
+        # would take about 10 MB.
+        assert peak <= 20_000 * (8 * 2 + 1) + 5000 * (13 * 40 + 280 + 75 * 9)
 
     def test_independent_of_chunking(self, monkeypatch):
         x, y = make_dataset(300, seed=6, dependent=True)

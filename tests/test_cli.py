@@ -39,6 +39,7 @@ GOLDEN_LAMBDA = 9.0 - 4.0 * np.sqrt(5.0)
 GOLDEN_BETA = (1.0 + np.sqrt(5.0)) / 2.0
 
 CLEAN_CSV = "x1,y\n1.0,2.1\n2.0,2.9\n3.0,4.2\n4.0,4.8\n"
+CLEAN_CSV_P2 = "x1,x2,y\n1.0,0.5,2.1\n2.0,-0.3,2.9\n3.0,1.2,4.2\n4.0,0.1,4.8\n"
 BAD_DATASETS = {
     "wrong-header": b"x,y\n1.0,2.1\n2.0,2.9\n",
     "ragged-row": b"x1,y\n1.0,2.1\n2.0\n3.0,4.2\n",
@@ -644,19 +645,24 @@ class TestSizeLimits:
             BootstrapConfig(n_boot=MAX_LENGTH + 1)
 
     @pytest.mark.parametrize(
-        "n_boot, error, message",
-        # At p = 1, 10**17 Grams take about 3e18 bytes, past any address space,
-        # and MAX_LENGTH Grams have more entries than MAX_LENGTH.
-        [(10**17, MemoryError, "error: out of memory: "), (MAX_LENGTH, InvalidParams, "error: n_boot")],
-        ids=["n_boot-10**17", "n_boot-MAX_LENGTH"],
+        "csv, n_boot, error, message",
+        # At p = 1, 10**17 estimates take 8e17 bytes and MAX_LENGTH estimates
+        # about 2^63 bytes, past any address space; at p = 2, MAX_LENGTH resamples
+        # have more estimates than MAX_LENGTH.
+        [
+            (CLEAN_CSV, 10**17, MemoryError, "error: out of memory: "),
+            (CLEAN_CSV, MAX_LENGTH, MemoryError, "error: out of memory: "),
+            (CLEAN_CSV_P2, MAX_LENGTH, InvalidParams, "error: n_boot * p"),
+        ],
+        ids=["n_boot-10**17", "n_boot-MAX_LENGTH", "p2-n_boot-MAX_LENGTH"],
     )
-    def test_unholdable_resamples_draw_no_start(self, tmp_path, monkeypatch, capsys, n_boot, error, message):
+    def test_unholdable_resamples_draw_no_start(self, tmp_path, monkeypatch, capsys, csv, n_boot, error, message):
         def drawn(*args):
             raise AssertionError("a block start was drawn")
 
         monkeypatch.setattr(eivtls.bootstrap, "_block_starts", drawn)
         data = tmp_path / "d.csv"
-        data.write_text(CLEAN_CSV)
+        data.write_text(csv)
         with pytest.raises(error):
             block_bootstrap_ci(*read_dataset_csv(data), BootstrapConfig(block_length=2, n_boot=n_boot))
         argv = ["--data", data, "--block-length", 2, "--n-boot", n_boot, "--out", tmp_path / "r.json"]

@@ -8,7 +8,9 @@ from eivtls.estimator import (
     CROSS_CHECK_TOL,
     EIG_GAP_RTOL,
     FIT_CROSS_CHECK,
+    FIT_EIG_GAP,
     FIT_FAILURES,
+    FIT_NONGENERIC,
     FIT_NOT_FINITE,
     FIT_NOT_SPD,
     FIT_OK,
@@ -297,6 +299,25 @@ class TestTlsFromGram:
         # Finite data whose Gram matrix overflows.
         with np.errstate(over="ignore"), pytest.raises(IllConditioned, match="non-finite"):
             tls_fit(1e200 * GOLDEN_X, 1e200 * GOLDEN_Y)
+
+    def test_any_split_of_a_stack_refits_bit_for_bit(self):
+        # Each row's fit depends on that row alone, so a stack refitted in
+        # pieces, as the bootstrap refits its chunks, matches the whole.
+        finite = [joint_gram(x, y) for x, y in self.datasets()]
+        bad = [np.full((3, 3), np.inf), np.where(np.eye(3) > 0, np.nan, finite[0])]
+        rng = np.random.default_rng(0)
+        guarded = np.stack(finite + bad)[rng.permutation(len(finite) + 2)]
+        statuses = set(tls_from_gram(guarded).status.tolist())
+        assert {FIT_OK, FIT_EIG_GAP, FIT_NONGENERIC, FIT_NOT_SPD, FIT_NOT_FINITE} <= statuses
+        random = [np.stack([joint_gram(*random_dataset(s, p=p)) for s in range(40)]) for p in (1, 3)]
+        for stack in [guarded, *random]:
+            whole = tls_from_gram(stack)
+            rows = np.arange(1, len(stack))
+            for cuts in [rows, *(np.sort(rng.choice(rows, size=k, replace=False)) for k in (1, 2, 5))]:
+                parts = [tls_from_gram(part) for part in np.split(stack, cuts)]
+                for name, value in zip(whole._fields, whole):
+                    joined = np.concatenate([getattr(part, name) for part in parts])
+                    assert np.array_equal(joined, value, equal_nan=True), (name, cuts)
 
 
 class TestOls:
