@@ -7,7 +7,8 @@ not finite integers or floats.  ``as_number`` reads a float and
 ``as_integer`` with a minimum is the one reader of every size and count
 (a sample size, a replication or resample count, a block length, a
 bandwidth): it refuses a value below the minimum or above ``MAX_LENGTH``,
-which no other module names.  A spec dataclass is read from a config
+which no other module names; ``icbrt``, the floor cube root of such a
+size, rests on that bound.  A spec dataclass is read from a config
 object whose keys are its fields by ``from_keys`` (a nested one by
 ``as_spec``), written by ``to_keys`` and checked by ``check_kind``.  The
 numerical kernels call ``numpy`` (LAPACK) directly.
@@ -25,6 +26,15 @@ _REAL = (int, float, np.integer, np.floating)
 # The most float64 values one array can address: a larger sample size or
 # replication count is refused before anything is allocated.
 MAX_LENGTH = np.iinfo(np.intp).max // 8
+
+
+def icbrt(n: int) -> int:
+    """Exact integer floor cube root (float powers round 1000**(1/3) down)."""
+    # Up to MAX_LENGTH the float root errs by under 1e-9: round is never below the floor.
+    k = int(round(n ** (1.0 / 3.0)))
+    while k**3 > n:
+        k -= 1
+    return max(k, 0)
 
 
 def _float_array(a, what: str) -> np.ndarray:

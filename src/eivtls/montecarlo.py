@@ -16,10 +16,11 @@ Grams), and the long-run check takes the scores
 ``G [beta; -1]``.  The stack itself is R (p+1)^2 floats, but two steps
 around it take more: ``map_draws`` derives the PCG64 seed words of all C R
 streams at once (about 136 bytes a stream while derived, 32 after), and
-the refit needs about 6.4 times the stack at p = 2.  So ``run_normality`` at
-n = 250 on ``phi_p2.json`` peaks at 10.8 MB for 1.44 MB of Grams at
-R = 20 000, and at 53.1 MB for 7.2 MB at R = 100 000, where the seed words
-take 40.8 MB while derived and the refit 45.9 MB (``tracemalloc``).
+the refit needs the multiple of the stack that ``tls_from_gram`` states.
+So ``run_normality`` at n = 250 on ``phi_p2.json`` peaks at 8.8 MB for
+1.44 MB of Grams at R = 20 000, and at 44.0 MB for 7.2 MB at R = 100 000,
+where the seed words take 40.8 MB while derived and the refit about 31 MB
+(``tracemalloc``).
 Every Gram depends only on its own replication's streams,
 so reports are bit-identical for any number of CPUs and any value of the
 ``threads`` argument of the ``run_*`` functions, which is accepted and

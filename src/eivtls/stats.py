@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NumericalError
-from .linalg import as_integer, as_matrix, as_spec, as_vector, from_keys
+from .linalg import as_integer, as_matrix, as_spec, as_vector, from_keys, icbrt
 from .processes import ErrorProcessSpec, map_draws
 from .seeding import derive_subseed
 
@@ -246,7 +246,7 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
     x = as_matrix(x, vector_as_column=True)
     n, d = x.shape
     if bandwidth == "auto":
-        b = _icbrt(n)
+        b = icbrt(n)
     else:
         b = as_integer(bandwidth, "bandwidth", 0)
     if n < 10 * (b + 1):
@@ -264,12 +264,3 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
         out = vecs @ np.diag(np.clip(eigs, 0.0, None)) @ vecs.T
         out = 0.5 * (out + out.T)
     return LongRunVariance(out, b, psd_clipped=clipped, positive_definite=pd)
-
-
-def _icbrt(n: int) -> int:
-    """Exact integer floor cube root (float powers round 1000**(1/3) down)."""
-    # Up to linalg.MAX_LENGTH the float root errs by under 1e-9: round is never below the floor.
-    k = int(round(n ** (1.0 / 3.0)))
-    while k**3 > n:
-        k -= 1
-    return max(k, 0)

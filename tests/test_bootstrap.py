@@ -242,9 +242,9 @@ class TestBlockBootstrapCi:
         assert len(chunks) == 4
         # The estimates and statuses of all resamples, then one chunk's
         # starts (as bounded above) and its Grams with their refit, under
-        # 75 (p+1)^2 bytes a resample.  A refit of all 20 000 Grams at once
-        # would take about 10 MB.
-        assert peak <= 20_000 * (8 * 2 + 1) + 5000 * (13 * 40 + 280 + 75 * 9)
+        # 55 (p+1)^2 bytes a resample.  A refit of all 20 000 Grams at once
+        # would take about 7 MB.
+        assert peak <= 20_000 * (8 * 2 + 1) + 5000 * (13 * 40 + 280 + 55 * 9)
 
     def test_independent_of_chunking(self, monkeypatch):
         x, y = make_dataset(300, seed=6, dependent=True)

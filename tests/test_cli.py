@@ -476,6 +476,24 @@ class TestErrorExits:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code in (EXIT_OK, EXIT_NUMERICAL)
 
+    def test_near_limit_resample_grams_exit_without_warning(self, tmp_path, capsys):
+        # Row 7's Gram is finite, but a resample that draws it twice is not:
+        # those resamples fail to refit, with no overflow warning.
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(400)
+        y = x + 0.5 * rng.standard_normal(400)
+        x[7], y[7] = 9e153, 4.5e153
+        data = tmp_path / "near_limit.csv"
+        write_dataset_csv(str(data), x[:, None], y)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("bootstrap-ci", "--data", data, "--block-length", 1, "--n-boot", 199, "--out", out)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code == EXIT_NUMERICAL
+        assert "resamples failed to refit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_underdetermined_dataset_is_config_error(self, tmp_path):
         data = tmp_path / "short.csv"
         write_dataset_csv(

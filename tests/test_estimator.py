@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -318,6 +319,22 @@ class TestTlsFromGram:
                 for name, value in zip(whole._fields, whole):
                     joined = np.concatenate([getattr(part, name) for part in parts])
                     assert np.array_equal(joined, value, equal_nan=True), (name, cuts)
+
+    def test_refit_works_in_one_copy_of_the_stack(self):
+        # The kernel's own symmetrised copy, eigh's eigenvectors, the
+        # Cholesky factor and the results: under 5 times the stack's bytes.
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((20_000, 30, 3))
+        stack = np.einsum("rni,rnj->rij", a, a)
+        # Once untraced first, so that numpy's one-time set-up is not counted.
+        tls_from_gram(stack[:3])
+        tracemalloc.start()
+        try:
+            tls_from_gram(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * stack.nbytes
 
 
 class TestOls:

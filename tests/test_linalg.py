@@ -122,7 +122,7 @@ class TestChooseBlockLengthReadsN:
         def unreachable(n):
             raise AssertionError("the cube root ran")
 
-        monkeypatch.setattr(eivtls.bootstrap, "_icbrt", unreachable)
+        monkeypatch.setattr(eivtls.bootstrap, "icbrt", unreachable)
         with pytest.raises(InvalidParams, match="^rows for an automatic block length must be"):
             choose_block_length(n)
 

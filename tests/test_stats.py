@@ -6,10 +6,9 @@ from scipy import stats as sps
 import eivtls.processes
 import eivtls.processes
 from eivtls.errors import InvalidParams, NumericalError
-from eivtls.linalg import MAX_LENGTH
+from eivtls.linalg import MAX_LENGTH, icbrt
 from eivtls.seeding import derive_subseed
 from eivtls.stats import (
-    _icbrt,
     clt_check,
     ks_statistic,
     long_run_variance,
@@ -270,24 +269,24 @@ class TestLongRunVariance:
 class TestIcbrt:
     def test_exact_cubes_and_neighbours(self):
         for k in (1, 9, 10, 31, 100):
-            assert _icbrt(k**3) == k
-            assert _icbrt(k**3 - 1) == k - 1
-            assert _icbrt(k**3 + 1) == k
+            assert icbrt(k**3) == k
+            assert icbrt(k**3 - 1) == k - 1
+            assert icbrt(k**3 + 1) == k
 
     def test_cubes_near_the_largest_length(self):
         # MAX_LENGTH^(1/3) is about 1.05e6, where the float root errs most.
-        top = _icbrt(MAX_LENGTH)
+        top = icbrt(MAX_LENGTH)
         assert top**3 <= MAX_LENGTH < (top + 1) ** 3
         for k in (top - 1000, top - 1, top):
-            assert _icbrt(k**3) == k
-            assert _icbrt(k**3 - 1) == k - 1
-            assert _icbrt(k**3 + 1) == k
-            assert _icbrt((k + 1) ** 3 - 1) == k
+            assert icbrt(k**3) == k
+            assert icbrt(k**3 - 1) == k - 1
+            assert icbrt(k**3 + 1) == k
+            assert icbrt((k + 1) ** 3 - 1) == k
 
     def test_small_values(self):
-        assert _icbrt(0) == 0
-        assert _icbrt(7) == 1
-        assert _icbrt(8) == 2
+        assert icbrt(0) == 0
+        assert icbrt(7) == 1
+        assert icbrt(8) == 2
 
 
 class TestDeriveSubseedSanity:
