@@ -26,6 +26,11 @@ row in another order than a contiguous one.  So the kernel copies the stack
 to C order and sums blocks of ``GRAM_BLOCK`` columns, adding them in column
 order: each Gram then depends on its own rows alone, never on the chunk
 that holds them.
+
+Every Gram the package forms is exactly symmetric, so the kernels never
+symmetrise: ``tls_from_gram`` and ``ols_from_gram`` read the lower triangle
+of each matrix, as LAPACK's ``eigh`` does, and a caller's asymmetric stack
+is fitted as the symmetric matrix of its lower triangle.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ class GramFits(NamedTuple):
 
     beta: np.ndarray  # (R, p) closed-form estimates; NaN where status != FIT_OK
     lam: np.ndarray  # (R,) smallest eigenvalue of each Gram matrix; NaN if not finite
-    v: np.ndarray  # (R, p+1) smallest eigenvectors, scaled so v[:, -1] == -1; NaN if not finite
+    v: np.ndarray  # (R, p+1) smallest eigenvectors, scaled so v[:, -1] == -1; NaN where status != FIT_OK
     status: np.ndarray  # (R,) FIT_OK or the FIT_* code of the failing guard
 
 
@@ -126,14 +131,13 @@ def tls_from_gram(m) -> GramFits:
     eigen-gap guard, the non-generic eigenvector guard, positive
     definiteness of ``G[:p, :p] - lam I`` and the closed-form cross-check.
     The first guard a row fails is its status; a failing row never changes
-    the result of another.  It works in one symmetrised copy of the stack,
-    and its ``tracemalloc`` peak is at most about 5.6, 4.4 and 4.0 times
-    the stack's bytes at p = 1, 2 and 3 (20 000 rows or more).
+    the result of another.  It works in one copy of the stack, reads the
+    lower triangle of each matrix, and its ``tracemalloc`` peak is at most
+    about 5.6, 4.4 and 4.0 times the stack's bytes at p = 1, 2 and 3
+    (20 000 rows or more).
     """
-    m = np.asarray(m, dtype=float)
+    m = np.array(m, dtype=float)
     p = m.shape[-1] - 1
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = 0.5 * (m + m.mT)
     finite = np.all(np.isfinite(m), axis=(1, 2))
     status = np.where(finite, FIT_OK, FIT_NOT_FINITE).astype(np.int8)
     m[~finite] = 0.0  # eigh never sees a non-finite row
@@ -158,9 +162,9 @@ def tls_from_gram(m) -> GramFits:
         scale = 1.0 + np.max(np.abs(v[:, :p]), axis=1)
         agree = np.max(np.abs(beta - v[:, :p]), axis=1) <= CROSS_CHECK_TOL * scale
     refuse(~agree, FIT_CROSS_CHECK)
-    beta[status != FIT_OK] = np.nan
+    failed = status != FIT_OK
+    beta[failed] = v[failed] = np.nan
     lam[~finite] = np.nan
-    v[~finite] = np.nan
     return GramFits(beta=beta, lam=lam, v=v, status=status)
 
 

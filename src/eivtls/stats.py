@@ -238,10 +238,12 @@ class LongRunVariance:
 def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
     """Bartlett-kernel estimate of the long-run covariance of a row sequence.
 
-    ``auto`` bandwidth is floor(n^(1/3)).  The estimate is symmetrized and,
-    if indefinite, projected onto the PSD cone by clipping negative
-    eigenvalues (flagged, never silent).  A zero estimate (constant rows)
-    has exact zero eigenvalues: neither clipped nor positive definite.
+    ``auto`` bandwidth is floor(n^(1/3)).  The Bartlett sum is exactly
+    symmetric as formed.  If it is indefinite, it is projected onto the PSD
+    cone by clipping negative eigenvalues (flagged, never silent), and only
+    then symmetrized, as the projection is not exactly symmetric.  A zero
+    estimate (constant rows) has exact zero eigenvalues: neither clipped nor
+    positive definite.
     """
     x = as_matrix(x, vector_as_column=True)
     n, d = x.shape
@@ -256,7 +258,6 @@ def long_run_variance(x, bandwidth="auto") -> LongRunVariance:
     for k in range(1, b + 1):
         gamma = xc[k:].T @ xc[:-k] / n
         out += (1.0 - k / (b + 1.0)) * (gamma + gamma.T)
-    out = 0.5 * (out + out.T)
     eigs, vecs = np.linalg.eigh(out)  # ascending
     clipped = bool(eigs[0] < 0)
     pd = bool(eigs[0] > 0)

@@ -173,6 +173,16 @@ class TestBlockBootstrapCi:
             expected = rows[idx].T @ rows[idx]
             assert np.max(np.abs(grams[r] - expected)) <= 1e-13 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("n, length", [(1003, 7), (16001, 25), (100, 1)])
+    def test_block_and_resample_grams_are_exactly_symmetric(self, n, length, c):
+        # The TLS kernel reads only the lower triangle of each resample Gram.
+        rows = 3.0 + np.random.default_rng(n + c).standard_normal((n, c))
+        full, last = bootstrap_mod._block_tables(rows, length)
+        grams = bootstrap_mod._resample_grams(full, last, bootstrap_mod._block_starts(n, length, 4, 0, 50))
+        for table in (full, last, grams):
+            assert np.array_equal(table, table.mT)
+
     @pytest.mark.parametrize(
         "n, length, lo, hi",
         [

@@ -272,6 +272,15 @@ def fits_failing(failed):
     return kernel
 
 
+def near_limit_dataset():
+    """400 rows whose row 7 alone puts x'x at 9.216e307, near the float limit."""
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(400)
+    y = x + 0.5 * rng.standard_normal(400)
+    x[7], y[7] = 9.6e153, 4.0e153
+    return x, y
+
+
 class TestErrorExits:
     @pytest.mark.parametrize(
         "command, config",
@@ -476,13 +485,24 @@ class TestErrorExits:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code in (EXIT_OK, EXIT_NUMERICAL)
 
+    def test_near_limit_dataset_is_fitted(self, tmp_path):
+        # Its Gram [[9.216e307, 3.84e307], [3.84e307, 1.6e307]] is finite, and
+        # so is every step of the fit: the same fit as the data times 1e-150.
+        x, y = near_limit_dataset()
+        data, out = tmp_path / "near_limit.csv", tmp_path / "r.json"
+        write_dataset_csv(str(data), x[:, None], y)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("fit", "--data", data, "--out", out)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code == EXIT_OK
+        scaled = eivtls.tls_fit(1e-150 * x[:, None], 1e-150 * y).beta_hat
+        np.testing.assert_allclose(json.loads(out.read_text())["beta_hat"], scaled, rtol=1e-12, atol=0)
+
     def test_near_limit_resample_grams_exit_without_warning(self, tmp_path, capsys):
         # Row 7's Gram is finite, but a resample that draws it twice is not:
         # those resamples fail to refit, with no overflow warning.
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(400)
-        y = x + 0.5 * rng.standard_normal(400)
-        x[7], y[7] = 9e153, 4.5e153
+        x, y = near_limit_dataset()
         data = tmp_path / "near_limit.csv"
         write_dataset_csv(str(data), x[:, None], y)
         out = tmp_path / "r.json"

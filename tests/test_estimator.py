@@ -225,6 +225,15 @@ class TestGramStack:
             assert np.array_equal(gram_stack(np.asfortranarray(xy[r])[None]), whole[r : r + 1])
         assert np.array_equal(np.concatenate([gram_stack(xy[:2]), gram_stack(xy[2:])]), whole)
 
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("n", [3, GRAM_BLOCK, GRAM_BLOCK + 1, 3 * GRAM_BLOCK + 1])
+    def test_gram_is_exactly_symmetric(self, c, n):
+        # The TLS kernel reads only the lower triangle of each Gram.
+        xy = np.random.default_rng(n + c).standard_normal((6, c, n))
+        for stack in (xy, np.asfortranarray(xy)):
+            m = gram_stack(stack)
+            assert np.array_equal(m, m.mT)
+
     def test_overflow_is_left_to_the_fit_without_a_warning(self):
         # Each block's sums overflow: y'y to inf, x'y to -inf in the first
         # block and to inf in the others, so that adding the blocks gives NaN.
@@ -301,6 +310,37 @@ class TestTlsFromGram:
         with np.errstate(over="ignore"), pytest.raises(IllConditioned, match="non-finite"):
             tls_fit(1e200 * GOLDEN_X, 1e200 * GOLDEN_Y)
 
+    def test_refused_rows_get_nan_estimates(self):
+        fixtures = {
+            FIT_EIG_GAP: joint_gram(*gap_dataset(1.0, INSIDE)),
+            FIT_NONGENERIC: np.zeros((3, 3)),
+            FIT_NOT_SPD: joint_gram(*cholesky_dataset(1.0)),
+            FIT_NOT_FINITE: np.full((3, 3), np.inf),
+        }
+        fits = tls_from_gram(np.stack([*fixtures.values(), joint_gram(*random_dataset(0))]))
+        assert fits.status.tolist() == [*fixtures, FIT_OK]
+        assert np.all(np.isnan(fits.beta[:-1])) and np.all(np.isnan(fits.v[:-1]))
+        assert np.all(np.isfinite(fits.beta[-1])) and np.all(np.isfinite(fits.v[-1]))
+        assert np.isnan(fits.lam).tolist() == [False, False, False, True, False]
+
+    def test_reads_the_lower_triangle(self):
+        finite = np.stack([joint_gram(x, y) for x, y in self.datasets()])
+        random = [np.stack([joint_gram(*random_dataset(s, p=p)) for s in range(40)]) for p in (1, 3)]
+        for stack in [finite, *random]:
+            whole = tls_from_gram(stack)
+            lower = tls_from_gram(np.tril(stack))
+            for name, value in zip(whole._fields, whole):
+                assert np.array_equal(getattr(lower, name), value, equal_nan=True), name
+
+    def test_near_limit_gram_is_fitted(self):
+        # Entries near the float limit: no step of the fit may overflow.
+        m = np.array([[[1e308, 4e307], [4e307, 3e307]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = tls_from_gram(m)
+        assert fits.status.tolist() == [FIT_OK]
+        np.testing.assert_allclose(fits.beta, tls_from_gram(1e-300 * m).beta, rtol=1e-12, atol=0)
+
     def test_any_split_of_a_stack_refits_bit_for_bit(self):
         # Each row's fit depends on that row alone, so a stack refitted in
         # pieces, as the bootstrap refits its chunks, matches the whole.
@@ -321,7 +361,7 @@ class TestTlsFromGram:
                     assert np.array_equal(joined, value, equal_nan=True), (name, cuts)
 
     def test_refit_works_in_one_copy_of_the_stack(self):
-        # The kernel's own symmetrised copy, eigh's eigenvectors, the
+        # The kernel's own copy of the stack, eigh's eigenvectors, the
         # Cholesky factor and the results: under 5 times the stack's bytes.
         rng = np.random.default_rng(0)
         a = rng.standard_normal((20_000, 30, 3))

@@ -219,9 +219,24 @@ class TestLongRunVariance:
         x = np.random.default_rng(5).normal(size=(400, 2))
         out = long_run_variance(x, bandwidth=0)
         xc = x - x.mean(axis=0)
-        assert np.array_equal(out.matrix, 0.5 * ((xc.T @ xc / 400) + (xc.T @ xc / 400).T))
+        assert np.array_equal(out.matrix, xc.T @ xc / 400)
         assert out.bandwidth == 0
         assert out.positive_definite
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bartlett_sum_is_exactly_symmetric(self, d):
+        # Unclipped, the estimate is the Bartlett sum as formed, with no
+        # symmetrising step: eigh reads only its lower triangle.
+        x = np.random.default_rng(d).standard_normal((500, d)) + 2.0
+        out = long_run_variance(x, bandwidth=7)
+        assert not out.psd_clipped
+        xc = x - x.mean(axis=0)
+        expected = xc.T @ xc / 500
+        for k in range(1, 8):
+            gamma = xc[k:].T @ xc[:-k] / 500
+            expected += (1.0 - k / 8.0) * (gamma + gamma.T)
+        assert np.array_equal(out.matrix, expected)
+        assert np.array_equal(out.matrix, out.matrix.T)
 
     def test_ma1_matches_closed_form(self):
         # MA(1) with equal weights has long-run variance twice the marginal
