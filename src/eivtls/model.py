@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, NumericalError
 from .linalg import (
     as_integer,
     as_matrix,
@@ -148,15 +148,11 @@ def synthesize(
     z, _ = build_design(design, n)
     w = generate_error_matrix(errors, n, seed)
     theta, eps = w[:, :-1], w[:, -1]
-    return EivInstance(
-        z=z,
-        beta=beta,
-        sigma2=errors.sigma2,
-        theta=theta,
-        eps=eps,
-        x=z + theta,
-        y=z @ beta + eps,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = z @ beta + eps
+    if not np.all(np.isfinite(y)):
+        raise NumericalError(f"the signal y = z @ beta + eps overflows at n = {n}")
+    return EivInstance(z=z, beta=beta, sigma2=errors.sigma2, theta=theta, eps=eps, x=z + theta, y=y)
 
 
 def expected_cross_product(z, beta, sigma2: float) -> np.ndarray:

@@ -192,7 +192,8 @@ def _replicate(cfg: ExperimentConfig, cell: int) -> np.ndarray:
     """
     n = cfg.n_grid[cell]
     z, _ = build_design(cfg.design, n)
-    signal = np.vstack([z.T, z @ cfg.beta])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as FIT_NOT_FINITE
+        signal = np.vstack([z.T, z @ cfg.beta])
     seeds = derive_subseed(cfg.master_seed, np.arange(cfg.replications, dtype=np.uint64), cell)
 
     def grams(xy):

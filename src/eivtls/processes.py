@@ -19,19 +19,19 @@ draws are pure functions of (spec, n, seed).
 Every seeded draw goes through ``map_draws``, a draw from one seed
 (``generate_sequence``, ``generate_error_matrix``, so ``gen`` and
 ``synthesize``) as its one block.  It derives the PCG64 seed words of all
-rows' streams at once and hands its chunks of blocks to a standard-library
-thread pool of at most one thread per usable CPU (none on one CPU or for
-one chunk), within a budget of ``CHUNK_ELEMENTS`` floats of blocks in
-flight, a lead longer than n counted once.  This is the only place in the
-package that reads the CPU count or starts a thread, and the one statement
-of that policy.  The pool pays end to end: on a 2-vCPU host, medians of 16
-alternated pairs against ``_usable_cpus`` returning 1 were 0.169 s against
-0.275 s for a criterion-06-shaped ``run_normality`` and 0.129 s against
-0.181 s for ``mc-consistency`` on the shipped p = 2 configs, about a third
-off.  Each chunk is drawn by the one loop of ``_fill_column``, filtered as
-one array by each column's kind and passed to the caller's ``reduce``: Gram
-matrices for the Monte Carlo experiments, row sums for ``clt_check``.  A
-row depends only on its seed, never on the chunk or thread that draws it.
+rows' streams at once and cuts the blocks into chunks of at most
+``CHUNK_ELEMENTS`` floats, a lead longer than n counted once, so a chunk
+depends on the work alone; the CPU count sets only the width of the
+standard-library thread pool that runs them.  This is the only place in the
+package that reads the CPU count or starts a thread.  The pool pays end to
+end: on a 2-vCPU host, medians of 16 alternated pairs against
+``_usable_cpus`` returning 1 were 0.169 s against 0.275 s for a
+criterion-06-shaped ``run_normality`` and 0.129 s against 0.181 s for
+``mc-consistency`` on the shipped p = 2 configs, about a third off.  Each
+chunk is drawn by the one loop of ``_fill_column``, filtered as one array by
+each column's kind and passed to the caller's ``reduce``: Gram matrices for
+the Monte Carlo experiments, row sums for ``clt_check``.  A row depends only
+on its seed, never on the chunk or thread that draws it.
 ``scipy.signal`` is imported only when an AR(1) column is drawn; iid and
 MA(q) columns need numpy alone.
 """
@@ -61,7 +61,7 @@ MIXING_ALPHA = "alpha"
 MIXING_PHI = "phi"
 MIXING_INDEPENDENT = "independent"
 
-CHUNK_ELEMENTS = 1 << 18  # floats of raw error data in flight in map_draws (2 MB)
+CHUNK_ELEMENTS = 1 << 17  # floats of raw error data in one map_draws chunk (1 MB)
 
 
 @dataclass(frozen=True)
@@ -225,22 +225,21 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
     ``columns[j]`` from ``stream(seeds[j, r])``.  The PCG64 seed words of
     all C R streams are derived once, and each chunk of ``rows`` consecutive
     blocks is drawn into its own (k, C, n) array by ``_fill_column``, each
-    row by its own generator.  ``rows`` is the most blocks of which one
-    chunk per usable CPU fits in ``CHUNK_ELEMENTS`` floats,
-    C n + max(0, lead - n) a block for the longest lead: ``_fill_column``
-    holds one column's (lead + n) scratch at a time.  The budget counts
-    blocks, not that one scratch (three MA(2) columns at n = 250 peak at
-    2.9 MB on one worker).
-    A thread pool of at most one thread per usable CPU runs the chunks (the
-    calling thread does, on one CPU or for one chunk), so ``reduce`` may
-    run on several threads at once.  The results come back in block order,
-    and the first chunk in that order to raise raises here.
+    row by its own generator.  ``rows`` is the most blocks that fit in one
+    chunk of ``CHUNK_ELEMENTS`` floats, C n + max(0, lead - n) a block for
+    the longest lead: ``_fill_column`` holds one column's (lead + n)
+    scratch at a time.  The budget counts blocks, not that one scratch
+    (three MA(2) columns at n = 250 peak at 2.0 MB on one worker).
+    A thread pool of min(usable CPUs, chunks) threads runs the chunks (the
+    calling thread does, when that is fewer than 2), so memory in flight is
+    at most one chunk per pool thread and ``reduce`` may run on several
+    threads at once.  The results come back in block order, and the first
+    chunk in that order to raise raises here.
     """
     words = pcg64_seed_words(seeds)
     count = seeds.shape[1]
-    workers = _usable_cpus()
     lead = max(KINDS[spec.kind].lead(spec) for spec, _ in columns)
-    rows = max(1, CHUNK_ELEMENTS // (workers * (len(columns) * n + max(0, lead - n))))
+    rows = max(1, CHUNK_ELEMENTS // (len(columns) * n + max(0, lead - n)))
     starts = range(0, count, rows)
 
     def step(lo: int):
@@ -250,11 +249,12 @@ def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray],
             _fill_column(spec, sd, words[:, j, lo:hi], block[:, j])
         return reduce(block)
 
-    if workers == 1 or len(starts) < 2:
+    workers = min(_usable_cpus(), len(starts)) if len(starts) > 1 else 1
+    if workers < 2:
         return [step(lo) for lo in starts]
     from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
 
-    with ThreadPoolExecutor(min(workers, len(starts))) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(step, starts))
 
 

@@ -472,6 +472,31 @@ class TestErrorExits:
         assert "long-run variance overflowed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("gen", "the signal y = z @ beta + eps overflows at n = 80"),
+            ("mc-consistency", "every replication failed at n = 40"),
+            ("mc-normality", "every replication failed at n = 80"),
+            ("long-run-check", "the long-run variance overflowed at n = 40"),
+        ],
+        ids=["gen", "mc-consistency", "mc-normality", "long-run-check"],
+    )
+    def test_overflowing_signal_is_numerical_error(self, tmp_path, capsys, command, message):
+        # Each entry of beta is finite, but z @ beta is not where z has a row (1, 1).
+        d = capped_config("alpha_p2")
+        d["beta"] = [1.7e308, 1.7e308]
+        path, out = tmp_path / "huge_signal.json", tmp_path / "r.out"
+        path.write_text(json.dumps(d))
+        size = ["--n", 80] if command == "gen" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(command, "--config", path, *size, "--out", out)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code == EXIT_NUMERICAL
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["mc-consistency", "mc-normality"])
     def test_near_limit_gram_matrices_exit_without_warning(self, tmp_path, command):
         # sigma2 = 1e300 keeps every Gram entry finite, but squaring one is not.
@@ -915,11 +940,11 @@ class TestExperimentCommands:
 
     def test_threads_do_not_change_report_bytes(self, tmp_path, monkeypatch, config_path):
         # (p + 1) n = 160 floats per replication at n = 80: chunks of 15
-        # replications on one worker and of 5 on each of three (about 33
-        # replications per worker), so every worker draws several chunks.
-        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 3 * 5 * 160)
+        # replications on the calling thread against chunks of 5 on three
+        # workers, so every worker draws several chunks.
         outs = []
-        for workers, threads in ((1, 1), (3, 8)):
+        for rows, workers, threads in ((15, 1, 1), (5, 3, 8)):
+            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", rows * 160)
             monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
             out, tables = tmp_path / f"mc{workers}.json", tmp_path / f"mc{workers}.csv"
             argv = ["--threads", threads, "--out", out, "--tables", tables]

@@ -165,11 +165,11 @@ class TestRunConsistency:
 
     def test_thread_count_does_not_change_report(self, monkeypatch):
         cfg = small_config(reps=100, n_grid=(40,))
-        # 2 n = 80 floats per replication: chunks of 15 replications on one
-        # worker, 5 on each of three (about 33 replications per worker).
-        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 3 * 5 * 80)
+        # 2 n = 80 floats per replication: chunks of 15 replications on the
+        # calling thread against chunks of 5 on three workers.
         reports = []
-        for workers in (1, 3):
+        for rows, workers in ((15, 1), (5, 3)):
+            monkeypatch.setattr(processes, "CHUNK_ELEMENTS", rows * 80)
             monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
             reports.append(json.dumps(run_consistency(cfg).to_dict()))
         assert reports[0] == reports[1]
@@ -187,11 +187,11 @@ class TestRunNormality:
 
     def test_thread_invariance(self, monkeypatch):
         cfg = small_config(reps=150, n_grid=(200,))
-        # 2 n = 400 floats per replication: chunks of 21 replications on one
-        # worker, 7 on each of three (50 replications per worker).
-        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 3 * 7 * 400)
+        # 2 n = 400 floats per replication: chunks of 21 replications on the
+        # calling thread against chunks of 7 on three workers.
         reports = []
-        for workers in (1, 3):
+        for rows, workers in ((21, 1), (7, 3)):
+            monkeypatch.setattr(processes, "CHUNK_ELEMENTS", rows * 400)
             monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
             reports.append(run_normality(cfg))
         a, b = reports
@@ -319,18 +319,24 @@ class TestWorkers:
     """Gram stacks must not depend on how many threads draw them."""
 
     @pytest.mark.parametrize(
-        "path, n, in_flight",
-        [("alpha", 90, 6), ("phi", 90, 6), ("alpha", 9000, 4), ("phi", 9000, 4)],
-        ids=["alpha", "phi", "alpha-n9000", "phi-n9000"],
+        "path, n, rows",
+        [
+            ("alpha", 90, (6, 3, 2)),
+            ("phi", 90, (6, 3, 2)),
+            ("alpha", 9000, (4, 2, 1)),
+            ("phi", 9000, (4, 2, 1)),
+            ("phi", 16_000, (2, 1, 2)),
+        ],
+        ids=["alpha", "phi", "alpha-n9000", "phi-n9000", "phi-n16000"],
     )
-    def test_gram_stacks_bitwise_equal_for_1_2_3_workers(self, monkeypatch, path, n, in_flight):
+    def test_gram_stacks_bitwise_equal_for_1_2_3_workers(self, monkeypatch, path, n, rows):
         cfg = default_config(path, beta=(1.0, -2.0), n_grid=(n,), replications=100)
-        # in_flight replications of (p + 1) n floats: at n = 90, chunks of 6, 3
-        # and 2 replications, so every worker draws many chunks; at n = 9000,
-        # past einsum's 8192-float buffer, chunks of 4, 2 and 1 replications.
-        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", in_flight * 3 * n)
+        # Chunks of rows[w - 1] replications of (p + 1) n floats on w workers:
+        # at n = 90 every worker draws many chunks; n = 9000 is past einsum's
+        # 8192-float buffer, and n = 16 000 spans four GRAM_BLOCKs.
         stacks = []
-        for workers in (1, 2, 3):
+        for workers, k in zip((1, 2, 3), rows):
+            monkeypatch.setattr(processes, "CHUNK_ELEMENTS", k * 3 * n)
             monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
             stacks.append(_replicate(cfg, 0))
         assert stacks[0].shape == (100, 3, 3)
@@ -339,7 +345,7 @@ class TestWorkers:
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         cfg = small_config()  # 120 replications at n = 40, drawn in chunks of 10
         monkeypatch.setattr(processes, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 2 * 2 * 40 * 10)
+        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 2 * 40 * 10)
         draw = montecarlo.map_draws
 
         def failing_from_60_and_90(columns, seeds, n, reduce):

@@ -1,3 +1,5 @@
+import concurrent.futures
+import itertools
 import threading
 import time
 import tracemalloc
@@ -381,9 +383,9 @@ class TestMapChunks:
     def test_gram_stack_independent_of_chunking(self, monkeypatch):
         full = np.concatenate(self.draws(lambda b: b.copy()))
         grams = full @ full.mT
-        for workers in (1, 2, 3):
+        for rows, workers in itertools.product((1, 7, 23), (1, 2, 3)):
             monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
-            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", workers * 7 * 3 * 40)
+            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", rows * 3 * 40)
             lock, seen = threading.Lock(), []
 
             def reduce(block):
@@ -394,13 +396,33 @@ class TestMapChunks:
                 return block @ block.mT
 
             assert np.array_equal(np.concatenate(self.draws(reduce)), grams)
-            # Chunks of at most 7 blocks in consecutive ranges from 0, on at
-            # most one thread per usable CPU; one CPU draws on the calling thread.
-            assert sorted((lo, k) for _, lo, k in seen) == [(0, 7), (7, 7), (14, 7), (21, 2)]
+            # Chunks of at most `rows` blocks in consecutive ranges from 0, on
+            # at most one thread per usable CPU; one CPU or one chunk draws on
+            # the calling thread.
+            chunks = [(lo, min(rows, 23 - lo)) for lo in range(0, 23, rows)]
+            assert sorted((lo, k) for _, lo, k in seen) == chunks
             threads = {thread for thread, _, _ in seen}
-            assert len(threads) <= workers
-            if workers == 1:
+            assert len(threads) <= min(workers, len(chunks))
+            if workers == 1 or len(chunks) == 1:
                 assert threads == {threading.current_thread()}
+
+    def test_chunk_shapes_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # The budget is per chunk: the CPU count sets only how many threads
+        # draw the chunks, never how the blocks are cut into them.
+        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 5 * 3 * 40)
+        widths = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        for cpus in (1, 2, 3, 32):
+            monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: cpus)
+            widths.clear()
+            assert self.draws(lambda b: b.shape) == [(5, 3, 40)] * 4 + [(3, 3, 40)]
+            assert widths == ([] if cpus == 1 else [min(cpus, 5)])
 
     def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
         monkeypatch.delattr(eivtls.processes.os, "sched_getaffinity", raising=False)
@@ -433,9 +455,9 @@ class TestMapChunks:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_reduces_in_flight_at_most_usable_cpus(self, monkeypatch, workers):
-        # The memory budget: at most one chunk per usable CPU is held at once.
+        # Memory in flight: at most one chunk per pool thread is held at once.
         monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", workers * 2 * 3 * 40)
+        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 2 * 3 * 40)
         lock, running, peak = threading.Lock(), [0], [0]
 
         def reduce(block):

@@ -163,7 +163,9 @@ class TestCltCheck:
         sums = np.array(
             [generate_sequence(spec, 700, derive_subseed(8, r, 0)).sum() for r in range(500)]
         )
-        for workers in (1, 3):  # chunks of 374 and 124 replications
+        # Chunks of 374 replications on the calling thread, of 124 on three workers.
+        for rows, workers in ((374, 1), (124, 3)):
+            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", rows * 700)
             monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
             rep = clt_check(spec, n=700, replications=500, seed=8)
             assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
