@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument(
             "--threads", type=int,
-            help="ignored; replications are drawn on one thread per usable CPU "
-            "(set by CPU affinity), and reports do not depend on the count",
+            help="ignored: reports do not depend on it; the eivtls.processes "
+            "docstring states how replications are drawn",
         )
         sp.add_argument("--override-assumptions", action="store_true")
         if name == "long-run-check":

@@ -10,8 +10,8 @@ The estimate depends on the data only through that (p+1) x (p+1) Gram
 matrix, so every fit in the package runs through one vectorised kernel,
 ``tls_from_gram``, over a stack of Gram matrices; ``tls_fit`` is its
 one-dataset case.  ``ols_from_gram`` is the OLS reference on the same
-stacks.  The kernels run on the calling thread; which work is spread over
-threads is decided in ``processes.map_draws`` alone.
+stacks.  The kernels start no thread; the ``processes`` docstring states
+which work runs on threads.
 
 Every Gram matrix of data, one dataset's or a Monte Carlo chunk's, comes
 from one kernel, ``gram_stack``, so a replication's Gram is the Gram that

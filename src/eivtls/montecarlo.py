@@ -4,27 +4,19 @@ experiments over a grid of sample sizes.
 Replications are fully determined by (master seed, replication index, cell
 index).  ``_replicate`` turns one grid cell into the (R, p+1, p+1) stack of
 Gram matrices of ``[x, y]``: it builds the design part once and draws the
-errors through ``processes.map_draws``, which spreads chunks of
-replications over threads (the ``processes`` docstring states the CPU
-policy); each chunk's errors get the signal added and are reduced to
-their Grams at once by ``estimator.gram_stack``, the kernel ``tls_fit``
-uses too (its docstring states why a Gram does not depend on the chunk or
-the thread that holds it).  Each experiment reduces the stack:
-consistency and normality fit it with the batched TLS kernel
-``estimator.tls_from_gram`` (consistency also takes OLS from the same
-Grams), and the long-run check takes the scores
-``G [beta; -1]``.  The stack itself is R (p+1)^2 floats, but two steps
-around it take more: ``map_draws`` derives the PCG64 seed words of all C R
-streams at once (about 136 bytes a stream while derived, 32 after), and
-the refit needs the multiple of the stack that ``tls_from_gram`` states.
-So ``run_normality`` at n = 250 on ``phi_p2.json`` peaks at 8.8 MB for
-1.44 MB of Grams at R = 20 000, and at 44.0 MB for 7.2 MB at R = 100 000,
-where the seed words take 40.8 MB while derived and the refit about 31 MB
-(``tracemalloc``).
-Every Gram depends only on its own replication's streams,
-so reports are bit-identical for any number of CPUs and any value of the
-``threads`` argument of the ``run_*`` functions, which is accepted and
-ignored.
+errors through ``processes.map_draws`` (the ``processes`` docstring states
+how they are drawn), and each chunk's errors get the signal added and are
+reduced to their Grams by ``estimator.gram_stack``, the kernel ``tls_fit``
+uses too.  Each experiment reduces the stack: consistency and normality
+fit it with the batched TLS kernel ``estimator.tls_from_gram``
+(consistency also takes OLS from the same Grams), and the long-run check
+takes the scores ``G [beta; -1]``.  The stack is R (p+1)^2 floats, and the
+seed words of the draw and the refit (``tls_from_gram`` states its
+factor) take a multiple of it: ``run_normality`` at n = 250 on
+``phi_p2.json`` peaks at 8.8 MB for 1.44 MB of Grams at R = 20 000, and at
+44.0 MB for 7.2 MB at R = 100 000, where the seed words take 40.8 MB
+while derived and the refit about 31 MB (``tracemalloc``).  The
+``threads`` argument of the ``run_*`` functions is accepted and ignored.
 """
 
 from __future__ import annotations

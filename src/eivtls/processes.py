@@ -16,22 +16,36 @@ marginal standard deviation is exactly the sd it is drawn at, sqrt(sigma2)
 for every column of an error matrix and 1 for ``generate_sequence``.  All
 draws are pure functions of (spec, n, seed).
 
-Every seeded draw goes through ``map_draws``, a draw from one seed
-(``generate_sequence``, ``generate_error_matrix``, so ``gen`` and
-``synthesize``) as its one block.  It derives the PCG64 seed words of all
-rows' streams at once and cuts the blocks into chunks of at most
-``CHUNK_ELEMENTS`` floats, a lead longer than n counted once, so a chunk
-depends on the work alone; the CPU count sets only the width of the
-standard-library thread pool that runs them.  This is the only place in the
-package that reads the CPU count or starts a thread.  The pool pays end to
-end: on a 2-vCPU host, medians of 16 alternated pairs against
-``_usable_cpus`` returning 1 were 0.169 s against 0.275 s for a
-criterion-06-shaped ``run_normality`` and 0.129 s against 0.181 s for
-``mc-consistency`` on the shipped p = 2 configs, about a third off.  Each
-chunk is drawn by the one loop of ``_fill_column``, filtered as one array by
-each column's kind and passed to the caller's ``reduce``: Gram matrices for
-the Monte Carlo experiments, row sums for ``clt_check``.  A row depends only
-on its seed, never on the chunk or thread that draws it.
+This module owns the draw policy.  Every seeded draw of the package goes
+through ``map_draws``; a draw from one seed (``generate_sequence``,
+``generate_error_matrix``, so ``gen`` and ``synthesize``) is its one block.
+
+* Chunks.  The PCG64 seed words of all rows' streams are derived at once
+  (about 136 bytes a stream while derived, 32 after), and the blocks are
+  cut into chunks of as many consecutive blocks as fit in
+  ``CHUNK_ELEMENTS`` floats, counting C n + max(0, lead - n) a block for
+  the longest lead: ``_fill_column`` holds one column's (lead + n)
+  scratch at a time, and the budget does not count that one scratch
+  (three MA(2) columns at n = 250 peak at 2.0 MB on one thread).  So a
+  chunk depends on the work alone.
+* Threads.  A standard-library thread pool of min(usable CPUs, chunks)
+  threads runs the chunks, and the calling thread draws them itself when
+  that is fewer than 2: one chunk or one CPU starts no thread.  Memory in
+  flight is at most one chunk per pool thread, and ``reduce`` may run on
+  several threads at once.  This is the only place in the package that
+  reads the CPU count or starts a thread.
+* Rows.  Each chunk is drawn by the one loop of ``_fill_column``, each row
+  from its own generator, filtered as one array by each column's kind and
+  passed to the caller's ``reduce``: Gram matrices for the Monte Carlo
+  experiments, row sums for ``clt_check``.  A row depends only on its
+  seed, never on the chunk or thread that draws it, so no result depends
+  on the CPU count.
+* Cost.  The pool pays end to end: on a 2-vCPU host, medians of 16
+  alternated pairs against ``_usable_cpus`` returning 1 were 0.169 s
+  against 0.275 s for a criterion-06-shaped ``run_normality`` and 0.129 s
+  against 0.181 s for ``mc-consistency`` on the shipped p = 2 configs,
+  about a third off.
+
 ``scipy.signal`` is imported only when an AR(1) column is drawn; iid and
 MA(q) columns need numpy alone.
 """
@@ -218,34 +232,27 @@ def _fill_column(spec: ErrorProcessSpec, sd: float, words: np.ndarray, out: np.n
     kind.filter(spec, raw, sd, out)
 
 
-def map_draws(columns, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray], object]) -> list:
+def map_draws(
+    specs, sd: float, seeds: np.ndarray, n: int, reduce: Callable[[np.ndarray], object]
+) -> list:
     """``reduce(block)`` over chunks of the error blocks of a (C, R) uint64 array of stream seeds.
 
-    ``columns`` holds C (process, sd) pairs; row j of block r is a draw of
-    ``columns[j]`` from ``stream(seeds[j, r])``.  The PCG64 seed words of
-    all C R streams are derived once, and each chunk of ``rows`` consecutive
-    blocks is drawn into its own (k, C, n) array by ``_fill_column``, each
-    row by its own generator.  ``rows`` is the most blocks that fit in one
-    chunk of ``CHUNK_ELEMENTS`` floats, C n + max(0, lead - n) a block for
-    the longest lead: ``_fill_column`` holds one column's (lead + n)
-    scratch at a time.  The budget counts blocks, not that one scratch
-    (three MA(2) columns at n = 250 peak at 2.0 MB on one worker).
-    A thread pool of min(usable CPUs, chunks) threads runs the chunks (the
-    calling thread does, when that is fewer than 2), so memory in flight is
-    at most one chunk per pool thread and ``reduce`` may run on several
-    threads at once.  The results come back in block order, and the first
-    chunk in that order to raise raises here.
+    Row j of block r is a draw of ``specs[j]`` at marginal sd ``sd`` from
+    ``stream(seeds[j, r])``, and each chunk of consecutive blocks reaches
+    ``reduce`` as one (k, C, n) array; the module docstring sets out how
+    the chunks are cut and which threads draw them.  The results come back
+    in block order, and the first chunk in that order to raise raises here.
     """
     words = pcg64_seed_words(seeds)
     count = seeds.shape[1]
-    lead = max(KINDS[spec.kind].lead(spec) for spec, _ in columns)
-    rows = max(1, CHUNK_ELEMENTS // (len(columns) * n + max(0, lead - n)))
+    lead = max(KINDS[spec.kind].lead(spec) for spec in specs)
+    rows = max(1, CHUNK_ELEMENTS // (len(specs) * n + max(0, lead - n)))
     starts = range(0, count, rows)
 
     def step(lo: int):
         hi = min(lo + rows, count)
-        block = np.empty((hi - lo, len(columns), n))
-        for j, (spec, sd) in enumerate(columns):
+        block = np.empty((hi - lo, len(specs), n))
+        for j, spec in enumerate(specs):
             _fill_column(spec, sd, words[:, j, lo:hi], block[:, j])
         return reduce(block)
 
@@ -270,7 +277,7 @@ def generate_sequence(spec: ErrorProcessSpec, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` values of the process at unit sd from the stream of ``seed`` modulo 2^64."""
     n = as_integer(n, "n", 1)
     seed = as_integer(seed, "seed") % (1 << 64)
-    return map_draws([(spec, 1.0)], np.array([[seed]], np.uint64), n, lambda b: b[0, 0])[0]
+    return map_draws([spec], 1.0, np.array([[seed]], np.uint64), n, lambda b: b[0, 0])[0]
 
 
 @dataclass(frozen=True)
@@ -300,15 +307,15 @@ class ErrorMatrixSpec:
             "columns": [s.to_dict() for s in self.column_specs],
         }
 
-    def column_draws(self, seeds: np.ndarray) -> tuple[list, np.ndarray]:
-        """``map_draws``'s columns and (p+1, R) stream seeds for the matrices of uint64 ``seeds``.
+    def column_draws(self, seeds: np.ndarray) -> tuple[tuple, float, np.ndarray]:
+        """``map_draws``'s specs, sd and (p+1, R) stream seeds for the matrices of uint64 ``seeds``.
 
         Column j (1-based) of the matrix for ``seeds[r]`` is drawn at sd
         sqrt(sigma2) from ``stream(column_subseed(seeds[r], j))``.
         """
         sd = float(np.sqrt(self.sigma2))
         j = np.arange(1, len(self.column_specs) + 1, dtype=np.uint64)[:, None]
-        return [(spec, sd) for spec in self.column_specs], column_subseed(seeds, j)
+        return self.column_specs, sd, column_subseed(seeds, j)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorMatrixSpec":

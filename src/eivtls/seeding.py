@@ -10,15 +10,14 @@ form (the same expressions wrap modulo 2^64 on either), so a whole grid cell
 derives its seeds in a few numpy calls.  ``stream(seed)`` is the reference
 stream that the tests compare against; no package module draws from it.
 Building one ``PCG64`` from a seed builds a numpy ``SeedSequence`` each
-time, so the seeded draws (``processes.map_draws``, the bootstrap's block
-starts) do not: ``pcg64_seed_words`` runs the ``SeedSequence`` hash over
-a seed array at once in numpy, and
+time, so the package's seeded draws do not: ``pcg64_seed_words`` runs the
+``SeedSequence`` hash over a seed array at once in numpy, and
 ``bit_generators`` hands each seed's four words to numpy's ``PCG64``
 through its ``ISeedSequence`` interface.  numpy's own C seeding step then
-starts each stream, and per row only the bit generator (and, in
+starts each stream, and per seed only the bit generator (and, in
 ``streams``, its ``Generator``) is built.  The bytes drawn are those of
-``stream(seed)``.  How the bootstrap turns a stream's raw words into block
-starts is stated in ``bootstrap``.
+``stream(seed)``.  How the streams are used is stated in ``processes``
+(error draws) and ``bootstrap`` (block starts).
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ chi-square upper tail is ``chdtrc``, the standard normal CDF is ``ndtr``
 (two-sided normal p-values are ``2 ndtr(-|z|)``), and the Kolmogorov limit
 is ``kolmogorov``.  ``scipy.special`` is imported inside the functions that
 evaluate them, so importing this module loads no scipy.  ``clt_check``
-draws its replications through ``processes.map_draws`` and reduces each
-chunk to its row sums, drawn at unit sd.  The long-run covariance is projected onto the PSD
-cone through ``np.linalg.eigh``.
+sums replications drawn at unit sd by ``processes.map_draws``.  The
+long-run covariance is projected onto the PSD cone through
+``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -139,14 +139,12 @@ def clt_check(
     kernel estimate.  ``CltCheckConfig`` reads the arguments (again, for
     ``clt-check``: acceptance criterion 07 fixes this signature), and the
     report holds it.  Replication r is ``generate_sequence(spec, n,
-    derive_subseed(seed, r, 0))``; ``processes.map_draws`` draws them a
-    chunk at a time, on the threads its module docstring sets out, and each
-    chunk is reduced to its row sums, so the sums do not depend on the
-    chunking or the CPU count.
+    derive_subseed(seed, r, 0))``, drawn by ``processes.map_draws`` and
+    reduced a chunk at a time to its row sums.
     """
     cfg = CltCheckConfig(spec, n, replications, seed)
     seeds = derive_subseed(cfg.seed, np.arange(cfg.replications, dtype=np.uint64), 0)
-    chunks = map_draws([(cfg.process, 1.0)], seeds[None], cfg.n, lambda b: b[:, 0].sum(axis=1))
+    chunks = map_draws([cfg.process], 1.0, seeds[None], cfg.n, lambda b: b[:, 0].sum(axis=1))
     sums = np.concatenate(chunks)
     var = float(np.var(sums, ddof=1))
     if not var > 0:

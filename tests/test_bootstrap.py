@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import eivtls.bootstrap as bootstrap_mod
-import eivtls.processes
 from eivtls.bootstrap import (
     BootstrapCi,
     BootstrapConfig,
@@ -264,14 +263,14 @@ class TestBlockBootstrapCi:
         monkeypatch.setattr(bootstrap_mod, "STARTS_IN_FLIGHT", 7 * 50)
         assert block_bootstrap_ci(x, y, cfg).to_dict() == whole
 
-    def test_starts_no_thread(self, monkeypatch):
+    def test_starts_no_thread(self, monkeypatch, draw_policy):
         x, y = make_dataset(300, seed=6, dependent=True)
         cfg = BootstrapConfig(block_length=1, n_boot=199, seed=4)
         whole = block_bootstrap_ci(x, y, cfg).to_dict()
         # Three usable CPUs, and 300 one-row blocks per resample in chunks
         # of 10 resamples: the draws would be spread over threads if the
         # bootstrap used any.
-        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 3)
+        draw_policy(cpus=3)
         monkeypatch.setattr(bootstrap_mod, "STARTS_IN_FLIGHT", 10 * 300)
 
         def refuse(thread):

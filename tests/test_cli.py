@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import eivtls
 import eivtls.bootstrap
 import eivtls.cli
-import eivtls.processes
 import eivtls.montecarlo
 from eivtls.bootstrap import BootstrapConfig, block_bootstrap_ci
 from eivtls.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
@@ -86,6 +85,22 @@ def run(*argv):
 
 def umask_forbidden(mask):
     raise AssertionError("os.umask changes the umask of every thread in the process")
+
+
+class TestVersion:
+    # setuptools may warn that its [tool.setuptools] table is in beta.
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_pyproject_reads_the_package_version(self):
+        from setuptools.config.pyprojecttoml import read_configuration
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = read_configuration(pyproject)["project"]
+        assert "version" in project.get("dynamic", [])
+        assert project["version"] == eivtls.__version__
+
+    def test_version_flag_prints_the_package_version(self, capsys):
+        assert run("--version") == EXIT_OK
+        assert capsys.readouterr().out == f"{eivtls.__version__}\n"
 
 
 class TestGenFit:
@@ -938,14 +953,13 @@ class TestExperimentCommands:
         assert run("bootstrap-ci", "--data", data, "--out", out) == EXIT_OK
         assert json.loads(out.read_text())["config"]["n_boot"] == 299
 
-    def test_threads_do_not_change_report_bytes(self, tmp_path, monkeypatch, config_path):
+    def test_threads_do_not_change_report_bytes(self, tmp_path, draw_policy, config_path):
         # (p + 1) n = 160 floats per replication at n = 80: chunks of 15
         # replications on the calling thread against chunks of 5 on three
         # workers, so every worker draws several chunks.
         outs = []
         for rows, workers, threads in ((15, 1, 1), (5, 3, 8)):
-            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", rows * 160)
-            monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
+            draw_policy(elements=rows * 160, cpus=workers)
             out, tables = tmp_path / f"mc{workers}.json", tmp_path / f"mc{workers}.csv"
             argv = ["--threads", threads, "--out", out, "--tables", tables]
             assert run("mc-consistency", "--config", config_path, *argv) == EXIT_OK

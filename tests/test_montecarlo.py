@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from eivtls import montecarlo, processes
+from eivtls import montecarlo
 from eivtls.errors import InvalidParams
 from eivtls.estimator import FIT_OK, tls_fit
 from eivtls.linalg import MAX_LENGTH
@@ -163,14 +163,13 @@ class TestRunConsistency:
         assert report.assumption_override
         assert not report.assumptions.passed
 
-    def test_thread_count_does_not_change_report(self, monkeypatch):
+    def test_thread_count_does_not_change_report(self, draw_policy):
         cfg = small_config(reps=100, n_grid=(40,))
         # 2 n = 80 floats per replication: chunks of 15 replications on the
         # calling thread against chunks of 5 on three workers.
         reports = []
         for rows, workers in ((15, 1), (5, 3)):
-            monkeypatch.setattr(processes, "CHUNK_ELEMENTS", rows * 80)
-            monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
+            draw_policy(elements=rows * 80, cpus=workers)
             reports.append(json.dumps(run_consistency(cfg).to_dict()))
         assert reports[0] == reports[1]
 
@@ -185,14 +184,13 @@ class TestRunNormality:
         assert report.mean_within_4se
         assert report.normality.mardia_skewness_pvalue > 0.001
 
-    def test_thread_invariance(self, monkeypatch):
+    def test_thread_invariance(self, draw_policy):
         cfg = small_config(reps=150, n_grid=(200,))
         # 2 n = 400 floats per replication: chunks of 21 replications on the
         # calling thread against chunks of 7 on three workers.
         reports = []
         for rows, workers in ((21, 1), (7, 3)):
-            monkeypatch.setattr(processes, "CHUNK_ELEMENTS", rows * 400)
-            monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
+            draw_policy(elements=rows * 400, cpus=workers)
             reports.append(run_normality(cfg))
         a, b = reports
         assert np.array_equal(a.deviations, b.deviations)
@@ -290,11 +288,10 @@ class TestChunking:
         ]
 
     @pytest.mark.parametrize("reps_per_chunk", [1, 7])
-    def test_reports_byte_identical(self, monkeypatch, reps_per_chunk):
+    def test_reports_byte_identical(self, draw_policy, reps_per_chunk):
         whole = self.reports()
         # (p + 1) n floats per replication at the largest n = 80, on one worker.
-        monkeypatch.setattr(processes, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", reps_per_chunk * 2 * 80)
+        draw_policy(elements=reps_per_chunk * 2 * 80, cpus=1)
         assert self.reports() == whole
 
 
@@ -329,29 +326,27 @@ class TestWorkers:
         ],
         ids=["alpha", "phi", "alpha-n9000", "phi-n9000", "phi-n16000"],
     )
-    def test_gram_stacks_bitwise_equal_for_1_2_3_workers(self, monkeypatch, path, n, rows):
+    def test_gram_stacks_bitwise_equal_for_1_2_3_workers(self, draw_policy, path, n, rows):
         cfg = default_config(path, beta=(1.0, -2.0), n_grid=(n,), replications=100)
         # Chunks of rows[w - 1] replications of (p + 1) n floats on w workers:
         # at n = 90 every worker draws many chunks; n = 9000 is past einsum's
         # 8192-float buffer, and n = 16 000 spans four GRAM_BLOCKs.
         stacks = []
         for workers, k in zip((1, 2, 3), rows):
-            monkeypatch.setattr(processes, "CHUNK_ELEMENTS", k * 3 * n)
-            monkeypatch.setattr(processes, "_usable_cpus", lambda: workers)
+            draw_policy(elements=k * 3 * n, cpus=workers)
             stacks.append(_replicate(cfg, 0))
         assert stacks[0].shape == (100, 3, 3)
         assert all(np.array_equal(s, stacks[0]) for s in stacks[1:])
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
+    def test_worker_error_reaches_the_caller(self, monkeypatch, draw_policy):
         cfg = small_config()  # 120 replications at n = 40, drawn in chunks of 10
-        monkeypatch.setattr(processes, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(processes, "CHUNK_ELEMENTS", 2 * 40 * 10)
+        draw_policy(elements=2 * 40 * 10, cpus=2)
         draw = montecarlo.map_draws
 
-        def failing_from_60_and_90(columns, seeds, n, reduce):
+        def failing_from_60_and_90(specs, sd, seeds, n, reduce):
             # Each replication's errors, drawn alone, mark the chunk it starts.
             marks = {
-                lo: draw(columns, seeds[:, lo : lo + 1], n, lambda b: b[0])[0] for lo in (60, 90)
+                lo: draw(specs, sd, seeds[:, lo : lo + 1], n, lambda b: b[0])[0] for lo in (60, 90)
             }
 
             def checked(block):
@@ -360,7 +355,7 @@ class TestWorkers:
                         raise FloatingPointError(f"chunk from {lo}")
                 return reduce(block)
 
-            return draw(columns, seeds, n, checked)
+            return draw(specs, sd, seeds, n, checked)
 
         monkeypatch.setattr(montecarlo, "map_draws", failing_from_60_and_90)
         before = threading.active_count()

@@ -325,14 +325,14 @@ class TestErrorBlocks:
         assert np.array_equal(block[1], ref)
         assert np.array_equal(block[2], sd * stream(column_subseed(base, 3)).standard_normal(n))
 
-    def test_reused_generator_draws_the_same_blocks(self, monkeypatch):
+    def test_reused_generator_draws_the_same_blocks(self, draw_policy):
         # Each step draws the rows of its chunk from one iterator of generators.
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=0.4)
         whole = np.stack([generate_error_matrix(spec, 200, s).T for s in self.SEEDS])
         seeds = np.array(self.SEEDS, dtype=np.uint64)
-        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
+        draw_policy(cpus=1)
         for per_chunk in (1, 3):
-            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", per_chunk * 3 * 200)
+            draw_policy(elements=per_chunk * 3 * 200)
             shapes = []
 
             def reduce(block):
@@ -350,7 +350,7 @@ class TestErrorBlocks:
         assert np.array_equal(np.concatenate(parts), whole)
         assert map_draws(*spec.column_draws(np.array([], dtype=np.uint64)), 200, len) == []
 
-    def test_one_generator_draws_every_row(self, monkeypatch):
+    def test_one_generator_draws_every_row(self, monkeypatch, draw_policy):
         # Each row's generator comes from one many-seed iterator per chunk and column.
         chunks = []
 
@@ -359,10 +359,10 @@ class TestErrorBlocks:
             return streams(words)
 
         monkeypatch.setattr(eivtls.processes, "streams", counted_streams)
-        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
+        draw_policy(cpus=1)
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
         for per_chunk in (4, 3, 1):
-            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", per_chunk * 3 * 50)
+            draw_policy(elements=per_chunk * 3 * 50)
             chunks.clear()
             steps = map_draws(*spec.column_draws(np.array(self.SEEDS, dtype=np.uint64)), 50, len)
             assert len(chunks) == 3 * len(steps) == 3 * -(-4 // per_chunk)
@@ -380,12 +380,11 @@ class TestMapChunks:
     def draws(self, reduce, n=40):
         return map_draws(*self.SPEC.column_draws(self.SEEDS), n, reduce)
 
-    def test_gram_stack_independent_of_chunking(self, monkeypatch):
+    def test_gram_stack_independent_of_chunking(self, draw_policy):
         full = np.concatenate(self.draws(lambda b: b.copy()))
         grams = full @ full.mT
         for rows, workers in itertools.product((1, 7, 23), (1, 2, 3)):
-            monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
-            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", rows * 3 * 40)
+            draw_policy(elements=rows * 3 * 40, cpus=workers)
             lock, seen = threading.Lock(), []
 
             def reduce(block):
@@ -406,10 +405,10 @@ class TestMapChunks:
             if workers == 1 or len(chunks) == 1:
                 assert threads == {threading.current_thread()}
 
-    def test_chunk_shapes_do_not_depend_on_the_cpu_count(self, monkeypatch):
+    def test_chunk_shapes_do_not_depend_on_the_cpu_count(self, monkeypatch, draw_policy):
         # The budget is per chunk: the CPU count sets only how many threads
         # draw the chunks, never how the blocks are cut into them.
-        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 5 * 3 * 40)
+        draw_policy(elements=5 * 3 * 40)
         widths = []
 
         class Pool(concurrent.futures.ThreadPoolExecutor):
@@ -419,7 +418,7 @@ class TestMapChunks:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         for cpus in (1, 2, 3, 32):
-            monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: cpus)
+            draw_policy(cpus=cpus)
             widths.clear()
             assert self.draws(lambda b: b.shape) == [(5, 3, 40)] * 4 + [(3, 3, 40)]
             assert widths == ([] if cpus == 1 else [min(cpus, 5)])
@@ -429,10 +428,9 @@ class TestMapChunks:
         monkeypatch.setattr(eivtls.processes.os, "cpu_count", lambda: 5)
         assert eivtls.processes._usable_cpus() == 5
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
+    def test_one_cpu_starts_no_thread(self, monkeypatch, draw_policy):
         whole = np.concatenate(self.draws(lambda b: b.copy()))
-        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 5 * 3 * 40)
+        draw_policy(elements=5 * 3 * 40, cpus=1)
 
         def refuse(thread):
             raise AssertionError(f"map_draws started thread {thread.name} on one CPU")
@@ -442,10 +440,10 @@ class TestMapChunks:
         assert len(chunks) == 5
         assert np.array_equal(np.concatenate(chunks), whole)
 
-    def test_one_seed_starts_no_thread(self, monkeypatch):
+    def test_one_seed_starts_no_thread(self, monkeypatch, draw_policy):
         # One seed is one chunk, drawn on the calling thread whatever the CPU count.
         whole = generate_error_matrix(self.SPEC, 40, 3)
-        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 4)
+        draw_policy(cpus=4)
 
         def refuse(thread):
             raise AssertionError(f"a one-seed draw started thread {thread.name}")
@@ -454,10 +452,9 @@ class TestMapChunks:
         assert np.array_equal(generate_error_matrix(self.SPEC, 40, 3), whole)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_reduces_in_flight_at_most_usable_cpus(self, monkeypatch, workers):
+    def test_reduces_in_flight_at_most_usable_cpus(self, draw_policy, workers):
         # Memory in flight: at most one chunk per pool thread is held at once.
-        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 2 * 3 * 40)
+        draw_policy(elements=2 * 3 * 40, cpus=workers)
         lock, running, peak = threading.Lock(), [0], [0]
 
         def reduce(block):
@@ -472,42 +469,40 @@ class TestMapChunks:
         assert self.draws(reduce) == [2] * 11 + [1]
         assert 1 <= peak[0] <= workers
 
-    def test_budget_counts_the_lead(self, monkeypatch):
+    def test_budget_counts_the_lead(self, draw_policy):
         # A row of MA(q) takes q + n normals, so a chunk counts max(n, q)
         # floats a row: an MA(2000) column at n = 250 is drawn 8 rows a chunk
         # against MA(2)'s 64, and peaks within the MA(2) column's peak.
-        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 8 * 2000)
+        draw_policy(elements=8 * 2000, cpus=1)
         seeds = np.arange(64, dtype=np.uint64)[None, :]
 
         def peak(q):
-            columns = [(ma((1.0,) * (q + 1)), 1.0)]
+            specs = [ma((1.0,) * (q + 1))]
             # Once untraced first, so that numpy's one-time set-up is not counted.
-            map_draws(columns, seeds[:, :1], 250, len)
+            map_draws(specs, 1.0, seeds[:, :1], 250, len)
             tracemalloc.start()
             try:
-                map_draws(columns, seeds, 250, len)
+                map_draws(specs, 1.0, seeds, 250, len)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(2000) <= peak(2)
 
-    def test_budget_counts_a_long_lead_once(self, monkeypatch):
+    def test_budget_counts_a_long_lead_once(self, draw_policy):
         # Only one column's (lead + n) scratch is held at a time, so three
         # MA(2000) columns at n = 250 count 3 * 250 + 1750 floats a block:
         # 8 blocks a chunk, and a peak within three MA(2) columns' peak.
-        monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", 20_000)
+        draw_policy(elements=20_000, cpus=1)
         seeds = np.arange(3 * 64, dtype=np.uint64).reshape(3, 64)
 
         def peak(q):
-            columns = [(ma((1.0,) * (q + 1)), 1.0)] * 3
+            specs = [ma((1.0,) * (q + 1))] * 3
             # Once untraced first, so that numpy's one-time set-up is not counted.
-            map_draws(columns, seeds[:, :1], 250, len)
+            map_draws(specs, 1.0, seeds[:, :1], 250, len)
             tracemalloc.start()
             try:
-                sizes = map_draws(columns, seeds, 250, len)
+                sizes = map_draws(specs, 1.0, seeds, 250, len)
                 return sizes, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

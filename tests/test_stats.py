@@ -4,7 +4,6 @@ from scipy import special
 from scipy import stats as sps
 
 import eivtls.processes
-import eivtls.processes
 from eivtls.errors import InvalidParams, NumericalError
 from eivtls.linalg import MAX_LENGTH, icbrt
 from eivtls.seeding import derive_subseed
@@ -158,15 +157,14 @@ class TestCltCheck:
         assert rep.ks_vs_standard_normal[1] > 0.01
 
     @pytest.mark.parametrize("spec", [ma((1.0, 0.5)), ar1(0.4)], ids=["ma", "ar1"])
-    def test_chunked_sums_equal_per_replication_sequences(self, spec, monkeypatch):
+    def test_chunked_sums_equal_per_replication_sequences(self, spec, draw_policy):
         # The one-sequence-per-replication loop the chunked draw replaces.
         sums = np.array(
             [generate_sequence(spec, 700, derive_subseed(8, r, 0)).sum() for r in range(500)]
         )
         # Chunks of 374 replications on the calling thread, of 124 on three workers.
         for rows, workers in ((374, 1), (124, 3)):
-            monkeypatch.setattr(eivtls.processes, "CHUNK_ELEMENTS", rows * 700)
-            monkeypatch.setattr(eivtls.processes, "_usable_cpus", lambda: workers)
+            draw_policy(elements=rows * 700, cpus=workers)
             rep = clt_check(spec, n=700, replications=500, seed=8)
             assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
 
