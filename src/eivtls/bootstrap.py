@@ -10,15 +10,11 @@ moving-block resample's Gram is the sum of its blocks' Grams (Kuensch
 1989).  There are only n - L + 1 blocks of L rows, so the Gram of each is
 computed once, by a batched product over the windows of the data, and so
 is the Gram of each truncated last block; no resample is ever gathered.
-Each resample keeps its own stream of block starts.  The resamples are
-handled on the calling thread in chunks of at most ``STARTS_IN_FLIGHT``
-starts, and one function, ``_block_starts``, draws a chunk's starts: it
-derives the ``SeedSequence`` words of the chunk's streams at once
-(``seeding.pcg64_seed_words``), takes each stream's raw 64-bit words from a
-bare PCG64 bit generator seeded by numpy from those words
-(``seeding.bit_generators``), and turns the whole chunk's words into starts
-bit-identical to ``Generator.integers`` by one batched bounded transform
-(numpy's own, Lemire 2019).  Each resample's Gram is summed from the two
+Each resample keeps its own stream of block starts, seeded by
+``derive_subseed(seed, r, 0)``.  The resamples are handled on the calling
+thread in chunks of at most ``STARTS_IN_FLIGHT`` starts, and one call,
+``seeding.bounded_integers`` on the chunk's seeds, draws a chunk's starts
+(that docstring states how).  Each resample's Gram is summed from the two
 tables one block position at a time, and the chunk's Grams are refitted at
 once by the batched TLS kernel ``estimator.tls_from_gram``, whose rows do
 not depend on one another.  Only the estimates and fit statuses outlive the
@@ -26,10 +22,10 @@ chunk, in a (B, p) array and a B-vector allocated before the first start is
 drawn so that a count the host cannot hold is refused before any work.  So
 memory stays at about 8p + 1 bytes a resample plus the tables and one
 chunk's starts, Grams and refit whatever n and L are.  No thread is
-started: what is left per resample is building its bit generator and one
-``random_raw`` call, both under the interpreter lock, and that loop ran
-slower on two threads than on one (two runs of 20 000 streams of 50 words:
-138-153 ms on one thread, 171-202 ms on two, 2 vCPUs).
+started: what is left per resample is ``bounded_integers``' work on its
+stream, under the interpreter lock, and that loop ran slower on two threads
+than on one (two runs of 20 000 streams of 50 words: 138-153 ms on one
+thread, 171-202 ms on two, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -42,18 +38,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InvalidParams, NumericalError
 from .estimator import FIT_OK, TlsFit, tls_fit, tls_from_gram
 from .linalg import as_integer, as_matrix, as_number, as_vector, icbrt, to_keys
-from .seeding import bit_generators, derive_subseed, pcg64_seed_words, streams
+from .seeding import bounded_integers, derive_subseed
 
 MAX_FAILURE_FRACTION = 0.10
-# Block starts drawn at once.  While drawn each takes at most 13 bytes (half
-# a raw word and a 64-bit product, then the product, its low 32 bits and a
-# mask byte), and a resample's count is rounded up to even.  A resample's
-# four seed words take 32 bytes more while its starts are drawn, 64 while its
-# raw words are (with their row-major copy) and 144 at most while they are
-# derived, so it counts as at least 32 starts.  So a chunk's starts stay
-# under 15 MB.  Its Grams and their refit then take under 55 (p+1)^2 bytes a
-# resample (the Grams and the multiple of them ``tls_from_gram`` states), and
-# a chunk holds at most 2^15 resamples: under 17 MB at p = 2.
+# Block starts drawn at once.  ``bounded_integers`` states the bytes its
+# draws take: at most 13 a start, a resample's count rounded up to even, and
+# at most 144 a resample, so a resample counts as at least 32 starts.  So a
+# chunk's starts stay under 15 MB.  Its Grams and their refit then take under
+# 55 (p+1)^2 bytes a resample (the Grams and the multiple of them
+# ``tls_from_gram`` states), and a chunk holds at most 2^15 resamples: under
+# 17 MB at p = 2.
 STARTS_IN_FLIGHT = 1 << 20
 
 
@@ -91,45 +85,6 @@ class BootstrapCi:
 
     def to_dict(self) -> dict:
         return to_keys(self)
-
-
-def _block_starts(n: int, length: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """(ceil(n / length), hi - lo) block starts of resamples ``lo .. hi-1``, one column each.
-
-    Resample r's starts are ``stream(derive_subseed(seed, r, 0)).integers(0,
-    n - length + 1, size=ceil(n / length))`` bit for bit.  For a range
-    ``high`` of at most 2^32 that call takes the low, then the high 32 bits
-    of each PCG64 word as one draw u and returns (u * high) >> 32, unless
-    (u * high) mod 2^32 falls below 2^32 mod high (Lemire 2019), where it
-    draws again.  Here that transform runs over the raw words of the whole
-    chunk at once; the rare resamples with a rejected draw, and every
-    resample of a range over 2^32 (numpy's 64-bit path), are drawn by the
-    ``integers`` call itself, from a ``Generator`` built for them alone.
-    """
-    n_blocks = -(-n // length)
-    high = n - length + 1
-    m = hi - lo
-    words = pcg64_seed_words(derive_subseed(seed, np.arange(lo, hi, dtype=np.uint64), 0))
-    if high <= 1 << 32:
-        k = -(-n_blocks // 2)
-        raw = np.empty((k, m), dtype=np.uint64)
-        for j, bit_generator in enumerate(bit_generators(words)):
-            raw[:, j] = bit_generator.random_raw(k)
-        # Masks and shifts, not a uint32 view, so the split ignores byte order.
-        draws = np.empty((2 * k, m), dtype=np.uint64)
-        np.bitwise_and(raw, 0xFFFFFFFF, out=draws[0::2])
-        np.right_shift(raw, 32, out=draws[1::2])
-        del raw
-        draws = draws[:n_blocks]
-        draws *= np.uint64(high)
-        redraw = np.flatnonzero((draws.astype(np.uint32) < (1 << 32) % high).any(axis=0))
-        draws >>= np.uint64(32)
-        starts = draws.view(np.int64)
-    else:
-        starts, redraw = np.empty((n_blocks, m), dtype=np.int64), np.arange(m)
-    for column, rng in zip(redraw, streams(words[:, redraw])):
-        starts[:, column] = rng.integers(0, high, size=n_blocks)
-    return starts
 
 
 def _block_grams(rows: np.ndarray, length: int, count: int) -> np.ndarray:
@@ -196,7 +151,8 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
     per_chunk = max(1, STARTS_IN_FLIGHT // max(n_blocks + n_blocks % 2, 32))
     for lo in range(0, cfg.n_boot, per_chunk):
         hi = min(lo + per_chunk, cfg.n_boot)
-        refits = tls_from_gram(_resample_grams(full, last, _block_starts(n, length, cfg.seed, lo, hi)))
+        seeds = derive_subseed(cfg.seed, np.arange(lo, hi, dtype=np.uint64), 0)
+        refits = tls_from_gram(_resample_grams(full, last, bounded_integers(seeds, n - length + 1, n_blocks)))
         beta[lo:hi], status[lo:hi] = refits.beta, refits.status
     ok = status == FIT_OK
     failures = int(np.count_nonzero(~ok))
@@ -205,8 +161,7 @@ def block_bootstrap_ci(x, y, cfg: BootstrapConfig) -> BootstrapCi:
     draws = beta[ok]
     alpha = 1.0 - cfg.level
     # numpy's default interpolation is the type-7 quantile rule.
-    lower = np.quantile(draws, alpha / 2.0, axis=0)
-    upper = np.quantile(draws, 1.0 - alpha / 2.0, axis=0)
+    lower, upper = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
     return BootstrapCi(
         point_estimate=fit.beta_hat,
         lower=lower,

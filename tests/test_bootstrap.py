@@ -15,7 +15,13 @@ from eivtls.errors import InvalidParams, NumericalError
 from eivtls.estimator import FIT_NONGENERIC, tls_from_gram
 from eivtls.model import repeating_block, synthesize
 from eivtls.processes import ErrorMatrixSpec, iid_gaussian, ma
-from eivtls.seeding import derive_subseed, stream
+from eivtls.seeding import bounded_integers, derive_subseed, stream
+
+
+def block_starts(n, length, seed, lo, hi):
+    """Block starts of resamples ``lo .. hi-1``, drawn from their seeds as the bootstrap draws them."""
+    seeds = derive_subseed(seed, np.arange(lo, hi, dtype=np.uint64), 0)
+    return bounded_integers(seeds, n - length + 1, -(-n // length))
 
 
 def refits_failing(failed):
@@ -162,7 +168,7 @@ class TestBlockBootstrapCi:
         x, y = make_dataset(n, seed=6, dependent=True)
         rows = np.column_stack([x, y])
         n_boot, seed = 7, 4
-        starts = bootstrap_mod._block_starts(n, length, seed, 0, n_boot)
+        starts = block_starts(n, length, seed, 0, n_boot)
         grams = bootstrap_mod._resample_grams(*bootstrap_mod._block_tables(rows, length), starts)
         n_blocks = -(-n // length)
         for r in range(n_boot):
@@ -178,7 +184,7 @@ class TestBlockBootstrapCi:
         # The TLS kernel reads only the lower triangle of each resample Gram.
         rows = 3.0 + np.random.default_rng(n + c).standard_normal((n, c))
         full, last = bootstrap_mod._block_tables(rows, length)
-        grams = bootstrap_mod._resample_grams(full, last, bootstrap_mod._block_starts(n, length, 4, 0, 50))
+        grams = bootstrap_mod._resample_grams(full, last, block_starts(n, length, 4, 0, 50))
         for table in (full, last, grams):
             assert np.array_equal(table, table.mT)
 
@@ -202,7 +208,7 @@ class TestBlockBootstrapCi:
         ],
     )
     def test_starts_match_integers_on_edge_ranges(self, n, length, lo, hi):
-        starts = bootstrap_mod._block_starts(n, length, 9, lo, hi)
+        starts = block_starts(n, length, 9, lo, hi)
         n_blocks = -(-n // length)
         assert starts.shape == (n_blocks, hi - lo)
         for r in range(lo, hi):
@@ -215,10 +221,10 @@ class TestBlockBootstrapCi:
         # count rounded up to even, and 280 more per resample.
         n_blocks = -(-n // length)
         # Once untraced first, so that numpy's one-time set-up is not counted.
-        bootstrap_mod._block_starts(n, length, 0, 0, resamples)
+        block_starts(n, length, 0, 0, resamples)
         tracemalloc.start()
         try:
-            bootstrap_mod._block_starts(n, length, 0, 0, resamples)
+            block_starts(n, length, 0, 0, resamples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -231,13 +237,13 @@ class TestBlockBootstrapCi:
         inst = synthesize(design, [1.5, -0.5], errors, 200, 7)
         monkeypatch.setattr(bootstrap_mod, "STARTS_IN_FLIGHT", 40 * 5000)
         chunks = []
-        draw = bootstrap_mod._block_starts
+        draw = bootstrap_mod.bounded_integers
 
         def counted(*args):
             chunks.append(args)
             return draw(*args)
 
-        monkeypatch.setattr(bootstrap_mod, "_block_starts", counted)
+        monkeypatch.setattr(bootstrap_mod, "bounded_integers", counted)
         cfg = BootstrapConfig(n_boot=20_000, seed=1)
         # Once untraced first, so that numpy's one-time set-up is not counted.
         block_bootstrap_ci(inst.x, inst.y, BootstrapConfig(n_boot=199))

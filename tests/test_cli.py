@@ -738,7 +738,7 @@ class TestSizeLimits:
         def drawn(*args):
             raise AssertionError("a block start was drawn")
 
-        monkeypatch.setattr(eivtls.bootstrap, "_block_starts", drawn)
+        monkeypatch.setattr(eivtls.bootstrap, "bounded_integers", drawn)
         data = tmp_path / "d.csv"
         data.write_text(csv)
         with pytest.raises(error):

@@ -73,13 +73,16 @@ def test_only_linalg_names_the_size_bound():
 # every process filters after, the rule that gives error-matrix column j its
 # stream seed, the reader of a nested spec (the two config files are read at
 # the top), the guard that refuses a field its kind does not read, the check
-# that beta and the error columns agree with the design, and the check of a
-# theorem's name.  The reference stream is built by the tests alone.
+# that beta and the error columns agree with the design, the check of a
+# theorem's name, and the bounded draw that reads raw PCG64 words in place of
+# ``Generator.integers``.  The reference stream is built by the tests alone.
 ONE_SITE = {
     "standard_normal": ["processes.py:_fill_column"],
     "column_subseed": ["processes.py:ErrorMatrixSpec.column_draws"],
-    "PCG64": ["seeding.py:stream", "seeding.py:bit_generators"],
+    "PCG64": ["seeding.py:stream", "seeding.py:_bit_generators"],
     "stream": [],
+    "random_raw": ["seeding.py:bounded_integers"],
+    "integers": ["seeding.py:bounded_integers"],
     "from_dict": ["cli.py:_load_experiment", "cli.py:_cmd_clt_check", "linalg.py:as_spec"],
     " takes no ": ["linalg.py:check_kind"],
     " entries, design has p=": ["model.py:check_model"],
@@ -123,6 +126,14 @@ def test_generators_are_built_in_seeding_alone():
     # seeds one, and no module draws from the reference stream.
     found = _sites()
     for name in ("PCG64", "stream"):
+        assert found[name] == ONE_SITE[name]
+
+
+def test_one_bounded_integer_draw():
+    # The bootstrap's block starts come from seeding; no other module reads
+    # raw words or calls ``integers``.
+    found = _sites()
+    for name in ("random_raw", "integers"):
         assert found[name] == ONE_SITE[name]
 
 

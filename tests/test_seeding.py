@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eivtls.seeding import (
-    bit_generators,
+    _bit_generators,
     column_subseed,
     derive_subseed,
     pcg64_seed_words,
@@ -59,7 +59,7 @@ class TestPcg64States:
     def test_states_equal_pcg64(self):
         words = pcg64_seed_words(np.array(self.SEEDS, dtype=np.uint64))
         count = 0
-        for seed, bit_generator in zip(self.SEEDS, bit_generators(words)):
+        for seed, bit_generator in zip(self.SEEDS, _bit_generators(words)):
             assert bit_generator.state == np.random.PCG64(seed).state
             count += 1
         assert count == len(self.SEEDS)
