@@ -31,11 +31,14 @@ from .model import (
     synthesize,
 )
 from .montecarlo import (
+    CltCheckConfig,
+    CltCheckReport,
     ConsistencyReport,
     ExperimentConfig,
     ExperimentReport,
     LongRunReport,
     NormalityExperimentReport,
+    clt_check,
     run_consistency,
     run_long_run_check,
     run_normality,
@@ -52,10 +55,7 @@ from .processes import (
 )
 from .seeding import derive_subseed
 from .stats import (
-    CltCheckConfig,
-    CltCheckReport,
     NormalityReport,
-    clt_check,
     ks_statistic,
     long_run_variance,
     mardia_tests,

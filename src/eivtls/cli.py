@@ -33,12 +33,13 @@ from .io import (
 from .mixing import check_assumptions
 from .model import synthesize
 from .montecarlo import (
+    CltCheckConfig,
     ExperimentConfig,
+    clt_check,
     run_consistency,
     run_long_run_check,
     run_normality,
 )
-from .stats import CltCheckConfig, clt_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

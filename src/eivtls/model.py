@@ -3,8 +3,10 @@
 A dataset realizes ``y = z @ beta + eps`` and ``x = z + theta``, where the
 design ``z`` is deterministic, bounded, and built so that the limit of
 ``z.T @ z / n`` exists and is positive definite; ``DesignSpec.limit`` is
-that limit.  ``check_model`` is the one check that beta, the design and the
-error columns agree on p, and ``expected_cross_product`` gives the exact
+that limit.  ``signal`` is the one source of the noise-free rows that
+``synthesize`` and every Monte Carlo replication add their errors to.
+``check_model`` is the one check that beta, the design and the error
+columns agree on p, and ``expected_cross_product`` gives the exact
 expected cross-product of ``[x, y]`` that the distributional checks use.
 """
 
@@ -97,20 +99,14 @@ def sinusoidal(frequencies) -> DesignSpec:
     return DesignSpec(kind="sinusoidal", frequencies=frequencies)
 
 
-def build_design(spec: DesignSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return the n x p design matrix and its limit matrix.
-
-    For a repeating block whose row count divides ``n`` the limit is attained
-    exactly at ``n``; otherwise it is the asymptotic value.
-    """
+def build_design(spec: DesignSpec, n: int) -> np.ndarray:
+    """Return the n x p design matrix; its limit matrix is ``spec.limit``."""
     n = as_integer(n, "n", spec.p + 2)
     if spec.kind == "repeating_block":
         k = spec.block.shape[0]
-        z = np.tile(spec.block, (-(-n // k), 1))[:n]
-    else:
-        idx = np.arange(1, n + 1, dtype=float)
-        z = np.sin(2.0 * np.pi * np.outer(idx, np.asarray(spec.frequencies)))
-    return z, spec.limit
+        return np.tile(spec.block, (-(-n // k), 1))[:n]
+    idx = np.arange(1, n + 1, dtype=float)
+    return np.sin(2.0 * np.pi * np.outer(idx, np.asarray(spec.frequencies)))
 
 
 def check_model(p: int, beta, errors: ErrorMatrixSpec | None = None) -> np.ndarray:
@@ -121,6 +117,13 @@ def check_model(p: int, beta, errors: ErrorMatrixSpec | None = None) -> np.ndarr
     if errors is not None and errors.p != p:
         raise InvalidParams(f"error spec has {errors.p + 1} columns, expected p + 1 = {p + 1}")
     return beta
+
+
+def signal(design: DesignSpec, beta, n: int) -> np.ndarray:
+    """The (p+1, n) rows ``[z.T; z @ beta]``; any overflow is left as inf or NaN."""
+    z = build_design(design, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.vstack([z.T, z @ check_model(design.p, beta)])
 
 
 @dataclass(frozen=True)
@@ -143,13 +146,14 @@ def synthesize(
     n: int,
     seed: int,
 ) -> EivInstance:
-    """Build z, draw [theta, eps], and form x = z + theta, y = z beta + eps."""
+    """Draw [theta, eps] and form x = z + theta, y = z beta + eps on the rows of ``signal``."""
     beta = check_model(design.p, beta, errors)
-    z, _ = build_design(design, n)
+    rows = signal(design, beta, n)
+    z = rows[:-1].T
     w = generate_error_matrix(errors, n, seed)
     theta, eps = w[:, :-1], w[:, -1]
     with np.errstate(over="ignore", invalid="ignore"):
-        y = z @ beta + eps
+        y = rows[-1] + eps
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"the signal y = z @ beta + eps overflows at n = {n}")
     return EivInstance(z=z, beta=beta, sigma2=errors.sigma2, theta=theta, eps=eps, x=z + theta, y=y)

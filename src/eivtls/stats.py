@@ -1,14 +1,13 @@
-"""Distributional checks: multivariate normality, KS distances, CLT
-experiments on normalized sums, and Bartlett-kernel long-run covariance.
+"""Statistics of samples: multivariate normality, KS distances, and
+Bartlett-kernel long-run covariance.  Nothing here draws a sample; the
+seeded experiments that produce them live in ``montecarlo``.
 
 P-values and the normal CDF come straight from ``scipy.special``: the
 chi-square upper tail is ``chdtrc``, the standard normal CDF is ``ndtr``
 (two-sided normal p-values are ``2 ndtr(-|z|)``), and the Kolmogorov limit
 is ``kolmogorov``.  ``scipy.special`` is imported inside the functions that
-evaluate them, so importing this module loads no scipy.  ``clt_check``
-sums replications drawn at unit sd by ``processes.map_draws``.  The
-long-run covariance is projected onto the PSD cone through
-``np.linalg.eigh``.
+evaluate them, so importing this module loads no scipy.  The long-run
+covariance is projected onto the PSD cone through ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NumericalError
-from .linalg import as_integer, as_matrix, as_spec, as_vector, from_keys, icbrt
-from .processes import ErrorProcessSpec, map_draws
-from .seeding import derive_subseed
+from .linalg import as_integer, as_matrix, as_vector, icbrt
 
 MIN_SAMPLES_PER_DIM = 20  # Mardia's tests need at least this many samples per dimension
 
@@ -84,79 +81,6 @@ def ks_statistic(sample) -> tuple[float, float]:
     d = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
     p = float(special.kolmogorov(np.sqrt(n) * d))
     return d, p
-
-
-@dataclass(frozen=True)
-class CltCheckConfig:
-    """A ``clt-check`` config; each field is read here, ``n`` and ``replications`` from 500 up."""
-
-    process: ErrorProcessSpec
-    n: int
-    replications: int
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "process", as_spec(ErrorProcessSpec, self.process))
-        object.__setattr__(self, "n", as_integer(self.n, "n", 500))
-        object.__setattr__(self, "replications", as_integer(self.replications, "replications", 500))
-        object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CltCheckConfig":
-        return from_keys(cls, d, "clt-check config")
-
-
-@dataclass(frozen=True)
-class CltCheckReport:
-    """Normalized partial sums across the replications of ``config``, tested against N(0, 1)."""
-
-    config: CltCheckConfig
-    s_over_sigma: np.ndarray
-    ks_vs_standard_normal: tuple[float, float]
-    varsigma2_estimate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.config.n,
-            "replications": self.config.replications,
-            "ks_d": self.ks_vs_standard_normal[0],
-            "ks_pvalue": self.ks_vs_standard_normal[1],
-            "varsigma2_estimate": self.varsigma2_estimate,
-        }
-
-    def table(self) -> tuple[list[str], list[list]]:
-        """Companion CSV: one normalized partial sum per replication."""
-        return ["s_over_sigma"], self.s_over_sigma[:, None].tolist()
-
-
-def clt_check(
-    spec: ErrorProcessSpec | dict, n: int, replications: int, seed: int
-) -> CltCheckReport:
-    """Check that normalized partial sums of the process look standard normal.
-
-    The sum's standard deviation is estimated across replications (matching
-    its definition as a variance of the partial sum), not by a within-series
-    kernel estimate.  ``CltCheckConfig`` reads the arguments (again, for
-    ``clt-check``: acceptance criterion 07 fixes this signature), and the
-    report holds it.  Replication r is ``generate_sequence(spec, n,
-    derive_subseed(seed, r, 0))``, drawn by ``processes.map_draws`` and
-    reduced a chunk at a time to its row sums.
-    """
-    cfg = CltCheckConfig(spec, n, replications, seed)
-    seeds = derive_subseed(cfg.seed, np.arange(cfg.replications, dtype=np.uint64), 0)
-    chunks = map_draws([cfg.process], 1.0, seeds[None], cfg.n, lambda b: b[:, 0].sum(axis=1))
-    sums = np.concatenate(chunks)
-    var = float(np.var(sums, ddof=1))
-    if not var > 0:
-        raise NumericalError("partial-sum variance estimate is not positive")
-    normalized = sums / np.sqrt(var)
-    ks = ks_statistic(normalized)
-    return CltCheckReport(
-        config=cfg,
-        s_over_sigma=normalized,
-        ks_vs_standard_normal=ks,
-        varsigma2_estimate=var / cfg.n,
-    )
 
 
 @dataclass(frozen=True)

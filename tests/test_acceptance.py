@@ -18,6 +18,7 @@ from eivtls.mixing import FiniteJoint, alpha_between, check_assumptions, phi_bet
 from eivtls.model import repeating_block, synthesize
 from eivtls.montecarlo import (
     ExperimentConfig,
+    clt_check,
     derive_subseed,
     run_consistency,
     run_long_run_check,
@@ -25,7 +26,6 @@ from eivtls.montecarlo import (
 )
 from eivtls.presets import default_config, default_design, default_errors
 from eivtls.processes import ErrorMatrixSpec, ar1, iid_gaussian, ma
-from eivtls.stats import clt_check
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -122,7 +122,7 @@ def test_criterion_04_expected_cross_product():
     for path in ("alpha", "phi"):
         design = default_design(2)
         errors = default_errors(path, 2)
-        z, _ = build_design(design, n)
+        z = build_design(design, n)
         expected = expected_cross_product(z, beta, errors.sigma2)
         acc = np.empty((reps, 3, 3))
         for r in range(reps):
@@ -320,30 +320,24 @@ def test_criterion_11_attenuation_contrast():
     )
 
 
-def test_criterion_12_determinism(tmp_path):
+def test_criterion_12_determinism(tmp_path, draw_policy):
+    # 4 and 7 chunks of replications: one CPU draws them on the calling
+    # thread, four on pool threads.
     cfg = default_config(
-        "alpha", beta=(1.0,), n_grid=(60, 120), replications=100, master_seed=1212
+        "alpha", beta=(1.0,), n_grid=(2000, 4000), replications=100, master_seed=1212
     )
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
     outputs = []
-    for threads in (1, 8):
-        out = tmp_path / f"report{threads}.json"
-        code = cli_main(
-            [
-                "mc-consistency",
-                "--config",
-                str(cfg_path),
-                "--threads",
-                str(threads),
-                "--out",
-                str(out),
-            ]
-        )
+    for cpus in (1, 4):
+        draw_policy(cpus=cpus)
+        out = tmp_path / f"report{cpus}.json"
+        code = cli_main(["mc-consistency", "--config", str(cfg_path), "--out", str(out)])
         assert code == 0
         outputs.append(out.read_bytes())
     _report(
         12,
-        "identical configs give bitwise-identical reports for 1 and 8 threads",
+        "reports do not depend on the threads that draw them",
         outputs[0] == outputs[1],
+        "calling thread against 4 pool threads",
     )

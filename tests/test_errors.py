@@ -10,9 +10,13 @@ place: ``linalg.as_integer`` with a minimum, so only ``linalg`` names
 (``ErrorMatrixSpec.column_draws``), one nested-spec reader
 (``linalg.as_spec``, beside the two config loaders of ``cli``), one
 kind guard (``linalg.check_kind``), one check that beta and the error
-columns agree with the design (``model.check_model``) and one check of a
-theorem's name (``mixing.theorem_conditions``).  No package module draws
-from the reference ``seeding.stream``, so a second draw path fails here.
+columns agree with the design (``model.check_model``), one check of a
+theorem's name (``mixing.theorem_conditions``), one builder of the design
+(``model.signal``) and one place per seeded run that derives replication
+seeds (the bootstrap and the ``montecarlo`` experiments).  No package
+module draws from the reference ``seeding.stream``, so a second draw path
+fails here, and ``stats`` imports neither ``processes`` nor ``seeding``:
+it tests samples and draws none.
 Each process kind is named only in its ``processes.KINDS`` row and its
 factory function, and no process module branches on a kind.  ``cli``
 states no numeric flag default: each belongs to the config class that
@@ -74,8 +78,10 @@ def test_only_linalg_names_the_size_bound():
 # stream seed, the reader of a nested spec (the two config files are read at
 # the top), the guard that refuses a field its kind does not read, the check
 # that beta and the error columns agree with the design, the check of a
-# theorem's name, and the bounded draw that reads raw PCG64 words in place of
-# ``Generator.integers``.  The reference stream is built by the tests alone.
+# theorem's name, the bounded draw that reads raw PCG64 words in place of
+# ``Generator.integers``, the noise-free rows every dataset and replication
+# adds its errors to, and the seeded runs that derive replication seeds.
+# The reference stream is built by the tests alone.
 ONE_SITE = {
     "standard_normal": ["processes.py:_fill_column"],
     "column_subseed": ["processes.py:ErrorMatrixSpec.column_draws"],
@@ -88,6 +94,12 @@ ONE_SITE = {
     " entries, design has p=": ["model.py:check_model"],
     " columns, expected p + 1 = ": ["model.py:check_model"],
     " expected one of ": ["mixing.py:theorem_conditions"],
+    "build_design": ["model.py:signal"],
+    "derive_subseed": [
+        "bootstrap.py:block_bootstrap_ci",
+        "montecarlo.py:_replicate",
+        "montecarlo.py:clt_check",
+    ],
 }
 
 
@@ -151,6 +163,23 @@ def test_one_model_agreement_check():
 
 def test_one_theorem_name_check():
     assert _sites()[" expected one of "] == ONE_SITE[" expected one of "]
+
+
+def test_one_design_builder_and_one_seed_deriver_per_run():
+    found = _sites()
+    for name in ("build_design", "derive_subseed"):
+        assert found[name] == ONE_SITE[name]
+
+
+def test_stats_imports_no_draw():
+    path = next(path for path in SOURCES if path.name == "stats.py")
+    imported = set()  # every dotted part of every module and name imported
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert not imported & {"processes", "seeding"}
 
 
 def test_each_process_kind_is_named_in_its_row_and_its_factory():

@@ -8,9 +8,10 @@ from eivtls.bootstrap import BootstrapConfig, choose_block_length
 from eivtls.errors import InvalidParams
 from eivtls.linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_vector
 from eivtls.model import build_design, repeating_block
+from eivtls.montecarlo import CltCheckConfig, clt_check
 from eivtls.presets import default_config
 from eivtls.processes import generate_error_matrix, generate_sequence, iid_gaussian
-from eivtls.stats import CltCheckConfig, clt_check, long_run_variance
+from eivtls.stats import long_run_variance
 
 
 class TestValidators:

@@ -14,7 +14,7 @@ from eivtls.model import (
     sinusoidal,
     synthesize,
 )
-from eivtls.montecarlo import ExperimentConfig
+from eivtls.montecarlo import CltCheckConfig, ExperimentConfig, clt_check
 from eivtls.presets import default_design
 from eivtls.processes import (
     ErrorMatrixSpec,
@@ -24,7 +24,6 @@ from eivtls.processes import (
     ma,
 )
 from eivtls.seeding import derive_subseed
-from eivtls.stats import CltCheckConfig, clt_check
 
 
 def iid_errors(p, sigma2=1.0):
@@ -33,23 +32,26 @@ def iid_errors(p, sigma2=1.0):
 
 class TestBuildDesign:
     def test_block_univariate_limit(self):
-        z, delta = build_design(repeating_block([[1.0], [2.0]]), 4)
+        spec = repeating_block([[1.0], [2.0]])
+        z = build_design(spec, 4)
         assert np.array_equal(z[:, 0], [1.0, 2.0, 1.0, 2.0])
-        assert delta == pytest.approx(np.array([[2.5]]))
+        assert spec.limit == pytest.approx(np.array([[2.5]]))
 
     def test_orthonormal_tiling(self):
-        _, delta = build_design(repeating_block([[1.0, 0.0], [0.0, 1.0]]), 100)
-        assert np.array_equal(delta, 0.5 * np.eye(2))
+        spec = repeating_block([[1.0, 0.0], [0.0, 1.0]])
+        z = build_design(spec, 100)
+        assert np.array_equal(spec.limit, 0.5 * np.eye(2))
+        assert np.array_equal(z.T @ z / 100, spec.limit)
 
     def test_pm_one_block(self):
-        z, delta = build_design(repeating_block([[1.0], [-1.0], [1.0], [-1.0]]), 8)
-        assert delta == pytest.approx(np.array([[1.0]]))
+        spec = repeating_block([[1.0], [-1.0], [1.0], [-1.0]])
+        z = build_design(spec, 8)
+        assert spec.limit == pytest.approx(np.array([[1.0]]))
         assert np.array_equal(z[:, 0] ** 2, np.ones(8))
 
     def test_exact_delta_when_block_divides_n(self):
         spec = repeating_block([[1.0, 0.5], [0.0, 1.0], [1.0, -1.0]])
-        z, delta = build_design(spec, 300)
-        assert np.array_equal(delta, spec.limit)
+        z = build_design(spec, 300)
         assert z.T @ z / 300 == pytest.approx(spec.limit, abs=1e-12)
 
     def test_rank_deficient_block(self):
@@ -59,8 +61,7 @@ class TestBuildDesign:
     def test_overflowing_limit_matrix(self):
         with pytest.raises(InvalidParams, match="overflows"):
             repeating_block([[1e200, 0.0], [0.0, 1.0]])
-        _, delta = build_design(repeating_block([[1e153, 0.0], [0.0, 1e153]]), 4)
-        assert np.all(np.isfinite(delta))
+        assert np.all(np.isfinite(repeating_block([[1e153, 0.0], [0.0, 1e153]]).limit))
 
     def test_n_too_small(self):
         with pytest.raises(InvalidParams):
@@ -68,11 +69,10 @@ class TestBuildDesign:
 
     def test_sinusoidal_bounded_and_half_identity_limit(self):
         spec = sinusoidal((0.123, 0.271))
-        z, delta = build_design(spec, 20_000)
+        z = build_design(spec, 20_000)
         assert np.max(np.abs(z)) <= 1.0
-        assert np.array_equal(delta, 0.5 * np.eye(2))
-        assert np.array_equal(delta, spec.limit)
-        assert z.T @ z / 20_000 == pytest.approx(delta, abs=0.01)
+        assert np.array_equal(spec.limit, 0.5 * np.eye(2))
+        assert z.T @ z / 20_000 == pytest.approx(spec.limit, abs=0.01)
 
     def test_sinusoidal_validation(self):
         with pytest.raises(InvalidParams):
@@ -167,7 +167,7 @@ class TestSynthesize:
             lambda: synthesize(design, beta, errors, 10, 0),
         ]
         if errors.p == design.p:  # expected_cross_product reads no error spec
-            readers.append(lambda: expected_cross_product(build_design(design, 10)[0], beta, 1.0))
+            readers.append(lambda: expected_cross_product(build_design(design, 10), beta, 1.0))
         for read in readers:
             with pytest.raises(InvalidParams, match=f"^{message}$"):
                 read()
@@ -282,7 +282,7 @@ class TestExpectedCrossProduct:
             acc[r] = xy.T @ xy
         mean = acc.mean(axis=0)
         se = acc.std(axis=0, ddof=1) / np.sqrt(reps)
-        z, _ = build_design(design, n)
+        z = build_design(design, n)
         expected = expected_cross_product(z, beta, 1.0)
         assert np.all(np.abs(mean - expected) <= 4.0 * se)
 

@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from eivtls import montecarlo
-from eivtls.errors import InvalidParams
+from eivtls import montecarlo, processes
+from eivtls.errors import InvalidParams, NumericalError
 from eivtls.estimator import FIT_OK, tls_fit
 from eivtls.linalg import MAX_LENGTH
 from eivtls.model import repeating_block, synthesize
@@ -15,6 +15,7 @@ from eivtls.montecarlo import (
     ExperimentConfig,
     LongRunReport,
     NormalityExperimentReport,
+    clt_check,
     derive_subseed,
     run_consistency,
     run_long_run_check,
@@ -23,7 +24,7 @@ from eivtls.montecarlo import (
     _replicate,
 )
 from eivtls.presets import default_config, default_design, default_errors
-from eivtls.processes import ErrorMatrixSpec, ar1, iid_gaussian, ma
+from eivtls.processes import ErrorMatrixSpec, ar1, generate_sequence, iid_gaussian, ma
 
 
 def small_config(sigma2=1.0, reps=120, n_grid=(40, 80), seed=7):
@@ -233,6 +234,51 @@ class TestRunLongRun:
         vals = [v for _, v in report.long_run_table]
         assert all(v > 0 for v in vals)
         assert abs(vals[1] - vals[0]) / vals[0] < 0.5
+
+
+class TestCltCheck:
+    def test_iid_varsigma_is_one(self):
+        rep = clt_check(iid_gaussian(), n=1000, replications=600, seed=40)
+        assert abs(rep.varsigma2_estimate - 1.0) < 0.15
+        assert rep.ks_vs_standard_normal[1] > 0.01
+
+    def test_ma1_long_run_variance_two(self):
+        rep = clt_check(ma((1.0, 1.0)), n=1000, replications=800, seed=41)
+        assert abs(rep.varsigma2_estimate - 2.0) < 0.25
+        assert rep.ks_vs_standard_normal[1] > 0.01
+
+    @pytest.mark.parametrize("spec", [ma((1.0, 0.5)), ar1(0.4)], ids=["ma", "ar1"])
+    def test_chunked_sums_equal_per_replication_sequences(self, spec, draw_policy):
+        # The one-sequence-per-replication loop the chunked draw replaces.
+        sums = np.array(
+            [generate_sequence(spec, 700, derive_subseed(8, r, 0)).sum() for r in range(500)]
+        )
+        # Chunks of 374 replications on the calling thread, of 124 on three workers.
+        for rows, workers in ((374, 1), (124, 3)):
+            draw_policy(elements=rows * 700, cpus=workers)
+            rep = clt_check(spec, n=700, replications=500, seed=8)
+            assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
+
+    def test_process_may_be_its_config_object(self):
+        rep = clt_check({"kind": "ma", "coeffs": [1.0, 1.0]}, 500, 500, 0)
+        same = clt_check(ma((1.0, 1.0)), 500, 500, 0)
+        assert rep.config == same.config
+        assert np.array_equal(rep.s_over_sigma, same.s_over_sigma)
+        with pytest.raises(InvalidParams, match="^ma spec needs at least one coefficient"):
+            clt_check({"kind": "ma"}, 500, 500, 0)
+
+    def test_preconditions(self):
+        with pytest.raises(InvalidParams):
+            clt_check(iid_gaussian(), n=1000, replications=100, seed=0)
+        with pytest.raises(InvalidParams):
+            clt_check(iid_gaussian(), n=100, replications=500, seed=0)
+
+    def test_degenerate_variance(self, monkeypatch):
+        monkeypatch.setattr(
+            processes, "_fill_column", lambda spec, sd, words, out: out.fill(0.0)
+        )
+        with pytest.raises(NumericalError, match="partial-sum variance estimate is not positive"):
+            clt_check(iid_gaussian(), n=1000, replications=500, seed=0)
 
 
 class TestReports:

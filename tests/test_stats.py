@@ -3,18 +3,16 @@ import pytest
 from scipy import special
 from scipy import stats as sps
 
-import eivtls.processes
 from eivtls.errors import InvalidParams, NumericalError
 from eivtls.linalg import MAX_LENGTH, icbrt
 from eivtls.seeding import derive_subseed
 from eivtls.stats import (
-    clt_check,
     ks_statistic,
     long_run_variance,
     mardia_tests,
     normality_battery,
 )
-from eivtls.processes import ar1, generate_sequence, iid_gaussian, ma
+from eivtls.processes import generate_sequence, iid_gaussian, ma
 
 
 class TestMardia:
@@ -143,51 +141,6 @@ class TestKs:
         d, _ = ks_statistic(x)
         ref = sps.kstest(x, "norm")
         assert d == pytest.approx(ref.statistic, abs=1e-12)
-
-
-class TestCltCheck:
-    def test_iid_varsigma_is_one(self):
-        rep = clt_check(iid_gaussian(), n=1000, replications=600, seed=40)
-        assert abs(rep.varsigma2_estimate - 1.0) < 0.15
-        assert rep.ks_vs_standard_normal[1] > 0.01
-
-    def test_ma1_long_run_variance_two(self):
-        rep = clt_check(ma((1.0, 1.0)), n=1000, replications=800, seed=41)
-        assert abs(rep.varsigma2_estimate - 2.0) < 0.25
-        assert rep.ks_vs_standard_normal[1] > 0.01
-
-    @pytest.mark.parametrize("spec", [ma((1.0, 0.5)), ar1(0.4)], ids=["ma", "ar1"])
-    def test_chunked_sums_equal_per_replication_sequences(self, spec, draw_policy):
-        # The one-sequence-per-replication loop the chunked draw replaces.
-        sums = np.array(
-            [generate_sequence(spec, 700, derive_subseed(8, r, 0)).sum() for r in range(500)]
-        )
-        # Chunks of 374 replications on the calling thread, of 124 on three workers.
-        for rows, workers in ((374, 1), (124, 3)):
-            draw_policy(elements=rows * 700, cpus=workers)
-            rep = clt_check(spec, n=700, replications=500, seed=8)
-            assert np.array_equal(rep.s_over_sigma, sums / np.sqrt(np.var(sums, ddof=1)))
-
-    def test_process_may_be_its_config_object(self):
-        rep = clt_check({"kind": "ma", "coeffs": [1.0, 1.0]}, 500, 500, 0)
-        same = clt_check(ma((1.0, 1.0)), 500, 500, 0)
-        assert rep.config == same.config
-        assert np.array_equal(rep.s_over_sigma, same.s_over_sigma)
-        with pytest.raises(InvalidParams, match="^ma spec needs at least one coefficient"):
-            clt_check({"kind": "ma"}, 500, 500, 0)
-
-    def test_preconditions(self):
-        with pytest.raises(InvalidParams):
-            clt_check(iid_gaussian(), n=1000, replications=100, seed=0)
-        with pytest.raises(InvalidParams):
-            clt_check(iid_gaussian(), n=100, replications=500, seed=0)
-
-    def test_degenerate_variance(self, monkeypatch):
-        monkeypatch.setattr(
-            eivtls.processes, "_fill_column", lambda spec, sd, words, out: out.fill(0.0)
-        )
-        with pytest.raises(NumericalError, match="partial-sum variance estimate is not positive"):
-            clt_check(iid_gaussian(), n=1000, replications=500, seed=0)
 
 
 class TestNormalityBattery:
