@@ -16,9 +16,11 @@ marginal standard deviation is exactly the sd it is drawn at, sqrt(sigma2)
 for every column of an error matrix and 1 for ``generate_sequence``.  All
 draws are pure functions of (spec, n, seed).
 
-This module owns the draw policy.  Every seeded draw of the package goes
-through ``map_draws``; a draw from one seed (``generate_sequence``,
+This module owns the draw policy.  Every seeded error draw of the package
+goes through ``map_draws``; a draw from one seed (``generate_sequence``,
 ``generate_error_matrix``, so ``gen`` and ``synthesize``) is its one block.
+The bootstrap's block starts are not error draws: ``seeding.bounded_integers``
+draws them.
 
 * Chunks.  The PCG64 seed words of all rows' streams are derived at once
   (about 136 bytes a stream while derived, 32 after), and the blocks are

@@ -148,7 +148,7 @@ def test_criterion_05_consistency():
     details = []
     for path in ("alpha", "phi"):
         cfg = default_config(path, beta=(1.0,), master_seed=505)
-        report = run_consistency(cfg, threads=4)
+        report = run_consistency(cfg)
         meds = [c.median_beta_err for c in report.cells]
         scaled = [m * np.sqrt(c.n) for m, c in zip(meds, report.cells)]
         decreasing = all(a > b for a, b in zip(meds, meds[1:]))
@@ -186,7 +186,7 @@ def test_criterion_06_asymptotic_normality():
                 master_seed=606_000 + s,
                 theorem="AN-" + path,
             )
-            rep = run_normality(cfg, threads=4)
+            rep = run_normality(cfg)
             nb = rep.normality
             pvals = [nb.mardia_skewness_pvalue, nb.mardia_kurtosis_pvalue]
             pvals += [p for _, _, p in nb.ks_projection_stats]
@@ -233,7 +233,7 @@ def test_criterion_08_long_run_condition():
         theorem="AN-phi",
     )
     t = np.ones(2) / np.sqrt(2.0)
-    report = run_long_run_check(cfg, t, threads=4)
+    report = run_long_run_check(cfg, t)
     vals = [v for _, v in report.long_run_table]
     positive = all(v > 0 for v in vals)
     rel_gap = abs(vals[-1] - vals[-2]) / vals[-2]

@@ -83,6 +83,25 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_script(script, *args, cwd=None):
+    """The stdout of ``script`` run to exit 0 in a fresh interpreter that imports this ``eivtls``.
+
+    As in the suite's own settings, a RuntimeWarning or DeprecationWarning is an error there.
+    """
+    src = str(Path(eivtls.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True, text=True, env=env, cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def umask_forbidden(mask):
     raise AssertionError("os.umask changes the umask of every thread in the process")
 
@@ -677,7 +696,8 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("name, path", [("alpha_p2", "alpha"), ("phi_p2", "phi")])
     def test_shipped_configs_are_the_presets(self, name, path):
-        # The benchmark and CI read the JSON files; the tests build from presets.
+        # The benchmark and the README commands read the JSON files; the other
+        # tests build from presets.
         assert shipped(name) == default_config(path, beta=(1.0, -2.0)).to_dict()
 
     def test_shipped_clt_process_is_its_own_to_dict(self):
@@ -854,10 +874,7 @@ class TestExperimentCommands:
 
     def test_mc_consistency_with_tables(self, tmp_path, config_path):
         out, tab = tmp_path / "mc.json", tmp_path / "mc.csv"
-        code = run(
-            "mc-consistency", "--config", config_path,
-            "--threads", 2, "--out", out, "--tables", tab,
-        )
+        code = run("mc-consistency", "--config", config_path, "--out", out, "--tables", tab)
         assert code == EXIT_OK
         rep = json.loads(out.read_text())
         assert [c["n"] for c in rep["cells"]] == [40, 80]
@@ -1062,14 +1079,7 @@ SCIPY_ON_FIRST_USE = textwrap.dedent(
 class TestScipyOnFirstUse:
     def test_cli_loads_no_scipy_until_ar1(self, tmp_path):
         # A fresh interpreter: this test process has scipy loaded already.
-        src = str(Path(eivtls.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-c", SCIPY_ON_FIRST_USE, str(tmp_path)],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        out = json.loads(proc.stdout.splitlines()[-1])
+        out = json.loads(run_script(SCIPY_ON_FIRST_USE, tmp_path).splitlines()[-1])
         assert out["codes"] == [EXIT_OK] * 3
         # numpy.random, too, loads on the first draw, not on import.
         assert not out["random_imported"]
@@ -1094,21 +1104,25 @@ ONE_CPU_RUN = textwrap.dedent(
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
 class TestCpuAffinity:
-    def test_one_cpu_report_bytes_equal_unrestricted(self, tmp_path):
-        # n = 2000 and R = 100 make several chunks, so an unrestricted run on
-        # more than one CPU draws them on more than one thread.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # n = 2000 and R = 100 make several chunks, so an unrestricted run
+            # on more than one CPU draws them on more than one thread.
+            ["mc-normality", "--config", "alpha.json", "--tables", "{mode}.csv"],
+            # The block length and resample count at their defaults.
+            ["bootstrap-ci", "--data", "phi.csv"],
+        ],
+        ids=["mc-normality", "bootstrap-ci"],
+    )
+    def test_one_cpu_report_bytes_equal_unrestricted(self, tmp_path, argv):
         cfg = default_config("alpha", beta=(1.0,), n_grid=(500, 2000), replications=100)
-        path = tmp_path / "alpha.json"
-        path.write_text(json.dumps(cfg.to_dict()))
-        src = str(Path(eivtls.__file__).resolve().parents[1])
-        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path_var)
+        (tmp_path / "alpha.json").write_text(json.dumps(cfg.to_dict()))
+        phi = SHIPPED_CONFIGS / "phi_p2.json"
+        assert run("gen", "--config", phi, "--n", 2000, "--out", tmp_path / "phi.csv") == EXIT_OK
         outputs = []
         for mode in ("one-cpu", "all-cpus"):
-            out, tables = tmp_path / f"{mode}.json", tmp_path / f"{mode}.csv"
-            argv = ["mc-normality", "--config", path, "--out", out, "--tables", tables]
-            subprocess.run(
-                [sys.executable, "-c", ONE_CPU_RUN, mode, *map(str, argv)], env=env, check=True
-            )
-            outputs.append((out.read_bytes(), tables.read_bytes()))
+            args = [a.format(mode=mode) for a in argv]
+            run_script(ONE_CPU_RUN, mode, *args, "--out", f"{mode}.json", cwd=tmp_path)
+            outputs.append(sorted(p.read_bytes() for p in tmp_path.glob(f"{mode}.*")))
         assert outputs[0] == outputs[1]

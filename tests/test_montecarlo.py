@@ -178,7 +178,7 @@ class TestRunConsistency:
 class TestRunNormality:
     def test_gaussian_iid_case(self):
         cfg = small_config(sigma2=0.5, reps=400, n_grid=(600,))
-        report = run_normality(cfg, threads=4)
+        report = run_normality(cfg)
         assert report.kind == "normality"
         assert report.normality_n == 600
         assert report.deviations.shape == (400, 1)
@@ -321,24 +321,24 @@ class TestReports:
 
 
 class TestChunking:
-    """Reports must not depend on how replications are split into chunks."""
+    """Reports must not depend on how replications are split into chunks, nor on ``threads``."""
 
-    def reports(self):
+    def reports(self, threads):
         cfg = small_config(reps=100, n_grid=(40, 80))
-        normality = run_normality(cfg)
+        normality = run_normality(cfg, threads=threads)
         return [
-            json.dumps(run_consistency(cfg).to_dict()),
-            json.dumps(run_long_run_check(cfg, t=np.array([1.0, -0.5])).to_dict()),
+            json.dumps(run_consistency(cfg, threads=threads).to_dict()),
+            json.dumps(run_long_run_check(cfg, t=np.array([1.0, -0.5]), threads=threads).to_dict()),
             json.dumps(normality.to_dict()),
             normality.table(),
         ]
 
     @pytest.mark.parametrize("reps_per_chunk", [1, 7])
     def test_reports_byte_identical(self, draw_policy, reps_per_chunk):
-        whole = self.reports()
+        whole = self.reports(threads=1)
         # (p + 1) n floats per replication at the largest n = 80, on one worker.
         draw_policy(elements=reps_per_chunk * 2 * 80, cpus=1)
-        assert self.reports() == whole
+        assert self.reports(threads=8) == whole
 
 
 class TestFitCell:
@@ -362,24 +362,30 @@ class TestWorkers:
     """Gram stacks must not depend on how many threads draw them."""
 
     @pytest.mark.parametrize(
-        "path, n, rows",
+        "path, n, rows, q",
         [
-            ("alpha", 90, (6, 3, 2)),
-            ("phi", 90, (6, 3, 2)),
-            ("alpha", 9000, (4, 2, 1)),
-            ("phi", 9000, (4, 2, 1)),
-            ("phi", 16_000, (2, 1, 2)),
+            ("alpha", 90, (6, 3, 2), 0),
+            ("phi", 90, (6, 3, 2), 0),
+            ("alpha", 9000, (4, 2, 1), 0),
+            ("phi", 9000, (4, 2, 1), 0),
+            ("phi", 16_000, (2, 1, 2), 0),
+            ("phi", 250, (50, 20, 10), 2000),
         ],
-        ids=["alpha", "phi", "alpha-n9000", "phi-n9000", "phi-n16000"],
+        ids=["alpha", "phi", "alpha-n9000", "phi-n9000", "phi-n16000", "ma2000-n250"],
     )
-    def test_gram_stacks_bitwise_equal_for_1_2_3_workers(self, draw_policy, path, n, rows):
+    def test_gram_stacks_bitwise_equal_for_1_2_3_workers(self, draw_policy, path, n, rows, q):
         cfg = default_config(path, beta=(1.0, -2.0), n_grid=(n,), replications=100)
-        # Chunks of rows[w - 1] replications of (p + 1) n floats on w workers:
-        # at n = 90 every worker draws many chunks; n = 9000 is past einsum's
-        # 8192-float buffer, and n = 16 000 spans four GRAM_BLOCKs.
+        if q:
+            # Every column MA(q): each row draws a lead longer than n.
+            columns = (ma((1.0,) * (q + 1)),) * 3
+            cfg = dataclasses.replace(cfg, errors=dataclasses.replace(cfg.errors, column_specs=columns))
+        # Chunks of rows[w - 1] replications of (p + 1) n + max(0, q - n)
+        # floats on w workers: at n = 90 every worker draws many chunks;
+        # n = 9000 is past einsum's 8192-float buffer, and n = 16 000 spans
+        # four GRAM_BLOCKs.
         stacks = []
         for workers, k in zip((1, 2, 3), rows):
-            draw_policy(elements=k * 3 * n, cpus=workers)
+            draw_policy(elements=k * (3 * n + max(0, q - n)), cpus=workers)
             stacks.append(_replicate(cfg, 0))
         assert stacks[0].shape == (100, 3, 3)
         assert all(np.array_equal(s, stacks[0]) for s in stacks[1:])

@@ -377,14 +377,21 @@ class TestMapChunks:
     SPEC = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
     SEEDS = np.arange(23, dtype=np.uint64) * 7919 + 3
 
-    def draws(self, reduce, n=40):
-        return map_draws(*self.SPEC.column_draws(self.SEEDS), n, reduce)
+    def draws(self, reduce, spec=SPEC, n=40):
+        return map_draws(*spec.column_draws(self.SEEDS), n, reduce)
 
-    def test_gram_stack_independent_of_chunking(self, draw_policy):
-        full = np.concatenate(self.draws(lambda b: b.copy()))
+    @pytest.mark.parametrize(
+        "spec, n, floats",
+        [(SPEC, 40, 3 * 40), (ErrorMatrixSpec((ma((1.0,) * 3001),)), 500, 3000)],
+        ids=["three-columns", "ma3000-n500"],
+    )
+    def test_gram_stack_independent_of_chunking(self, draw_policy, spec, n, floats):
+        # A chunk counts C n + max(0, lead - n) floats a block: an MA(3000)
+        # column at n = 500 draws a lead longer than n into its own scratch.
+        full = np.concatenate(self.draws(lambda b: b.copy(), spec, n))
         grams = full @ full.mT
         for rows, workers in itertools.product((1, 7, 23), (1, 2, 3)):
-            draw_policy(elements=rows * 3 * 40, cpus=workers)
+            draw_policy(elements=rows * floats, cpus=workers)
             lock, seen = threading.Lock(), []
 
             def reduce(block):
@@ -394,7 +401,7 @@ class TestMapChunks:
                     seen.append((threading.current_thread(), lo, len(block)))
                 return block @ block.mT
 
-            assert np.array_equal(np.concatenate(self.draws(reduce)), grams)
+            assert np.array_equal(np.concatenate(self.draws(reduce, spec, n)), grams)
             # Chunks of at most `rows` blocks in consecutive ranges from 0, on
             # at most one thread per usable CPU; one CPU or one chunk draws on
             # the calling thread.
