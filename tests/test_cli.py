@@ -738,10 +738,6 @@ class TestSizeLimits:
         assert capsys.readouterr().err.startswith("error: ")
         assert MAX_LENGTH < 10**30
 
-    def test_bootstrap_resample_count(self):
-        with pytest.raises(InvalidParams, match="at most"):
-            BootstrapConfig(n_boot=MAX_LENGTH + 1)
-
     @pytest.mark.parametrize(
         "csv, n_boot, error, message",
         # At p = 1, 10**17 estimates take 8e17 bytes and MAX_LENGTH estimates

@@ -21,9 +21,15 @@ Each process kind is named only in its ``processes.KINDS`` row and its
 factory function, and no process module branches on a kind.  ``cli``
 states no numeric flag default: each belongs to the config class that
 reads it.
+
+Each shared contract has one owner test, and a new site adds a row to its
+table rather than a test: the one-site rules are the keys of ``ONE_SITE``
+here, sizes and seeds the rows of ``SIZES`` and ``SEEDS`` in
+``test_linalg``.  The README's "Install and test" section lists every owner.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -75,13 +81,15 @@ def test_only_linalg_names_the_size_bound():
 
 # Each name, or string part, may be used at its own sites only: the draw loop
 # every process filters after, the rule that gives error-matrix column j its
-# stream seed, the reader of a nested spec (the two config files are read at
-# the top), the guard that refuses a field its kind does not read, the check
-# that beta and the error columns agree with the design, the check of a
-# theorem's name, the bounded draw that reads raw PCG64 words in place of
-# ``Generator.integers``, the noise-free rows every dataset and replication
-# adds its errors to, and the seeded runs that derive replication seeds.
-# The reference stream is built by the tests alone.
+# stream seed, the reference stream and the many-seed bit generators (no
+# module draws from the reference stream: the tests alone build it), the
+# bounded draw of the bootstrap's block starts, which reads raw PCG64 words in
+# place of ``Generator.integers``, the reader of a nested spec (the two config
+# files are read at the top), the guard that refuses a field its kind does not
+# read, the check that beta and the error columns agree with the design, the
+# check of a theorem's name, the noise-free rows every dataset and replication
+# adds its errors to, and the seeded runs that derive replication seeds.  This
+# table owns the one-site rules: a new rule adds a key here.
 ONE_SITE = {
     "standard_normal": ["processes.py:_fill_column"],
     "column_subseed": ["processes.py:ErrorMatrixSpec.column_draws"],
@@ -103,8 +111,9 @@ ONE_SITE = {
 }
 
 
+@functools.cache
 def _sites() -> dict:
-    """The sites where each entry of ``ONE_SITE`` is used in the package source."""
+    """The sites where each entry of ``ONE_SITE`` is used in the package source, parsed once."""
     found = {name: [] for name in ONE_SITE}
 
     def visit(node, path, scope):
@@ -127,48 +136,9 @@ def _sites() -> dict:
     return found
 
 
-def test_one_draw_loop_and_one_column_seed_rule():
-    found = _sites()
-    for name in ("standard_normal", "column_subseed"):
-        assert found[name] == ONE_SITE[name]
-
-
-def test_generators_are_built_in_seeding_alone():
-    # The reference stream and the many-seed bit generators; no other module
-    # seeds one, and no module draws from the reference stream.
-    found = _sites()
-    for name in ("PCG64", "stream"):
-        assert found[name] == ONE_SITE[name]
-
-
-def test_one_bounded_integer_draw():
-    # The bootstrap's block starts come from seeding; no other module reads
-    # raw words or calls ``integers``.
-    found = _sites()
-    for name in ("random_raw", "integers"):
-        assert found[name] == ONE_SITE[name]
-
-
-def test_one_nested_spec_reader_and_one_kind_guard():
-    found = _sites()
-    for name in ("from_dict", " takes no "):
-        assert found[name] == ONE_SITE[name]
-
-
-def test_one_model_agreement_check():
-    found = _sites()
-    for part in (" entries, design has p=", " columns, expected p + 1 = "):
-        assert found[part] == ONE_SITE[part]
-
-
-def test_one_theorem_name_check():
-    assert _sites()[" expected one of "] == ONE_SITE[" expected one of "]
-
-
-def test_one_design_builder_and_one_seed_deriver_per_run():
-    found = _sites()
-    for name in ("build_design", "derive_subseed"):
-        assert found[name] == ONE_SITE[name]
+@pytest.mark.parametrize("name", ONE_SITE, ids=str.strip)
+def test_used_at_its_own_sites_only(name):
+    assert _sites()[name] == ONE_SITE[name]
 
 
 def test_stats_imports_no_draw():

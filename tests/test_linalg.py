@@ -7,7 +7,7 @@ import eivtls.bootstrap
 from eivtls.bootstrap import BootstrapConfig, choose_block_length
 from eivtls.errors import InvalidParams
 from eivtls.linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_vector
-from eivtls.model import build_design, repeating_block
+from eivtls.model import build_design, repeating_block, synthesize
 from eivtls.montecarlo import CltCheckConfig, clt_check
 from eivtls.presets import default_config
 from eivtls.processes import generate_error_matrix, generate_sequence, iid_gaussian
@@ -77,7 +77,8 @@ def clt_config(**changes):
 
 
 # Every size and count the package reads: (argument name in the message,
-# least accepted value, a call that reads the value).
+# least accepted value, a call that reads the value).  This table owns the
+# size contract: a new size reader adds a row here, not a test of its own.
 SIZES = {
     "n_grid": ("every entry of n_grid", 3, lambda v: experiment(n_grid=[v])),
     "replications": ("replications", 100, lambda v: experiment(replications=v)),
@@ -109,12 +110,34 @@ class TestSizeReader:
     def test_least_is_accepted(self, site):
         _, least, read = SIZES[site]
         read(least)
+        read(float(least))
 
     def test_fraction_and_string_are_refused(self, site):
         name, least, read = SIZES[site]
         for value in (least + 0.5, str(least)):
             with pytest.raises(InvalidParams, match="^" + re.escape(f"{name} must be a whole number")):
                 read(value)
+
+
+# Every seed the package reads: (argument name in the message, a call that
+# reads the value).  A new seed reader adds a row here.
+SEEDS = {
+    "generate_sequence": ("seed", lambda v: generate_sequence(iid_gaussian(), 10, v)),
+    "generate_error_matrix": ("seed", lambda v: generate_error_matrix(experiment().errors, 10, v)),
+    "synthesize": ("seed", lambda v: synthesize(repeating_block([[1.0]]), [2.0], experiment().errors, 10, v)),
+    "clt_check": ("seed", lambda v: clt_check(iid_gaussian(), 500, 500, v)),
+    "CltCheckConfig": ("seed", lambda v: clt_config(seed=v)),
+    "BootstrapConfig": ("seed", lambda v: BootstrapConfig(seed=v)),
+    "ExperimentConfig": ("master_seed", lambda v: experiment(master_seed=v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SEEDS))
+def test_seed_reader_refuses_a_fraction_a_bool_and_a_string(site):
+    name, read = SEEDS[site]
+    for value in (7.5, True, "7"):
+        with pytest.raises(InvalidParams, match="^" + re.escape(f"{name} must be a whole number")):
+            read(value)
 
 
 class TestChooseBlockLengthReadsN:

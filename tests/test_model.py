@@ -14,7 +14,7 @@ from eivtls.model import (
     sinusoidal,
     synthesize,
 )
-from eivtls.montecarlo import CltCheckConfig, ExperimentConfig, clt_check
+from eivtls.montecarlo import ExperimentConfig, clt_check
 from eivtls.presets import default_design
 from eivtls.processes import (
     ErrorMatrixSpec,
@@ -175,62 +175,17 @@ class TestSynthesize:
 
 BLOCK = repeating_block([[1.0], [2.0]])
 
-
-def synthesize_at(n, seed):
-    return synthesize(BLOCK, [2.0], iid_errors(1), n, seed)
-
-
 # Each public function that takes a size and a seed, called at (n, seed).
 DRAWS = {
     "generate_sequence": lambda n, seed: generate_sequence(ma((1.0, 1.0)), n, seed),
     "generate_error_matrix": lambda n, seed: generate_error_matrix(iid_errors(1), n, seed),
-    "synthesize": lambda n, seed: synthesize_at(n, seed).x,
+    "synthesize": lambda n, seed: synthesize(BLOCK, [2.0], iid_errors(1), n, seed).x,
     "clt_check": lambda n, seed: clt_check(iid_gaussian(), n, 500, seed).s_over_sigma,
 }
 
 
 class TestSizeAndSeedArguments:
-    """Sizes and seeds are read by ``linalg.as_integer``, whole-number floats included."""
-
-    @pytest.mark.parametrize(
-        "call, name",
-        [
-            (lambda: generate_error_matrix(iid_errors(1), 10, 5.5), "seed"),
-            (lambda: synthesize_at(10, 7.9), "seed"),
-            (lambda: synthesize_at(10, True), "seed"),
-            (lambda: synthesize_at(10, "a"), "seed"),
-            (lambda: generate_sequence(iid_gaussian(), 5.5, 0), "n"),
-            (lambda: generate_sequence(iid_gaussian(), 10**30, 0), "n"),
-            (lambda: generate_error_matrix(iid_errors(1), 10**30, 0), "n"),
-            (lambda: build_design(BLOCK, 5.5), "n"),
-            (lambda: clt_check(iid_gaussian(), 500.5, 500, 0), "n"),
-            (lambda: clt_check(iid_gaussian(), 500, 500.5, 0), "replications"),
-            (lambda: clt_check(iid_gaussian(), 500, 500, 3.7), "seed"),
-            (
-                lambda: CltCheckConfig.from_dict(
-                    {"process": {"kind": "iid_gaussian"}, "n": 500, "replications": 500, "seed": 1.5}
-                ),
-                "seed",
-            ),
-        ],
-        ids=[
-            "error-matrix-seed-fraction",
-            "synthesize-seed-fraction",
-            "synthesize-seed-bool",
-            "synthesize-seed-string",
-            "sequence-n-fraction",
-            "sequence-n-too-large",
-            "error-matrix-n-too-large",
-            "design-n-fraction",
-            "clt-n-fraction",
-            "clt-replications-fraction",
-            "clt-seed-fraction",
-            "clt-config-seed-fraction",
-        ],
-    )
-    def test_fraction_bool_string_or_no_array_size_is_refused(self, call, name):
-        with pytest.raises(InvalidParams, match=f"^{name} must be"):
-            call()
+    """Whole-number floats are read as sizes and seeds; ``test_linalg`` owns the refusals."""
 
     @pytest.mark.parametrize("draw", sorted(DRAWS))
     def test_whole_number_floats_draw_as_integers(self, draw):

@@ -8,7 +8,6 @@ import pytest
 from eivtls import montecarlo, processes
 from eivtls.errors import InvalidParams, NumericalError
 from eivtls.estimator import FIT_OK, tls_fit
-from eivtls.linalg import MAX_LENGTH
 from eivtls.model import repeating_block, synthesize
 from eivtls.montecarlo import (
     ConsistencyReport,
@@ -40,35 +39,12 @@ def small_config(sigma2=1.0, reps=120, n_grid=(40, 80), seed=7):
     )
 
 
-class TestDeriveSubseed:
-    def test_deterministic(self):
-        assert derive_subseed(5, 3, 1) == derive_subseed(5, 3, 1)
-
-    def test_sensitive_to_each_argument(self):
-        base = derive_subseed(5, 3, 1)
-        assert derive_subseed(6, 3, 1) != base
-        assert derive_subseed(5, 4, 1) != base
-        assert derive_subseed(5, 3, 2) != base
-
-    def test_no_collisions_over_large_grid(self):
-        seen = {
-            derive_subseed(123, rep, cell)
-            for rep in range(100_000)
-            for cell in range(10)
-        }
-        assert len(seen) == 1_000_000
-
-
 class TestExperimentConfig:
     def test_grid_must_ascend(self):
         with pytest.raises(InvalidParams):
             small_config(n_grid=(80, 40))
         with pytest.raises(InvalidParams):
             small_config(n_grid=(40, 40))
-
-    def test_replication_floor(self):
-        with pytest.raises(InvalidParams):
-            small_config(reps=99)
 
     def test_dimension_consistency(self):
         errors = ErrorMatrixSpec((iid_gaussian(),) * 3, sigma2=1.0)
@@ -82,17 +58,10 @@ class TestExperimentConfig:
                 master_seed=0,
             )
 
-    def test_n_floor(self):
-        with pytest.raises(InvalidParams):
-            small_config(n_grid=(2, 40))
-
     def test_counts_are_whole_numbers(self):
         cfg = small_config(reps=120.0, seed=np.int64(7))
         assert (type(cfg.replications), type(cfg.master_seed)) == (int, int)
         assert cfg.to_dict()["replications"] == 120
-        for changes in ({"reps": 100.5}, {"reps": "120"}, {"seed": 7.5}, {"seed": True}):
-            with pytest.raises(InvalidParams, match="must be a whole number"):
-                small_config(**changes)
 
     @pytest.mark.parametrize("value", ["1.5", True], ids=["str", "bool"])
     def test_numeric_fields_refuse_strings_and_bools(self, value):
@@ -113,11 +82,6 @@ class TestExperimentConfig:
                 ExperimentConfig.from_dict({**d, key: "repeating_block"})
         with pytest.raises(InvalidParams, match="config must be a JSON object"):
             ExperimentConfig.from_dict([d])
-
-    def test_sizes_no_array_can_hold_are_refused(self):
-        for changes in ({"n_grid": (40, MAX_LENGTH + 1)}, {"reps": MAX_LENGTH + 1}):
-            with pytest.raises(InvalidParams, match="at most"):
-                small_config(**changes)
 
     def test_dict_roundtrip(self):
         cfg = default_config("alpha", beta=(1.0, -2.0))
@@ -164,16 +128,6 @@ class TestRunConsistency:
         assert report.assumption_override
         assert not report.assumptions.passed
 
-    def test_thread_count_does_not_change_report(self, draw_policy):
-        cfg = small_config(reps=100, n_grid=(40,))
-        # 2 n = 80 floats per replication: chunks of 15 replications on the
-        # calling thread against chunks of 5 on three workers.
-        reports = []
-        for rows, workers in ((15, 1), (5, 3)):
-            draw_policy(elements=rows * 80, cpus=workers)
-            reports.append(json.dumps(run_consistency(cfg).to_dict()))
-        assert reports[0] == reports[1]
-
 
 class TestRunNormality:
     def test_gaussian_iid_case(self):
@@ -184,18 +138,6 @@ class TestRunNormality:
         assert report.deviations.shape == (400, 1)
         assert report.mean_within_4se
         assert report.normality.mardia_skewness_pvalue > 0.001
-
-    def test_thread_invariance(self, draw_policy):
-        cfg = small_config(reps=150, n_grid=(200,))
-        # 2 n = 400 floats per replication: chunks of 21 replications on the
-        # calling thread against chunks of 7 on three workers.
-        reports = []
-        for rows, workers in ((21, 1), (7, 3)):
-            draw_policy(elements=rows * 400, cpus=workers)
-            reports.append(run_normality(cfg))
-        a, b = reports
-        assert np.array_equal(a.deviations, b.deviations)
-        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
     def test_too_few_replications_are_refused_before_the_draw(self, monkeypatch):
         # Mardia's tests need 20 p estimates: at p = 6, 100 replications are
@@ -333,11 +275,12 @@ class TestChunking:
             normality.table(),
         ]
 
-    @pytest.mark.parametrize("reps_per_chunk", [1, 7])
-    def test_reports_byte_identical(self, draw_policy, reps_per_chunk):
+    @pytest.mark.parametrize("reps_per_chunk, cpus", [(1, 1), (7, 3)])
+    def test_reports_byte_identical(self, draw_policy, reps_per_chunk, cpus):
         whole = self.reports(threads=1)
-        # (p + 1) n floats per replication at the largest n = 80, on one worker.
-        draw_policy(elements=reps_per_chunk * 2 * 80, cpus=1)
+        # (p + 1) n floats per replication at the largest n = 80: chunks of one
+        # replication on the calling thread, or of seven on three workers.
+        draw_policy(elements=reps_per_chunk * 2 * 80, cpus=cpus)
         assert self.reports(threads=8) == whole
 
 

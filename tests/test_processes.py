@@ -29,14 +29,15 @@ from eivtls.seeding import column_subseed, stream, streams
 
 N = 100_000
 
+# The two keys a column config may only restate, each with values it refuses:
+# a column's sd is set by its draw, and every generator is stationary.
+FIXED_KEYS = {
+    "scale": (1.0, [0.0, -1.0, 5.0, float("nan"), True, "1.0"]),
+    "stationary": (True, [False, None, 1, "true"]),
+}
+
 
 class TestSpecValidation:
-    def test_scale_positive(self):
-        # No column has a scale of its own; a config may only restate 1.
-        for scale in (0.0, -1.0, float("nan"), True, "1.0"):
-            with pytest.raises(InvalidParams):
-                ErrorProcessSpec.from_dict({"kind": "iid_gaussian", "scale": scale})
-
     def test_ar1_coefficient_bound(self):
         with pytest.raises(InvalidParams):
             ar1(1.0)
@@ -154,19 +155,25 @@ class TestSpecValidation:
         with pytest.raises(InvalidParams):
             ErrorProcessSpec.from_dict({"kind": "ma", "coeffs": [1.0], "omega": omega})
 
-    @pytest.mark.parametrize("stationary", [False, None, 1, "true"])
-    def test_stationary_must_be_true(self, stationary):
-        with pytest.raises(InvalidParams):
-            ErrorProcessSpec.from_dict({"kind": "iid_gaussian", "stationary": stationary})
-        spec = ErrorProcessSpec.from_dict({"kind": "iid_gaussian", "stationary": True})
-        assert spec.to_dict()["stationary"] is True
+    @pytest.mark.parametrize("key", sorted(FIXED_KEYS))
+    def test_fixed_key_may_only_restate_its_value(self, key):
+        value, refused = FIXED_KEYS[key]
+        for spec in (iid_gaussian(omega=2.0), ma((1.0, 0.6, 0.3), omega=1.0), ar1(0.5, delta=3.0)):
+            d = spec.to_dict()
+            assert d[key] == value and type(d[key]) is type(value)
+            del d[key]
+            assert ErrorProcessSpec.from_dict(d) == spec
+        matrix = ErrorMatrixSpec((iid_gaussian(), iid_gaussian()), sigma2=4.0).to_dict()
+        for bad in refused:
+            with pytest.raises(InvalidParams, match=key):
+                ErrorProcessSpec.from_dict({"kind": "iid_gaussian", key: bad})
+            matrix["columns"][1][key] = bad
+            with pytest.raises(InvalidParams, match=key):
+                ErrorMatrixSpec.from_dict(matrix)
 
     def test_roundtrip_dict(self):
         for spec in (iid_gaussian(omega=2.0), ma((1.0, 0.6, 0.3), omega=1.0), ar1(0.5, delta=3.0)):
-            assert spec.to_dict()["scale"] == 1.0
             assert ErrorProcessSpec.from_dict(spec.to_dict()) == spec
-            without = {k: v for k, v in spec.to_dict().items() if k != "scale"}
-            assert ErrorProcessSpec.from_dict(without) == spec
 
 
 class TestGenerateSequence:
@@ -268,13 +275,6 @@ class TestErrorMatrix:
         for j in range(2):
             assert 3.84 < w[:, j].var() < 4.16
 
-    def test_config_column_scale_must_be_one(self):
-        d = ErrorMatrixSpec((iid_gaussian(), iid_gaussian()), sigma2=4.0).to_dict()
-        assert ErrorMatrixSpec.from_dict(d).sigma2 == 4.0
-        d["columns"][1]["scale"] = 5.0
-        with pytest.raises(InvalidParams, match="sigma2"):
-            ErrorMatrixSpec.from_dict(d)
-
     def test_deterministic(self):
         spec = ErrorMatrixSpec((ar1(0.2), iid_gaussian()), sigma2=1.0)
         assert np.array_equal(
@@ -325,24 +325,6 @@ class TestErrorBlocks:
         assert np.array_equal(block[1], ref)
         assert np.array_equal(block[2], sd * stream(column_subseed(base, 3)).standard_normal(n))
 
-    def test_reused_generator_draws_the_same_blocks(self, draw_policy):
-        # Each step draws the rows of its chunk from one iterator of generators.
-        spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=0.4)
-        whole = np.stack([generate_error_matrix(spec, 200, s).T for s in self.SEEDS])
-        seeds = np.array(self.SEEDS, dtype=np.uint64)
-        draw_policy(cpus=1)
-        for per_chunk in (1, 3):
-            draw_policy(elements=per_chunk * 3 * 200)
-            shapes = []
-
-            def reduce(block):
-                shapes.append(block.shape)
-                return block.copy()
-
-            chunks = map_draws(*spec.column_draws(seeds), 200, reduce)
-            assert shapes == [(min(per_chunk, 4 - lo), 3, 200) for lo in range(0, 4, per_chunk)]
-            assert np.array_equal(np.concatenate(chunks), whole)
-
     def test_any_split_of_the_seeds_gives_the_same_blocks(self):
         spec = ErrorMatrixSpec((ar1(0.3), ma((1.0, 1.0)), iid_gaussian()), sigma2=1.0)
         whole = self.blocks(spec, 200, self.SEEDS)
@@ -385,23 +367,23 @@ class TestMapChunks:
         [(SPEC, 40, 3 * 40), (ErrorMatrixSpec((ma((1.0,) * 3001),)), 500, 3000)],
         ids=["three-columns", "ma3000-n500"],
     )
-    def test_gram_stack_independent_of_chunking(self, draw_policy, spec, n, floats):
+    def test_blocks_independent_of_chunking(self, draw_policy, spec, n, floats):
         # A chunk counts C n + max(0, lead - n) floats a block: an MA(3000)
         # column at n = 500 draws a lead longer than n into its own scratch.
+        # The default budget draws all 23 blocks in one chunk.
         full = np.concatenate(self.draws(lambda b: b.copy(), spec, n))
-        grams = full @ full.mT
         for rows, workers in itertools.product((1, 7, 23), (1, 2, 3)):
             draw_policy(elements=rows * floats, cpus=workers)
             lock, seen = threading.Lock(), []
 
             def reduce(block):
                 # Which blocks this chunk holds, found by its first row.
-                lo = next(r for r in range(len(full)) if np.array_equal(full[r], block[0]))
+                lo = next((r for r in range(len(full)) if np.array_equal(full[r], block[0])), None)
                 with lock:
                     seen.append((threading.current_thread(), lo, len(block)))
-                return block @ block.mT
+                return block.copy()
 
-            assert np.array_equal(np.concatenate(self.draws(reduce, spec, n)), grams)
+            assert np.array_equal(np.concatenate(self.draws(reduce, spec, n)), full)
             # Chunks of at most `rows` blocks in consecutive ranges from 0, on
             # at most one thread per usable CPU; one CPU or one chunk draws on
             # the calling thread.

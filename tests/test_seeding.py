@@ -46,6 +46,23 @@ class TestArrayDerivation:
             assert out.tolist() == [column_subseed(s, column) for s in seeds]
 
 
+class TestDeriveSubseed:
+    def test_deterministic(self):
+        assert derive_subseed(5, 3, 1) == derive_subseed(5, 3, 1)
+
+    def test_sensitive_to_each_argument(self):
+        base = derive_subseed(5, 3, 1)
+        assert derive_subseed(6, 3, 1) != base
+        assert derive_subseed(5, 4, 1) != base
+        assert derive_subseed(5, 3, 2) != base
+
+    def test_no_collisions_over_large_grid(self):
+        # The array form equals the scalar one (test_subseeds_array_equal_scalar).
+        reps = np.arange(100_000, dtype=np.uint64)
+        seen = np.sort(np.concatenate([derive_subseed(123, reps, cell) for cell in range(10)]))
+        assert seen.size == 1_000_000 and np.all(seen[1:] != seen[:-1])
+
+
 class TestPcg64States:
     SEEDS = EDGE_SEEDS + random_seeds(3000, seed=11)
 

@@ -5,14 +5,13 @@ from scipy import stats as sps
 
 from eivtls.errors import InvalidParams, NumericalError
 from eivtls.linalg import MAX_LENGTH, icbrt
-from eivtls.seeding import derive_subseed
 from eivtls.stats import (
     ks_statistic,
     long_run_variance,
     mardia_tests,
     normality_battery,
 )
-from eivtls.processes import generate_sequence, iid_gaussian, ma
+from eivtls.processes import generate_sequence, ma
 
 
 class TestMardia:
@@ -256,9 +255,3 @@ class TestIcbrt:
         assert icbrt(7) == 1
         assert icbrt(8) == 2
 
-
-class TestDeriveSubseedSanity:
-    def test_streams_differ(self):
-        a = generate_sequence(iid_gaussian(), 100, derive_subseed(1, 0, 0))
-        b = generate_sequence(iid_gaussian(), 100, derive_subseed(1, 1, 0))
-        assert not np.array_equal(a, b)
