@@ -132,12 +132,12 @@ SEEDS = {
 }
 
 
+@pytest.mark.parametrize("value", [7.5, True, "7"], ids=["fraction", "bool", "string"])
 @pytest.mark.parametrize("site", sorted(SEEDS))
-def test_seed_reader_refuses_a_fraction_a_bool_and_a_string(site):
+def test_seed_reader_refuses_a_fraction_a_bool_and_a_string(site, value):
     name, read = SEEDS[site]
-    for value in (7.5, True, "7"):
-        with pytest.raises(InvalidParams, match="^" + re.escape(f"{name} must be a whole number")):
-            read(value)
+    with pytest.raises(InvalidParams, match="^" + re.escape(f"{name} must be a whole number")):
+        read(value)
 
 
 class TestChooseBlockLengthReadsN:
