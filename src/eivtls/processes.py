@@ -322,7 +322,9 @@ class ErrorMatrixSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorMatrixSpec":
         d = config_object(d, "errors")
-        columns = d.pop("columns", ())
+        if "columns" not in d:
+            raise InvalidParams("errors is missing required key 'columns'")
+        columns = d.pop("columns")
         return from_keys(cls, d, "errors", column_specs=columns)
 
 

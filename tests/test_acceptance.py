@@ -24,8 +24,9 @@ from eivtls.montecarlo import (
     run_long_run_check,
     run_normality,
 )
-from eivtls.presets import default_config, default_design, default_errors
 from eivtls.processes import ErrorMatrixSpec, ar1, iid_gaussian, ma
+
+from conftest import exemplar
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -120,8 +121,8 @@ def test_criterion_04_expected_cross_product():
     ok = True
     worst = 0.0
     for path in ("alpha", "phi"):
-        design = default_design(2)
-        errors = default_errors(path, 2)
+        cfg = exemplar(path, beta)
+        design, errors = cfg.design, cfg.errors
         z = build_design(design, n)
         expected = expected_cross_product(z, beta, errors.sigma2)
         acc = np.empty((reps, 3, 3))
@@ -147,7 +148,7 @@ def test_criterion_05_consistency():
     ok = True
     details = []
     for path in ("alpha", "phi"):
-        cfg = default_config(path, beta=(1.0,), master_seed=505)
+        cfg = exemplar(path, (1.0,), master_seed=505)
         report = run_consistency(cfg)
         meds = [c.median_beta_err for c in report.cells]
         scaled = [m * np.sqrt(c.n) for m, c in zip(meds, report.cells)]
@@ -180,7 +181,7 @@ def test_criterion_06_asymptotic_normality():
             cfg = ExperimentConfig(
                 design=repeating_block(block),
                 beta=np.array([1.0, -2.0]),
-                errors=default_errors(path, 2),
+                errors=exemplar(path, (1.0, -2.0)).errors,
                 n_grid=(2000,),
                 replications=2000,
                 master_seed=606_000 + s,
@@ -224,7 +225,7 @@ def test_criterion_07_clt_long_run_variance():
 def test_criterion_08_long_run_condition():
     errors = ErrorMatrixSpec((ma((1.0, 1.0), omega=1.0),) * 2, sigma2=1.0)
     cfg = ExperimentConfig(
-        design=default_design(1),
+        design=exemplar("alpha", (1.0,)).design,
         beta=np.array([1.0]),
         errors=errors,
         n_grid=(1000, 4000, 16000),
@@ -247,17 +248,15 @@ def test_criterion_08_long_run_condition():
 
 
 def test_criterion_09_assumption_checker():
+    design = exemplar("alpha", (1.0,)).design
     pass_fix = check_assumptions(
-        "AN-alpha",
-        default_design(1),
-        ErrorMatrixSpec((ar1(0.5, delta=3.0, omega=1.0),) * 2, sigma2=1.0),
+        "AN-alpha", design, ErrorMatrixSpec((ar1(0.5, delta=3.0, omega=1.0),) * 2, sigma2=1.0)
     )
     fail_fix = check_assumptions(
-        "AN-alpha",
-        default_design(1),
-        ErrorMatrixSpec((ar1(0.5, delta=1.0, omega=1.0),) * 2, sigma2=1.0),
+        "AN-alpha", design, ErrorMatrixSpec((ar1(0.5, delta=1.0, omega=1.0),) * 2, sigma2=1.0)
     )
-    phi_fix = check_assumptions("AN-phi", default_design(2), default_errors("phi", 2))
+    phi = exemplar("phi", (1.0, -2.0))
+    phi_fix = check_assumptions("AN-phi", phi.design, phi.errors)
     failed_names = {c.name for c in fail_fix.checks if not c.passed}
     ok = (
         pass_fix.passed
@@ -323,9 +322,7 @@ def test_criterion_11_attenuation_contrast():
 def test_criterion_12_determinism(tmp_path, draw_policy):
     # 4 and 7 chunks of replications: one CPU draws them on the calling
     # thread, four on pool threads.
-    cfg = default_config(
-        "alpha", beta=(1.0,), n_grid=(2000, 4000), replications=100, master_seed=1212
-    )
+    cfg = exemplar("alpha", (1.0,), n_grid=(2000, 4000), replications=100, master_seed=1212)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
     outputs = []

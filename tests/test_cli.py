@@ -5,10 +5,9 @@ import io
 import json
 import os
 import stat
-import subprocess
-import sys
 import tempfile
 import textwrap
+import tomllib
 import warnings
 from pathlib import Path
 
@@ -27,12 +26,11 @@ from eivtls.errors import InvalidParams
 from eivtls.estimator import FIT_EIG_GAP, FIT_NONGENERIC, tls_from_gram
 from eivtls.io import read_dataset_csv, write_dataset_csv, write_table_csv
 from eivtls.linalg import MAX_LENGTH
+from eivtls.mixing import check_assumptions
 from eivtls.montecarlo import ExperimentConfig
-from eivtls.presets import default_config
 from eivtls.processes import ErrorProcessSpec
 
-
-SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+from conftest import SHIPPED_CONFIGS, exemplar, run_script, shipped
 
 GOLDEN_LAMBDA = 9.0 - 4.0 * np.sqrt(5.0)
 GOLDEN_BETA = (1.0 + np.sqrt(5.0)) / 2.0
@@ -65,15 +63,14 @@ BAD_INPUTS = [
 
 @pytest.fixture
 def config_path(tmp_path):
-    cfg = default_config("alpha", beta=(1.5,), n_grid=(40, 80), replications=100)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(alpha_config_dict()))
     return str(path)
 
 
 @pytest.fixture
 def phi_config_path(tmp_path):
-    cfg = default_config("phi", beta=(1.0,), n_grid=(40, 80), replications=100)
+    cfg = exemplar("phi", (1.0,), n_grid=(40, 80), replications=100)
     path = tmp_path / "phi.json"
     path.write_text(json.dumps(cfg.to_dict()))
     return str(path)
@@ -83,39 +80,16 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_script(script, *args, cwd=None):
-    """The stdout of ``script`` run to exit 0 in a fresh interpreter that imports this ``eivtls``.
-
-    As in the suite's own settings, a RuntimeWarning or DeprecationWarning is an error there.
-    """
-    src = str(Path(eivtls.__file__).resolve().parents[1])
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning",
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *map(str, args)],
-        capture_output=True, text=True, env=env, cwd=cwd,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def umask_forbidden(mask):
     raise AssertionError("os.umask changes the umask of every thread in the process")
 
 
 class TestVersion:
-    # setuptools may warn that its [tool.setuptools] table is in beta.
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_pyproject_reads_the_package_version(self):
-        from setuptools.config.pyprojecttoml import read_configuration
-
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        project = read_configuration(pyproject)["project"]
-        assert "version" in project.get("dynamic", [])
-        assert project["version"] == eivtls.__version__
+        path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        pyproject = tomllib.loads(path.read_text())
+        assert "version" in pyproject["project"]["dynamic"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "eivtls.__version__"}
 
     def test_version_flag_prints_the_package_version(self, capsys):
         assert run("--version") == EXIT_OK
@@ -247,9 +221,7 @@ class TestGenFit:
 
 
 def alpha_config_dict(**changes):
-    d = default_config("alpha", beta=(1.5,), n_grid=(40, 80), replications=100).to_dict()
-    d.update(changes)
-    return d
+    return exemplar("alpha", (1.5,), n_grid=(40, 80), replications=100).to_dict() | changes
 
 
 def alpha_with_sigma2(sigma2):
@@ -271,18 +243,8 @@ def alpha_with_columns(**changes):
     return d
 
 
-def phi_at_p6():
-    """phi_p2.json at p = 6: block [I_6; 1'], beta all 1, seven MA(2) columns, R = 100."""
-    d = json.loads((SHIPPED_CONFIGS / "phi_p2.json").read_text())
-    d["design"]["block"] = np.vstack([np.eye(6), np.ones(6)]).tolist()
-    d["beta"] = [1.0] * 6
-    d["errors"]["columns"] = d["errors"]["columns"][:1] * 7
-    d.update(n_grid=[250], replications=100)
-    return d
-
-
 def phi_with_block_scaled(factor):
-    d = json.loads((SHIPPED_CONFIGS / "phi_p2.json").read_text())
+    d = shipped("phi_p2")
     d["design"]["block"] = (factor * np.asarray(d["design"]["block"])).tolist()
     return d
 
@@ -474,7 +436,8 @@ class TestErrorExits:
     def test_too_few_replications_for_the_battery_is_config_error(self, tmp_path, capsys):
         # p = 6 needs 20 * 6 = 120 replications; 100 exit 2 before the draw.
         path = tmp_path / "p6.json"
-        path.write_text(json.dumps(phi_at_p6()))
+        cfg = exemplar("phi", (1.0,) * 6, n_grid=(250,), replications=100)
+        path.write_text(json.dumps(cfg.to_dict()))
         code = run("mc-normality", "--config", path, "--out", tmp_path / "r.json")
         assert code == EXIT_CONFIG
         assert "at least 120 replications, have 100" in capsys.readouterr().err
@@ -608,10 +571,6 @@ class TestErrorExits:
         assert run("frobnicate") == EXIT_CONFIG
 
 
-def shipped(name):
-    return json.loads((SHIPPED_CONFIGS / f"{name}.json").read_text())
-
-
 def edited(name, path, key, *value):
     """Shipped config ``name`` with ``key`` of the object at ``path`` set to ``value``, or deleted."""
     d = shipped(name)
@@ -680,8 +639,8 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize(
         "level, key",
-        [("top", "beta"), ("top", "master_seed"), ("design", "kind"), ("column", "kind"),
-         ("clt-top", "n"), ("clt-process", "kind")],
+        [("top", "beta"), ("top", "master_seed"), ("design", "kind"), ("errors", "columns"),
+         ("column", "kind"), ("clt-top", "n"), ("clt-process", "kind")],
     )
     def test_missing_required_key(self, tmp_path, capsys, level, key):
         command, name, path = LEVELS[level]
@@ -694,11 +653,11 @@ class TestConfigSchema:
         d = shipped(name)
         assert json.dumps(ExperimentConfig.from_dict(d).to_dict()) == json.dumps(d)
 
-    @pytest.mark.parametrize("name, path", [("alpha_p2", "alpha"), ("phi_p2", "phi")])
-    def test_shipped_configs_are_the_presets(self, name, path):
-        # The benchmark and the README commands read the JSON files; the other
-        # tests build from presets.
-        assert shipped(name) == default_config(path, beta=(1.0, -2.0)).to_dict()
+    @pytest.mark.parametrize("name", ["alpha_p2", "phi_p2"])
+    def test_shipped_configs_pass_their_own_theorem(self, name):
+        # The files the README commands and the benchmark's checked runs read.
+        cfg = ExperimentConfig.from_dict(shipped(name))
+        assert check_assumptions(cfg.theorem, cfg.design, cfg.errors).passed
 
     def test_shipped_clt_process_is_its_own_to_dict(self):
         d = shipped("clt_ma1")["process"]
@@ -791,7 +750,7 @@ COMMANDS = {
 
 
 def capped_config(name):
-    d = json.loads((SHIPPED_CONFIGS / f"{name}.json").read_text())
+    d = shipped(name)
     if name == "clt_ma1":
         d.update(n=SIZE_CAP, replications=SIZE_CAP)
     else:
@@ -846,7 +805,7 @@ class TestConfigProperty:
 
 class TestExperimentCommands:
     def test_con_alpha_rejects_a_growing_envelope(self, tmp_path):
-        d = json.loads((SHIPPED_CONFIGS / "alpha_p2.json").read_text())
+        d = shipped("alpha_p2")
         d["theorem"] = "CON-alpha"
         for col in d["errors"]["columns"]:
             col["delta"] = -2  # envelope n^1
@@ -886,7 +845,7 @@ class TestExperimentCommands:
         assert rep["normality"]["n_samples"] == 100
 
     def test_mc_normality_with_tables(self, tmp_path):
-        cfg = default_config("phi", beta=(1.0, -2.0), n_grid=(40, 80), replications=100)
+        cfg = exemplar("phi", (1.0, -2.0), n_grid=(40, 80), replications=100)
         path = tmp_path / "phi2.json"
         path.write_text(json.dumps(cfg.to_dict()))
         out, tab = tmp_path / "norm.json", tmp_path / "norm.csv"
@@ -1039,7 +998,6 @@ SCIPY_ON_FIRST_USE = textwrap.dedent(
     import numpy as np
 
     import eivtls, eivtls.cli
-    from eivtls.presets import default_config
     from eivtls.processes import ErrorMatrixSpec, ar1, generate_error_matrix
 
     def scipy_modules():
@@ -1047,8 +1005,6 @@ SCIPY_ON_FIRST_USE = textwrap.dedent(
 
     random_imported = "numpy.random" in sys.modules
     tmp = Path(sys.argv[1])
-    cfg = default_config("phi", beta=(1.0,), n_grid=(300,), replications=100)
-    (tmp / "phi.json").write_text(json.dumps(cfg.to_dict()))
     loaded = {"import": scipy_modules()}
     codes = [
         eivtls.cli.main(["gen", "--config", str(tmp / "phi.json"), "--out", str(tmp / "d.csv")]),
@@ -1074,6 +1030,8 @@ SCIPY_ON_FIRST_USE = textwrap.dedent(
 
 class TestScipyOnFirstUse:
     def test_cli_loads_no_scipy_until_ar1(self, tmp_path):
+        cfg = exemplar("phi", (1.0,), n_grid=(300,), replications=100)
+        (tmp_path / "phi.json").write_text(json.dumps(cfg.to_dict()))
         # A fresh interpreter: this test process has scipy loaded already.
         out = json.loads(run_script(SCIPY_ON_FIRST_USE, tmp_path).splitlines()[-1])
         assert out["codes"] == [EXIT_OK] * 3
@@ -1112,7 +1070,7 @@ class TestCpuAffinity:
         ids=["mc-normality", "bootstrap-ci"],
     )
     def test_one_cpu_report_bytes_equal_unrestricted(self, tmp_path, argv):
-        cfg = default_config("alpha", beta=(1.0,), n_grid=(500, 2000), replications=100)
+        cfg = exemplar("alpha", (1.0,), n_grid=(500, 2000), replications=100)
         (tmp_path / "alpha.json").write_text(json.dumps(cfg.to_dict()))
         phi = SHIPPED_CONFIGS / "phi_p2.json"
         assert run("gen", "--config", phi, "--n", 2000, "--out", tmp_path / "phi.csv") == EXIT_OK

@@ -17,6 +17,8 @@ seeds (the bootstrap and the ``montecarlo`` experiments).  No package
 module draws from the reference ``seeding.stream``, so a second draw path
 fails here, and ``stats`` imports neither ``processes`` nor ``seeding``:
 it tests samples and draws none.
+Every package module is loaded by ``import eivtls`` or by the ``eivtls``
+command (``eivtls.cli``), so none is reached from the tests alone.
 Each process kind is named only in its ``processes.KINDS`` row and its
 factory function, and no process module branches on a kind.  ``cli``
 states no numeric flag default: each belongs to the config class that
@@ -37,6 +39,8 @@ import pytest
 import eivtls
 from eivtls import errors
 from eivtls.estimator import FIT_FAILURES
+
+from conftest import run_script
 
 CLASSES = {"EivError", "InvalidParams", "NumericalError", "NonGeneric", "IllConditioned"}
 SOURCES = sorted(Path(eivtls.__file__).parent.glob("*.py"))
@@ -65,6 +69,18 @@ def test_every_raise_names_one_of_the_five(path):
             continue
         stray.append(f"{path.name}:{node.lineno}: raise {ast.unparse(exc)}")
     assert not stray
+
+
+@functools.cache
+def _loaded_modules() -> set[str]:
+    """The modules a fresh interpreter holds after ``import eivtls, eivtls.cli``;
+    in this process the tests' own imports load them all."""
+    return set(run_script("import sys, eivtls, eivtls.cli; print(*sys.modules)").split())
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_module_is_loaded_by_the_package_or_its_command(path):
+    assert f"eivtls.{path.stem}".removesuffix(".__init__") in _loaded_modules()
 
 
 def test_only_linalg_names_the_size_bound():

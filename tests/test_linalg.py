@@ -9,9 +9,10 @@ from eivtls.errors import InvalidParams
 from eivtls.linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_vector
 from eivtls.model import build_design, repeating_block, synthesize
 from eivtls.montecarlo import CltCheckConfig, clt_check
-from eivtls.presets import default_config
 from eivtls.processes import generate_error_matrix, generate_sequence, iid_gaussian
 from eivtls.stats import long_run_variance
+
+from conftest import exemplar
 
 
 class TestValidators:
@@ -67,7 +68,7 @@ class TestValidators:
 
 def experiment(**changes):
     """An experiment config at p = 1, so each n must be at least 3."""
-    return default_config("alpha", beta=(1.0,), **changes)
+    return exemplar("alpha", (1.0,), **changes)
 
 
 def clt_config(**changes):

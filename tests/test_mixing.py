@@ -13,8 +13,12 @@ from eivtls.mixing import (
     phi_between,
 )
 from eivtls.model import repeating_block, sinusoidal
-from eivtls.presets import default_design, default_errors
 from eivtls.processes import ErrorMatrixSpec, ar1, ma
+
+from conftest import exemplar
+
+ALPHA, PHI = exemplar("alpha", (1.0,)), exemplar("phi", (1.0,))
+PHI_P2 = exemplar("phi", (1.0, -2.0))
 
 
 def naive_alpha(pmf):
@@ -167,49 +171,49 @@ class TestCheckAssumptions:
 
     def test_an_alpha_pass_fixture(self):
         errors = ErrorMatrixSpec((ar1(0.5, delta=3.0, omega=1.0),) * 2, sigma2=1.0)
-        report = check_assumptions("AN-alpha", default_design(1), errors)
+        report = check_assumptions("AN-alpha", ALPHA.design, errors)
         assert report.passed
         names = [c.name for c in report.checks]
         assert names.count("rate-vs-moment-order") == 1
 
     def test_an_alpha_fail_on_rate_vs_moment(self):
         errors = ErrorMatrixSpec((ar1(0.5, delta=1.0, omega=1.0),) * 2, sigma2=1.0)
-        report = check_assumptions("AN-alpha", default_design(1), errors)
+        report = check_assumptions("AN-alpha", ALPHA.design, errors)
         assert not report.passed
         failing = {c.name for c in report.checks if not c.passed}
         assert failing == {"rate-vs-moment-order"}
 
     def test_an_phi_pass_for_q_dependent_columns(self):
-        report = check_assumptions("AN-phi", default_design(2), default_errors("phi", 2))
+        report = check_assumptions("AN-phi", PHI_P2.design, PHI_P2.errors)
         assert report.passed
         by_name = {c.name: c for c in report.checks}
         assert by_name["sqrt-phi-summable"].passed
 
     def test_an_phi_fails_for_alpha_only_columns(self):
-        report = check_assumptions("AN-phi", default_design(1), default_errors("alpha", 1))
+        report = check_assumptions("AN-phi", ALPHA.design, ALPHA.errors)
         assert not report.passed
 
     @pytest.mark.parametrize("delta", [0.0, -2.0])
     def test_alpha_envelope_must_decay(self, delta):
         # delta <= 0: the envelope n^(-1-delta) decays no faster than 1/n.
         errors = ErrorMatrixSpec((ar1(0.5, delta=3.0), ar1(0.5, delta=delta)), sigma2=1.0)
-        con = check_assumptions("CON-alpha", default_design(1), errors)
+        con = check_assumptions("CON-alpha", ALPHA.design, errors)
         assert {c.name for c in con.checks if not c.passed} == {"alpha-rate-envelope-consistency"}
-        an = check_assumptions("AN-alpha", default_design(1), errors)
+        an = check_assumptions("AN-alpha", ALPHA.design, errors)
         assert {c.name for c in an.checks if not c.passed} == {
             "alpha-rate-envelope",
             "rate-vs-moment-order",
         }
 
     def test_con_variants_pass_on_defaults(self):
-        assert check_assumptions("CON-alpha", default_design(1), default_errors("alpha", 1)).passed
-        assert check_assumptions("CON-phi", default_design(1), default_errors("phi", 1)).passed
+        assert check_assumptions("CON-alpha", ALPHA.design, ALPHA.errors).passed
+        assert check_assumptions("CON-phi", PHI.design, PHI.errors).passed
 
     def test_missing_rate_metadata(self):
         errors = ErrorMatrixSpec((ar1(0.5),) * 2, sigma2=1.0)
         with pytest.raises(InvalidParams, match="column of kind 'ar1' has no declared rate exponent"):
-            check_assumptions("AN-alpha", default_design(1), errors)
+            check_assumptions("AN-alpha", ALPHA.design, errors)
 
     def test_unknown_theorem(self):
         with pytest.raises(InvalidParams):
-            check_assumptions("AN-rho", default_design(1), default_errors("alpha", 1))
+            check_assumptions("AN-rho", ALPHA.design, ALPHA.errors)

@@ -15,7 +15,6 @@ from eivtls.model import (
     synthesize,
 )
 from eivtls.montecarlo import ExperimentConfig, clt_check
-from eivtls.presets import default_design
 from eivtls.processes import (
     ErrorMatrixSpec,
     generate_error_matrix,
@@ -81,10 +80,6 @@ class TestBuildDesign:
             sinusoidal((0.7,))
         with pytest.raises(InvalidParams, match="at least one frequency"):
             sinusoidal([])
-
-    def test_default_design_needs_a_regressor(self):
-        with pytest.raises(InvalidParams, match="p must be >= 1"):
-            default_design(0)
 
     def test_fields_a_kind_does_not_read_are_refused(self):
         # Every field that a kind does not list in KIND_FIELDS, so a new field is tried too.

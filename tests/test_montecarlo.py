@@ -22,8 +22,9 @@ from eivtls.montecarlo import (
     _fit_cell,
     _replicate,
 )
-from eivtls.presets import default_config, default_design, default_errors
 from eivtls.processes import ErrorMatrixSpec, ar1, generate_sequence, iid_gaussian, ma
+
+from conftest import exemplar
 
 
 def small_config(sigma2=1.0, reps=120, n_grid=(40, 80), seed=7):
@@ -84,7 +85,7 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict([d])
 
     def test_dict_roundtrip(self):
-        cfg = default_config("alpha", beta=(1.0, -2.0))
+        cfg = exemplar("alpha", (1.0, -2.0))
         rt = ExperimentConfig.from_dict(cfg.to_dict())
         assert rt.to_dict() == cfg.to_dict()
 
@@ -114,7 +115,7 @@ class TestRunConsistency:
     def test_assumption_gate(self):
         errors = ErrorMatrixSpec((ar1(0.5, delta=1.0, omega=1.0),) * 2, sigma2=1.0)
         cfg = ExperimentConfig(
-            design=default_design(1),
+            design=exemplar("alpha", (1.0,)).design,
             beta=np.array([1.0]),
             errors=errors,
             n_grid=(100,),
@@ -288,7 +289,7 @@ class TestFitCell:
     @pytest.mark.parametrize("path", ["alpha", "phi"])
     def test_fits_equal_tls_fit_of_the_synthesized_data(self, path):
         # One cell under GRAM_BLOCK columns and one past einsum's 8192-float buffer.
-        cfg = default_config(path, beta=(1.0, -2.0), n_grid=(250, 9000), replications=100)
+        cfg = exemplar(path, (1.0, -2.0), n_grid=(250, 9000), replications=100)
         for cell, n in enumerate(cfg.n_grid):
             _, fits = _fit_cell(cfg, cell)
             for r in (0, 1, 58, 99):
@@ -317,7 +318,7 @@ class TestWorkers:
         ids=["alpha", "phi", "alpha-n9000", "phi-n9000", "phi-n16000", "ma2000-n250"],
     )
     def test_gram_stacks_bitwise_equal_for_1_2_3_workers(self, draw_policy, path, n, rows, q):
-        cfg = default_config(path, beta=(1.0, -2.0), n_grid=(n,), replications=100)
+        cfg = exemplar(path, (1.0, -2.0), n_grid=(n,), replications=100)
         if q:
             # Every column MA(q): each row draws a lead longer than n.
             columns = (ma((1.0,) * (q + 1)),) * 3
@@ -359,22 +360,3 @@ class TestWorkers:
             run_consistency(cfg)
         assert threading.active_count() == before
 
-
-class TestPresets:
-    def test_default_config_paths(self):
-        for path in ("alpha", "phi"):
-            cfg = default_config(path, beta=(1.0,))
-            assert cfg.design.p == 1
-            assert cfg.errors.p == 1
-        with pytest.raises(InvalidParams):
-            default_config("gamma", beta=(1.0,))
-
-    def test_default_errors_metadata_supports_theorems(self):
-        from eivtls.mixing import check_assumptions
-
-        assert check_assumptions(
-            "AN-alpha", default_design(2), default_errors("alpha", 2)
-        ).passed
-        assert check_assumptions(
-            "AN-phi", default_design(2), default_errors("phi", 2)
-        ).passed

@@ -12,7 +12,6 @@ from scipy.signal import lfilter
 import eivtls.processes
 from eivtls.errors import InvalidParams
 from eivtls.mixing import check_assumptions
-from eivtls.presets import default_design
 from eivtls.processes import (
     KINDS,
     ErrorMatrixSpec,
@@ -26,6 +25,8 @@ from eivtls.processes import (
     map_draws,
 )
 from eivtls.seeding import column_subseed, stream, streams
+
+from conftest import exemplar
 
 N = 100_000
 
@@ -119,7 +120,7 @@ class TestSpecValidation:
         blocks = map_draws(*matrix.column_draws(np.array(seeds, dtype=np.uint64)), 60, np.copy)
         for block, seed in zip(np.concatenate(blocks), seeds):
             assert np.array_equal(block, generate_error_matrix(matrix, 60, seed).T)
-        report = check_assumptions("AN-phi", default_design(2), matrix)
+        report = check_assumptions("AN-phi", exemplar("phi", (1.0, -2.0)).design, matrix)
         details = {check.name: (check.passed, check.detail) for check in report.checks}
         assert details["phi-mixing-class"][0] and report.passed
         assert details["sqrt-phi-summable"] == (
