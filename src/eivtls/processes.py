@@ -240,7 +240,7 @@ def map_draws(
     """``reduce(block)`` over chunks of the error blocks of a (C, R) uint64 array of stream seeds.
 
     Row j of block r is a draw of ``specs[j]`` at marginal sd ``sd`` from
-    ``stream(seeds[j, r])``, and each chunk of consecutive blocks reaches
+    ``Generator(PCG64(seeds[j, r]))``, and each chunk of consecutive blocks reaches
     ``reduce`` as one (k, C, n) array; the module docstring sets out how
     the chunks are cut and which threads draw them.  The results come back
     in block order, and the first chunk in that order to raise raises here.
@@ -313,7 +313,7 @@ class ErrorMatrixSpec:
         """``map_draws``'s specs, sd and (p+1, R) stream seeds for the matrices of uint64 ``seeds``.
 
         Column j (1-based) of the matrix for ``seeds[r]`` is drawn at sd
-        sqrt(sigma2) from ``stream(column_subseed(seeds[r], j))``.
+        sqrt(sigma2) from ``Generator(PCG64(column_subseed(seeds[r], j)))``.
         """
         sd = float(np.sqrt(self.sigma2))
         j = np.arange(1, len(self.column_specs) + 1, dtype=np.uint64)[:, None]

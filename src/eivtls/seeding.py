@@ -7,17 +7,16 @@ so results are reproducible across platforms.
 
 The derivations take a Python int or a uint64 array and return the same
 form (the same expressions wrap modulo 2^64 on either), so a whole grid cell
-derives its seeds in a few numpy calls.  ``stream(seed)`` is the reference
-stream that the tests compare against; no package module draws from it.
-Building one ``PCG64`` from a seed builds a numpy ``SeedSequence`` each
-time, so the package's seeded draws do not: ``pcg64_seed_words`` runs the
-``SeedSequence`` hash over a seed array at once in numpy, and
-``_bit_generators`` hands each seed's four words to numpy's ``PCG64``
-through its ``ISeedSequence`` interface.  numpy's own C seeding step then
-starts each stream, and per seed only the bit generator (and, in
-``streams``, its ``Generator``) is built.  The bytes drawn are those of
-``stream(seed)``.  ``processes`` states how the error draws use
-``streams``, and ``bounded_integers`` draws the bootstrap's block starts.
+derives its seeds in a few numpy calls.  The stream of a seed draws what
+numpy's ``Generator(PCG64(seed))`` draws.  Building one ``PCG64`` from a
+seed builds a numpy ``SeedSequence`` each time, so the package's seeded
+draws do not: ``pcg64_seed_words`` runs the ``SeedSequence`` hash over a
+seed array at once in numpy, and ``_bit_generators`` hands each seed's
+four words to numpy's ``PCG64`` through its ``ISeedSequence`` interface.
+numpy's own C seeding step then starts each stream, and per seed only the
+bit generator (and, in ``streams``, its ``Generator``) is built.
+``processes`` states how the error draws use ``streams``, and
+``bounded_integers`` draws the bootstrap's block starts.
 """
 
 from __future__ import annotations
@@ -123,11 +122,6 @@ def pcg64_seed_words(seeds) -> np.ndarray:
     return words.reshape((4, *s.shape))
 
 
-def stream(seed: int) -> np.random.Generator:
-    """The package-wide RNG stream: PCG64 keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(seed & _MASK))
-
-
 @functools.cache
 def _seed_words_type() -> type:
     """An ``ISeedSequence`` that hands ``np.random.PCG64`` one seed's precomputed words.
@@ -161,7 +155,7 @@ def _bit_generators(words: np.ndarray) -> Iterator[np.random.BitGenerator]:
 
 
 def streams(words: np.ndarray) -> Iterator[np.random.Generator]:
-    """Yield, per column of ``words``, a ``Generator`` that draws what ``stream(seed)`` draws.
+    """Yield, per column of ``words``, a ``Generator`` in the state of ``Generator(PCG64(seed))``.
 
     ``words`` is a (4, k) slice of ``pcg64_seed_words``, as for ``_bit_generators``.
     """
@@ -170,7 +164,7 @@ def streams(words: np.ndarray) -> Iterator[np.random.Generator]:
 
 
 def bounded_integers(seeds: np.ndarray, high: int, size: int) -> np.ndarray:
-    """(size, k) int64 draws whose column r is ``stream(seeds[r]).integers(0, high, size=size)``.
+    """(size, k) int64 draws: column r is ``Generator(PCG64(seeds[r])).integers(0, high, size)``.
 
     ``seeds`` is a uint64 vector of k seeds.  For ``high`` at most 2^32 that
     call takes the low, then the high 32 bits of each PCG64 word as one draw

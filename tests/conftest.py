@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,18 @@ def run_script(script, *args, cwd=None):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak bytes ``tracemalloc`` traced while it ran.
+
+    Run the call once untraced first, so that numpy's one-time set-up is not counted.
+    """
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

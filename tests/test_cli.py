@@ -27,8 +27,9 @@ from eivtls.estimator import FIT_EIG_GAP, FIT_NONGENERIC, tls_from_gram
 from eivtls.io import read_dataset_csv, write_dataset_csv, write_table_csv
 from eivtls.linalg import MAX_LENGTH
 from eivtls.mixing import check_assumptions
+from eivtls.model import DesignSpec
 from eivtls.montecarlo import ExperimentConfig
-from eivtls.processes import ErrorProcessSpec
+from eivtls.processes import ErrorMatrixSpec, ErrorProcessSpec
 
 from conftest import SHIPPED_CONFIGS, exemplar, run_script, shipped
 
@@ -613,6 +614,26 @@ ONCE_ACCEPTED = {
 }
 
 
+def column(kind, **fields):
+    """A column's config object as ``ErrorProcessSpec.to_dict`` writes it."""
+    return {"kind": kind, "scale": 1.0, "stationary": True, **fields}
+
+
+# Every config object the package reads: (its spec class, an object that
+# class writes back byte for byte).  A new spec class or kind adds a row here.
+SPECS = {
+    "alpha_p2": (ExperimentConfig, shipped("alpha_p2")),
+    "phi_p2": (ExperimentConfig, shipped("phi_p2")),
+    "clt_ma1-process": (ErrorProcessSpec, shipped("clt_ma1")["process"]),
+    "errors": (ErrorMatrixSpec, {"sigma2": 0.7, "columns": [column("iid_gaussian"), column("ar1", a=-0.3)]}),
+    "block-design": (DesignSpec, {"kind": "repeating_block", "block": [[1.0], [2.0]]}),
+    "sinusoidal-design": (DesignSpec, {"kind": "sinusoidal", "frequencies": [0.123, 0.271]}),
+    "iid_gaussian": (ErrorProcessSpec, column("iid_gaussian", omega=2.0)),
+    "ma": (ErrorProcessSpec, column("ma", coeffs=[1.0, 0.6, 0.3], omega=1.0)),
+    "ar1": (ErrorProcessSpec, column("ar1", a=0.5, delta=3.0, omega=1.0)),
+}
+
+
 def exit_and_error(tmp_path, capsys, command, config):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
@@ -648,20 +669,16 @@ class TestConfigSchema:
         assert code == EXIT_CONFIG
         assert "missing required key" in err and repr(key) in err
 
-    @pytest.mark.parametrize("name", ["alpha_p2", "phi_p2"])
-    def test_shipped_configs_are_their_own_to_dict(self, name):
-        d = shipped(name)
-        assert json.dumps(ExperimentConfig.from_dict(d).to_dict()) == json.dumps(d)
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_spec_writes_back_the_object_it_read(self, name):
+        cls, d = SPECS[name]
+        assert json.dumps(cls.from_dict(d).to_dict()) == json.dumps(d)
 
     @pytest.mark.parametrize("name", ["alpha_p2", "phi_p2"])
     def test_shipped_configs_pass_their_own_theorem(self, name):
         # The files the README commands and the benchmark's checked runs read.
         cfg = ExperimentConfig.from_dict(shipped(name))
         assert check_assumptions(cfg.theorem, cfg.design, cfg.errors).passed
-
-    def test_shipped_clt_process_is_its_own_to_dict(self):
-        d = shipped("clt_ma1")["process"]
-        assert json.dumps(ErrorProcessSpec.from_dict(d).to_dict()) == json.dumps(d)
 
 
 class TestSizeLimits:

@@ -13,10 +13,10 @@ kind guard (``linalg.check_kind``), one check that beta and the error
 columns agree with the design (``model.check_model``), one check of a
 theorem's name (``mixing.theorem_conditions``), one builder of the design
 (``model.signal``) and one place per seeded run that derives replication
-seeds (the bootstrap and the ``montecarlo`` experiments).  No package
-module draws from the reference ``seeding.stream``, so a second draw path
-fails here, and ``stats`` imports neither ``processes`` nor ``seeding``:
-it tests samples and draws none.
+seeds (the bootstrap and the ``montecarlo`` experiments).  Only
+``seeding._bit_generators`` builds numpy's ``PCG64``, so a second draw
+path fails here, and ``stats`` imports neither ``processes`` nor
+``seeding``: it tests samples and draws none.
 Every package module is loaded by ``import eivtls`` or by the ``eivtls``
 command (``eivtls.cli``), so none is reached from the tests alone.
 Each process kind is named only in its ``processes.KINDS`` row and its
@@ -26,8 +26,10 @@ reads it.
 
 Each shared contract has one owner test, and a new site adds a row to its
 table rather than a test: the one-site rules are the keys of ``ONE_SITE``
-here, sizes and seeds the rows of ``SIZES`` and ``SEEDS`` in
-``test_linalg``.  The README's "Install and test" section lists every owner.
+here, sizes, seeds and numbers the rows of ``SIZES``, ``SEEDS`` and
+``NUMBERS`` in ``test_linalg``, and config round trips the rows of
+``SPECS`` in ``test_cli``.  The README's "Install and test" section lists
+every owner.
 """
 
 import ast
@@ -97,11 +99,10 @@ def test_only_linalg_names_the_size_bound():
 
 # Each name, or string part, may be used at its own sites only: the draw loop
 # every process filters after, the rule that gives error-matrix column j its
-# stream seed, the reference stream and the many-seed bit generators (no
-# module draws from the reference stream: the tests alone build it), the
-# bounded draw of the bootstrap's block starts, which reads raw PCG64 words in
-# place of ``Generator.integers``, the reader of a nested spec (the two config
-# files are read at the top), the guard that refuses a field its kind does not
+# stream seed, the many-seed bit generators, the bounded draw of the
+# bootstrap's block starts, which reads raw PCG64 words in place of
+# ``Generator.integers``, the reader of a nested spec (the two config files
+# are read at the top), the guard that refuses a field its kind does not
 # read, the check that beta and the error columns agree with the design, the
 # check of a theorem's name, the noise-free rows every dataset and replication
 # adds its errors to, and the seeded runs that derive replication seeds.  This
@@ -109,8 +110,7 @@ def test_only_linalg_names_the_size_bound():
 ONE_SITE = {
     "standard_normal": ["processes.py:_fill_column"],
     "column_subseed": ["processes.py:ErrorMatrixSpec.column_draws"],
-    "PCG64": ["seeding.py:stream", "seeding.py:_bit_generators"],
-    "stream": [],
+    "PCG64": ["seeding.py:_bit_generators"],
     "random_raw": ["seeding.py:bounded_integers"],
     "integers": ["seeding.py:bounded_integers"],
     "from_dict": ["cli.py:_load_experiment", "cli.py:_cmd_clt_check", "linalg.py:as_spec"],

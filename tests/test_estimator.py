@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +24,8 @@ from eivtls.estimator import (
 )
 from eivtls.model import repeating_block, synthesize
 from eivtls.processes import ErrorMatrixSpec, iid_gaussian
+
+from conftest import traced_peak
 
 GOLDEN_X = np.array([[1.0], [2.0]])
 GOLDEN_Y = np.array([2.0, 3.0])
@@ -366,14 +367,8 @@ class TestTlsFromGram:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((20_000, 30, 3))
         stack = np.einsum("rni,rnj->rij", a, a)
-        # Once untraced first, so that numpy's one-time set-up is not counted.
         tls_from_gram(stack[:3])
-        tracemalloc.start()
-        try:
-            tls_from_gram(stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(tls_from_gram, stack)
         assert peak <= 5 * stack.nbytes
 
 

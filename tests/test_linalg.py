@@ -7,9 +7,10 @@ import eivtls.bootstrap
 from eivtls.bootstrap import BootstrapConfig, choose_block_length
 from eivtls.errors import InvalidParams
 from eivtls.linalg import MAX_LENGTH, as_integer, as_matrix, as_number, as_vector
-from eivtls.model import build_design, repeating_block, synthesize
+from eivtls.model import build_design, expected_cross_product, repeating_block, sinusoidal, synthesize
 from eivtls.montecarlo import CltCheckConfig, clt_check
-from eivtls.processes import generate_error_matrix, generate_sequence, iid_gaussian
+from eivtls.processes import ErrorMatrixSpec, ErrorProcessSpec, ar1, iid_gaussian, ma
+from eivtls.processes import generate_error_matrix, generate_sequence
 from eivtls.stats import long_run_variance
 
 from conftest import exemplar
@@ -115,7 +116,7 @@ class TestSizeReader:
 
     def test_fraction_and_string_are_refused(self, site):
         name, least, read = SIZES[site]
-        for value in (least + 0.5, str(least)):
+        for value in (least + 0.5, str(least), True):
             with pytest.raises(InvalidParams, match="^" + re.escape(f"{name} must be a whole number")):
                 read(value)
 
@@ -139,6 +140,50 @@ def test_seed_reader_refuses_a_fraction_a_bool_and_a_string(site, value):
     name, read = SEEDS[site]
     with pytest.raises(InvalidParams, match="^" + re.escape(f"{name} must be a whole number")):
         read(value)
+
+
+# Every scalar number the package reads: (argument name in the message, a
+# value it accepts, a call that reads a value and returns it as kept).  A
+# new number reader adds a row here.  ``scale`` is read from a config object
+# only, and ``expected_cross_product`` keeps no field: its row returns the
+# sigma2 that its product adds on the diagonal.
+NUMBERS = {
+    "a": ("a", 0.5, lambda v: ar1(v).a),
+    "delta": ("delta", 3.0, lambda v: ar1(0.5, delta=v).delta),
+    "omega": ("omega", 2.0, lambda v: iid_gaussian(omega=v).omega),
+    "coeffs": ("every entry of coeffs", 2.0, lambda v: ma([1.0, v]).coeffs[1]),
+    "scale": ("scale", 1.0,
+              lambda v: ErrorProcessSpec.from_dict({"kind": "iid_gaussian", "scale": v}).to_dict()["scale"]),
+    "sigma2": ("sigma2", 2.0, lambda v: ErrorMatrixSpec((iid_gaussian(),), sigma2=v).sigma2),
+    "frequencies": ("every entry of frequencies", 0.25, lambda v: sinusoidal([0.1, v]).frequencies[1]),
+    "level": ("level", 0.75, lambda v: BootstrapConfig(level=v).level),
+    "expected_cross_product": ("sigma2", 2.0, lambda v: expected_cross_product([[0.0]], [0.0], v)[1, 1].item()),
+}
+# The optional fields, where None means "not set".
+UNSET_BY_NONE = {"a", "delta", "omega"}
+NOT_NUMBERS = {"string": "0.25", "bool": True, "np-bool": np.True_, "list": [0.25], "complex": 1j, "none": None}
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    [pytest.param(site, value, id=f"{site}-{label}") for site in sorted(NUMBERS)
+     for label, value in NOT_NUMBERS.items() if not (value is None and site in UNSET_BY_NONE)],
+)
+def test_number_reader_refuses_anything_but_a_number(site, value):
+    name, _, read = NUMBERS[site]
+    with pytest.raises(InvalidParams, match="^" + re.escape(f"{name} must be a number")):
+        read(value)
+
+
+@pytest.mark.parametrize("site", sorted(NUMBERS))
+def test_number_reader_keeps_a_python_float(site):
+    _, accepted, read = NUMBERS[site]
+    values = [accepted, np.float32(accepted)]
+    if accepted.is_integer():
+        values += [int(accepted), np.int64(accepted)]
+    for value in values:
+        kept = read(value)
+        assert type(kept) is float and kept == accepted
 
 
 class TestChooseBlockLengthReadsN:
