@@ -64,6 +64,18 @@ class TestExperimentConfig:
         assert (type(cfg.replications), type(cfg.master_seed)) == (int, int)
         assert cfg.to_dict()["replications"] == 120
 
+    @pytest.mark.parametrize("value", ["1.5", True], ids=["str", "bool"])
+    def test_numeric_fields_refuse_strings_and_bools(self, value):
+        d = small_config().to_dict()
+        for key, bad in (("beta", [value]), ("n_grid", [value, 80])):
+            with pytest.raises(InvalidParams, match="must be"):
+                ExperimentConfig.from_dict({**d, key: bad})
+        for key in ("replications", "master_seed"):
+            with pytest.raises(InvalidParams, match=f"{key} must be a whole number"):
+                ExperimentConfig.from_dict({**d, key: value})
+        with pytest.raises(InvalidParams, match="sigma2 must be a number"):
+            ExperimentConfig.from_dict({**d, "errors": {**d["errors"], "sigma2": value}})
+
     def test_nested_objects_must_be_objects(self):
         d = small_config().to_dict()
         for key in ("design", "errors"):
@@ -71,6 +83,17 @@ class TestExperimentConfig:
                 ExperimentConfig.from_dict({**d, key: "repeating_block"})
         with pytest.raises(InvalidParams, match="config must be a JSON object"):
             ExperimentConfig.from_dict([d])
+
+    def test_dict_roundtrip(self):
+        cfg = exemplar("alpha", (1.0, -2.0))
+        rt = ExperimentConfig.from_dict(cfg.to_dict())
+        assert rt.to_dict() == cfg.to_dict()
+
+    def test_from_dict_missing_key(self):
+        d = small_config().to_dict()
+        del d["beta"]
+        with pytest.raises(InvalidParams):
+            ExperimentConfig.from_dict(d)
 
 
 class TestRunConsistency:

@@ -217,12 +217,21 @@ class TestErrorMatrix:
         with pytest.raises(InvalidParams):
             ErrorMatrixSpec((iid_gaussian(), iid_gaussian()), sigma2=0.0)
 
-    @pytest.mark.parametrize("sigma2", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "sigma2", [True, False, np.True_, "1.0", None, [1.0], -1.0, float("nan"), float("inf")]
+    )
     def test_sigma2_must_be_a_positive_number(self, sigma2):
         d = ErrorMatrixSpec((iid_gaussian(), iid_gaussian())).to_dict()
         d["sigma2"] = sigma2
         with pytest.raises(InvalidParams, match="sigma2"):
             ErrorMatrixSpec.from_dict(d)
+
+    @pytest.mark.parametrize("sigma2", [2, np.int64(2), np.float32(2.0)])
+    def test_sigma2_is_stored_as_a_float(self, sigma2):
+        d = ErrorMatrixSpec((iid_gaussian(), iid_gaussian())).to_dict()
+        d["sigma2"] = sigma2
+        stored = ErrorMatrixSpec.from_dict(d).to_dict()["sigma2"]
+        assert type(stored) is float and stored == 2.0
 
     def test_cross_column_independence(self):
         spec = ErrorMatrixSpec((iid_gaussian(), iid_gaussian()), sigma2=1.0)
